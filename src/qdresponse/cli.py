@@ -1,18 +1,26 @@
 """Command-line front end.
 
 Subcommands: steady, bistability, spectrum, kerr, peaks, figure, oracle-check.
-Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
-Identical invocations produce byte-identical artifacts; QDR_THREADS caps the
-sweep parallelism (default 1).
+Exit codes: 0 success, 1 usage/configuration error (bad parameter values and
+bad grids included), 2 numerical failure.  Identical invocations produce
+byte-identical artifacts.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import oracle, presets, response, steady, sweep
-from .errors import QdResponseError, BadConfig, UnknownFigure, WriteFailure
+from .errors import (
+    BadConfig,
+    InvalidGrid,
+    NegativeAmplitude,
+    NonFinite,
+    NonPositiveRate,
+    QdResponseError,
+    UnknownFigure,
+    WriteFailure,
+)
 from .model import (
     Params,
     SweepAxis,
@@ -23,126 +31,43 @@ from .model import (
 )
 
 
-def _axis(value: str) -> SweepAxis:
+def _member(enum, label: str, value: str):
     try:
-        return SweepAxis(value)
+        return enum(value)
     except ValueError:
-        raise BadConfig(f"unknown axis {value!r}; "
-                        f"use {', '.join(a.value for a in SweepAxis)}") from None
+        raise BadConfig(f"unknown {label} {value!r}; "
+                        f"use {', '.join(m.value for m in enum)}") from None
 
 
-def _observable(value: str) -> sweep.Observable:
+def _params(base: Params | None, items, config=None) -> Params:
+    """Layer ``--config`` and ``--param KEY=VALUE`` items over ``base``.
+
+    Out-of-range or non-finite values are configuration errors here: they
+    come from the command line, not from a computation.
+    """
+    mapping = dict(vars(base)) if base is not None else {}
     try:
-        return sweep.Observable(value)
-    except ValueError:
-        raise BadConfig(f"unknown observable {value!r}; "
-                        f"use {', '.join(o.value for o in sweep.Observable)}") from None
+        if config:
+            mapping.update(vars(params_from_file(config)))
+        for item in items:
+            key, eq, raw = item.partition("=")
+            if not eq:
+                raise BadConfig(f"--param expects KEY=VALUE, got {item!r}")
+            mapping[key.strip()] = raw.strip()
+        if not mapping:
+            raise BadConfig("no parameters given; use --preset, --config or --param")
+        return params_from_mapping(mapping)
+    except (NonPositiveRate, NegativeAmplitude, NonFinite) as exc:
+        raise BadConfig(str(exc)) from None
 
 
-def _backend(value: str) -> response.Backend:
-    try:
-        return response.Backend(value)
-    except ValueError:
-        raise BadConfig(f"unknown backend {value!r}") from None
-
-
-def _policy(value: str) -> sweep.BranchPolicy:
-    try:
-        return sweep.BranchPolicy(value)
-    except ValueError:
-        raise BadConfig(f"unknown branch policy {value!r}") from None
-
-
-def _add_param_options(sub):
-    sub.add_argument("--preset", help="start from a catalog entry (e.g. 4b)")
-    sub.add_argument("--config", help="flat key=value parameter file")
-    sub.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
-                     help="override one parameter (repeatable)")
-
-
-def _add_output_options(sub):
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", help="output path (default: stdout or derived name)")
-
-
-def _collect_params(args, preset=None) -> Params:
-    mapping = {}
-    if preset is not None:
-        mapping.update({k: getattr(preset.params, k)
-                        for k in preset.params.__dataclass_fields__})
-    if args.config:
-        file_params = params_from_file(args.config)
-        mapping.update({k: getattr(file_params, k)
-                        for k in file_params.__dataclass_fields__})
-    for item in args.param:
-        if "=" not in item:
-            raise BadConfig(f"--param expects KEY=VALUE, got {item!r}")
-        key, _, raw = item.partition("=")
-        mapping[key.strip()] = raw.strip()
-    if not mapping:
-        raise BadConfig("no parameters given; use --preset, --config or --param")
-    return params_from_mapping(mapping)
-
-
-def _workers() -> int:
-    raw = os.environ.get("QDR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise BadConfig(f"QDR_THREADS must be an integer, got {raw!r}") from None
-
-
-def _open_out(path):
-    try:
-        return open(path, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise WriteFailure(f"cannot write {path}: {exc}") from None
-
-
-def _emit(records, fmt, out, meta):
-    if out is None:
-        if fmt == "csv":
-            sweep.records_to_csv(records, sys.stdout, meta)
-        else:
-            sys.stdout.write(sweep.records_to_json(records, meta=meta))
-            sys.stdout.write("\n")
-        return
-    with _open_out(out) as fh:
-        if fmt == "csv":
-            sweep.records_to_csv(records, fh, meta)
-        else:
-            sweep.records_to_json(records, fh, meta=meta)
-    print(f"wrote {out}")
-
-
-def _params_meta(p: Params) -> dict:
-    return {k: repr(getattr(p, k)) for k in p.__dataclass_fields__}
-
-
-# -- subcommands -------------------------------------------------------------
-
-def _cmd_steady(args) -> int:
+def _point(args):
+    """The ``--preset`` entry (or None) and the parameters the options give."""
     preset = presets.get_preset(args.preset) if args.preset else None
-    p = _collect_params(args, preset)
-    branches = steady.solve_steady_branches(p)
-    lines = ["w0,re_a0,im_a0,re_sigma0,im_sigma0,q0,residual,stability,physical"]
-    for b in branches:
-        lines.append(",".join([
-            repr(b.w0), repr(b.a0.real), repr(b.a0.imag),
-            repr(b.sigma0.real), repr(b.sigma0.imag), repr(b.q0),
-            repr(b.residual), b.stability.value, str(b.physical).lower(),
-        ]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with _open_out(args.out) as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return preset, _params(preset and preset.params, args.param, args.config)
 
 
-def _grid_from_arg(args, preset=None):
+def _grid(args, preset):
     if args.grid:
         return presets.parse_grid(args.grid)
     if preset is not None:
@@ -150,139 +75,148 @@ def _grid_from_arg(args, preset=None):
     raise BadConfig("missing --grid start:stop:points")
 
 
+def _params_meta(p: Params) -> dict:
+    return {k: repr(v) for k, v in vars(p).items()}
+
+
+# -- output ------------------------------------------------------------------
+
+def _save(path, write) -> str:
+    """Create ``path``, hand it to ``write`` and return the path."""
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise WriteFailure(f"cannot write {path}: {exc}") from None
+    with fh:
+        write(fh)
+    return path
+
+
+def _emit(out, write) -> None:
+    """Run ``write`` on stdout, or on the file ``out`` and report it."""
+    if out:
+        print(f"wrote {_save(out, write)}")
+    else:
+        write(sys.stdout)
+
+
+def _record_writer(records, fmt, meta):
+    """A writer of sweep records as CSV or JSON with metadata."""
+    if fmt == "csv":
+        return lambda fh: sweep.records_to_csv(records, fh, meta)
+    return lambda fh: sweep.records_to_json(records, fh, meta=meta)
+
+
+def _save_hysteresis(stem, fmt, result, meta) -> list[str]:
+    """Write ``<stem>_up``/``<stem>_down`` with the turning points P1/P2."""
+    meta = {**meta,
+            "P1": "" if result.turning_up is None else repr(result.turning_up),
+            "P2": "" if result.turning_down is None else repr(result.turning_down)}
+    return [_save(f"{stem}_{tag}.{fmt}",
+                  _record_writer(rows, fmt, {**meta, "trace": tag}))
+            for tag, rows in (("up", result.up), ("down", result.down))]
+
+
+def _clean_sweep(cfg, context=""):
+    """The sweep's records, or None after a message if no grid point is clean."""
+    records = sweep.run_sweep(cfg)
+    if any(not r.flags and r.value_re == r.value_re for r in records):
+        return records
+    print(f"error: every grid point failed{context}", file=sys.stderr)
+    return None
+
+
+def _sweep(args, context=""):
+    """Resolve preset, parameters, axis, observable and grid, then sweep."""
+    preset, p = _point(args)
+    axis = _member(SweepAxis, "axis", args.axis) if args.axis else \
+        (preset.axis if preset else SweepAxis.DELTA0)
+    obs = _member(sweep.Observable, "observable", args.observable) \
+        if args.observable else (preset.observable if preset else None)
+    if obs is None:
+        raise BadConfig("missing --observable")
+    cfg = sweep.SweepConfig(
+        base=p, axis=axis, grid=_grid(args, preset), observable=obs,
+        backend=response.Backend(args.backend),
+        branch_policy=sweep.BranchPolicy(args.branch_policy),
+    )
+    return cfg, _clean_sweep(cfg, context)
+
+
+# -- subcommands -------------------------------------------------------------
+
+def _cmd_steady(args) -> int:
+    _, p = _point(args)
+    lines = ["w0,re_a0,im_a0,re_sigma0,im_sigma0,q0,residual,stability,physical"]
+    for b in steady.solve_steady_branches(p):
+        lines.append(",".join([
+            repr(b.w0), repr(b.a0.real), repr(b.a0.imag),
+            repr(b.sigma0.real), repr(b.sigma0.imag), repr(b.q0),
+            repr(b.residual), b.stability.value, str(b.physical).lower(),
+        ]))
+    text = "\n".join(lines) + "\n"
+    _emit(args.out, lambda fh: fh.write(text))
+    return 0
+
+
 def _cmd_bistability(args) -> int:
-    preset = presets.get_preset(args.preset) if args.preset else None
-    p = _collect_params(args, preset)
-    axis = _axis(args.axis)
-    grid = _grid_from_arg(args, preset)
-    result = steady.hysteresis_sweep(p, axis, grid)
-    stem = args.out or "bistability"
-    meta = _params_meta(p)
-    meta.update(axis=axis.value,
-                P1="" if result.turning_up is None else repr(result.turning_up),
-                P2="" if result.turning_down is None else repr(result.turning_down))
-    for tag, rows in (("up", result.up), ("down", result.down)):
-        path = f"{stem}_{tag}.{args.format}"
-        with _open_out(path) as fh:
-            if args.format == "csv":
-                sweep.records_to_csv(rows, fh, {**meta, "trace": tag})
-            else:
-                sweep.records_to_json(rows, fh, meta={**meta, "trace": tag})
+    preset, p = _point(args)
+    axis = SweepAxis(args.axis)
+    result = steady.hysteresis_sweep(p, axis, _grid(args, preset))
+    meta = {**_params_meta(p), "axis": axis.value}
+    for path in _save_hysteresis(args.out or "bistability", args.format, result, meta):
         print(f"wrote {path}")
     return 0
 
 
-def _cmd_spectrum(args, observable=None) -> int:
-    preset = presets.get_preset(args.preset) if args.preset else None
-    p = _collect_params(args, preset)
-    axis = _axis(args.axis) if args.axis else \
-        (preset.axis if preset else _axis("delta0"))
-    obs = observable or (_observable(args.observable) if args.observable
-                         else (preset.observable if preset else None))
-    if obs is None:
-        raise BadConfig("missing --observable")
-    cfg = sweep.SweepConfig(
-        base=p, axis=axis, grid=_grid_from_arg(args, preset), observable=obs,
-        backend=_backend(args.backend),
-        branch_policy=_policy(args.branch_policy),
-    )
-    records = sweep.run_sweep(cfg, max_workers=_workers())
-    if not _has_clean_point(records):
-        print("error: every grid point failed (pole or no steady branch)",
-              file=sys.stderr)
+def _cmd_spectrum(args) -> int:
+    cfg, records = _sweep(args, " (pole or no steady branch)")
+    if records is None:
         return 2
-    meta = _params_meta(p)
-    meta.update(axis=axis.value, observable=obs.value, backend=cfg.backend.value)
-    _emit(records, args.format, args.out, meta)
+    meta = {**_params_meta(cfg.base), "axis": cfg.axis.value,
+            "observable": cfg.observable.value, "backend": cfg.backend.value}
+    _emit(args.out, _record_writer(records, args.format, meta))
     return 0
 
 
-def _has_clean_point(records) -> bool:
-    return any(not r.flags and r.value_re == r.value_re for r in records)
-
-
 def _cmd_peaks(args) -> int:
-    preset = presets.get_preset(args.preset) if args.preset else None
-    p = _collect_params(args, preset)
-    axis = _axis(args.axis) if args.axis else \
-        (preset.axis if preset else _axis("delta0"))
-    obs = _observable(args.observable) if args.observable else \
-        (preset.observable if preset else None)
-    if obs is None:
-        raise BadConfig("missing --observable")
-    cfg = sweep.SweepConfig(base=p, axis=axis, grid=_grid_from_arg(args, preset),
-                            observable=obs, backend=_backend(args.backend))
-    records = sweep.run_sweep(cfg, max_workers=_workers())
-    if not _has_clean_point(records):
-        print("error: every grid point failed", file=sys.stderr)
+    _, records = _sweep(args)
+    if records is None:
         return 2
     kind = sweep.ExtremumKind(args.kind)
     found = sweep.locate_extrema(records, kind, component=args.component)
-    lines = ["x,value"] + [f"{x!r},{v!r}" for x, v in found]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with _open_out(args.out) as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    text = "\n".join(["x,value"] + [f"{x!r},{v!r}" for x, v in found]) + "\n"
+    _emit(args.out, lambda fh: fh.write(text))
     return 0
 
 
 def _cmd_figure(args) -> int:
     preset = presets.get_preset(args.figure_id)
     stem = args.out or f"fig{preset.figure_id}"
-    workers = _workers()
     wrote = []
     for label, base in preset.members():
-        mapping = {k: getattr(base, k) for k in base.__dataclass_fields__}
-        for item in args.param:
-            if "=" not in item:
-                raise BadConfig(f"--param expects KEY=VALUE, got {item!r}")
-            key, _, raw = item.partition("=")
-            mapping[key.strip()] = raw.strip()
-        member_params = params_from_mapping(mapping)
-        meta = _params_meta(member_params)
-        meta.update(figure=preset.figure_id, note=preset.note,
-                    axis=preset.axis.value, observable=preset.observable.value,
-                    assumed=" ".join(preset.assumed))
-        suffix = "" if not label else "_" + label.replace("=", "-")
+        p = _params(base, args.param)
+        meta = {**_params_meta(p), "figure": preset.figure_id, "note": preset.note,
+                "axis": preset.axis.value, "observable": preset.observable.value,
+                "assumed": " ".join(preset.assumed)}
+        member = stem + ("_" + label.replace("=", "-") if label else "")
         if preset.branch_policy is sweep.BranchPolicy.CONTINUATION:
-            result = steady.hysteresis_sweep(member_params, preset.axis,
-                                             preset.grid)
-            meta.update(
-                P1="" if result.turning_up is None else repr(result.turning_up),
-                P2="" if result.turning_down is None else repr(result.turning_down))
-            for tag, rows in (("up", result.up), ("down", result.down)):
-                path = f"{stem}{suffix}_{tag}.{args.format}"
-                with _open_out(path) as fh:
-                    if args.format == "csv":
-                        sweep.records_to_csv(rows, fh, {**meta, "trace": tag})
-                    else:
-                        sweep.records_to_json(rows, fh, meta={**meta, "trace": tag})
-                wrote.append(path)
+            result = steady.hysteresis_sweep(p, preset.axis, preset.grid)
+            wrote += _save_hysteresis(member, args.format, result, meta)
             continue
-        cfg = preset.sweep_config(member_params, _backend(args.backend))
-        records = sweep.run_sweep(cfg, max_workers=workers)
-        if not _has_clean_point(records):
-            print(f"error: every grid point failed for {label or 'preset'}",
-                  file=sys.stderr)
+        cfg = preset.sweep_config(p, response.Backend(args.backend))
+        records = _clean_sweep(cfg, f" for {label or 'preset'}")
+        if records is None:
             return 2
-        path = f"{stem}{suffix}.{args.format}"
-        with _open_out(path) as fh:
-            if args.format == "csv":
-                sweep.records_to_csv(records, fh, meta)
-            else:
-                sweep.records_to_json(records, fh, meta=meta)
-        wrote.append(path)
+        wrote.append(_save(f"{member}.{args.format}",
+                           _record_writer(records, args.format, meta)))
     for path in wrote:
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_oracle_check(args) -> int:
-    preset = presets.get_preset(args.preset) if args.preset else None
-    p = _collect_params(args, preset)
+    preset, p = _point(args)
     if p.delta0 == 0.0:
         p = p.replace(delta0=preset.oracle_delta0 if preset else 4.3)
     if p.es0 == 0.0:
@@ -298,9 +232,8 @@ def _cmd_oracle_check(args) -> int:
     traj = oracle.integrate_mean_field(
         p, oracle.steady_state_vector(branch), args.t_end, dt)
     if args.dump_trajectory:
-        with _open_out(args.dump_trajectory) as fh:
-            oracle.dump_trajectory(traj, fh)
-        print(f"wrote {args.dump_trajectory}")
+        path = _save(args.dump_trajectory, lambda fh: oracle.dump_trajectory(traj, fh))
+        print(f"wrote {path}")
     demod = oracle.demodulate_sidebands(traj, p.delta0)
     bands = response.solve_sidebands(p, branch)
     dev_a = abs(demod.a_plus - bands.a_plus) / abs(bands.a_plus)
@@ -315,6 +248,25 @@ def _cmd_oracle_check(args) -> int:
 
 # -- argument parser ---------------------------------------------------------
 
+#: Options shared by several subcommands, by flag.
+_OPTIONS = {
+    "--preset": dict(help="start from a catalog entry (e.g. 4b)"),
+    "--config": dict(help="flat key=value parameter file"),
+    "--param": dict(action="append", default=[], metavar="KEY=VALUE",
+                    help="override one parameter (repeatable)"),
+    "--axis": dict(),
+    "--grid": dict(help="start:stop:points"),
+    "--observable": dict(),
+    "--backend": dict(default="linear_solve",
+                      choices=("linear_solve", "closed_form")),
+    "--branch-policy": dict(default="stable_only",
+                            choices=("stable_only", "all_branches")),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--out": dict(help="output path (default: stdout or derived name)"),
+}
+_POINT = ("--preset", "--config", "--param")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdr",
@@ -322,71 +274,43 @@ def build_parser() -> argparse.ArgumentParser:
                     "driven dot-cavity-phonon system.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("steady", help="solve the steady-state branches")
-    _add_param_options(s)
-    s.add_argument("--out")
-    s.set_defaults(func=_cmd_steady)
+    def command(name, func, summary, *options, **defaults):
+        """A subcommand; each option is a flag of _OPTIONS or a (flag, kwargs) pair."""
+        s = subs.add_parser(name, help=summary)
+        for option in options:
+            flag, kwargs = (option, _OPTIONS[option]) if isinstance(option, str) \
+                else option
+            s.add_argument(flag, **kwargs)
+        s.set_defaults(func=func, **defaults)
 
-    s = subs.add_parser("bistability", help="hysteresis continuation sweep")
-    _add_param_options(s)
-    s.add_argument("--axis", default="ep0", choices=("ep0", "delta_p0"))
-    s.add_argument("--grid", help="start:stop:points")
-    _add_output_options(s)
-    s.set_defaults(func=_cmd_bistability)
-
-    s = subs.add_parser("spectrum", help="sweep an observable over a grid")
-    _add_param_options(s)
-    s.add_argument("--axis")
-    s.add_argument("--grid", help="start:stop:points")
-    s.add_argument("--observable")
-    s.add_argument("--backend", default="linear_solve",
-                   choices=("linear_solve", "closed_form"))
-    s.add_argument("--branch-policy", default="stable_only",
-                   choices=("stable_only", "all_branches"))
-    _add_output_options(s)
-    s.set_defaults(func=_cmd_spectrum)
-
-    s = subs.add_parser("kerr", help="Kerr coefficient vs signal-exciton detuning")
-    _add_param_options(s)
-    s.add_argument("--axis", default="delta_s0")
-    s.add_argument("--grid", help="start:stop:points")
-    s.add_argument("--backend", default="linear_solve",
-                   choices=("linear_solve", "closed_form"))
-    s.add_argument("--branch-policy", default="stable_only",
-                   choices=("stable_only", "all_branches"))
-    _add_output_options(s)
-    s.set_defaults(func=lambda a: _cmd_spectrum(a, sweep.Observable.KERR))
-
-    s = subs.add_parser("peaks", help="locate spectrum extrema")
-    _add_param_options(s)
-    s.add_argument("--axis")
-    s.add_argument("--grid", help="start:stop:points")
-    s.add_argument("--observable")
-    s.add_argument("--backend", default="linear_solve",
-                   choices=("linear_solve", "closed_form"))
-    s.add_argument("--kind", default="peak", choices=("peak", "dip"))
-    s.add_argument("--component", default="re", choices=("re", "im", "abs"))
-    s.add_argument("--out")
-    s.set_defaults(func=_cmd_peaks)
-
-    s = subs.add_parser("figure", help="emit the sweep data for a catalog preset")
-    s.add_argument("figure_id", metavar="ID")
-    s.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
-    s.add_argument("--backend", default="linear_solve",
-                   choices=("linear_solve", "closed_form"))
-    _add_output_options(s)
-    s.set_defaults(func=_cmd_figure)
-
-    s = subs.add_parser("oracle-check",
-                        help="compare the sideband solve against time-domain "
-                             "integration plus demodulation")
-    _add_param_options(s)
-    s.add_argument("--t-end", type=float, default=260.0)
-    s.add_argument("--dt", type=float, default=0.01)
-    s.add_argument("--tolerance", type=float, default=1e-3)
-    s.add_argument("--dump-trajectory", metavar="PATH",
-                   help="also write the integrated trajectory as CSV")
-    s.set_defaults(func=_cmd_oracle_check)
+    command("steady", _cmd_steady, "solve the steady-state branches",
+            *_POINT, "--out")
+    command("bistability", _cmd_bistability, "hysteresis continuation sweep",
+            *_POINT, ("--axis", dict(default="ep0", choices=("ep0", "delta_p0"))),
+            "--grid", "--format", "--out")
+    command("spectrum", _cmd_spectrum, "sweep an observable over a grid",
+            *_POINT, "--axis", "--grid", "--observable", "--backend",
+            "--branch-policy", "--format", "--out")
+    command("kerr", _cmd_spectrum, "Kerr coefficient vs signal-exciton detuning",
+            *_POINT, ("--axis", dict(default="delta_s0")), "--grid", "--backend",
+            "--branch-policy", "--format", "--out",
+            observable=sweep.Observable.KERR.value)
+    command("peaks", _cmd_peaks, "locate spectrum extrema",
+            *_POINT, "--axis", "--grid", "--observable", "--backend",
+            ("--kind", dict(default="peak", choices=("peak", "dip"))),
+            ("--component", dict(default="re", choices=("re", "im", "abs"))),
+            "--out", branch_policy=sweep.BranchPolicy.STABLE_ONLY.value)
+    command("figure", _cmd_figure, "emit the sweep data for a catalog preset",
+            ("figure_id", dict(metavar="ID")), "--param", "--backend", "--format",
+            "--out")
+    command("oracle-check", _cmd_oracle_check,
+            "compare the sideband solve against time-domain integration plus "
+            "demodulation", *_POINT,
+            ("--t-end", dict(type=float, default=260.0)),
+            ("--dt", dict(type=float, default=0.01)),
+            ("--tolerance", dict(type=float, default=1e-3)),
+            ("--dump-trajectory", dict(metavar="PATH", help="also write the "
+                                       "integrated trajectory as CSV")))
     return parser
 
 
@@ -399,7 +323,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (BadConfig, UnknownFigure, WriteFailure) as exc:
+    except (BadConfig, InvalidGrid, UnknownFigure, WriteFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except QdResponseError as exc:

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -111,7 +110,7 @@ def _point_records(cfg: SweepConfig, x: float, p: Params, branches) -> list[Spec
     return rows
 
 
-def run_sweep(cfg: SweepConfig, max_workers: int | None = None) -> list[SpectrumRecord]:
+def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
     """Evaluate the observable over the grid under the branch policy.
 
     Records are ordered by grid index then branch id.  Per-point numerical
@@ -133,8 +132,8 @@ def run_sweep(cfg: SweepConfig, max_workers: int | None = None) -> list[Spectrum
 
     steady_independent = cfg.axis in (SweepAxis.DELTA0, SweepAxis.DELTA_S0)
     base_branches = solve_steady_branches(cfg.base) if steady_independent else None
-
-    def evaluate(x: float) -> list[SpectrumRecord]:
+    rows = []
+    for x in xs:
         p = apply_axis(cfg.base, cfg.axis, x)
         if steady_independent:
             branches = base_branches
@@ -142,17 +141,12 @@ def run_sweep(cfg: SweepConfig, max_workers: int | None = None) -> list[Spectrum
             try:
                 branches = solve_steady_branches(p)
             except NoRealRoot:
-                return [SpectrumRecord(x, -1, float("nan"), float("nan"),
-                                       float("nan"),
-                                       frozenset({Flag.POLE_SKIPPED}))]
-        return _point_records(cfg, x, p, branches)
-
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            chunks = list(pool.map(evaluate, xs))
-    else:
-        chunks = [evaluate(x) for x in xs]
-    return [row for chunk in chunks for row in chunk]
+                rows.append(SpectrumRecord(x, -1, float("nan"), float("nan"),
+                                           float("nan"),
+                                           frozenset({Flag.POLE_SKIPPED})))
+                continue
+        rows += _point_records(cfg, x, p, branches)
+    return rows
 
 
 def _component(rec: SpectrumRecord, component: str) -> float:

@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from qdresponse.cli import main
 
@@ -145,6 +146,14 @@ def test_figure_json_format(tmp_path):
     assert len(payload["records"]) == 601
     assert set(payload["records"][0]) == {
         "x", "branch_id", "w0", "value_re", "value_im", "flags"}
+    assert run(["figure", "2b", "--format", "json"], tmp_path) == 0
+    up = json.loads((tmp_path / "fig2b_up.json").read_text())
+    down = json.loads((tmp_path / "fig2b_down.json").read_text())
+    assert (up["meta"]["trace"], down["meta"]["trace"]) == ("up", "down")
+    for key in ("P1", "P2"):
+        assert up["meta"][key] == down["meta"][key] != ""
+    assert float(up["meta"]["P1"]) > float(up["meta"]["P2"]) > 0.0
+    assert len(up["records"]) == len(down["records"]) > 0
 
 
 def test_identical_invocations_are_byte_identical(tmp_path):
@@ -189,3 +198,59 @@ def test_oracle_check_can_dump_trajectory(tmp_path, capsys):
     assert code == 0
     head = (tmp_path / "traj.csv").read_text().splitlines()[0]
     assert head == "t,w,re_sigma,im_sigma,re_a,im_a,q,qdot"
+
+
+# A full parameter point given only through --param flags (no preset).
+POINT = ["--param", "delta_p0=-10", "--param", "delta_c0=-10", "--param", "g0=1.5",
+         "--param", "eta=0.015", "--param", "omega_k0=10",
+         "--param", "kappa_c0=1.35", "--param", "gamma_q0=0.1", "--param", "ep0=5"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["figure", "4a", "--param", "ep0"], 1, "--param expects KEY=VALUE, got 'ep0'"),
+    (["steady", "--preset", "2b", "--param", "ep0"], 1,
+     "--param expects KEY=VALUE, got 'ep0'"),
+    (["spectrum", "--preset", "4a", "--axis", "zz"], 1,
+     "unknown axis 'zz'; use delta0,"),
+    (["spectrum", "--preset", "4a", "--observable", "zz"], 1,
+     "unknown observable 'zz'; use chi1,"),
+    (["peaks", "--preset", "4a", "--observable", "zz"], 1, "unknown observable 'zz'"),
+    (["spectrum", *POINT, "--grid=-1:1:5"], 1, "missing --observable"),
+    (["spectrum", *POINT, "--observable", "t2"], 1, "missing --grid start:stop:points"),
+    (["bistability", *POINT], 1, "missing --grid start:stop:points"),
+    (["spectrum", "--preset", "4a", "--grid=-1:1:3", "--out", "no_such_dir/x.csv"],
+     1, "cannot write no_such_dir/x.csv"),
+    (["bistability", "--preset", "2b", "--grid", "0.2:16:20",
+      "--out", "no_such_dir/h"], 1, "cannot write no_such_dir/h_up.csv"),
+])
+def test_usage_error_paths(tmp_path, capsys, argv, code, message):
+    assert run(argv, tmp_path) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["steady", "--preset", "2b", "--param", "kappa_c0=0"],
+     "kappa_c0 must be > 0, got 0.0"),
+    (["steady", "--preset", "2b", "--param", "g0=-1"], "g0 must be >= 0, got -1.0"),
+    (["steady", "--preset", "2b", "--param", "ep0=nan"], "ep0 is not finite: nan"),
+    (["steady", "--config", "bad.cfg"], "gamma_q0 must be > 0, got -0.1"),
+    (["figure", "4a", "--param", "ep0=inf"], "ep0 is not finite: inf"),
+    (["bistability", "--preset", "2b", "--grid", "0:1:1"],
+     "grid needs at least 2 points"),
+    (["bistability", "--preset", "2b", "--grid", "5:1:10"],
+     "grid must be strictly ascending"),
+    (["oracle-check", "--preset", "4b", "--t-end", "-1"],
+     "t_end and dt must be positive"),
+    (["peaks", "--preset", "2b", "--observable", "w0", "--axis", "ep0",
+      "--grid", "0.2:16:60"], "needs a single-branch record stream"),
+])
+def test_bad_parameter_values_and_grids_are_usage_errors(tmp_path, capsys, argv,
+                                                         message):
+    (tmp_path / "bad.cfg").write_text(
+        "delta_p0 = -10\ndelta_c0 = -10\ng0 = 1.5\neta = 0.015\n"
+        "omega_k0 = 10\nkappa_c0 = 1.35\ngamma_q0 = -0.1\nep0 = 5\n",
+        encoding="utf-8")
+    assert run(argv, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

