@@ -8,6 +8,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import oracle, presets, response, steady, sweep
@@ -216,6 +217,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if not 0.0 < args.tolerance < math.inf:
+        raise BadConfig(f"--tolerance must be finite and > 0, got {args.tolerance:g}")
     preset, p = _point(args)
     if p.delta0 == 0.0:
         p = p.replace(delta0=preset.oracle_delta0 if preset else 4.3)

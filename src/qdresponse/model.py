@@ -133,17 +133,21 @@ def params_from_mapping(mapping: dict) -> Params:
 
 def params_from_file(path) -> Params:
     """Parse a flat ``key = value`` text file (one pair per line, # comments)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BadConfig(f"cannot read {path}: {exc}") from None
     mapping = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise BadConfig(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
-            key, _, raw = text.partition("=")
-            key = key.strip()
-            if key in mapping:
-                raise BadConfig(f"{path}:{lineno}: duplicate key {key!r}")
-            mapping[key] = raw.strip()
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise BadConfig(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
+        key, _, raw = text.partition("=")
+        key = key.strip()
+        if key in mapping:
+            raise BadConfig(f"{path}:{lineno}: duplicate key {key!r}")
+        mapping[key] = raw.strip()
     return params_from_mapping(mapping)

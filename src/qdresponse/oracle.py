@@ -119,8 +119,8 @@ def integrate_mean_field(p: Params, init, t_end: float, dt: float,
     inversion leaves [-1, 1] by more than ``BOUND_EPS`` and ``NonFinite`` on
     numerical blow-up.
     """
-    if dt <= 0.0 or t_end <= 0.0:
-        raise InvalidGrid(f"t_end and dt must be positive, got {t_end}, {dt}")
+    if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
+        raise InvalidGrid(f"t_end and dt must be positive and finite, got {t_end}, {dt}")
     if dt > max_step(p) * (1.0 + 1e-12):
         raise InvalidGrid(
             f"dt={dt} exceeds the resolution bound {max_step(p):.6g} "

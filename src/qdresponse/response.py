@@ -2,9 +2,12 @@
 
 Two backends compute the same quantities and cross-check each other:
 
-* ``LINEAR_SOLVE`` assembles the 6x6 complex system obtained by collecting the
-  two first-order oscillating components of the mean-field equations about a
-  steady branch.  It is the ground truth.
+* ``LINEAR_SOLVE`` evaluates, at the signal detuning, the resolvent of the
+  branch's mean-field Jacobian in complex amplitudes
+  (``SteadyBranch.sideband_generator``).  It is the ground truth.  It
+  linearizes about the branch as it was solved: ``p`` supplies only
+  ``delta0``, ``ep0`` (chi3 normalization), ``kappa_c0`` (output coupling)
+  and ``es0``.
 * ``CLOSED_FORM`` evaluates the transcribed closed-form susceptibilities.  By
   default the entries of ``data/formula_ledger.json`` are applied, which make
   the closed forms agree with the linear solve to machine precision; with
@@ -44,6 +47,7 @@ __all__ = [
 
 _SINGULAR_RCOND = 1e-14
 _POLE_TOL = 1e-14
+_EYE = np.eye(7)
 
 
 class Backend(Enum):
@@ -88,49 +92,16 @@ def _require_stable(branch: SteadyBranch, allow_unstable: bool):
             "pass allow_unstable=True to override")
 
 
-def _sideband_system(p: Params, branch: SteadyBranch):
-    """Matrix of the 6x6 system for (a+, conj(a-), s+, conj(s-), w+, q+)."""
-    s0 = branch.sigma0
-    a0 = branch.a0
-    q0 = branch.q0
-    w0 = branch.w0
-    g0, d0 = p.g0, p.delta0
-    A1 = 1j * p.delta_c0 + p.kappa_c0 - 1j * d0
-    B1 = -1j * p.delta_c0 + p.kappa_c0 - 1j * d0
-    M = np.zeros((6, 6), dtype=complex)
-    M[0, 0] = A1
-    M[0, 2] = 1j * g0
-    M[1, 1] = B1
-    M[1, 3] = -1j * g0
-    M[2, 0] = -2j * g0 * w0
-    M[2, 2] = 1.0 + 1j * (p.delta_p0 + q0) - 1j * d0
-    M[2, 4] = -2j * g0 * a0
-    M[2, 5] = 1j * s0
-    M[3, 1] = 2j * g0 * w0
-    M[3, 3] = 1.0 - 1j * (p.delta_p0 + q0) - 1j * d0
-    M[3, 4] = 2j * g0 * a0.conjugate()
-    M[3, 5] = -1j * s0.conjugate()
-    M[4, 0] = 1j * g0 * s0.conjugate()
-    M[4, 1] = -1j * g0 * s0
-    M[4, 2] = -1j * g0 * a0.conjugate()
-    M[4, 3] = 1j * g0 * a0
-    M[4, 4] = p.gamma1_ratio - 1j * d0
-    M[5, 4] = 2.0 * p.eta * p.omega_k0 ** 3
-    M[5, 5] = p.omega_k0 ** 2 - 1j * d0 * p.gamma_q0 - d0 ** 2
-    return M
-
-
 def _solve_unit(p: Params, branch: SteadyBranch) -> np.ndarray:
-    """Solution vector for unit signal amplitude; raises on singular systems."""
-    M = _sideband_system(p, branch)
+    """(a+, conj(a-), s+, conj(s-), w+, q+, dq+/dt) per unit signal: the
+    solution of (-K - i delta0 I) x = e0, K = ``branch.sideband_generator``."""
+    M = -branch.sideband_generator - 1j * p.delta0 * _EYE
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[-1] < _SINGULAR_RCOND * sv[0]:
         raise SingularSystem(
             f"sideband system is singular at delta0={p.delta0!r} "
             f"(rcond {sv[-1] / sv[0]:.2e})")
-    rhs = np.zeros(6, dtype=complex)
-    rhs[0] = 1.0
-    return np.linalg.solve(M, rhs)
+    return np.linalg.solve(M, _EYE[0])
 
 
 def solve_sidebands(p: Params, branch: SteadyBranch,
@@ -156,14 +127,14 @@ def solve_sidebands(p: Params, branch: SteadyBranch,
 
 def chi1_linear_solve(p: Params, branch: SteadyBranch,
                       allow_unstable: bool = False) -> complex:
-    """Linear susceptibility sigma+/Es from the 6x6 solve."""
+    """Linear susceptibility sigma+/Es from the branch resolvent."""
     _require_stable(branch, allow_unstable)
     return complex(_solve_unit(p, branch)[2])
 
 
 def chi3_linear_solve(p: Params, branch: SteadyBranch,
                       allow_unstable: bool = False) -> complex:
-    """Nonlinear susceptibility sigma-/(3 Es* Ep^2) from the 6x6 solve."""
+    """Nonlinear susceptibility sigma-/(3 Es* Ep^2) from the branch resolvent."""
     _require_stable(branch, allow_unstable)
     if p.ep0 <= 0.0:
         raise ZeroPump("chi3 is normalized by the squared pump amplitude")

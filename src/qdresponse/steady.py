@@ -15,8 +15,9 @@ documented reference; its roots are not fixed points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,14 @@ RESIDUAL_BOUND = 1e-10
 _PHYSICAL_LO = -1.0
 _PHYSICAL_HI = 0.0
 
+#: Real state (w, Re s, Im s, Re a, Im a, q, dq/dt) to complex amplitudes
+#: (a, conj a, s, conj s, w, q, dq/dt).
+_TO_COMPLEX = np.array([[0, 0, 0, 1, 1j, 0, 0], [0, 0, 0, 1, -1j, 0, 0],
+                        [0, 1, 1j, 0, 0, 0, 0], [0, 1, -1j, 0, 0, 0, 0],
+                        [1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0],
+                        [0, 0, 0, 0, 0, 0, 1]])
+_FROM_COMPLEX = np.linalg.inv(_TO_COMPLEX)
+
 
 class Stability(Enum):
     STABLE = "Stable"
@@ -65,7 +74,12 @@ class Stability(Enum):
 
 @dataclass(frozen=True)
 class SteadyBranch:
-    """One steady-state solution of the pump-driven system."""
+    """One steady-state solution of the pump-driven system.
+
+    ``jacobian`` is ``mean_field_jacobian(p, w0)`` at the solving parameters:
+    the one linearization behind both the stability label and the sideband
+    response.  It takes no part in ``==``, ``hash`` or ``repr``.
+    """
 
     w0: float
     a0: complex
@@ -74,6 +88,12 @@ class SteadyBranch:
     residual: float
     stability: Stability
     physical: bool
+    jacobian: np.ndarray = field(compare=False, repr=False)
+
+    @cached_property
+    def sideband_generator(self) -> np.ndarray:
+        """``jacobian`` in the complex amplitudes: K = T J T^-1."""
+        return _TO_COMPLEX @ self.jacobian @ _FROM_COMPLEX
 
 
 @dataclass(frozen=True)
@@ -290,9 +310,9 @@ def mean_field_jacobian(p: Params, w0: float) -> np.ndarray:
     ])
 
 
-def classify_stability(p: Params, branch: SteadyBranch) -> SteadyBranch:
-    """Label the branch from the Jacobian eigenvalue real parts."""
-    ev = np.linalg.eigvals(mean_field_jacobian(p, branch.w0))
+def classify_stability(branch: SteadyBranch) -> SteadyBranch:
+    """Label the branch from the real parts of its Jacobian's eigenvalues."""
+    ev = np.linalg.eigvals(branch.jacobian)
     top = float(np.max(ev.real))
     if top < -STABILITY_TOL:
         label = Stability.STABLE
@@ -303,7 +323,7 @@ def classify_stability(p: Params, branch: SteadyBranch) -> SteadyBranch:
     return replace(branch, stability=label)
 
 
-def solve_steady_branches(p: Params, classify: bool = True) -> list[SteadyBranch]:
+def solve_steady_branches(p: Params) -> list[SteadyBranch]:
     """All steady-state branches, sorted by w0 ascending.
 
     Complex cubic roots are discarded; real roots that are pole-cancellation
@@ -324,12 +344,11 @@ def solve_steady_branches(p: Params, classify: bool = True) -> list[SteadyBranch
             w0=w0, a0=a0, sigma0=sigma0, q0=q0, residual=res,
             stability=Stability.MARGINAL,
             physical=_PHYSICAL_LO <= w0 <= _PHYSICAL_HI,
+            jacobian=mean_field_jacobian(p, w0),
         ))
     if not branches:
         raise NoRealRoot("all real roots rejected as pole-cancellation artifacts")
-    if classify:
-        branches = [classify_stability(p, b) for b in branches]
-    return branches
+    return [classify_stability(b) for b in branches]
 
 
 # -- hysteresis --------------------------------------------------------------

@@ -244,6 +244,21 @@ def test_usage_error_paths(tmp_path, capsys, argv, code, message):
      "t_end and dt must be positive"),
     (["peaks", "--preset", "2b", "--observable", "w0", "--axis", "ep0",
       "--grid", "0.2:16:60"], "needs a single-branch record stream"),
+    (["oracle-check", "--preset", "4b", "--t-end", "nan"],
+     "t_end and dt must be positive and finite"),
+    (["oracle-check", "--preset", "4b", "--t-end", "inf"],
+     "t_end and dt must be positive and finite"),
+    (["oracle-check", "--preset", "4b", "--dt", "nan"],
+     "t_end and dt must be positive and finite"),
+    (["oracle-check", "--preset", "4b", "--tolerance", "nan"],
+     "--tolerance must be finite and > 0, got nan"),
+    (["oracle-check", "--preset", "4b", "--tolerance", "-1"],
+     "--tolerance must be finite and > 0, got -1"),
+    (["oracle-check", "--preset", "4b", "--tolerance", "0"],
+     "--tolerance must be finite and > 0, got 0"),
+    (["steady", "--config", "missing.cfg"], "cannot read missing.cfg: "),
+    (["steady", "--config", "."], "cannot read .: "),
+    (["steady", "--config", "latin1.cfg"], "cannot read latin1.cfg: "),
 ])
 def test_bad_parameter_values_and_grids_are_usage_errors(tmp_path, capsys, argv,
                                                          message):
@@ -251,6 +266,7 @@ def test_bad_parameter_values_and_grids_are_usage_errors(tmp_path, capsys, argv,
         "delta_p0 = -10\ndelta_c0 = -10\ng0 = 1.5\neta = 0.015\n"
         "omega_k0 = 10\nkappa_c0 = 1.35\ngamma_q0 = -0.1\nep0 = 5\n",
         encoding="utf-8")
+    (tmp_path / "latin1.cfg").write_bytes("ep0 = 5  # \xe9\n".encode("latin-1"))
     assert run(argv, tmp_path) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

@@ -122,6 +122,10 @@ def test_step_size_precondition_enforced():
     assert max_step(p) == pytest.approx(0.02 * 2 * np.pi / 10.0)
     with pytest.raises(InvalidGrid):
         integrate_mean_field(p, (-1, 0, 0, 0, 0, 0, 0), 1.0, 0.1)
+    for t_end, dt in ((float("nan"), 0.01), (float("inf"), 0.01),
+                      (1.0, float("nan")), (1.0, float("inf"))):
+        with pytest.raises(InvalidGrid):
+            integrate_mean_field(p, (-1, 0, 0, 0, 0, 0, 0), t_end, dt)
 
 
 def test_initial_bound_violation_detected():

@@ -193,6 +193,20 @@ def test_jacobian_matches_numerical_differentiation():
         assert np.allclose(col, jac[:, j], atol=1e-4 * scale)
 
 
+def test_branch_carries_its_jacobian_outside_equality():
+    p = bistable_point(ep0=8.0)
+    first, second = solve_steady_branches(p), solve_steady_branches(p)
+    assert len(first) == 3
+    for a, b in zip(first, second):
+        assert np.array_equal(a.jacobian, mean_field_jacobian(p, a.w0))
+        assert a == b and hash(a) == hash(b) and a.jacobian is not b.jacobian
+        # the complex-amplitude generator is a similarity transform of J
+        ev_j = np.linalg.eigvals(a.jacobian)
+        ev_k = np.linalg.eigvals(a.sideband_generator)
+        gap = np.abs(ev_j[:, None] - ev_k[None, :]).min(axis=1)
+        assert np.max(gap) < 1e-10 * np.max(np.abs(ev_j))
+
+
 def test_hysteresis_traces_differ_inside_window_only():
     p = bistable_point(ep0=0.0)
     grid = np.linspace(0.2, 16.0, 317)
