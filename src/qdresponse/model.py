@@ -7,7 +7,8 @@ dephasing rates, frequencies and decay rates as plain ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+import operator
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import BadConfig, NegativeAmplitude, NonFinite, NonPositiveRate
@@ -54,10 +55,19 @@ class Params:
     gamma1_ratio: float = 2.0
 
     def replace(self, **changes) -> "Params":
-        return replace(self, **changes)
+        """``dataclasses.replace`` without its per-field checks; unknown keys
+        raise ``TypeError`` as there.
+
+        The fields are read through one ``attrgetter``, not ``vars(self)``:
+        on CPython 3.11+ ``vars`` materializes the instance dict, which
+        doubles the cost of every later attribute read on ``self`` (the RK4
+        oracle reads ``p`` at every step).
+        """
+        return Params(**dict(zip(PARAM_FIELDS, _field_values(self)), **changes))
 
 
 PARAM_FIELDS = tuple(f.name for f in fields(Params))
+_field_values = operator.attrgetter(*PARAM_FIELDS)
 _REQUIRED = tuple(f.name for f in fields(Params) if f.name not in
                   ("delta0", "es0", "gamma1_ratio"))
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -54,6 +55,8 @@ def parse_grid(spec: str) -> tuple:
         points = int(parts[2])
     except ValueError:
         raise BadConfig(f"could not parse grid {spec!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise BadConfig(f"grid start and stop must be finite, got {spec!r}")
     if points < 1:
         raise BadConfig(f"grid needs at least one point, got {points}")
     return tuple(float(x) for x in np.linspace(start, stop, points))

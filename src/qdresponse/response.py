@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import PoleHit, SingularSystem, UnstableBranch, ZeroPump
 from .model import Params
-from .steady import Stability, SteadyBranch, coherence_amplitudes
+from .steady import SINGULAR_RCOND, Stability, SteadyBranch, coherence_amplitudes
 
 __all__ = [
     "Backend",
@@ -45,7 +45,6 @@ __all__ = [
     "load_formula_ledger",
 ]
 
-_SINGULAR_RCOND = 1e-14
 _POLE_TOL = 1e-14
 _EYE = np.eye(7)
 
@@ -94,13 +93,21 @@ def _require_stable(branch: SteadyBranch, allow_unstable: bool):
 
 def _solve_unit(p: Params, branch: SteadyBranch) -> np.ndarray:
     """(a+, conj(a-), s+, conj(s-), w+, q+, dq+/dt) per unit signal: the
-    solution of (-K - i delta0 I) x = e0, K = ``branch.sideband_generator``."""
+    solution of (-K - i delta0 I) x = e0, K = ``branch.sideband_generator``.
+
+    ``SingularSystem`` is raised where the system's rcond is below
+    ``SINGULAR_RCOND``.  Within ``branch.safe_detuning`` (see
+    ``steady.certify_detuning``) the branch's eigendecomposition proves that
+    it is not, and the SVD is skipped; the error therefore fires at the same
+    detunings as an SVD at every point.
+    """
     M = -branch.sideband_generator - 1j * p.delta0 * _EYE
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] < _SINGULAR_RCOND * sv[0]:
-        raise SingularSystem(
-            f"sideband system is singular at delta0={p.delta0!r} "
-            f"(rcond {sv[-1] / sv[0]:.2e})")
+    if not abs(p.delta0) <= branch.safe_detuning:  # a NaN delta0 lands here
+        sv = np.linalg.svd(M, compute_uv=False)
+        if sv[-1] < SINGULAR_RCOND * sv[0]:
+            raise SingularSystem(
+                f"sideband system is singular at delta0={p.delta0!r} "
+                f"(rcond {sv[-1] / sv[0]:.2e})")
     return np.linalg.solve(M, _EYE[0])
 
 

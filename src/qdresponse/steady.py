@@ -15,6 +15,7 @@ documented reference; its roots are not fixed points.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -44,6 +45,7 @@ __all__ = [
     "solve_steady_branches",
     "mean_field_jacobian",
     "classify_stability",
+    "certify_detuning",
     "hysteresis_sweep",
 ]
 
@@ -53,6 +55,12 @@ REAL_ROOT_TOL = 1e-8
 STABILITY_TOL = 1e-9
 #: Residual bound on the monic cubic for every returned root.
 RESIDUAL_BOUND = 1e-10
+#: rcond below which the sideband system counts as singular
+#: (``response.SingularSystem``).
+SINGULAR_RCOND = 1e-14
+#: rcond that ``certify_detuning`` certifies; the factor 100
+#: covers the rounding of the computed eigenpairs and of the SVD.
+_CERTIFIED_RCOND = 100.0 * SINGULAR_RCOND
 
 _PHYSICAL_LO = -1.0
 _PHYSICAL_HI = 0.0
@@ -78,7 +86,10 @@ class SteadyBranch:
 
     ``jacobian`` is ``mean_field_jacobian(p, w0)`` at the solving parameters:
     the one linearization behind both the stability label and the sideband
-    response.  It takes no part in ``==``, ``hash`` or ``repr``.
+    response.  ``safe_detuning`` is set by ``certify_detuning``; for
+    |delta0| up to it the sideband system is certified well conditioned
+    (``-inf``, no certificate, until then).  Neither takes part in ``==``,
+    ``hash`` or ``repr``.
     """
 
     w0: float
@@ -89,6 +100,7 @@ class SteadyBranch:
     stability: Stability
     physical: bool
     jacobian: np.ndarray = field(compare=False, repr=False)
+    safe_detuning: float = field(default=-math.inf, compare=False, repr=False)
 
     @cached_property
     def sideband_generator(self) -> np.ndarray:
@@ -323,6 +335,40 @@ def classify_stability(branch: SteadyBranch) -> SteadyBranch:
     return replace(branch, stability=label)
 
 
+def _frobenius_sq(a: np.ndarray) -> float:
+    """Squared Frobenius norm as a Python float; an overflow gives inf or
+    nan, never a warning."""
+    return float(np.vdot(a, a).real)
+
+
+def certify_detuning(branch: SteadyBranch) -> SteadyBranch:
+    """The branch with ``safe_detuning`` set from one eigendecomposition of
+    its Jacobian.
+
+    With K = V diag(lam) V^-1 (V = T V_J, the eigenvectors in complex
+    amplitudes), sigma_min(-K - i delta I) >= min |Re lam| / cond_F(V) and
+    sigma_max <= ||K||_F + |delta|.  So for |delta| up to
+    ``min |Re lam| / (_CERTIFIED_RCOND cond_F(V)) - ||K||_F`` the rcond of
+    the system is at least ``_CERTIFIED_RCOND``, a hundred times
+    ``SINGULAR_RCOND``.  The bound is negative where an eigenvalue sits on
+    or near the imaginary axis (marginal branches, branches next to a fold
+    or Hopf point); a singular V leaves the branch uncertified.  It costs
+    about two SVDs, so it pays only on a branch that serves many detunings.
+    """
+    lam, vecs = np.linalg.eig(branch.jacobian)
+    V = _TO_COMPLEX @ vecs
+    try:
+        V_inv = np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        return branch
+    cond = math.sqrt(_frobenius_sq(V) * _frobenius_sq(V_inv))
+    if not math.isfinite(cond):
+        return branch
+    gap = min(map(abs, lam.real.tolist()))
+    return replace(branch, safe_detuning=gap / (_CERTIFIED_RCOND * cond)
+                   - math.sqrt(_frobenius_sq(branch.sideband_generator)))
+
+
 def solve_steady_branches(p: Params) -> list[SteadyBranch]:
     """All steady-state branches, sorted by w0 ascending.
 
@@ -367,6 +413,8 @@ def _check_grid(grid, minimum=2):
     xs = [float(x) for x in grid]
     if len(xs) < minimum:
         raise InvalidGrid(f"grid needs at least {minimum} points, got {len(xs)}")
+    if not all(math.isfinite(x) for x in xs):
+        raise InvalidGrid("grid values must be finite")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise InvalidGrid("grid must be strictly ascending")
     return xs

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -9,7 +10,7 @@ from .errors import InvalidGrid, NoRealRoot, PoleHit, SingularSystem, TooFewPoin
 from .model import Params, SweepAxis, apply_axis, validate_params
 from .records import Flag, SpectrumRecord
 from .response import Backend, transmission_point
-from .steady import Stability, hysteresis_sweep, solve_steady_branches
+from .steady import Stability, certify_detuning, hysteresis_sweep, solve_steady_branches
 
 __all__ = [
     "Observable",
@@ -60,6 +61,8 @@ def _validated_grid(cfg: SweepConfig) -> list[float]:
     xs = [float(x) for x in cfg.grid]
     if not xs:
         raise InvalidGrid("sweep grid is empty")
+    if not all(math.isfinite(x) for x in xs):
+        raise InvalidGrid("sweep grid values must be finite")
     diffs = [b - a for a, b in zip(xs, xs[1:])]
     if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
         raise InvalidGrid("sweep grid must be strictly monotone")
@@ -131,7 +134,12 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
         return rows
 
     steady_independent = cfg.axis in (SweepAxis.DELTA0, SweepAxis.DELTA_S0)
-    base_branches = solve_steady_branches(cfg.base) if steady_independent else None
+    base_branches = None
+    if steady_independent:
+        # the same branches serve every grid point, so one certificate each
+        # lets the response skip its per-point SVD
+        base_branches = [certify_detuning(b)
+                         for b in solve_steady_branches(cfg.base)]
     rows = []
     for x in xs:
         p = apply_axis(cfg.base, cfg.axis, x)

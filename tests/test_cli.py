@@ -259,6 +259,14 @@ def test_usage_error_paths(tmp_path, capsys, argv, code, message):
     (["steady", "--config", "missing.cfg"], "cannot read missing.cfg: "),
     (["steady", "--config", "."], "cannot read .: "),
     (["steady", "--config", "latin1.cfg"], "cannot read latin1.cfg: "),
+    (["spectrum", "--preset", "4b", "--grid", "nan:nan:1"],
+     "grid start and stop must be finite, got 'nan:nan:1'"),
+    (["bistability", "--preset", "2b", "--grid", "0:nan:3"],
+     "grid start and stop must be finite, got '0:nan:3'"),
+    (["bistability", "--preset", "2b", "--grid", "0:inf:3"],
+     "grid start and stop must be finite, got '0:inf:3'"),
+    (["kerr", "--preset", "9b", "--grid=-inf:1:3"],
+     "grid start and stop must be finite, got '-inf:1:3'"),
 ])
 def test_bad_parameter_values_and_grids_are_usage_errors(tmp_path, capsys, argv,
                                                          message):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -88,6 +90,19 @@ def test_apply_axis_plain_fields():
     assert apply_axis(p, SweepAxis.EP0, 7.0).ep0 == 7.0
     assert apply_axis(p, SweepAxis.G0, 0.25).g0 == 0.25
     assert apply_axis(p, SweepAxis.DELTA0, -3.0).delta0 == -3.0
+
+
+def test_replace_matches_dataclasses_replace_and_rejects_unknown_keys():
+    p = absorption_point()
+    for changes in ({}, {"delta0": -3.5}, {"ep0": 1.0, "g0": 0.0, "es0": 2e-3}):
+        q = p.replace(**changes)
+        assert q == dataclasses.replace(p, **changes)
+        assert type(q) is type(p) and q is not p
+    assert p == absorption_point()
+    with pytest.raises(TypeError):
+        p.replace(delta_zz=1.0)
+    with pytest.raises(TypeError):
+        dataclasses.replace(p, delta_zz=1.0)
 
 
 def test_default_signal_amplitude_tracks_pump():

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from qdresponse.errors import PoleHit, UnstableBranch, ZeroPump
-from qdresponse.model import delta_from_signal_detuning
+from qdresponse.errors import (
+    PoleHit,
+    QdResponseError,
+    SingularSystem,
+    UnstableBranch,
+    ZeroPump,
+)
+from qdresponse.model import Params, SweepAxis, apply_axis, delta_from_signal_detuning
+from qdresponse.presets import figure_ids, get_preset
 from qdresponse.response import (
     Backend,
     chi1_closed_form,
@@ -12,8 +19,18 @@ from qdresponse.response import (
     load_formula_ledger,
     solve_sidebands,
     transmission_point,
+    _solve_unit,
 )
-from qdresponse.steady import Stability, solve_steady_branches
+from qdresponse.records import Flag
+from qdresponse.steady import (
+    SINGULAR_RCOND,
+    Stability,
+    SteadyBranch,
+    certify_detuning,
+    classify_stability,
+    solve_steady_branches,
+)
+from qdresponse.sweep import BranchPolicy, Observable, SweepConfig, run_sweep
 
 from conftest import (
     absorption_point,
@@ -272,3 +289,97 @@ def test_dispersion_slope_reacts_to_lattice_coupling():
         slopes[eta] = dispersion_slope(p, b)
     assert np.isfinite(slopes[0.0]) and np.isfinite(slopes[0.015])
     assert abs(slopes[0.015] - slopes[0.0]) > 1e-5
+
+
+# -- certified sideband solve ------------------------------------------------
+
+def certified_checks(p, branch, deltas):
+    """Certify the branch, check every certified detuning in ``deltas`` and
+    at the certificate's edges; return how many were certified."""
+    assert branch.safe_detuning == -np.inf
+    branch = certify_detuning(branch)
+    assert branch == certify_detuning(branch)
+    safe = branch.safe_detuning
+    deltas = list(deltas) + ([safe, -safe] if safe > 0 else [])
+    checked = 0
+    for d in deltas:
+        if not abs(d) <= safe:
+            continue
+        M = -branch.sideband_generator - 1j * d * np.eye(7)
+        sv = np.linalg.svd(M, compute_uv=False)
+        assert sv[-1] >= SINGULAR_RCOND * sv[0]
+        x = _solve_unit(p.replace(delta0=d), branch)
+        assert np.array_equal(x, np.linalg.solve(M, np.eye(7)[0]))
+        checked += 1
+    return checked
+
+
+def test_certificate_holds_on_every_response_preset_branch():
+    checked = 0
+    for fid in figure_ids():
+        preset = get_preset(fid)
+        if preset.axis not in (SweepAxis.DELTA0, SweepAxis.DELTA_S0):
+            continue
+        for _, p in preset.members():
+            deltas = [apply_axis(p, preset.axis, x).delta0
+                      for x in preset.grid[::97] + preset.grid[-1:]]
+            for b in solve_steady_branches(p):
+                checked += certified_checks(p, b, deltas)
+    assert checked > 500
+
+
+def test_certificate_holds_on_random_branches_far_outside_the_presets():
+    rng = np.random.default_rng(20191)
+    checked = 0
+    for _ in range(300):
+        p = Params(delta_p0=rng.uniform(-50, 50), delta_c0=rng.uniform(-20, 20),
+                   g0=rng.uniform(0, 20), eta=rng.uniform(0, 1),
+                   omega_k0=np.exp(rng.uniform(np.log(0.1), np.log(200))),
+                   kappa_c0=np.exp(rng.uniform(np.log(0.1), np.log(10))),
+                   gamma_q0=np.exp(rng.uniform(np.log(0.01), 0)),
+                   ep0=rng.uniform(0, 300), gamma1_ratio=rng.uniform(1, 3))
+        try:
+            branches = solve_steady_branches(p)
+        except QdResponseError:
+            continue
+        for b in branches:
+            if b.stability is Stability.STABLE:
+                checked += certified_checks(p, b, rng.uniform(-50, 50, 4))
+    assert checked > 500
+
+
+def phonon_pole_branch(gamma):
+    """A branch whose phonon mode has damping ``gamma``: J has eigenvalues
+    -gamma/2 +- 2i, a pole on (gamma = 0) or next to the imaginary axis."""
+    jac = np.diag([-1.0, -1.0, -1.0, -1.0, -1.0, 0.0, -gamma])
+    jac[5, 6], jac[6, 5] = 1.0, -4.0
+    return certify_detuning(classify_stability(SteadyBranch(
+        w0=-1.0, a0=0j, sigma0=0j, q0=0.0, residual=0.0,
+        stability=Stability.MARGINAL, physical=True, jacobian=jac)))
+
+
+@pytest.mark.parametrize("gamma, singular", [(0.0, True), (1e-13, True),
+                                             (1e-12, False)])
+def test_singular_system_fires_at_a_pole_on_or_near_the_axis(gamma, singular):
+    # at delta0 = 2 the rcond is about 1e-17, 8e-15 and 8e-14 respectively
+    b = phonon_pole_branch(gamma)
+    assert b.stability is Stability.MARGINAL and b.safe_detuning < 0
+    p = absorption_point(delta0=2.0)
+    if singular:
+        with pytest.raises(SingularSystem):
+            transmission_point(p, b, allow_unstable=True)
+    else:
+        assert np.isfinite(transmission_point(p, b, allow_unstable=True).T)
+    assert np.isfinite(transmission_point(p.replace(delta0=1.5), b,
+                                          allow_unstable=True).T)
+
+
+def test_sweep_over_a_pole_flags_pole_skipped(monkeypatch):
+    b = phonon_pole_branch(0.0)
+    monkeypatch.setattr("qdresponse.sweep.solve_steady_branches", lambda p: [b])
+    cfg = SweepConfig(base=absorption_point(), axis=SweepAxis.DELTA0,
+                      grid=(1.0, 2.0, 3.0), observable=Observable.CHI1,
+                      branch_policy=BranchPolicy.ALL_BRANCHES)
+    rows = run_sweep(cfg)
+    assert [Flag.POLE_SKIPPED in r.flags for r in rows] == [False, True, False]
+    assert np.isnan(rows[1].value_re) and np.isfinite(rows[0].value_re)

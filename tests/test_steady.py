@@ -238,6 +238,13 @@ def test_hysteresis_rejects_descending_grid():
         hysteresis_sweep(bistable_point(), SweepAxis.EP0, [2.0, 1.0])
 
 
+@pytest.mark.parametrize("grid", [[0.0, float("nan"), 2.0], [0.0, float("inf")],
+                                  [float("-inf"), 1.0]])
+def test_hysteresis_rejects_non_finite_grid(grid):
+    with pytest.raises(InvalidGrid, match="finite"):
+        hysteresis_sweep(bistable_point(), SweepAxis.EP0, grid)
+
+
 def test_coherence_amplitudes_are_conjugate_pairs():
     p = bistable_point(ep0=8.0)
     w0 = solve_steady_branches(p)[0].w0

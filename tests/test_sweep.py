@@ -35,6 +35,17 @@ def test_non_monotone_grid_aborts():
         run_sweep(cfg)
 
 
+@pytest.mark.parametrize("grid", [(float("nan"),), (0.0, float("nan"), 2.0),
+                                  (0.0, float("inf")), (float("-inf"), 0.0)])
+def test_non_finite_grid_aborts(grid):
+    for axis, obs in ((SweepAxis.EP0, Observable.W0),
+                      (SweepAxis.DELTA0, Observable.CHI1)):
+        cfg = SweepConfig(base=transmission_point_params(), axis=axis,
+                          grid=grid, observable=obs)
+        with pytest.raises(InvalidGrid, match="finite"):
+            run_sweep(cfg)
+
+
 def test_inversion_family_reproduces_bistable_interval():
     grid = tuple(np.linspace(-50.0, 10.0, 301))
     counts = {}
@@ -93,6 +104,20 @@ def test_transmission_dip_splits_as_coupling_grows():
     sep_mid = split_mid[-1][0] - split_mid[0][0]
     sep_wide = split_wide[-1][0] - split_wide[0][0]
     assert sep_wide > sep_mid > 0.5
+
+
+def test_detuning_sweep_certifies_its_branches(monkeypatch):
+    """A delta_s0 sweep over a stable branch never needs the SVD test."""
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD taken on a detuning sweep")
+
+    monkeypatch.setattr("qdresponse.response.np.linalg.svd", no_svd)
+    cfg = SweepConfig(base=transmission_point_params(),
+                      axis=SweepAxis.DELTA_S0,
+                      grid=tuple(np.linspace(-10.0, 30.0, 81)),
+                      observable=Observable.T2)
+    rows = run_sweep(cfg)
+    assert len(rows) == 81 and not any(r.flags for r in rows)
 
 
 def test_records_are_ordered_and_deterministic():
