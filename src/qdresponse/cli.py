@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from . import oracle, presets, response, steady, sweep
@@ -317,10 +318,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_grid(argv: list[str]) -> list[str]:
+    """``--grid -10:10:5`` as ``--grid=-10:10:5``.
+
+    argparse reads a value that starts with ``-`` as an option unless it is a
+    plain number, so a grid with a negative start is joined to its flag.
+    Only a value that starts like a number is joined: ``--grid --out x``
+    stays a usage error.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--grid" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--grid={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined_grid(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; remap to 1
         return 0 if exc.code in (0, None) else 1

@@ -53,8 +53,10 @@ __all__ = [
 REAL_ROOT_TOL = 1e-8
 #: Stability margin on Jacobian eigenvalue real parts.
 STABILITY_TOL = 1e-9
-#: Residual bound on the monic cubic for every returned root.
+#: Residual bound on the monic cubic for every returned root, raised to the
+#: evaluation noise floor where that is larger (see ``inversion_roots``).
 RESIDUAL_BOUND = 1e-10
+_EPS = np.finfo(float).eps
 #: rcond below which the sideband system counts as singular
 #: (``response.SingularSystem``).
 SINGULAR_RCOND = 1e-14
@@ -226,7 +228,7 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
 def _polished_roots(poly: InversionPolynomial) -> tuple[np.ndarray, np.ndarray]:
     """All roots (complex) of the trimmed monic polynomial plus monic coeffs."""
     c = poly.coefficients()
-    top = float(np.max(np.abs(c)))
+    top = max(map(abs, c.tolist()))
     if top == 0.0:
         raise NoRealRoot("zero polynomial")
     cn = c / top
@@ -239,29 +241,51 @@ def _polished_roots(poly: InversionPolynomial) -> tuple[np.ndarray, np.ndarray]:
     monic = cn / cn[0]
     roots = _companion_roots(monic)
     # one newton step per root; skip near-double roots where p' ~ 0
-    dmonic = np.polyder(monic)
-    for i, r in enumerate(roots):
-        fv = np.polyval(monic, r)
-        dv = np.polyval(dmonic, r)
-        if abs(dv) > 1e-9:
-            roots[i] = r - fv / dv
+    fv = np.polyval(monic, roots)
+    dv = np.polyval(np.polyder(monic), roots)
+    step = np.abs(dv) > 1e-9
+    roots[step] -= fv[step] / dv[step]
     return roots, monic
+
+
+def _horner(coeffs, x: float) -> float:
+    """The polynomial with descending ``coeffs`` at ``x``, in the operation
+    order of ``np.polyval``."""
+    value = 0.0
+    for c in coeffs:
+        value = value * x + c
+    return value
 
 
 def inversion_roots(p: Params,
                     legacy_field_amplitude: bool = False) -> tuple[list[float], list[float], list[complex]]:
-    """Real roots of the inversion cubic, their monic residuals, complex rest."""
+    """Real roots of the inversion cubic, their monic residuals, complex rest.
+
+    Raises ``RootResidual`` when a real root's monic residual reaches
+    ``RESIDUAL_BOUND`` and also the rounding noise of evaluating the monic
+    polynomial there, 8 eps sum_k |m_k| |w0|^k: with monic coefficients up
+    to 1e13 an absolute bound alone rejects roots accurate to the last bit.
+    """
     poly = build_inversion_polynomial(p, legacy_field_amplitude)
     roots, monic = _polished_roots(poly)
-    real, resid, cplx = [], [], []
-    for r in roots:
+    real, cplx = [], []
+    for r in roots.tolist():
         if abs(r.imag) <= REAL_ROOT_TOL * max(1.0, abs(r.real)):
-            real.append(float(r.real))
-            resid.append(float(abs(np.polyval(monic, r.real))))
+            real.append(r.real)
         else:
-            cplx.append(complex(r))
-    order = np.argsort(real)
-    return [real[i] for i in order], [resid[i] for i in order], cplx
+            cplx.append(r)
+    real.sort()
+    m = monic.tolist()
+    resid = []
+    for w0 in real:
+        res = abs(_horner(m, w0))
+        if res >= RESIDUAL_BOUND:
+            bound = max(RESIDUAL_BOUND, 8.0 * _EPS * _horner(map(abs, m), abs(w0)))
+            if res >= bound:
+                raise RootResidual(
+                    f"monic residual {res:.3e} at root {w0!r} exceeds {bound:.3e}")
+        resid.append(res)
+    return real, resid, cplx
 
 
 # -- branch assembly ---------------------------------------------------------
@@ -369,20 +393,20 @@ def certify_detuning(branch: SteadyBranch) -> SteadyBranch:
                    - math.sqrt(_frobenius_sq(branch.sideband_generator)))
 
 
-def solve_steady_branches(p: Params) -> list[SteadyBranch]:
+def solve_steady_branches(p: Params, *, roots=None) -> list[SteadyBranch]:
     """All steady-state branches, sorted by w0 ascending.
+
+    ``roots`` is the ``(real, resid)`` pair of ``inversion_roots(p)`` when
+    the caller already holds it; it is computed otherwise.
 
     Complex cubic roots are discarded; real roots that are pole-cancellation
     artifacts of denominator clearing (possible only at degenerate corners
     such as zero pump) are filtered by checking the mean-field fixed-point
     residual.  Roots outside [-1, 0] are returned but marked non-physical.
     """
-    real, resid, _ = inversion_roots(p)
+    real, resid = inversion_roots(p)[:2] if roots is None else roots
     branches = []
     for w0, res in zip(real, resid):
-        if res >= RESIDUAL_BOUND:
-            raise RootResidual(
-                f"monic residual {res:.3e} at root {w0!r} exceeds {RESIDUAL_BOUND}")
         sigma0, a0, q0 = steady_fields(p, w0)
         if _steady_rhs_scaled(p, w0, sigma0, a0, q0) > 1e-6:
             continue
@@ -428,7 +452,7 @@ def _continuation(p: Params, axis: SweepAxis, xs, start_high: bool):
         px = apply_axis(p, axis, x)
         try:
             real, resid, cplx = inversion_roots(px)
-            branches = solve_steady_branches(px)
+            branches = solve_steady_branches(px, roots=(real, resid))
         except NoRealRoot:
             rows.append(SpectrumRecord(x, -1, float("nan"), float("nan"),
                                        0.0, frozenset({Flag.POLE_SKIPPED})))

@@ -110,6 +110,17 @@ def test_spectrum_with_config_file_and_override(tmp_path, capsys):
     assert len(rows) == 21
 
 
+def test_negative_grid_start_needs_no_equals_sign(tmp_path, capsys):
+    outs = []
+    for grid in (["--grid", "-10:10:5"], ["--grid=-10:10:5"]):
+        assert run(["spectrum", "--preset", "4b", *grid], tmp_path) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) > 5
+    # only a value that starts like a number is joined to --grid
+    assert run(["spectrum", "--preset", "4b", "--grid", "--out", "x"], tmp_path) == 1
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_kerr_subcommand(tmp_path):
     code = run(["kerr", "--preset", "9b", "--grid=-13:13:131",
                 "--out", "kerr.csv"], tmp_path)

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdresponse import presets, steady
 from qdresponse.errors import InvalidGrid
 from qdresponse.model import Params, SweepAxis
+from qdresponse.oracle import mean_field_rhs, steady_state_vector
 from qdresponse.steady import (
+    InversionPolynomial,
     Stability,
     build_inversion_polynomial,
     cleared_inversion_expression,
@@ -251,3 +254,157 @@ def test_coherence_amplitudes_are_conjugate_pairs():
     c1, c2, d1, d2 = coherence_amplitudes(p, w0)
     assert c2 == pytest.approx(c1.conjugate(), rel=1e-14)
     assert d2 == pytest.approx(d1.conjugate(), rel=1e-14)
+
+
+def _polished_roots_per_root(poly):
+    """The per-root Newton polish that ``_polished_roots`` does as array
+    arithmetic; kept as the bit-for-bit reference."""
+    c = poly.coefficients()
+    cn = c / float(np.max(np.abs(c)))
+    k = 0
+    while k < 3 and abs(cn[k]) < 1e-12:
+        k += 1
+    monic = cn[k:] / cn[k]
+    roots = steady._companion_roots(monic)
+    dmonic = np.polyder(monic)
+    for i, r in enumerate(roots):
+        fv = np.polyval(monic, r)
+        dv = np.polyval(dmonic, r)
+        if abs(dv) > 1e-9:
+            roots[i] = r - fv / dv
+    return roots, monic
+
+
+def _random_cubics(rng, n):
+    for _ in range(n):
+        # monic coefficients of the inversion cubic span up to 13 decades
+        c = rng.normal(size=4) * 10.0 ** rng.uniform(0.0, 10.0, size=4) \
+            * 10.0 ** rng.uniform(-3.0, 3.0)
+        yield c
+        yield np.poly(rng.uniform(-2.0, 1.0, size=3))  # three real roots
+        yield np.concatenate([[0.0], c[1:]])  # trimmed to degree 2
+        yield np.concatenate([[1e-14 * abs(c[1])], c[1:]])
+        yield np.concatenate([[0.0, 0.0], c[2:]])  # degree 1
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1.0, 1.5, 0.75, 0.125),  # (w + 0.5)^3: p' ~ 1e-10 at the computed roots
+    (1.0, 0.0, 0.0, 0.0),  # w^3: p' == 0 exactly
+    (0.0, 1.0, 0.0, 0.0),  # w^2
+    (1.0, -6.0, 11.0, -6.0),  # all-real eigenvalues: a float root array
+    (0.0, 0.0, 2.0, 1.0),
+])
+def test_array_polish_matches_per_root_loop_on_special_cubics(coeffs):
+    poly = InversionPolynomial(*coeffs)
+    (roots, monic), (ref, ref_monic) = steady._polished_roots(poly), \
+        _polished_roots_per_root(poly)
+    assert roots.dtype == ref.dtype and roots.tobytes() == ref.tobytes()
+    assert monic.tobytes() == ref_monic.tobytes()
+
+
+def test_array_polish_matches_per_root_loop_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    kinds = set()
+    for c in _random_cubics(rng, 500):
+        poly = InversionPolynomial(*(float(v) for v in c))
+        roots, monic = steady._polished_roots(poly)
+        ref, ref_monic = _polished_roots_per_root(poly)
+        assert roots.dtype == ref.dtype and roots.tobytes() == ref.tobytes()
+        assert monic.tobytes() == ref_monic.tobytes()
+        kinds.add((roots.dtype.kind, len(monic)))
+    assert kinds == {("f", 2), ("f", 3), ("c", 3), ("f", 4), ("c", 4)}
+
+
+def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
+    calls = {"inversion_roots": 0, "solve_steady_branches": 0}
+    for name in calls:
+        original = getattr(steady, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(steady, name, counted)
+    preset = presets.get_preset("2b")
+    result = hysteresis_sweep(preset.params, preset.axis, preset.grid)
+    n = len(preset.grid)
+    assert len(result.up) == len(result.down) == n
+    assert calls == {"inversion_roots": 2 * n, "solve_steady_branches": 2 * n}
+
+
+def _scaled_fixed_point_residual(p, branch):
+    """Largest mean-field right-hand side component at the branch, each
+    scaled by the magnitudes of the terms that make it up."""
+    state = steady_state_vector(branch)
+    w, sx, sy, au, av, q, _ = state
+    g0, shift = p.g0, abs(p.delta_p0 + q)
+    scales = (
+        p.gamma1_ratio * (abs(w) + 1.0) + 2.0 * g0 * (abs(av * sx) + abs(au * sy)),
+        abs(sx) + shift * abs(sy) + 2.0 * g0 * abs(av * w),
+        abs(sy) + shift * abs(sx) + 2.0 * g0 * abs(au * w),
+        p.kappa_c0 * abs(au) + abs(p.delta_c0 * av) + g0 * abs(sy) + p.ep0,
+        p.kappa_c0 * abs(av) + abs(p.delta_c0 * au) + g0 * abs(sx),
+        1.0,
+        p.omega_k0 ** 2 * abs(q) + 2.0 * p.eta * p.omega_k0 ** 3 * abs(w),
+    )
+    return max(abs(r) / (s if s > 0.0 else 1.0)
+               for r, s in zip(mean_field_rhs(p, state), scales))
+
+
+#: Points where an absolute 1e-10 bound on the monic residual rejected roots
+#: whose backward error is below one ulp (monic coefficients up to 1e13).
+_ACCURATE_ROOTS_ABOVE_1E_10 = [
+    Params(delta_p0=47.93004493799832, delta_c0=-14.798732794666822,
+           g0=0.025646914707104784, eta=0.05761459948615799,
+           omega_k0=0.34057656563856675, kappa_c0=5.690467840147277,
+           gamma_q0=0.10303331839179149, ep0=84.95461788014305,
+           gamma1_ratio=1.0506112513777615),
+    Params(delta_p0=-17.669494919020188, delta_c0=15.590822756453605,
+           g0=1.1959870736314615, eta=0.16169226205587417,
+           omega_k0=0.5879428765026252, kappa_c0=0.14257446152688671,
+           gamma_q0=0.04924132097896872, ep0=225.82568929170966,
+           gamma1_ratio=1.2688962990477355),
+    Params(delta_p0=-39.62715211071463, delta_c0=15.075102635930975,
+           g0=1.8475069953344891, eta=0.17325089996913678,
+           omega_k0=1.2087048857017695, kappa_c0=0.2929407620061673,
+           gamma_q0=0.058443625897658294, ep0=273.8993134708312,
+           gamma1_ratio=1.7416916638036766),
+    Params(delta_p0=47.71437173645681, delta_c0=12.751173806088325,
+           g0=0.17285564514524898, eta=0.0872064511790428,
+           omega_k0=0.1272879365635817, kappa_c0=0.31900968136484237,
+           gamma_q0=0.02674438087758234, ep0=180.35862459988837,
+           gamma1_ratio=1.2636369225207857),
+    Params(delta_p0=14.176486118345636, delta_c0=17.354340825627034,
+           g0=1.092356666589538, eta=0.5675073826473506,
+           omega_k0=0.1348940313085748, kappa_c0=0.1728597409225734,
+           gamma_q0=0.41750687782636875, ep0=172.59639880592854,
+           gamma1_ratio=1.8929433832648224),
+    Params(delta_p0=29.94150052583828, delta_c0=17.654212691408524,
+           g0=1.2829182573232645, eta=0.043670861754497636,
+           omega_k0=1.8864416686998176, kappa_c0=0.677541909204274,
+           gamma_q0=0.07356997600745516, ep0=29.130632177853155,
+           gamma1_ratio=2.737284993455501),
+]
+
+
+def _wide_box_points(rng, n):
+    for _ in range(n):
+        yield Params(
+            delta_p0=rng.uniform(-50.0, 50.0), delta_c0=rng.uniform(-20.0, 20.0),
+            g0=rng.uniform(0.0, 20.0), eta=rng.uniform(0.0, 1.0),
+            omega_k0=float(np.exp(rng.uniform(np.log(0.1), np.log(200.0)))),
+            kappa_c0=float(np.exp(rng.uniform(np.log(0.1), np.log(10.0)))),
+            gamma_q0=float(np.exp(rng.uniform(np.log(0.01), np.log(1.0)))),
+            ep0=rng.uniform(0.0, 300.0), gamma1_ratio=rng.uniform(1.0, 3.0))
+
+
+def test_wide_box_roots_are_accepted_and_are_fixed_points():
+    points = [*_ACCURATE_ROOTS_ABOVE_1E_10,
+              *_wide_box_points(np.random.default_rng(11), 2000)]
+    above = 0
+    for p in points:
+        branches = solve_steady_branches(p)  # no RootResidual
+        for b in branches:
+            assert _scaled_fixed_point_residual(p, b) <= 1e-9
+            above += b.residual >= steady.RESIDUAL_BOUND
+    assert above >= len(_ACCURATE_ROOTS_ABOVE_1E_10)
