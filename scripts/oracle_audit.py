@@ -7,10 +7,15 @@ upper-sideband amplitude against the linear-solve backend.  Also reports the
 linearity defect when the signal amplitude is doubled.
 
 Usage: python scripts/oracle_audit.py [preset ...]   (default: 4b 5a 9b)
+
+Exits 0 when every deviation is below 1e-3, 2 when one is not, and 1 with an
+``error:`` line for an unknown preset or one without a pump (its default
+signal es0 = 1e-3*ep0 is then zero; use ``qdr oracle-check --param es0=...``).
 """
 import sys
 import time
 
+from qdresponse.errors import BadConfig, UnknownFigure
 from qdresponse.model import default_signal_amplitude
 from qdresponse.oracle import (
     demodulate_sidebands,
@@ -27,6 +32,10 @@ def audit(figure_id: str) -> float:
     preset = get_preset(figure_id)
     p = preset.params.replace(delta0=preset.oracle_delta0)
     p = p.replace(es0=default_signal_amplitude(p))
+    if p.es0 == 0.0:
+        raise BadConfig(f"preset {figure_id} has no pump, so its signal "
+                        "es0 = 1e-3*ep0 is 0; use qdr oracle-check --preset "
+                        f"{figure_id} --param es0=VALUE")
     stable = [b for b in solve_steady_branches(p)
               if b.stability is Stability.STABLE]
     branch = min(stable, key=lambda b: b.w0)
@@ -48,7 +57,11 @@ def audit(figure_id: str) -> float:
 
 def main() -> int:
     ids = sys.argv[1:] or ["4b", "5a", "9b"]
-    worst = max(audit(fid) for fid in ids)
+    try:
+        worst = max(audit(fid) for fid in ids)
+    except (BadConfig, UnknownFigure) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"worst deviation: {worst:.3e}")
     return 0 if worst < 1e-3 else 2
 

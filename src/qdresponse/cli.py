@@ -26,6 +26,7 @@ from .errors import (
 from .model import (
     Params,
     SweepAxis,
+    checked_grid,
     default_signal_amplitude,
     params_from_file,
     params_from_mapping,
@@ -128,7 +129,7 @@ def _clean_sweep(cfg, context=""):
     return None
 
 
-def _sweep(args, context=""):
+def _sweep(args, context="", min_points=1):
     """Resolve preset, parameters, axis, observable and grid, then sweep."""
     preset, p = _point(args)
     axis = _member(SweepAxis, "axis", args.axis) if args.axis else \
@@ -137,8 +138,10 @@ def _sweep(args, context=""):
         if args.observable else (preset.observable if preset else None)
     if obs is None:
         raise BadConfig("missing --observable")
+    grid = _grid(args, preset)
+    checked_grid(grid, min_points, ascending=False)
     cfg = sweep.SweepConfig(
-        base=p, axis=axis, grid=_grid(args, preset), observable=obs,
+        base=p, axis=axis, grid=grid, observable=obs,
         backend=response.Backend(args.backend),
         branch_policy=sweep.BranchPolicy(args.branch_policy),
     )
@@ -182,7 +185,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_peaks(args) -> int:
-    _, records = _sweep(args)
+    _, records = _sweep(args, min_points=3)
     if records is None:
         return 2
     kind = sweep.ExtremumKind(args.kind)
@@ -206,7 +209,8 @@ def _cmd_figure(args) -> int:
             result = steady.hysteresis_sweep(p, preset.axis, preset.grid)
             wrote += _save_hysteresis(member, args.format, result, meta)
             continue
-        cfg = preset.sweep_config(p, response.Backend(args.backend))
+        cfg = sweep.SweepConfig(p, preset.axis, preset.grid, preset.observable,
+                                response.Backend(args.backend), preset.branch_policy)
         records = _clean_sweep(cfg, f" for {label or 'preset'}")
         if records is None:
             return 2
@@ -225,6 +229,9 @@ def _cmd_oracle_check(args) -> int:
         p = p.replace(delta0=preset.oracle_delta0 if preset else 4.3)
     if p.es0 == 0.0:
         p = p.replace(es0=default_signal_amplitude(p))
+    if p.es0 == 0.0:
+        raise BadConfig("the signal amplitude is 0 (es0 defaults to 1e-3*ep0 "
+                        "and ep0 is 0); pass --param es0=VALUE with VALUE > 0")
     validate_params(p)
     branches = steady.solve_steady_branches(p)
     stable = [b for b in branches if b.stability is steady.Stability.STABLE]

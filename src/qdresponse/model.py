@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass, fields
 from enum import Enum
 
-from .errors import BadConfig, NegativeAmplitude, NonFinite, NonPositiveRate
+from .errors import BadConfig, InvalidGrid, NegativeAmplitude, NonFinite, NonPositiveRate
 
 __all__ = [
     "Params",
@@ -19,6 +19,7 @@ __all__ = [
     "validate_params",
     "delta_from_signal_detuning",
     "apply_axis",
+    "checked_grid",
     "params_from_mapping",
     "params_from_file",
     "default_signal_amplitude",
@@ -113,6 +114,21 @@ def apply_axis(p: Params, axis: SweepAxis, value: float) -> Params:
     if axis is SweepAxis.DELTA_S0:
         return p.replace(delta0=delta_from_signal_detuning(value, p.delta_p0))
     return p.replace(**{axis.value: value})
+
+
+def checked_grid(grid, minimum: int, ascending: bool) -> list[float]:
+    """``grid`` as floats: at least ``minimum`` finite points, strictly
+    ascending, or strictly descending too unless ``ascending``."""
+    xs = [float(x) for x in grid]
+    if len(xs) < minimum:
+        raise InvalidGrid(f"grid needs at least {minimum} points, got {len(xs)}")
+    if not all(map(math.isfinite, xs)):
+        raise InvalidGrid("grid values must be finite")
+    up = sorted(set(xs))
+    if xs != up and (ascending or xs != up[::-1]):
+        raise InvalidGrid("grid must be strictly "
+                          + ("ascending" if ascending else "monotone"))
+    return xs
 
 
 def default_signal_amplitude(p: Params) -> float:

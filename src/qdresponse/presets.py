@@ -10,8 +10,7 @@ import numpy as np
 
 from .errors import BadConfig, UnknownFigure
 from .model import PARAM_FIELDS, Params, SweepAxis, params_from_mapping
-from .response import Backend
-from .sweep import BranchPolicy, Observable, SweepConfig
+from .sweep import BranchPolicy, Observable
 
 __all__ = ["FigurePreset", "figure_ids", "get_preset"]
 
@@ -37,12 +36,6 @@ class FigurePreset:
         return [(f"{self.family_key}={v:g}",
                  self.params.replace(**{self.family_key: v}))
                 for v in self.family_values]
-
-    def sweep_config(self, params: Params,
-                     backend: Backend = Backend.LINEAR_SOLVE) -> SweepConfig:
-        return SweepConfig(base=params, axis=self.axis, grid=self.grid,
-                           observable=self.observable, backend=backend,
-                           branch_policy=self.branch_policy)
 
 
 def parse_grid(spec: str) -> tuple:

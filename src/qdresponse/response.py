@@ -36,8 +36,6 @@ __all__ = [
     "SidebandAmplitudes",
     "ResponsePoint",
     "solve_sidebands",
-    "chi1_linear_solve",
-    "chi3_linear_solve",
     "chi1_closed_form",
     "chi3_closed_form",
     "transmission_point",
@@ -69,8 +67,6 @@ class SidebandAmplitudes:
     sigma_minus: complex
     sigmaz_plus: complex
     q_plus: complex
-    branch_w0: float
-    backend: Backend
 
 
 @dataclass(frozen=True)
@@ -127,26 +123,7 @@ def solve_sidebands(p: Params, branch: SteadyBranch,
         sigma_minus=complex(x[3].conjugate()),
         sigmaz_plus=complex(x[4]),
         q_plus=complex(x[5]),
-        branch_w0=branch.w0,
-        backend=Backend.LINEAR_SOLVE,
     )
-
-
-def chi1_linear_solve(p: Params, branch: SteadyBranch,
-                      allow_unstable: bool = False) -> complex:
-    """Linear susceptibility sigma+/Es from the branch resolvent."""
-    _require_stable(branch, allow_unstable)
-    return complex(_solve_unit(p, branch)[2])
-
-
-def chi3_linear_solve(p: Params, branch: SteadyBranch,
-                      allow_unstable: bool = False) -> complex:
-    """Nonlinear susceptibility sigma-/(3 Es* Ep^2) from the branch resolvent."""
-    _require_stable(branch, allow_unstable)
-    if p.ep0 <= 0.0:
-        raise ZeroPump("chi3 is normalized by the squared pump amplitude")
-    x = _solve_unit(p, branch)
-    return complex(x[3].conjugate()) / (3.0 * p.ep0 ** 2)
 
 
 # -- closed forms ------------------------------------------------------------
@@ -256,6 +233,7 @@ def transmission_point(p: Params, branch: SteadyBranch,
 
     All quantities are per unit signal amplitude.  The real part of the output
     amplitude is the absorption quadrature, the imaginary part the dispersion.
+    chi3 is NaN at zero pump: it is normalized by ep0^2.
     """
     _require_stable(branch, allow_unstable)
     if backend is Backend.LINEAR_SOLVE:

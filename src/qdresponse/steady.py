@@ -15,6 +15,7 @@ documented reference; its roots are not fixed points.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -25,11 +26,12 @@ import numpy as np
 from .errors import (
     DegenerateDenominator,
     InvalidGrid,
+    NonFinite,
     NonRealCoefficients,
     NoRealRoot,
     RootResidual,
 )
-from .model import Params, SweepAxis, apply_axis
+from .model import Params, SweepAxis, apply_axis, checked_grid
 from .records import Flag, SpectrumRecord
 
 __all__ = [
@@ -176,7 +178,8 @@ def build_inversion_polynomial(p: Params,
     Four distinct real sample points are evaluated and fitted exactly; sample
     points that land on a coefficient pole are shifted and retried.  A
     non-negligible imaginary residue in the fitted coefficients signals a sign
-    convention bug and raises ``NonRealCoefficients``.
+    convention bug and raises ``NonRealCoefficients``; a sample value or
+    coefficient that overflows raises ``NonFinite``.
     """
     samples = list(_SAMPLES)
     vinv = _VANDER_INV
@@ -198,10 +201,14 @@ def build_inversion_polynomial(p: Params,
         raise DegenerateDenominator(
             "could not place sample points away from coefficient poles")
 
-    values = np.array([cleared_inversion_expression(p, x, legacy_field_amplitude)
-                       for x in samples])
-    coeffs = vinv @ values
-    scale = float(np.max(np.abs(coeffs)))
+    values = [cleared_inversion_expression(p, x, legacy_field_amplitude)
+              for x in samples]
+    scale = math.inf
+    if all(map(cmath.isfinite, values)):
+        coeffs = vinv @ np.array(values)
+        scale = float(np.max(np.abs(coeffs)))
+    if not math.isfinite(scale):
+        raise NonFinite("the inversion cubic overflows at these parameters")
     if scale == 0.0:
         raise NonRealCoefficients("inversion expression is identically zero")
     if float(np.max(np.abs(coeffs.imag))) > 1e-12 * scale:
@@ -346,17 +353,14 @@ def mean_field_jacobian(p: Params, w0: float) -> np.ndarray:
     ])
 
 
-def classify_stability(branch: SteadyBranch) -> SteadyBranch:
-    """Label the branch from the real parts of its Jacobian's eigenvalues."""
-    ev = np.linalg.eigvals(branch.jacobian)
-    top = float(np.max(ev.real))
+def classify_stability(jacobian: np.ndarray) -> Stability:
+    """The label of a branch from the real parts of its Jacobian's eigenvalues."""
+    top = float(np.max(np.linalg.eigvals(jacobian).real))
     if top < -STABILITY_TOL:
-        label = Stability.STABLE
-    elif top > STABILITY_TOL:
-        label = Stability.UNSTABLE
-    else:
-        label = Stability.MARGINAL
-    return replace(branch, stability=label)
+        return Stability.STABLE
+    if top > STABILITY_TOL:
+        return Stability.UNSTABLE
+    return Stability.MARGINAL
 
 
 def _frobenius_sq(a: np.ndarray) -> float:
@@ -410,15 +414,16 @@ def solve_steady_branches(p: Params, *, roots=None) -> list[SteadyBranch]:
         sigma0, a0, q0 = steady_fields(p, w0)
         if _steady_rhs_scaled(p, w0, sigma0, a0, q0) > 1e-6:
             continue
+        jacobian = mean_field_jacobian(p, w0)
         branches.append(SteadyBranch(
             w0=w0, a0=a0, sigma0=sigma0, q0=q0, residual=res,
-            stability=Stability.MARGINAL,
+            stability=classify_stability(jacobian),
             physical=_PHYSICAL_LO <= w0 <= _PHYSICAL_HI,
-            jacobian=mean_field_jacobian(p, w0),
+            jacobian=jacobian,
         ))
     if not branches:
         raise NoRealRoot("all real roots rejected as pole-cancellation artifacts")
-    return [classify_stability(b) for b in branches]
+    return branches
 
 
 # -- hysteresis --------------------------------------------------------------
@@ -431,17 +436,6 @@ class HysteresisResult:
     down: list[SpectrumRecord]
     turning_up: float | None
     turning_down: float | None
-
-
-def _check_grid(grid, minimum=2):
-    xs = [float(x) for x in grid]
-    if len(xs) < minimum:
-        raise InvalidGrid(f"grid needs at least {minimum} points, got {len(xs)}")
-    if not all(math.isfinite(x) for x in xs):
-        raise InvalidGrid("grid values must be finite")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise InvalidGrid("grid must be strictly ascending")
-    return xs
 
 
 def _continuation(p: Params, axis: SweepAxis, xs, start_high: bool):
@@ -499,7 +493,7 @@ def hysteresis_sweep(p: Params, axis: SweepAxis, grid) -> HysteresisResult:
     """
     if axis not in (SweepAxis.EP0, SweepAxis.DELTA_P0):
         raise InvalidGrid(f"hysteresis axis must be ep0 or delta_p0, got {axis}")
-    xs = _check_grid(grid)
+    xs = checked_grid(grid, minimum=2, ascending=True)
     up, turning_up = _continuation(p, axis, xs, start_high=False)
     down, turning_down = _continuation(p, axis, xs[::-1], start_high=True)
     return HysteresisResult(up=up, down=down, turning_up=turning_up,

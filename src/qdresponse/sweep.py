@@ -2,15 +2,14 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidGrid, NoRealRoot, PoleHit, SingularSystem, TooFewPoints, ZeroPump
-from .model import Params, SweepAxis, apply_axis, validate_params
+from .model import Params, SweepAxis, apply_axis, checked_grid, validate_params
 from .records import Flag, SpectrumRecord
 from .response import Backend, transmission_point
-from .steady import Stability, certify_detuning, hysteresis_sweep, solve_steady_branches
+from .steady import Stability, certify_detuning, solve_steady_branches
 
 __all__ = [
     "Observable",
@@ -57,30 +56,20 @@ class SweepConfig:
     branch_policy: BranchPolicy = BranchPolicy.STABLE_ONLY
 
 
-def _validated_grid(cfg: SweepConfig) -> list[float]:
-    xs = [float(x) for x in cfg.grid]
-    if not xs:
-        raise InvalidGrid("sweep grid is empty")
-    if not all(math.isfinite(x) for x in xs):
-        raise InvalidGrid("sweep grid values must be finite")
-    diffs = [b - a for a, b in zip(xs, xs[1:])]
-    if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-        raise InvalidGrid("sweep grid must be strictly monotone")
-    return xs
-
-
 def _observable_value(cfg: SweepConfig, p: Params, branch) -> tuple[float, float]:
     point = transmission_point(p, branch, cfg.backend,
                                allow_unstable=True)
     obs = cfg.observable
     if obs is Observable.CHI1:
         return point.chi1.real, point.chi1.imag
-    if obs is Observable.CHI3:
-        return point.chi3.real, point.chi3.imag
     if obs is Observable.A_OUT_PLUS:
         return point.a_out_plus.real, point.a_out_plus.imag
     if obs is Observable.T2:
         return point.T2, 0.0
+    if not p.ep0 > 0.0:  # the rest derive from chi3
+        raise ZeroPump("chi3 is normalized by the squared pump amplitude")
+    if obs is Observable.CHI3:
+        return point.chi3.real, point.chi3.imag
     if obs is Observable.KERR:
         return point.chi3.real, 0.0
     if obs is Observable.NONLIN_ABS:
@@ -117,21 +106,13 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
     """Evaluate the observable over the grid under the branch policy.
 
     Records are ordered by grid index then branch id.  Per-point numerical
-    failures become flags on the record, never fabricated values.  Under the
-    continuation policy (inversion only) the up trace is emitted with
-    branch_id 0 and the reversed-grid down trace with branch_id 1.
+    failures become flags on the record, never fabricated values.  The
+    continuation policy is not a sweep: ``steady.hysteresis_sweep`` runs it.
     """
     validate_params(cfg.base)
-    xs = _validated_grid(cfg)
+    xs = checked_grid(cfg.grid, minimum=1, ascending=False)
     if cfg.branch_policy is BranchPolicy.CONTINUATION:
-        if cfg.observable is not Observable.W0:
-            raise InvalidGrid("continuation sweeps only support the w0 observable")
-        result = hysteresis_sweep(cfg.base, cfg.axis, xs)
-        rows = [SpectrumRecord(r.x, 0, r.w0, r.value_re, r.value_im, r.flags)
-                for r in result.up]
-        rows += [SpectrumRecord(r.x, 1, r.w0, r.value_re, r.value_im, r.flags)
-                 for r in result.down]
-        return rows
+        raise InvalidGrid("continuation sweeps run through steady.hysteresis_sweep")
 
     steady_independent = cfg.axis in (SweepAxis.DELTA0, SweepAxis.DELTA_S0)
     base_branches = None

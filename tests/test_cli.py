@@ -1,5 +1,8 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -202,6 +205,29 @@ def test_oracle_check_failing_tolerance_is_numerical_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["steady", "--preset", "2b", "--param", "ep0=1e200"],
+    ["steady", "--preset", "2b", "--param", "g0=1e160"],
+    ["spectrum", "--preset", "4b", "--param", "ep0=1e200"],
+])
+def test_overflowing_parameters_are_numerical_errors(tmp_path, capsys, argv):
+    assert run(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err == "numerical error: the inversion cubic overflows at these parameters\n"
+
+
+@pytest.mark.parametrize("preset, message", [
+    ("2b", "preset 2b has no pump"), ("zz", "unknown figure id 'zz'")])
+def test_oracle_audit_rejects_a_preset_it_cannot_check(preset, message):
+    script = pathlib.Path(__file__).parents[1] / "scripts" / "oracle_audit.py"
+    done = subprocess.run([sys.executable, str(script), preset],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(script.parents[1] / "src")})
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and message in done.stderr
+    assert done.stderr.count("\n") == 1
+
+
 def test_oracle_check_can_dump_trajectory(tmp_path, capsys):
     code = run(["oracle-check", "--preset", "4b", "--t-end", "150",
                 "--dump-trajectory", "traj.csv"], tmp_path)
@@ -278,6 +304,10 @@ def test_usage_error_paths(tmp_path, capsys, argv, code, message):
      "grid start and stop must be finite, got '0:inf:3'"),
     (["kerr", "--preset", "9b", "--grid=-inf:1:3"],
      "grid start and stop must be finite, got '-inf:1:3'"),
+    (["oracle-check", "--preset", "2b"], "pass --param es0="),
+    (["oracle-check", "--preset", "4b", "--param", "ep0=0"], "pass --param es0="),
+    (["peaks", "--preset", "9b", "--grid", "0:1:2"],
+     "grid needs at least 3 points, got 2"),
 ])
 def test_bad_parameter_values_and_grids_are_usage_errors(tmp_path, capsys, argv,
                                                          message):

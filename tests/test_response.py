@@ -13,9 +13,7 @@ from qdresponse.presets import figure_ids, get_preset
 from qdresponse.response import (
     Backend,
     chi1_closed_form,
-    chi1_linear_solve,
     chi3_closed_form,
-    chi3_linear_solve,
     load_formula_ledger,
     solve_sidebands,
     transmission_point,
@@ -45,6 +43,10 @@ def branch_of(p):
     stable = [b for b in solve_steady_branches(p) if b.stability is Stability.STABLE]
     assert len(stable) == 1, "test points must be monostable"
     return stable[0]
+
+
+def linear_chi1(p, b):
+    return transmission_point(p, b).chi1
 
 
 def sweep_chi1(p0, delta_grid, fn):
@@ -85,8 +87,8 @@ def _feature_amplitude(grid, spec, x0, half_width=0.5):
 
 def test_no_phonon_feature_without_lattice_coupling():
     grid = np.arange(-15.0, 15.0001, 0.05)
-    bare = np.abs(sweep_chi1(absorption_point(eta=0.0), grid, chi1_linear_solve))
-    coupled = np.abs(sweep_chi1(absorption_point(eta=0.02), grid, chi1_linear_solve))
+    bare = np.abs(sweep_chi1(absorption_point(eta=0.0), grid, linear_chi1))
+    coupled = np.abs(sweep_chi1(absorption_point(eta=0.02), grid, linear_chi1))
     for x0 in (-10.0, 10.0):
         assert _feature_amplitude(grid, bare, x0) < \
             0.1 * _feature_amplitude(grid, coupled, x0)
@@ -97,8 +99,8 @@ def test_unstable_branch_requires_override():
     middle = solve_steady_branches(p)[1]
     assert middle.stability is Stability.UNSTABLE
     with pytest.raises(UnstableBranch):
-        chi1_linear_solve(p, middle)
-    value = chi1_linear_solve(p, middle, allow_unstable=True)
+        transmission_point(p, middle)
+    value = transmission_point(p, middle, allow_unstable=True).chi1
     assert np.isfinite(value.real) and np.isfinite(value.imag)
 
 
@@ -115,7 +117,7 @@ def test_chi1_backends_agree_to_machine_precision():
     b = branch_of(p0)
     for d in np.linspace(-15.0, 15.0, 100):
         p = p0.replace(delta0=d)
-        ls = chi1_linear_solve(p, b)
+        ls = linear_chi1(p, b)
         cf = chi1_closed_form(p, b)
         assert abs(cf - ls) < 1e-11 * abs(ls)
 
@@ -134,7 +136,7 @@ def test_chi3_matches_lower_sideband_normalization():
 def test_legacy_chi1_disagrees_with_linear_solve():
     p = absorption_point(delta0=4.3)
     b = branch_of(p)
-    ls = chi1_linear_solve(p, b)
+    ls = linear_chi1(p, b)
     legacy = chi1_closed_form(p, b, corrected=False)
     assert abs(legacy - ls) > 1e-3 * abs(ls)
 
@@ -171,8 +173,11 @@ def test_chi3_requires_pump():
     b = branch_of(p)
     with pytest.raises(ZeroPump):
         chi3_closed_form(p, b)
-    with pytest.raises(ZeroPump):
-        chi3_linear_solve(p, b)
+    cfg = SweepConfig(base=p, axis=SweepAxis.DELTA0, grid=(3.0,),
+                      observable=Observable.CHI3)
+    [row] = run_sweep(cfg)
+    assert row.flags == {Flag.POLE_SKIPPED}
+    assert np.isnan(row.value_re) and np.isnan(row.value_im)
 
 
 def test_kerr_enhancement_needs_lattice_coupling():
@@ -353,9 +358,9 @@ def phonon_pole_branch(gamma):
     -gamma/2 +- 2i, a pole on (gamma = 0) or next to the imaginary axis."""
     jac = np.diag([-1.0, -1.0, -1.0, -1.0, -1.0, 0.0, -gamma])
     jac[5, 6], jac[6, 5] = 1.0, -4.0
-    return certify_detuning(classify_stability(SteadyBranch(
+    return certify_detuning(SteadyBranch(
         w0=-1.0, a0=0j, sigma0=0j, q0=0.0, residual=0.0,
-        stability=Stability.MARGINAL, physical=True, jacobian=jac)))
+        stability=classify_stability(jac), physical=True, jacobian=jac))
 
 
 @pytest.mark.parametrize("gamma, singular", [(0.0, True), (1e-13, True),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdresponse import presets, steady
-from qdresponse.errors import InvalidGrid
+from qdresponse.errors import InvalidGrid, NonFinite
 from qdresponse.model import Params, SweepAxis
 from qdresponse.oracle import mean_field_rhs, steady_state_vector
 from qdresponse.steady import (
@@ -229,6 +229,12 @@ def test_hysteresis_monostable_traces_coincide():
     assert result.turning_up is None and result.turning_down is None
     down = {r.x: r.w0 for r in result.down}
     assert all(abs(r.w0 - down[r.x]) < 1e-15 for r in result.up)
+
+
+@pytest.mark.parametrize("change", [{"ep0": 1e200}, {"g0": 1e160}, {"ep0": 1e155}])
+def test_overflowing_cubic_raises_non_finite(change):
+    with pytest.raises(NonFinite, match="overflows"):
+        build_inversion_polynomial(bistable_point().replace(**change))
 
 
 def test_hysteresis_rejects_single_point_grid():

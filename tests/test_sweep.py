@@ -7,6 +7,8 @@ import pytest
 from qdresponse.errors import InvalidGrid, TooFewPoints
 from qdresponse.model import SweepAxis
 from qdresponse.records import Flag, SpectrumRecord
+from qdresponse.response import Backend
+from qdresponse.steady import hysteresis_sweep
 from qdresponse.sweep import (
     BranchPolicy,
     ExtremumKind,
@@ -18,7 +20,12 @@ from qdresponse.sweep import (
     run_sweep,
 )
 
-from conftest import bistable_point, detuning_scan_point, transmission_point_params
+from conftest import (
+    bistable_point,
+    detuning_scan_point,
+    kerr_point,
+    transmission_point_params,
+)
 
 
 def test_empty_grid_aborts():
@@ -133,15 +140,28 @@ def test_records_are_ordered_and_deterministic():
 
 
 def test_continuation_policy_emits_both_traces():
+    # the traces come from hysteresis_sweep; run_sweep refuses the policy
     grid = tuple(np.linspace(0.2, 16.0, 159))
+    result = hysteresis_sweep(bistable_point(ep0=0.0), SweepAxis.EP0, grid)
+    assert len(result.up) == len(result.down) == len(grid)
+    assert result.up[0].x == grid[0] and result.down[0].x == grid[-1]
     cfg = SweepConfig(base=bistable_point(ep0=0.0), axis=SweepAxis.EP0,
                       grid=grid, observable=Observable.W0,
                       branch_policy=BranchPolicy.CONTINUATION)
-    records = run_sweep(cfg)
-    up = [r for r in records if r.branch_id == 0]
-    down = [r for r in records if r.branch_id == 1]
-    assert len(up) == len(down) == len(grid)
-    assert up[0].x == grid[0] and down[0].x == grid[-1]
+    with pytest.raises(InvalidGrid):
+        run_sweep(cfg)
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("observable", [Observable.CHI3, Observable.KERR,
+                                        Observable.NONLIN_ABS])
+def test_chi3_rows_at_zero_pump_are_pole_skipped(observable, backend):
+    cfg = SweepConfig(base=kerr_point(), axis=SweepAxis.EP0, grid=(0.0, 0.5, 1.0),
+                      observable=observable, backend=backend)
+    zero, *pumped = run_sweep(cfg)
+    assert zero.flags == {Flag.POLE_SKIPPED}
+    assert np.isnan(zero.value_re) and np.isnan(zero.value_im)
+    assert all(not r.flags and np.isfinite(r.value_re) for r in pumped)
 
 
 def test_parabola_vertex_recovered_exactly():
