@@ -29,6 +29,7 @@ from .errors import (
     NonFinite,
     NonRealCoefficients,
     NoRealRoot,
+    QdResponseError,
     RootResidual,
 )
 from .model import Params, SweepAxis, apply_axis, checked_grid
@@ -43,6 +44,7 @@ __all__ = [
     "cleared_inversion_expression",
     "build_inversion_polynomial",
     "inversion_roots",
+    "inversion_root_sets",
     "steady_fields",
     "solve_steady_branches",
     "mean_field_jacobian",
@@ -222,37 +224,91 @@ def build_inversion_polynomial(p: Params,
 # -- root extraction ---------------------------------------------------------
 
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of a polynomial given by descending coefficients (len >= 2)."""
-    n = len(coeffs) - 1
+    """Roots of the polynomials given by descending coefficients along the
+    last axis (length >= 2); a stack of companions takes one ``eigvals``."""
+    n = coeffs.shape[-1] - 1
     if n == 1:
-        return np.array([-coeffs[1] / coeffs[0]])
-    comp = np.zeros((n, n))
-    comp[0, :] = -coeffs[1:] / coeffs[0]
-    comp[1:, :-1] = np.eye(n - 1)
+        return -coeffs[..., 1:] / coeffs[..., :1]
+    comp = np.zeros(coeffs.shape[:-1] + (n, n))
+    comp[..., 0, :] = -coeffs[..., 1:] / coeffs[..., :1]
+    for j in range(1, n):
+        comp[..., j, j - 1] = 1.0
     return np.linalg.eigvals(comp)
+
+
+def _horner_rows(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row of ``x`` at the polynomial whose descending coefficients are
+    the same row of ``coeffs``, in the operation order of ``np.polyval``.
+
+    ``np.polyval`` starts from ``0 * x + c[0]``, which is exactly ``c[0]``
+    (``c[0] + 0j`` for complex ``x``) at a finite ``x``; the loop starts
+    there.
+    """
+    cols = coeffs.T[:, :, None]
+    y = cols[0]
+    for c in cols[1:]:
+        y = y * x + c
+    return y
+
+
+def _polished_root_sets(polys) -> list:
+    """``_polished_roots`` of each polynomial, or the ``NoRealRoot`` it
+    raises.
+
+    The trimmed monic polynomials are stacked by degree: one ``eigvals``
+    and one array Newton step per stack, elementwise the operations of a
+    single polynomial, so each point's roots are the same bits.  Rows whose
+    eigenvalues are all real are polished as a float array, as ``eigvals``
+    of that companion alone returns them.
+    """
+    out = [None] * len(polys)
+    stacks = {}
+    for i, poly in enumerate(polys):
+        c = poly.coefficients()
+        top = max(map(abs, c.tolist()))
+        if top == 0.0:
+            out[i] = NoRealRoot("zero polynomial")
+            continue
+        cn = c / top
+        k = 0
+        while k < 3 and abs(cn[k]) < 1e-12:
+            k += 1
+        if k == 3:
+            out[i] = NoRealRoot("inversion polynomial has no roots")
+            continue
+        at, monics = stacks.setdefault(3 - k, ([], []))
+        at.append(i)
+        monics.append(cn[k:] / cn[k])
+    for at, monics in stacks.values():
+        monic = np.array(monics)
+        roots = _companion_roots(monic)
+        parts = [(at, monic, roots)]
+        # a lone companion's eigvals are complex only if some root is
+        if roots.dtype.kind == "c" and len(at) > 1:
+            real = ~roots.imag.any(axis=1)
+            if real.any():
+                at = np.array(at)
+                parts = [(at[real].tolist(), monic[real], roots.real[real]),
+                         (at[~real].tolist(), monic[~real], roots[~real])]
+        for at, monic, roots in parts:
+            # one newton step per root; skip near-double roots where p' ~ 0
+            fv = _horner_rows(monic, roots)
+            dv = _horner_rows(monic[:, :-1] * np.arange(monic.shape[1] - 1, 0, -1),
+                              roots)
+            step = np.abs(dv) > 1e-9
+            np.subtract(roots, np.divide(fv, dv, out=fv, where=step),
+                        out=roots, where=step)
+            for i, r, m in zip(at, roots, monic):
+                out[i] = (r, m)
+    return out
 
 
 def _polished_roots(poly: InversionPolynomial) -> tuple[np.ndarray, np.ndarray]:
     """All roots (complex) of the trimmed monic polynomial plus monic coeffs."""
-    c = poly.coefficients()
-    top = max(map(abs, c.tolist()))
-    if top == 0.0:
-        raise NoRealRoot("zero polynomial")
-    cn = c / top
-    k = 0
-    while k < 3 and abs(cn[k]) < 1e-12:
-        k += 1
-    cn = cn[k:]
-    if len(cn) == 1:
-        raise NoRealRoot("inversion polynomial has no roots")
-    monic = cn / cn[0]
-    roots = _companion_roots(monic)
-    # one newton step per root; skip near-double roots where p' ~ 0
-    fv = np.polyval(monic, roots)
-    dv = np.polyval(np.polyder(monic), roots)
-    step = np.abs(dv) > 1e-9
-    roots[step] -= fv[step] / dv[step]
-    return roots, monic
+    (found,) = _polished_root_sets([poly])
+    if isinstance(found, Exception):
+        raise found
+    return found
 
 
 def _horner(coeffs, x: float) -> float:
@@ -264,17 +320,8 @@ def _horner(coeffs, x: float) -> float:
     return value
 
 
-def inversion_roots(p: Params,
-                    legacy_field_amplitude: bool = False) -> tuple[list[float], list[float], list[complex]]:
-    """Real roots of the inversion cubic, their monic residuals, complex rest.
-
-    Raises ``RootResidual`` when a real root's monic residual reaches
-    ``RESIDUAL_BOUND`` and also the rounding noise of evaluating the monic
-    polynomial there, 8 eps sum_k |m_k| |w0|^k: with monic coefficients up
-    to 1e13 an absolute bound alone rejects roots accurate to the last bit.
-    """
-    poly = build_inversion_polynomial(p, legacy_field_amplitude)
-    roots, monic = _polished_roots(poly)
+def _split_roots(roots: np.ndarray, monic: np.ndarray):
+    """(real, resid, cplx) of polished roots; see ``inversion_roots``."""
     real, cplx = [], []
     for r in roots.tolist():
         if abs(r.imag) <= REAL_ROOT_TOL * max(1.0, abs(r.real)):
@@ -293,6 +340,49 @@ def inversion_roots(p: Params,
                     f"monic residual {res:.3e} at root {w0!r} exceeds {bound:.3e}")
         resid.append(res)
     return real, resid, cplx
+
+
+def inversion_root_sets(ps, legacy_field_amplitude: bool = False) -> list:
+    """``inversion_roots`` of each point of ``ps``, or the error it raises.
+
+    Each cubic is built alone; the roots of all of them are extracted and
+    polished in one stacked step per degree (``_polished_root_sets``).  An
+    entry that is an exception is what ``inversion_roots`` raises at that
+    point: the caller raises it at that point's turn, so a grid fails where
+    and how a per-point loop would.
+    """
+    out = [None] * len(ps)
+    at, polys = [], []
+    for i, p in enumerate(ps):
+        try:
+            polys.append(build_inversion_polynomial(p, legacy_field_amplitude))
+        except (QdResponseError, ArithmeticError) as exc:  # raised at its turn
+            out[i] = exc
+        else:
+            at.append(i)
+    for i, found in zip(at, _polished_root_sets(polys)):
+        if not isinstance(found, Exception):
+            try:
+                found = _split_roots(*found)
+            except RootResidual as exc:
+                found = exc
+        out[i] = found
+    return out
+
+
+def inversion_roots(p: Params,
+                    legacy_field_amplitude: bool = False) -> tuple[list[float], list[float], list[complex]]:
+    """Real roots of the inversion cubic, their monic residuals, complex rest.
+
+    Raises ``RootResidual`` when a real root's monic residual reaches
+    ``RESIDUAL_BOUND`` and also the rounding noise of evaluating the monic
+    polynomial there, 8 eps sum_k |m_k| |w0|^k: with monic coefficients up
+    to 1e13 an absolute bound alone rejects roots accurate to the last bit.
+    """
+    (found,) = inversion_root_sets([p], legacy_field_amplitude)
+    if isinstance(found, Exception):
+        raise found
+    return found
 
 
 # -- branch assembly ---------------------------------------------------------
@@ -438,14 +528,17 @@ class HysteresisResult:
     turning_down: float | None
 
 
-def _continuation(p: Params, axis: SweepAxis, xs, start_high: bool):
+def _continuation(points, start_high: bool):
+    """One trace over ``points``, (x, params, ``inversion_root_sets`` entry)
+    triples in sweep order."""
     prev_w = None
     turning = None
     rows = []
-    for x in xs:
-        px = apply_axis(p, axis, x)
+    for x, px, found in points:
         try:
-            real, resid, cplx = inversion_roots(px)
+            if isinstance(found, Exception):
+                raise found
+            real, resid, cplx = found
             branches = solve_steady_branches(px, roots=(real, resid))
         except NoRealRoot:
             rows.append(SpectrumRecord(x, -1, float("nan"), float("nan"),
@@ -490,11 +583,19 @@ def hysteresis_sweep(p: Params, axis: SweepAxis, grid) -> HysteresisResult:
     vanishes (annihilating into a complex pair at a fold, or losing stability
     just before one) the trace jumps to the nearest remaining stable branch
     and the grid point is recorded as a turning point.
+
+    The roots are extracted once per grid point, for the whole grid in one
+    ``inversion_root_sets`` call, and both traces share them; each trace
+    still solves its branches at every point.  A point whose roots raise a
+    typed error other than ``NoRealRoot`` raises it at its turn in the up
+    trace.
     """
     if axis not in (SweepAxis.EP0, SweepAxis.DELTA_P0):
         raise InvalidGrid(f"hysteresis axis must be ep0 or delta_p0, got {axis}")
     xs = checked_grid(grid, minimum=2, ascending=True)
-    up, turning_up = _continuation(p, axis, xs, start_high=False)
-    down, turning_down = _continuation(p, axis, xs[::-1], start_high=True)
+    ps = [apply_axis(p, axis, x) for x in xs]
+    points = list(zip(xs, ps, inversion_root_sets(ps)))
+    up, turning_up = _continuation(points, start_high=False)
+    down, turning_down = _continuation(points[::-1], start_high=True)
     return HysteresisResult(up=up, down=down, turning_up=turning_up,
                             turning_down=turning_down)

@@ -9,7 +9,7 @@ from .errors import InvalidGrid, NoRealRoot, PoleHit, SingularSystem, TooFewPoin
 from .model import Params, SweepAxis, apply_axis, checked_grid, validate_params
 from .records import Flag, SpectrumRecord
 from .response import Backend, transmission_point
-from .steady import Stability, certify_detuning, solve_steady_branches
+from .steady import Stability, certify_detuning, inversion_root_sets, solve_steady_branches
 
 __all__ = [
     "Observable",
@@ -108,6 +108,12 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
     Records are ordered by grid index then branch id.  Per-point numerical
     failures become flags on the record, never fabricated values.  The
     continuation policy is not a sweep: ``steady.hysteresis_sweep`` runs it.
+
+    On a detuning axis the base point's branches serve every grid point.  On
+    any other axis the roots are extracted once per grid point, for the
+    whole grid in one ``steady.inversion_root_sets`` call, and the branches
+    are solved per point; a point whose roots raise a typed error other than
+    ``NoRealRoot`` raises it at its turn.
     """
     validate_params(cfg.base)
     xs = checked_grid(cfg.grid, minimum=1, ascending=False)
@@ -115,20 +121,26 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
         raise InvalidGrid("continuation sweeps run through steady.hysteresis_sweep")
 
     steady_independent = cfg.axis in (SweepAxis.DELTA0, SweepAxis.DELTA_S0)
-    base_branches = None
     if steady_independent:
         # the same branches serve every grid point, so one certificate each
         # lets the response skip its per-point SVD
         base_branches = [certify_detuning(b)
                          for b in solve_steady_branches(cfg.base)]
+        points = ((x, apply_axis(cfg.base, cfg.axis, x), None) for x in xs)
+    else:
+        # every point's roots in one stacked extraction; a point's error is
+        # raised at its turn
+        ps = [apply_axis(cfg.base, cfg.axis, x) for x in xs]
+        points = zip(xs, ps, inversion_root_sets(ps))
     rows = []
-    for x in xs:
-        p = apply_axis(cfg.base, cfg.axis, x)
+    for x, p, found in points:
         if steady_independent:
             branches = base_branches
         else:
             try:
-                branches = solve_steady_branches(p)
+                if isinstance(found, Exception):
+                    raise found
+                branches = solve_steady_branches(p, roots=found[:2])
             except NoRealRoot:
                 rows.append(SpectrumRecord(x, -1, float("nan"), float("nan"),
                                            float("nan"),

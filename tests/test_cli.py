@@ -205,6 +205,18 @@ def test_oracle_check_failing_tolerance_is_numerical_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_oracle_check_of_a_decoupled_dot_judges_the_cavity_sideband(tmp_path, capsys):
+    # g0 = 0: sigma+ is exactly 0 in the linear solve and in the oracle
+    code = run(["oracle-check", "--preset", "4b", "--param", "g0=0",
+                "--t-end", "70"], tmp_path)
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert "sigma_plus deviation = 0.000e+00" in out
+    dev_a = float(out.split("a_plus  deviation =")[1].split()[0])
+    dev = float(out.split("max relative deviation =")[1].split()[0])
+    assert dev == dev_a < 1e-3
+
+
 @pytest.mark.parametrize("argv", [
     ["steady", "--preset", "2b", "--param", "ep0=1e200"],
     ["steady", "--preset", "2b", "--param", "g0=1e160"],

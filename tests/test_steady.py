@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdresponse import presets, steady
-from qdresponse.errors import InvalidGrid, NonFinite
+from qdresponse.errors import InvalidGrid, NonFinite, NoRealRoot, QdResponseError
 from qdresponse.model import Params, SweepAxis
 from qdresponse.oracle import mean_field_rhs, steady_state_vector
+from qdresponse.records import Flag
 from qdresponse.steady import (
     InversionPolynomial,
     Stability,
@@ -321,8 +322,70 @@ def test_array_polish_matches_per_root_loop_bit_for_bit():
     assert kinds == {("f", 2), ("f", 3), ("c", 3), ("f", 4), ("c", 4)}
 
 
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except QdResponseError as exc:
+        return type(exc), str(exc)
+
+
+def test_stacked_roots_match_each_point_bit_for_bit():
+    rng = np.random.default_rng(7)
+    polys = [InversionPolynomial(*(float(v) for v in c))
+             for c in _random_cubics(rng, 300)]
+    polys += [InversionPolynomial(0.0, 0.0, 0.0, 0.0),
+              InversionPolynomial(0.0, 0.0, 0.0, 2.0)]
+    rng.shuffle(polys)  # degrees and root dtypes interleaved in one call
+    kinds = set()
+    for poly, found in zip(polys, steady._polished_root_sets(polys)):
+        alone = _outcome(steady._polished_roots, poly)
+        if isinstance(found, Exception):
+            assert alone == (NoRealRoot, str(found))
+            continue
+        (roots, monic), (ref, ref_monic) = found, alone
+        assert roots.dtype == ref.dtype and roots.tobytes() == ref.tobytes()
+        assert monic.tobytes() == ref_monic.tobytes()
+        assert repr(_outcome(steady._split_roots, roots, monic)) \
+            == repr(_outcome(steady._split_roots, ref, ref_monic))
+        kinds.add((roots.dtype.kind, len(monic)))
+    assert kinds == {("f", 2), ("f", 3), ("c", 3), ("f", 4), ("c", 4)}
+
+
+def test_grid_roots_match_per_point_roots():
+    ps = [bistable_point(ep0=x) for x in np.linspace(0.0, 20.0, 81)]
+    ps += [detuning_scan_point().replace(delta_p0=x) for x in np.linspace(-50.0, 10.0, 61)]
+    for p, found in zip(ps, steady.inversion_root_sets(ps)):
+        assert repr(found) == repr(inversion_roots(p))
+
+
+def test_overflowing_point_raises_at_its_turn_in_a_hysteresis_grid(monkeypatch):
+    solved = []
+    solve = steady.solve_steady_branches
+    monkeypatch.setattr(steady, "solve_steady_branches",
+                        lambda p, **kw: solved.append(p.ep0) or solve(p, **kw))
+    with pytest.raises(NonFinite) as err:
+        hysteresis_sweep(bistable_point(), SweepAxis.EP0, [2.0, 4.0, 1e200, 2e200])
+    assert str(err.value) == "the inversion cubic overflows at these parameters"
+    assert solved == [2.0, 4.0]
+
+
+def test_point_without_roots_is_skipped_in_both_traces(monkeypatch):
+    build = steady.build_inversion_polynomial
+    monkeypatch.setattr(
+        steady, "build_inversion_polynomial",
+        lambda p, *a: InversionPolynomial(0.0, 0.0, 0.0, 1.0) if p.ep0 == 4.0
+        else build(p, *a))
+    result = hysteresis_sweep(bistable_point(), SweepAxis.EP0, [2.0, 4.0, 6.0])
+    for trace in (result.up, result.down):
+        (row,) = [r for r in trace if r.x == 4.0]
+        assert row.branch_id == -1 and row.flags == {Flag.POLE_SKIPPED}
+        assert all(r.branch_id >= 0 for r in trace if r.x != 4.0)
+
+
 def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
-    calls = {"inversion_roots": 0, "solve_steady_branches": 0}
+    # both traces share one cubic per grid point; each solves its branches
+    calls = {"build_inversion_polynomial": 0, "solve_steady_branches": 0}
     for name in calls:
         original = getattr(steady, name)
 
@@ -335,7 +398,7 @@ def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
     result = hysteresis_sweep(preset.params, preset.axis, preset.grid)
     n = len(preset.grid)
     assert len(result.up) == len(result.down) == n
-    assert calls == {"inversion_roots": 2 * n, "solve_steady_branches": 2 * n}
+    assert calls == {"build_inversion_polynomial": n, "solve_steady_branches": 2 * n}
 
 
 def _scaled_fixed_point_residual(p, branch):

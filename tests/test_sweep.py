@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from qdresponse.errors import InvalidGrid, TooFewPoints
+from qdresponse import steady, sweep
+from qdresponse.errors import InvalidGrid, NonFinite, TooFewPoints
 from qdresponse.model import SweepAxis
 from qdresponse.records import Flag, SpectrumRecord
 from qdresponse.response import Backend
-from qdresponse.steady import hysteresis_sweep
+from qdresponse.steady import InversionPolynomial, hysteresis_sweep
 from qdresponse.sweep import (
     BranchPolicy,
     ExtremumKind,
@@ -150,6 +151,36 @@ def test_continuation_policy_emits_both_traces():
                       branch_policy=BranchPolicy.CONTINUATION)
     with pytest.raises(InvalidGrid):
         run_sweep(cfg)
+
+
+def test_overflowing_point_raises_at_its_turn_in_a_sweep(monkeypatch):
+    solved = []
+    solve = sweep.solve_steady_branches
+    monkeypatch.setattr(sweep, "solve_steady_branches",
+                        lambda p, **kw: solved.append(p.ep0) or solve(p, **kw))
+    cfg = SweepConfig(base=bistable_point(), axis=SweepAxis.EP0,
+                      grid=(2.0, 4.0, 1e200, 2e200), observable=Observable.W0)
+    with pytest.raises(NonFinite) as err:
+        run_sweep(cfg)
+    assert str(err.value) == "the inversion cubic overflows at these parameters"
+    # the points before it are solved, none after it
+    assert [x for x in solved if x != 1e200] == [2.0, 4.0]
+
+
+def test_point_without_roots_is_pole_skipped(monkeypatch):
+    build = steady.build_inversion_polynomial
+    monkeypatch.setattr(
+        steady, "build_inversion_polynomial",
+        lambda p, *a: InversionPolynomial(0.0, 0.0, 0.0, 1.0) if p.ep0 == 4.0
+        else build(p, *a))
+    cfg = SweepConfig(base=bistable_point(), axis=SweepAxis.EP0,
+                      grid=(2.0, 4.0, 6.0), observable=Observable.W0,
+                      branch_policy=BranchPolicy.ALL_BRANCHES)
+    rows = run_sweep(cfg)
+    (skipped,) = [r for r in rows if r.x == 4.0]
+    assert skipped.branch_id == -1 and skipped.flags == {Flag.POLE_SKIPPED}
+    assert np.isnan(skipped.value_re)
+    assert {r.x for r in rows if r.branch_id >= 0} == {2.0, 6.0}
 
 
 @pytest.mark.parametrize("backend", list(Backend))
