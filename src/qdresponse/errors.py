@@ -60,7 +60,7 @@ class PoleHit(QdResponseError):
 
 
 class ZeroPump(QdResponseError):
-    """Nonlinear response requested with zero pump amplitude."""
+    """Nonlinear response requested where 3 ep0^2 is not a positive normal float."""
 
 
 # -- time-domain oracle ----------------------------------------------------

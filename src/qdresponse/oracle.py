@@ -34,6 +34,13 @@ __all__ = [
 BOUND_EPS = 1e-6
 #: DC drift between the last two analysis windows that counts as settled.
 SETTLE_DRIFT = 1e-6
+#: Signal periods in each analysis window of ``demodulate_sidebands``.
+DEMOD_PERIODS = 20
+#: ``perturbation_outcome``: the inversion kick, the distance that counts as
+#: departure, and the integration span between distance checks.
+KICK = 1e-6
+DEPARTURE = 1e-3
+CHECK_SPAN = 5.0
 
 
 @dataclass(frozen=True)
@@ -47,10 +54,6 @@ class Trajectory:
     q: np.ndarray
     qdot: np.ndarray
     dt: float
-
-    def state(self, k: int) -> tuple:
-        return (float(self.w[k]), complex(self.sigma[k]), complex(self.a[k]),
-                float(self.q[k]), float(self.qdot[k]))
 
 
 @dataclass(frozen=True)
@@ -190,20 +193,17 @@ def _project(tw: np.ndarray, signal: np.ndarray, delta0: float):
     return coef, frac
 
 
-def demodulate_sidebands(traj: Trajectory, delta0: float,
-                         n_periods: int = 20) -> DemodResult:
+def demodulate_sidebands(traj: Trajectory, delta0: float) -> DemodResult:
     """Project the settled tail onto DC and the two first-order tones.
 
-    The window spans ``n_periods`` signal periods (snapped to whole samples);
-    the DC values of the preceding window must agree within ``SETTLE_DRIFT``
-    or ``NotSettled`` is raised.
+    The window spans ``DEMOD_PERIODS`` signal periods (snapped to whole
+    samples); the DC values of the preceding window must agree within
+    ``SETTLE_DRIFT`` or ``NotSettled`` is raised.
     """
     if delta0 == 0.0:
         raise ZeroDelta("demodulation needs a nonzero signal-pump detuning")
-    if n_periods < 20:
-        raise InvalidGrid(f"n_periods must be >= 20, got {n_periods}")
     period = 2.0 * math.pi / abs(delta0)
-    nw = int(round(n_periods * period / traj.dt))
+    nw = int(round(DEMOD_PERIODS * period / traj.dt))
     if nw < 8 or 2 * nw > traj.t.size:
         raise NotSettled(
             f"trajectory too short: need {2 * nw} samples for two analysis "
@@ -233,14 +233,14 @@ def demodulate_sidebands(traj: Trajectory, delta0: float,
     )
 
 
-def perturbation_outcome(p: Params, branch: SteadyBranch, eps: float = 1e-6,
-                         departure: float = 1e-3, horizon: float = 400.0,
-                         dt: float | None = None, chunk: float = 5.0) -> str:
+def perturbation_outcome(p: Params, branch: SteadyBranch,
+                         horizon: float = 400.0) -> str:
     """Integrate a perturbed branch with the pump only and classify the outcome.
 
-    Returns "decayed" once the state comes back within ``0.02 * eps`` of the
-    branch, "departed" once any component moves beyond ``departure`` (or the
-    integration blows up), otherwise "inconclusive" at the horizon.  The
+    The inversion is kicked by ``KICK``.  Returns "decayed" once the state
+    comes back within ``0.02 * KICK`` of the branch, "departed" once any
+    component moves beyond ``DEPARTURE`` (or the integration blows up),
+    otherwise "inconclusive" at the horizon.  The
     displacement velocity is weighted by 1/omega_k0 so that the metric is the
     oscillator phase-space norm; an inversion kick transiently rings the
     displacement velocity by ~2 eta omega_k0^2 times its size, which would
@@ -249,12 +249,11 @@ def perturbation_outcome(p: Params, branch: SteadyBranch, eps: float = 1e-6,
     p0 = p.replace(es0=0.0, delta0=0.0)
     ref = np.array(steady_state_vector(branch))
     weights = np.array([1.0] * 6 + [1.0 / max(1.0, p.omega_k0)])
-    state = tuple(v + (eps if i == 0 else 0.0) for i, v in enumerate(ref))
-    if dt is None:
-        dt = min(max_step(p0), chunk / 10.0)
+    state = tuple(v + (KICK if i == 0 else 0.0) for i, v in enumerate(ref))
+    dt = min(max_step(p0), CHECK_SPAN / 10.0)
     elapsed = 0.0
     while elapsed < horizon:
-        span = min(chunk, horizon - elapsed)
+        span = min(CHECK_SPAN, horizon - elapsed)
         try:
             traj = integrate_mean_field(p0, state, span, dt)
         except (BoundViolation, NonFinite):
@@ -264,9 +263,9 @@ def perturbation_outcome(p: Params, branch: SteadyBranch, eps: float = 1e-6,
                  float(traj.a[-1].imag), float(traj.q[-1]),
                  float(traj.qdot[-1]))
         dist = float(np.max(np.abs(np.array(state) - ref) * weights))
-        if dist > departure:
+        if dist > DEPARTURE:
             return "departed"
-        if dist < 0.02 * eps:
+        if dist < 0.02 * KICK:
             return "decayed"
         elapsed += span
     return "inconclusive"

@@ -4,6 +4,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 import numpy as np
@@ -55,22 +56,12 @@ def parse_grid(spec: str) -> tuple:
     return tuple(float(x) for x in np.linspace(start, stop, points))
 
 
-def _load_catalog() -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
-    text = resources.files("qdresponse.data").joinpath(
-        "figure_presets.cfg").read_text(encoding="utf-8")
-    cfg.read_string(text)
-    return cfg
-
-
-_CATALOG = None
-
-
+@cache
 def _catalog() -> configparser.ConfigParser:
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _load_catalog()
-    return _CATALOG
+    cfg = configparser.ConfigParser()
+    cfg.read_string(resources.files("qdresponse.data").joinpath(
+        "figure_presets.cfg").read_text(encoding="utf-8"))
+    return cfg
 
 
 def figure_ids() -> list[str]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -134,6 +135,12 @@ def _guard(name: str, value: complex, scale: float):
     return value
 
 
+def _has_chi3(p: Params) -> bool:
+    """Whether chi3, normalized by 3 ep0^2, is defined: where 3 ep0^2 is a
+    positive normal float.  Below that it is 0 or loses bits to underflow."""
+    return 3.0 * p.ep0 ** 2 >= sys.float_info.min
+
+
 def _common_scale(p: Params) -> float:
     return 1.0 + abs(p.delta_p0) + abs(p.delta_c0) + abs(p.delta0) + \
         p.kappa_c0 + p.g0 ** 2 + 2.0 * p.omega_k0 * p.eta
@@ -191,8 +198,9 @@ def chi3_closed_form(p: Params, branch: SteadyBranch, corrected: bool = True,
     ``chi3-normalization``).
     """
     _require_stable(branch, allow_unstable)
-    if p.ep0 <= 0.0:
-        raise ZeroPump("chi3 is normalized by the squared pump amplitude")
+    if not _has_chi3(p):
+        raise ZeroPump("chi3 is normalized by 3 ep0^2, which is not a "
+                       "positive normal float here")
     w0 = branch.w0
     g0, d0, eta, wk = p.g0, p.delta0, p.eta, p.omega_k0
     scale = _common_scale(p)
@@ -233,19 +241,21 @@ def transmission_point(p: Params, branch: SteadyBranch,
 
     All quantities are per unit signal amplitude.  The real part of the output
     amplitude is the absorption quadrature, the imaginary part the dispersion.
-    chi3 is NaN at zero pump: it is normalized by ep0^2.
+    chi3 is normalized by 3 ep0^2, so it is NaN where that is not a positive
+    normal float: at zero pump and at a pump whose square underflows.
     """
     _require_stable(branch, allow_unstable)
+    has_chi3 = _has_chi3(p)
     if backend is Backend.LINEAR_SOLVE:
         x = _solve_unit(p, branch)
         chi1 = complex(x[2])
-        chi3 = complex(x[3].conjugate()) / (3.0 * p.ep0 ** 2) if p.ep0 > 0 \
+        chi3 = complex(x[3].conjugate()) / (3.0 * p.ep0 ** 2) if has_chi3 \
             else complex("nan")
         a_plus = complex(x[0])
     else:
         chi1 = chi1_closed_form(p, branch, allow_unstable=allow_unstable)
         chi3 = chi3_closed_form(p, branch, allow_unstable=allow_unstable) \
-            if p.ep0 > 0 else complex("nan")
+            if has_chi3 else complex("nan")
         A1 = 1j * p.delta_c0 + p.kappa_c0 - 1j * p.delta0
         a_plus = (1.0 - 1j * p.g0 * chi1) / A1
     root = math.sqrt(2.0 * p.kappa_c0)
@@ -255,14 +265,14 @@ def transmission_point(p: Params, branch: SteadyBranch,
                          T=T, T2=T * T)
 
 
-def dispersion_slope(p: Params, branch: SteadyBranch, h: float = 1e-4,
-                     backend: Backend = Backend.LINEAR_SOLVE) -> float:
+def dispersion_slope(p: Params, branch: SteadyBranch) -> float:
     """d Im(a_out+)/d Delta_s at the configured detuning (central difference).
 
     Delta_s and delta0 move with opposite sign, hence the inverted stencil.
     """
-    lo = transmission_point(p.replace(delta0=p.delta0 + h), branch, backend)
-    hi = transmission_point(p.replace(delta0=p.delta0 - h), branch, backend)
+    h = 1e-4
+    lo = transmission_point(p.replace(delta0=p.delta0 + h), branch)
+    hi = transmission_point(p.replace(delta0=p.delta0 - h), branch)
     return (hi.a_out_plus.imag - lo.a_out_plus.imag) / (2.0 * h)
 
 

@@ -32,19 +32,19 @@ from .errors import (
     QdResponseError,
     RootResidual,
 )
-from .model import Params, SweepAxis, apply_axis, checked_grid
+from .model import Params, SweepAxis, apply_axis, checked_grid, validate_params
 from .records import Flag, SpectrumRecord
 
 __all__ = [
     "Stability",
     "SteadyBranch",
-    "InversionPolynomial",
     "HysteresisResult",
     "coherence_amplitudes",
     "cleared_inversion_expression",
     "build_inversion_polynomial",
     "inversion_roots",
     "inversion_root_sets",
+    "grid_roots",
     "steady_fields",
     "solve_steady_branches",
     "mean_field_jacobian",
@@ -114,22 +114,6 @@ class SteadyBranch:
         return _TO_COMPLEX @ self.jacobian @ _FROM_COMPLEX
 
 
-@dataclass(frozen=True)
-class InversionPolynomial:
-    """Real cubic c3 w^3 + c2 w^2 + c1 w + c0 for the population inversion."""
-
-    c3: float
-    c2: float
-    c1: float
-    c0: float
-
-    def coefficients(self) -> np.ndarray:
-        return np.array([self.c3, self.c2, self.c1, self.c0])
-
-    def __call__(self, w: float) -> float:
-        return ((self.c3 * w + self.c2) * w + self.c1) * w + self.c0
-
-
 # -- coefficient set --------------------------------------------------------
 
 def _denominators(p: Params, w: complex) -> tuple[complex, complex]:
@@ -174,8 +158,9 @@ _VANDER_INV = np.linalg.inv(np.vander(np.array(_SAMPLES), 4))
 
 
 def build_inversion_polynomial(p: Params,
-                               legacy_field_amplitude: bool = False) -> InversionPolynomial:
-    """Interpolate the cleared inversion expression into a real cubic.
+                               legacy_field_amplitude: bool = False) -> np.ndarray:
+    """Interpolate the cleared inversion expression into a real cubic, the
+    float array (c3, c2, c1, c0) of c3 w^3 + c2 w^2 + c1 w + c0.
 
     Four distinct real sample points are evaluated and fitted exactly; sample
     points that land on a coefficient pole are shifted and retried.  A
@@ -217,8 +202,7 @@ def build_inversion_polynomial(p: Params,
         raise NonRealCoefficients(
             f"imaginary residue {np.max(np.abs(coeffs.imag)) / scale:.3e} "
             "exceeds 1e-12 of the coefficient scale")
-    c3, c2, c1, c0 = (float(v) for v in coeffs.real)
-    return InversionPolynomial(c3, c2, c1, c0)
+    return coeffs.real
 
 
 # -- root extraction ---------------------------------------------------------
@@ -263,8 +247,7 @@ def _polished_root_sets(polys) -> list:
     """
     out = [None] * len(polys)
     stacks = {}
-    for i, poly in enumerate(polys):
-        c = poly.coefficients()
+    for i, c in enumerate(polys):
         top = max(map(abs, c.tolist()))
         if top == 0.0:
             out[i] = NoRealRoot("zero polynomial")
@@ -303,12 +286,16 @@ def _polished_root_sets(polys) -> list:
     return out
 
 
-def _polished_roots(poly: InversionPolynomial) -> tuple[np.ndarray, np.ndarray]:
-    """All roots (complex) of the trimmed monic polynomial plus monic coeffs."""
-    (found,) = _polished_root_sets([poly])
+def _or_raise(found):
+    """``found``; raised instead where it is the error its point raises."""
     if isinstance(found, Exception):
         raise found
     return found
+
+
+def _polished_roots(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All roots (complex) of the trimmed monic polynomial plus monic coeffs."""
+    return _or_raise(_polished_root_sets([poly])[0])
 
 
 def _horner(coeffs, x: float) -> float:
@@ -342,7 +329,7 @@ def _split_roots(roots: np.ndarray, monic: np.ndarray):
     return real, resid, cplx
 
 
-def inversion_root_sets(ps, legacy_field_amplitude: bool = False) -> list:
+def inversion_root_sets(ps) -> list:
     """``inversion_roots`` of each point of ``ps``, or the error it raises.
 
     Each cubic is built alone; the roots of all of them are extracted and
@@ -355,7 +342,7 @@ def inversion_root_sets(ps, legacy_field_amplitude: bool = False) -> list:
     at, polys = [], []
     for i, p in enumerate(ps):
         try:
-            polys.append(build_inversion_polynomial(p, legacy_field_amplitude))
+            polys.append(build_inversion_polynomial(p))
         except (QdResponseError, ArithmeticError) as exc:  # raised at its turn
             out[i] = exc
         else:
@@ -370,8 +357,7 @@ def inversion_root_sets(ps, legacy_field_amplitude: bool = False) -> list:
     return out
 
 
-def inversion_roots(p: Params,
-                    legacy_field_amplitude: bool = False) -> tuple[list[float], list[float], list[complex]]:
+def inversion_roots(p: Params) -> tuple[list[float], list[float], list[complex]]:
     """Real roots of the inversion cubic, their monic residuals, complex rest.
 
     Raises ``RootResidual`` when a real root's monic residual reaches
@@ -379,10 +365,25 @@ def inversion_roots(p: Params,
     polynomial there, 8 eps sum_k |m_k| |w0|^k: with monic coefficients up
     to 1e13 an absolute bound alone rejects roots accurate to the last bit.
     """
-    (found,) = inversion_root_sets([p], legacy_field_amplitude)
-    if isinstance(found, Exception):
-        raise found
-    return found
+    return _or_raise(inversion_root_sets([p])[0])
+
+
+def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
+    """(x, params, ``inversion_root_sets`` entry) for each point of ``xs``
+    (a checked grid) along ``axis`` from ``p``.
+
+    The grid's two ends must pass ``validate_params``; every parameter rule
+    is a bound, so the points between them do too.  A point that does not
+    raises ``InvalidGrid`` naming the axis.
+    """
+    ps = [apply_axis(p, axis, x) for x in xs]
+    for end in (ps[0], ps[-1]):
+        try:
+            validate_params(end)
+        except QdResponseError as exc:
+            raise InvalidGrid(f"{axis.value} grid reaches an invalid point: "
+                              f"{exc}") from None
+    return list(zip(xs, ps, inversion_root_sets(ps)))
 
 
 # -- branch assembly ---------------------------------------------------------
@@ -490,15 +491,16 @@ def certify_detuning(branch: SteadyBranch) -> SteadyBranch:
 def solve_steady_branches(p: Params, *, roots=None) -> list[SteadyBranch]:
     """All steady-state branches, sorted by w0 ascending.
 
-    ``roots`` is the ``(real, resid)`` pair of ``inversion_roots(p)`` when
-    the caller already holds it; it is computed otherwise.
+    ``roots`` is the point's ``inversion_root_sets`` entry when the caller
+    already holds it, raised here if it is an error; ``inversion_roots(p)``
+    is computed otherwise.
 
     Complex cubic roots are discarded; real roots that are pole-cancellation
     artifacts of denominator clearing (possible only at degenerate corners
     such as zero pump) are filtered by checking the mean-field fixed-point
     residual.  Roots outside [-1, 0] are returned but marked non-physical.
     """
-    real, resid = inversion_roots(p)[:2] if roots is None else roots
+    real, resid, _ = inversion_roots(p) if roots is None else _or_raise(roots)
     branches = []
     for w0, res in zip(real, resid):
         sigma0, a0, q0 = steady_fields(p, w0)
@@ -536,19 +538,15 @@ def _continuation(points, start_high: bool):
     rows = []
     for x, px, found in points:
         try:
-            if isinstance(found, Exception):
-                raise found
-            real, resid, cplx = found
-            branches = solve_steady_branches(px, roots=(real, resid))
+            branches = solve_steady_branches(px, roots=found)
         except NoRealRoot:
-            rows.append(SpectrumRecord(x, -1, float("nan"), float("nan"),
-                                       0.0, frozenset({Flag.POLE_SKIPPED})))
-            continue
+            branches = []
         stable = [b for b in branches if b.stability is Stability.STABLE]
         if not stable:
             rows.append(SpectrumRecord(x, -1, float("nan"), float("nan"),
                                        0.0, frozenset({Flag.POLE_SKIPPED})))
             continue
+        real, _, cplx = found
         if prev_w is None:
             sel = max(stable, key=lambda b: b.w0) if start_high else \
                 min(stable, key=lambda b: b.w0)
@@ -584,17 +582,14 @@ def hysteresis_sweep(p: Params, axis: SweepAxis, grid) -> HysteresisResult:
     just before one) the trace jumps to the nearest remaining stable branch
     and the grid point is recorded as a turning point.
 
-    The roots are extracted once per grid point, for the whole grid in one
-    ``inversion_root_sets`` call, and both traces share them; each trace
-    still solves its branches at every point.  A point whose roots raise a
-    typed error other than ``NoRealRoot`` raises it at its turn in the up
-    trace.
+    The roots are extracted once per grid point (``grid_roots``) and both
+    traces share them; each trace still solves its branches at every point.
+    A point whose roots raise a typed error other than ``NoRealRoot`` raises
+    it at its turn in the up trace.
     """
     if axis not in (SweepAxis.EP0, SweepAxis.DELTA_P0):
         raise InvalidGrid(f"hysteresis axis must be ep0 or delta_p0, got {axis}")
-    xs = checked_grid(grid, minimum=2, ascending=True)
-    ps = [apply_axis(p, axis, x) for x in xs]
-    points = list(zip(xs, ps, inversion_root_sets(ps)))
+    points = grid_roots(p, axis, checked_grid(grid, minimum=2, ascending=True))
     up, turning_up = _continuation(points, start_high=False)
     down, turning_down = _continuation(points[::-1], start_high=True)
     return HysteresisResult(up=up, down=down, turning_up=turning_up,

@@ -9,7 +9,7 @@ from .errors import InvalidGrid, NoRealRoot, PoleHit, SingularSystem, TooFewPoin
 from .model import Params, SweepAxis, apply_axis, checked_grid, validate_params
 from .records import Flag, SpectrumRecord
 from .response import Backend, transmission_point
-from .steady import Stability, certify_detuning, inversion_root_sets, solve_steady_branches
+from .steady import Stability, certify_detuning, grid_roots, solve_steady_branches
 
 __all__ = [
     "Observable",
@@ -66,8 +66,8 @@ def _observable_value(cfg: SweepConfig, p: Params, branch) -> tuple[float, float
         return point.a_out_plus.real, point.a_out_plus.imag
     if obs is Observable.T2:
         return point.T2, 0.0
-    if not p.ep0 > 0.0:  # the rest derive from chi3
-        raise ZeroPump("chi3 is normalized by the squared pump amplitude")
+    if point.chi3 != point.chi3:  # the rest derive from chi3
+        raise ZeroPump("chi3 is undefined where 3 ep0^2 is not a normal float")
     if obs is Observable.CHI3:
         return point.chi3.real, point.chi3.imag
     if obs is Observable.KERR:
@@ -110,42 +110,32 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
     continuation policy is not a sweep: ``steady.hysteresis_sweep`` runs it.
 
     On a detuning axis the base point's branches serve every grid point.  On
-    any other axis the roots are extracted once per grid point, for the
-    whole grid in one ``steady.inversion_root_sets`` call, and the branches
-    are solved per point; a point whose roots raise a typed error other than
-    ``NoRealRoot`` raises it at its turn.
+    any other axis the roots are extracted once per grid point
+    (``steady.grid_roots``) and the branches are solved per point; a point
+    whose roots raise a typed error other than ``NoRealRoot`` raises it at
+    its turn.
     """
     validate_params(cfg.base)
     xs = checked_grid(cfg.grid, minimum=1, ascending=False)
     if cfg.branch_policy is BranchPolicy.CONTINUATION:
         raise InvalidGrid("continuation sweeps run through steady.hysteresis_sweep")
 
-    steady_independent = cfg.axis in (SweepAxis.DELTA0, SweepAxis.DELTA_S0)
-    if steady_independent:
+    rows = []
+    if cfg.axis in (SweepAxis.DELTA0, SweepAxis.DELTA_S0):
         # the same branches serve every grid point, so one certificate each
         # lets the response skip its per-point SVD
-        base_branches = [certify_detuning(b)
-                         for b in solve_steady_branches(cfg.base)]
-        points = ((x, apply_axis(cfg.base, cfg.axis, x), None) for x in xs)
-    else:
-        # every point's roots in one stacked extraction; a point's error is
-        # raised at its turn
-        ps = [apply_axis(cfg.base, cfg.axis, x) for x in xs]
-        points = zip(xs, ps, inversion_root_sets(ps))
-    rows = []
-    for x, p, found in points:
-        if steady_independent:
-            branches = base_branches
-        else:
-            try:
-                if isinstance(found, Exception):
-                    raise found
-                branches = solve_steady_branches(p, roots=found[:2])
-            except NoRealRoot:
-                rows.append(SpectrumRecord(x, -1, float("nan"), float("nan"),
-                                           float("nan"),
-                                           frozenset({Flag.POLE_SKIPPED})))
-                continue
+        branches = [certify_detuning(b) for b in solve_steady_branches(cfg.base)]
+        for x in xs:
+            rows += _point_records(cfg, x, apply_axis(cfg.base, cfg.axis, x),
+                                   branches)
+        return rows
+    for x, p, found in grid_roots(cfg.base, cfg.axis, xs):
+        try:
+            branches = solve_steady_branches(p, roots=found)
+        except NoRealRoot:
+            rows.append(SpectrumRecord(x, -1, float("nan"), float("nan"),
+                                       float("nan"), frozenset({Flag.POLE_SKIPPED})))
+            continue
         rows += _point_records(cfg, x, p, branches)
     return rows
 
@@ -210,7 +200,7 @@ def records_to_csv(records, fh, meta: dict | None = None) -> None:
                  f"{_fmt(r.value_im)},{r.flags_text()}\n")
 
 
-def records_to_json(records, fh=None, meta: dict | None = None):
+def records_to_json(records, fh, meta: dict | None = None) -> None:
     """Emit records as a JSON array (or wrapped object when meta is given)."""
     rows = [{
         "x": r.x,
@@ -221,9 +211,5 @@ def records_to_json(records, fh=None, meta: dict | None = None):
         "flags": sorted(f.value for f in r.flags),
     } for r in records]
     payload = {"meta": meta, "records": rows} if meta else rows
-    text = json.dumps(payload, indent=1)
-    if fh is None:
-        return text
-    fh.write(text)
+    fh.write(json.dumps(payload, indent=1))
     fh.write("\n")
-    return None

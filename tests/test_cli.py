@@ -320,6 +320,12 @@ def test_usage_error_paths(tmp_path, capsys, argv, code, message):
     (["oracle-check", "--preset", "4b", "--param", "ep0=0"], "pass --param es0="),
     (["peaks", "--preset", "9b", "--grid", "0:1:2"],
      "grid needs at least 3 points, got 2"),
+    (["spectrum", "--preset", "4b", "--axis", "ep0", "--grid=-1:1:3"],
+     "ep0 grid reaches an invalid point: ep0 must be >= 0, got -1.0"),
+    (["spectrum", "--preset", "4b", "--axis", "g0", "--grid=-1:1:3"],
+     "g0 grid reaches an invalid point: g0 must be >= 0, got -1.0"),
+    (["bistability", "--preset", "2b", "--grid=-1:1:3"],
+     "ep0 grid reaches an invalid point: ep0 must be >= 0, got -1.0"),
 ])
 def test_bad_parameter_values_and_grids_are_usage_errors(tmp_path, capsys, argv,
                                                          message):

@@ -169,15 +169,17 @@ def test_absorption_symmetry_with_and_without_phonons():
 
 
 def test_chi3_requires_pump():
-    p = kerr_point().replace(ep0=0.0, delta0=3.0)
-    b = branch_of(p)
-    with pytest.raises(ZeroPump):
-        chi3_closed_form(p, b)
-    cfg = SweepConfig(base=p, axis=SweepAxis.DELTA0, grid=(3.0,),
-                      observable=Observable.CHI3)
-    [row] = run_sweep(cfg)
-    assert row.flags == {Flag.POLE_SKIPPED}
-    assert np.isnan(row.value_re) and np.isnan(row.value_im)
+    # 3 ep0^2 must be a positive normal float: not 0, subnormal or underflowed
+    for ep0 in (0.0, 1e-160, 1e-200):
+        p = kerr_point().replace(ep0=ep0, delta0=3.0)
+        b = branch_of(p)
+        with pytest.raises(ZeroPump):
+            chi3_closed_form(p, b)
+        cfg = SweepConfig(base=p, axis=SweepAxis.DELTA0, grid=(3.0,),
+                          observable=Observable.CHI3)
+        [row] = run_sweep(cfg)
+        assert row.flags == {Flag.POLE_SKIPPED}
+        assert np.isnan(row.value_re) and np.isnan(row.value_im)
 
 
 def test_kerr_enhancement_needs_lattice_coupling():

@@ -8,7 +8,6 @@ from qdresponse.model import Params, SweepAxis
 from qdresponse.oracle import mean_field_rhs, steady_state_vector
 from qdresponse.records import Flag
 from qdresponse.steady import (
-    InversionPolynomial,
     Stability,
     build_inversion_polynomial,
     cleared_inversion_expression,
@@ -26,8 +25,8 @@ from conftest import bistable_point, detuning_scan_point
 def test_undriven_polynomial_has_ground_state_root():
     p = bistable_point(ep0=0.0)
     poly = build_inversion_polynomial(p)
-    scale = max(abs(c) for c in poly.coefficients())
-    assert abs(poly(-1.0)) < 1e-12 * scale
+    scale = max(abs(c) for c in poly)
+    assert abs(np.polyval(poly, -1.0)) < 1e-12 * scale
 
 
 def test_bistable_window_has_three_distinct_roots():
@@ -47,10 +46,11 @@ def test_interpolated_cubic_matches_direct_evaluation():
                    omega_k0=rng.uniform(5, 100), kappa_c0=rng.uniform(0.5, 2.5),
                    gamma_q0=0.1, ep0=rng.uniform(0.1, 20))
         poly = build_inversion_polynomial(p)
-        scale = max(abs(c) for c in poly.coefficients())
+        scale = max(abs(c) for c in poly)
         for w in rng.uniform(-3.0, 2.0, size=10):
             direct = cleared_inversion_expression(p, w)
-            assert abs(poly(w) - direct) < 1e-12 * scale * max(1.0, abs(w)) ** 3
+            assert abs(np.polyval(poly, w) - direct) \
+                < 1e-12 * scale * max(1.0, abs(w)) ** 3
 
 
 def test_undriven_state_is_unique_ground_branch():
@@ -121,10 +121,10 @@ def test_legacy_transcription_differs_and_breaks_fixed_points():
     from qdresponse.oracle import mean_field_rhs
 
     p = bistable_point(ep0=3.0)
-    default = build_inversion_polynomial(p).coefficients()
-    legacy = build_inversion_polynomial(p, legacy_field_amplitude=True).coefficients()
+    default = build_inversion_polynomial(p)
+    legacy = build_inversion_polynomial(p, legacy_field_amplitude=True)
     assert np.max(np.abs(default - legacy)) > 1e-3 * np.max(np.abs(default))
-    real, _, _ = inversion_roots(p, legacy_field_amplitude=True)
+    real = sorted(r.real for r in np.roots(legacy) if abs(r.imag) < 1e-8)
     sigma0, a0, q0 = steady_fields(p, real[0])
     state = (real[0], sigma0.real, sigma0.imag, a0.real, a0.imag, q0, 0.0)
     assert max(abs(v) for v in mean_field_rhs(p, state)) > 1e-3
@@ -156,8 +156,7 @@ def test_random_points_residual_and_count(dp, dc, g0, eta, wk, kc, ep0):
                kappa_c0=kc, gamma_q0=0.1, ep0=ep0)
     real, resid, _ = inversion_roots(p)
     assert len(real) in (1, 3)
-    poly = build_inversion_polynomial(p)
-    coeffs = poly.coefficients()
+    coeffs = build_inversion_polynomial(p)
     monic = np.abs(coeffs / coeffs[0])
     eps = np.finfo(float).eps
     for w0, r in zip(real, resid):
@@ -165,20 +164,32 @@ def test_random_points_residual_and_count(dp, dc, g0, eta, wk, kc, ep0):
         assert r < max(1e-10, floor)
 
 
-def test_sample_point_on_coefficient_pole_is_resampled():
-    # d1 vanishes exactly at the default sample point w = 1 for this point;
-    # construction must shift samples and still reproduce the cleared
-    # expression
-    p = Params(delta_p0=1.0, delta_c0=1.0, g0=1.0, eta=0.1, omega_k0=10.0,
-               kappa_c0=1.0, gamma_q0=0.1, ep0=2.0)
-    from qdresponse.steady import _denominators
-
-    d1, _ = _denominators(p, 1.0)
-    assert abs(d1) < 1e-12
-    poly = build_inversion_polynomial(p)
-    scale = max(abs(c) for c in poly.coefficients())
-    for w in (-1.7, -0.4, 0.3, 1.9):
-        assert abs(poly(w) - cleared_inversion_expression(p, w)) < 1e-11 * scale
+def test_sample_point_on_coefficient_pole_is_resampled(monkeypatch):
+    # d1 vanishes at the default sample point w = 1 for these points: exactly
+    # for the first, and to the rounding of sqrt(0.5)^2 for the second
+    # (delta_p0 = 2 omega_k0 eta, g0^2 = 1/2); construction must shift the
+    # samples once (one new fit matrix), reproduce the cleared expression and
+    # give fixed points
+    fits = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: fits.append(a) or inv(a))
+    for p in (Params(delta_p0=1.0, delta_c0=1.0, g0=1.0, eta=0.1, omega_k0=10.0,
+                     kappa_c0=1.0, gamma_q0=0.1, ep0=2.0),
+              Params(delta_p0=2.0, delta_c0=0.0, g0=0.5 ** 0.5, eta=0.1,
+                     omega_k0=10.0, kappa_c0=1.0, gamma_q0=0.1, ep0=2.0)):
+        d1, _ = steady._denominators(p, 1.0)
+        assert abs(d1) < 1e-15
+        fits.clear()
+        poly = build_inversion_polynomial(p)
+        assert len(fits) == 1
+        scale = max(abs(c) for c in poly)
+        for w in (-1.7, -0.4, 0.3, 1.9):
+            assert abs(np.polyval(poly, w) - cleared_inversion_expression(p, w)) \
+                < 1e-11 * scale
+        branches = solve_steady_branches(p)
+        assert branches
+        for b in branches:
+            assert _scaled_fixed_point_residual(p, b) <= 1e-12
 
 
 def test_jacobian_matches_numerical_differentiation():
@@ -266,8 +277,7 @@ def test_coherence_amplitudes_are_conjugate_pairs():
 def _polished_roots_per_root(poly):
     """The per-root Newton polish that ``_polished_roots`` does as array
     arithmetic; kept as the bit-for-bit reference."""
-    c = poly.coefficients()
-    cn = c / float(np.max(np.abs(c)))
+    cn = poly / float(np.max(np.abs(poly)))
     k = 0
     while k < 3 and abs(cn[k]) < 1e-12:
         k += 1
@@ -302,7 +312,7 @@ def _random_cubics(rng, n):
     (0.0, 0.0, 2.0, 1.0),
 ])
 def test_array_polish_matches_per_root_loop_on_special_cubics(coeffs):
-    poly = InversionPolynomial(*coeffs)
+    poly = np.array(coeffs)
     (roots, monic), (ref, ref_monic) = steady._polished_roots(poly), \
         _polished_roots_per_root(poly)
     assert roots.dtype == ref.dtype and roots.tobytes() == ref.tobytes()
@@ -313,7 +323,7 @@ def test_array_polish_matches_per_root_loop_bit_for_bit():
     rng = np.random.default_rng(2024)
     kinds = set()
     for c in _random_cubics(rng, 500):
-        poly = InversionPolynomial(*(float(v) for v in c))
+        poly = np.array([float(v) for v in c])
         roots, monic = steady._polished_roots(poly)
         ref, ref_monic = _polished_roots_per_root(poly)
         assert roots.dtype == ref.dtype and roots.tobytes() == ref.tobytes()
@@ -332,10 +342,8 @@ def _outcome(fn, *args):
 
 def test_stacked_roots_match_each_point_bit_for_bit():
     rng = np.random.default_rng(7)
-    polys = [InversionPolynomial(*(float(v) for v in c))
-             for c in _random_cubics(rng, 300)]
-    polys += [InversionPolynomial(0.0, 0.0, 0.0, 0.0),
-              InversionPolynomial(0.0, 0.0, 0.0, 2.0)]
+    polys = [np.array([float(v) for v in c]) for c in _random_cubics(rng, 300)]
+    polys += [np.array([0.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 2.0])]
     rng.shuffle(polys)  # degrees and root dtypes interleaved in one call
     kinds = set()
     for poly, found in zip(polys, steady._polished_root_sets(polys)):
@@ -367,14 +375,15 @@ def test_overflowing_point_raises_at_its_turn_in_a_hysteresis_grid(monkeypatch):
     with pytest.raises(NonFinite) as err:
         hysteresis_sweep(bistable_point(), SweepAxis.EP0, [2.0, 4.0, 1e200, 2e200])
     assert str(err.value) == "the inversion cubic overflows at these parameters"
-    assert solved == [2.0, 4.0]
+    # the failing point raises inside its solve; nothing after it runs
+    assert solved == [2.0, 4.0, 1e200]
 
 
 def test_point_without_roots_is_skipped_in_both_traces(monkeypatch):
     build = steady.build_inversion_polynomial
     monkeypatch.setattr(
         steady, "build_inversion_polynomial",
-        lambda p, *a: InversionPolynomial(0.0, 0.0, 0.0, 1.0) if p.ep0 == 4.0
+        lambda p, *a: np.array([0.0, 0.0, 0.0, 1.0]) if p.ep0 == 4.0
         else build(p, *a))
     result = hysteresis_sweep(bistable_point(), SweepAxis.EP0, [2.0, 4.0, 6.0])
     for trace in (result.up, result.down):

@@ -9,7 +9,7 @@ from qdresponse.errors import InvalidGrid, NonFinite, TooFewPoints
 from qdresponse.model import SweepAxis
 from qdresponse.records import Flag, SpectrumRecord
 from qdresponse.response import Backend
-from qdresponse.steady import InversionPolynomial, hysteresis_sweep
+from qdresponse.steady import hysteresis_sweep
 from qdresponse.sweep import (
     BranchPolicy,
     ExtremumKind,
@@ -171,7 +171,7 @@ def test_point_without_roots_is_pole_skipped(monkeypatch):
     build = steady.build_inversion_polynomial
     monkeypatch.setattr(
         steady, "build_inversion_polynomial",
-        lambda p, *a: InversionPolynomial(0.0, 0.0, 0.0, 1.0) if p.ep0 == 4.0
+        lambda p, *a: np.array([0.0, 0.0, 0.0, 1.0]) if p.ep0 == 4.0
         else build(p, *a))
     cfg = SweepConfig(base=bistable_point(), axis=SweepAxis.EP0,
                       grid=(2.0, 4.0, 6.0), observable=Observable.W0,
@@ -187,12 +187,26 @@ def test_point_without_roots_is_pole_skipped(monkeypatch):
 @pytest.mark.parametrize("observable", [Observable.CHI3, Observable.KERR,
                                         Observable.NONLIN_ABS])
 def test_chi3_rows_at_zero_pump_are_pole_skipped(observable, backend):
-    cfg = SweepConfig(base=kerr_point(), axis=SweepAxis.EP0, grid=(0.0, 0.5, 1.0),
+    # 3 ep0^2 is 0 at 1e-200 and subnormal at 1e-160: chi3 is undefined there
+    cfg = SweepConfig(base=kerr_point(), axis=SweepAxis.EP0,
+                      grid=(0.0, 1e-200, 1e-160, 0.5, 1.0),
                       observable=observable, backend=backend)
-    zero, *pumped = run_sweep(cfg)
-    assert zero.flags == {Flag.POLE_SKIPPED}
-    assert np.isnan(zero.value_re) and np.isnan(zero.value_im)
+    rows = run_sweep(cfg)
+    skipped, pumped = rows[:3], rows[3:]
+    assert len(pumped) == 2
+    for row in skipped:
+        assert row.flags == {Flag.POLE_SKIPPED}
+        assert np.isnan(row.value_re) and np.isnan(row.value_im)
     assert all(not r.flags and np.isfinite(r.value_re) for r in pumped)
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+def test_chi1_is_finite_at_an_underflowing_pump(backend):
+    cfg = SweepConfig(base=kerr_point(), axis=SweepAxis.EP0, grid=(1e-200,),
+                      observable=Observable.CHI1, backend=backend)
+    (row,) = run_sweep(cfg)
+    assert not row.flags
+    assert np.isfinite(row.value_re) and np.isfinite(row.value_im)
 
 
 def test_parabola_vertex_recovered_exactly():
@@ -250,7 +264,9 @@ def test_csv_emission_schema():
 def test_json_emission_schema():
     records = [SpectrumRecord(2.0, 1, -0.25, float("nan"), float("nan"),
                               frozenset({Flag.POLE_SKIPPED}))]
-    payload = json.loads(records_to_json(records))
+    buf = io.StringIO()
+    records_to_json(records, buf)
+    payload = json.loads(buf.getvalue())
     assert payload == [{
         "x": 2.0, "branch_id": 1, "w0": -0.25, "value_re": None,
         "value_im": None, "flags": ["PoleSkipped"],
