@@ -369,12 +369,17 @@ def inversion_roots(p: Params) -> tuple[list[float], list[float], list[complex]]
 
 
 def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
-    """(x, params, ``inversion_root_sets`` entry) for each point of ``xs``
-    (a checked grid) along ``axis`` from ``p``.
+    """(x, params, entry) for each point of ``xs`` (a checked grid) along
+    ``axis`` from ``p``: the entry is the point's (real, resid, cplx,
+    branches), its roots as ``inversion_roots`` gives them and its branches
+    as ``solve_steady_branches`` gives them, or the error the point raises.
 
-    The grid's two ends must pass ``validate_params``; every parameter rule
-    is a bound, so the points between them do too.  A point that does not
-    raises ``InvalidGrid`` naming the axis.
+    Each point's roots and branches are computed once, in one stacked step
+    per stage over the whole grid (``inversion_root_sets``,
+    ``_branch_sets``); callers share the entries.  The grid's two ends must
+    pass ``validate_params``; every parameter rule is a bound, so the points
+    between them do too.  A point that does not raises ``InvalidGrid``
+    naming the axis.
     """
     ps = [apply_axis(p, axis, x) for x in xs]
     for end in (ps[0], ps[-1]):
@@ -383,7 +388,7 @@ def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
         except QdResponseError as exc:
             raise InvalidGrid(f"{axis.value} grid reaches an invalid point: "
                               f"{exc}") from None
-    return list(zip(xs, ps, inversion_root_sets(ps)))
+    return list(zip(xs, ps, _branch_sets(ps, inversion_root_sets(ps))))
 
 
 # -- branch assembly ---------------------------------------------------------
@@ -444,14 +449,22 @@ def mean_field_jacobian(p: Params, w0: float) -> np.ndarray:
     ])
 
 
+def _stability_labels(jacobians) -> list[Stability]:
+    """The label of each Jacobian of a stack from the real parts of its
+    eigenvalues, in one ``eigvals``; a non-finite one raises ``LinAlgError``.
+
+    ``eigvals`` of a stack gives each matrix the real parts it gets alone,
+    so a label does not depend on the rest of the stack.
+    """
+    tops = np.linalg.eigvals(jacobians).real.max(axis=-1)
+    return [Stability.STABLE if top < -STABILITY_TOL
+            else Stability.UNSTABLE if top > STABILITY_TOL
+            else Stability.MARGINAL for top in tops.tolist()]
+
+
 def classify_stability(jacobian: np.ndarray) -> Stability:
     """The label of a branch from the real parts of its Jacobian's eigenvalues."""
-    top = float(np.max(np.linalg.eigvals(jacobian).real))
-    if top < -STABILITY_TOL:
-        return Stability.STABLE
-    if top > STABILITY_TOL:
-        return Stability.UNSTABLE
-    return Stability.MARGINAL
+    return _stability_labels([jacobian])[0]
 
 
 def _frobenius_sq(a: np.ndarray) -> float:
@@ -488,34 +501,74 @@ def certify_detuning(branch: SteadyBranch) -> SteadyBranch:
                    - math.sqrt(_frobenius_sq(branch.sideband_generator)))
 
 
+def _branch_sets(ps, root_sets) -> list:
+    """Each ``inversion_root_sets`` entry of ``ps`` with the point's branches
+    appended, (real, resid, cplx, branches), or the error the point raises.
+
+    Every real root that passes the fixed-point check gets one
+    ``mean_field_jacobian``, and the kept roots of all points are labelled
+    in one stacked ``_stability_labels``.  Errors stay with their point, to
+    be raised at its turn: an ``ArithmeticError`` in a point's fields or
+    Jacobians is its ``NonFinite``, and a stack that holds a non-finite
+    Jacobian is labelled matrix by matrix, each failing point keeping its
+    own ``LinAlgError``.
+    """
+    out = list(root_sets)
+    kept = []  # (point index, w0, residual, sigma0, a0, q0, jacobian) per root
+    for i, (p, found) in enumerate(zip(ps, root_sets)):
+        if isinstance(found, Exception):
+            continue
+        rows = []
+        try:
+            for w0, res in zip(found[0], found[1]):
+                sigma0, a0, q0 = steady_fields(p, w0)
+                if _steady_rhs_scaled(p, w0, sigma0, a0, q0) > 1e-6:
+                    continue
+                rows.append((i, w0, res, sigma0, a0, q0,
+                             mean_field_jacobian(p, w0)))
+        except ArithmeticError:
+            out[i] = NonFinite("a steady branch overflows at these parameters")
+            continue
+        kept += rows
+    try:
+        labels = _stability_labels([row[-1] for row in kept]) if kept else []
+    except np.linalg.LinAlgError:
+        labels = []
+        for row in kept:
+            try:
+                labels += _stability_labels([row[-1]])
+            except np.linalg.LinAlgError as exc:
+                labels.append(None)
+                out[row[0]] = exc
+    branches = [[] for _ in ps]
+    for (i, w0, res, sigma0, a0, q0, jacobian), label in zip(kept, labels):
+        branches[i].append(SteadyBranch(
+            w0=w0, a0=a0, sigma0=sigma0, q0=q0, residual=res, stability=label,
+            physical=_PHYSICAL_LO <= w0 <= _PHYSICAL_HI, jacobian=jacobian))
+    for i, found in enumerate(out):
+        if not isinstance(found, Exception):
+            out[i] = (*found, branches[i]) if branches[i] else NoRealRoot(
+                "all real roots rejected as pole-cancellation artifacts")
+    return out
+
+
 def solve_steady_branches(p: Params, *, roots=None) -> list[SteadyBranch]:
     """All steady-state branches, sorted by w0 ascending.
 
-    ``roots`` is the point's ``inversion_root_sets`` entry when the caller
-    already holds it, raised here if it is an error; ``inversion_roots(p)``
-    is computed otherwise.
+    ``roots`` is the point's ``grid_roots`` entry when the caller holds one:
+    its branch list is returned as it is, shared by every caller of the
+    entry, or its error raised.  Otherwise the roots are
+    ``inversion_roots(p)`` and the branches come from the grid's kernel
+    (``_branch_sets``) run on this one point.
 
     Complex cubic roots are discarded; real roots that are pole-cancellation
     artifacts of denominator clearing (possible only at degenerate corners
     such as zero pump) are filtered by checking the mean-field fixed-point
     residual.  Roots outside [-1, 0] are returned but marked non-physical.
     """
-    real, resid, _ = inversion_roots(p) if roots is None else _or_raise(roots)
-    branches = []
-    for w0, res in zip(real, resid):
-        sigma0, a0, q0 = steady_fields(p, w0)
-        if _steady_rhs_scaled(p, w0, sigma0, a0, q0) > 1e-6:
-            continue
-        jacobian = mean_field_jacobian(p, w0)
-        branches.append(SteadyBranch(
-            w0=w0, a0=a0, sigma0=sigma0, q0=q0, residual=res,
-            stability=classify_stability(jacobian),
-            physical=_PHYSICAL_LO <= w0 <= _PHYSICAL_HI,
-            jacobian=jacobian,
-        ))
-    if not branches:
-        raise NoRealRoot("all real roots rejected as pole-cancellation artifacts")
-    return branches
+    if roots is None:
+        roots = _branch_sets([p], [inversion_roots(p)])[0]
+    return _or_raise(roots)[3]
 
 
 # -- hysteresis --------------------------------------------------------------
@@ -531,8 +584,7 @@ class HysteresisResult:
 
 
 def _continuation(points, start_high: bool):
-    """One trace over ``points``, (x, params, ``inversion_root_sets`` entry)
-    triples in sweep order."""
+    """One trace over ``points``, ``grid_roots`` triples in sweep order."""
     prev_w = None
     turning = None
     rows = []
@@ -546,7 +598,7 @@ def _continuation(points, start_high: bool):
             rows.append(SpectrumRecord(x, -1, float("nan"), float("nan"),
                                        0.0, frozenset({Flag.POLE_SKIPPED})))
             continue
-        real, _, cplx = found
+        real, _, cplx, _ = found
         if prev_w is None:
             sel = max(stable, key=lambda b: b.w0) if start_high else \
                 min(stable, key=lambda b: b.w0)
@@ -582,10 +634,9 @@ def hysteresis_sweep(p: Params, axis: SweepAxis, grid) -> HysteresisResult:
     just before one) the trace jumps to the nearest remaining stable branch
     and the grid point is recorded as a turning point.
 
-    The roots are extracted once per grid point (``grid_roots``) and both
-    traces share them; each trace still solves its branches at every point.
-    A point whose roots raise a typed error other than ``NoRealRoot`` raises
-    it at its turn in the up trace.
+    Each grid point's roots and branches are computed once (``grid_roots``)
+    and both traces share them.  A point that raises a typed error other
+    than ``NoRealRoot`` raises it at its turn in the up trace.
     """
     if axis not in (SweepAxis.EP0, SweepAxis.DELTA_P0):
         raise InvalidGrid(f"hysteresis axis must be ep0 or delta_p0, got {axis}")

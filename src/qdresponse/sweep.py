@@ -110,10 +110,9 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
     continuation policy is not a sweep: ``steady.hysteresis_sweep`` runs it.
 
     On a detuning axis the base point's branches serve every grid point.  On
-    any other axis the roots are extracted once per grid point
-    (``steady.grid_roots``) and the branches are solved per point; a point
-    whose roots raise a typed error other than ``NoRealRoot`` raises it at
-    its turn.
+    any other axis each grid point's roots and branches come from one
+    ``steady.grid_roots`` call over the grid; a point that raises a typed
+    error other than ``NoRealRoot`` raises it at its turn.
     """
     validate_params(cfg.base)
     xs = checked_grid(cfg.grid, minimum=1, ascending=False)

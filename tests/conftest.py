@@ -1,4 +1,8 @@
-"""Shared parameter points used across the test modules."""
+"""Shared parameter points and faults used across the test modules."""
+import numpy as np
+
+from qdresponse import steady
+from qdresponse.errors import NonFinite
 from qdresponse.model import Params
 
 
@@ -37,3 +41,30 @@ def kerr_peaks_point(omega_k0=10.0) -> Params:
     """Kerr-peak scenario with both drives on the exciton line."""
     return Params(delta_p0=0.0, delta_c0=0.0, g0=1.5, eta=0.06,
                   omega_k0=omega_k0, kappa_c0=1.35, gamma_q0=0.1, ep0=0.54)
+
+
+def phonon_pole_jacobian(gamma):
+    """A Jacobian whose phonon mode has damping ``gamma``: eigenvalues
+    -gamma/2 +- 2i, a pole on (gamma = 0) or next to the imaginary axis."""
+    jac = np.diag([-1.0, -1.0, -1.0, -1.0, -1.0, 0.0, -gamma])
+    jac[5, 6], jac[6, 5] = 1.0, -4.0
+    return jac
+
+
+def faulty_jacobian(monkeypatch, fault, at):
+    """Patch ``steady.mean_field_jacobian`` to overflow (``fault`` is
+    "overflow") or to go non-finite at the points whose ep0 is ``at``;
+    returns the type and message the point should raise."""
+    jacobian = steady.mean_field_jacobian
+
+    def faulty(p, w0):
+        if p.ep0 != at:
+            return jacobian(p, w0)
+        if fault == "overflow":  # omega_k0 ** 3 overflows
+            return jacobian(p.replace(omega_k0=1e110), w0)
+        return np.full((7, 7), np.nan)
+
+    monkeypatch.setattr(steady, "mean_field_jacobian", faulty)
+    if fault == "overflow":
+        return NonFinite, "a steady branch overflows at these parameters"
+    return np.linalg.LinAlgError, "Array must not contain infs or NaNs"

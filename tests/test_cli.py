@@ -221,11 +221,16 @@ def test_oracle_check_of_a_decoupled_dot_judges_the_cavity_sideband(tmp_path, ca
     ["steady", "--preset", "2b", "--param", "ep0=1e200"],
     ["steady", "--preset", "2b", "--param", "g0=1e160"],
     ["spectrum", "--preset", "4b", "--param", "ep0=1e200"],
+    # omega_k0 ** 3 overflows in the branch stage, not in the cubic
+    ["steady", "--preset", "2b", "--param", "omega_k0=1e110"],
+    ["spectrum", "--preset", "4b", "--param", "omega_k0=1e110", "--grid", "0:1:3"],
+    ["bistability", "--preset", "2b", "--param", "omega_k0=1e110", "--grid", "1:2:3"],
 ])
 def test_overflowing_parameters_are_numerical_errors(tmp_path, capsys, argv):
     assert run(argv, tmp_path) == 2
-    err = capsys.readouterr().err
-    assert err == "numerical error: the inversion cubic overflows at these parameters\n"
+    cause = "a steady branch" if "omega_k0=1e110" in argv else "the inversion cubic"
+    assert capsys.readouterr().err \
+        == f"numerical error: {cause} overflows at these parameters\n"
 
 
 @pytest.mark.parametrize("preset, message", [

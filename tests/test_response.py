@@ -35,6 +35,7 @@ from conftest import (
     bistable_point,
     kerr_peaks_point,
     kerr_point,
+    phonon_pole_jacobian,
     transmission_point_params,
 )
 
@@ -356,10 +357,8 @@ def test_certificate_holds_on_random_branches_far_outside_the_presets():
 
 
 def phonon_pole_branch(gamma):
-    """A branch whose phonon mode has damping ``gamma``: J has eigenvalues
-    -gamma/2 +- 2i, a pole on (gamma = 0) or next to the imaginary axis."""
-    jac = np.diag([-1.0, -1.0, -1.0, -1.0, -1.0, 0.0, -gamma])
-    jac[5, 6], jac[6, 5] = 1.0, -4.0
+    """A branch on ``phonon_pole_jacobian(gamma)``."""
+    jac = phonon_pole_jacobian(gamma)
     return certify_detuning(SteadyBranch(
         w0=-1.0, a0=0j, sigma0=0j, q0=0.0, residual=0.0,
         stability=classify_stability(jac), physical=True, jacobian=jac))

@@ -19,7 +19,12 @@ from qdresponse.steady import (
     steady_fields,
 )
 
-from conftest import bistable_point, detuning_scan_point
+from conftest import (
+    bistable_point,
+    detuning_scan_point,
+    faulty_jacobian,
+    phonon_pole_jacobian,
+)
 
 
 def test_undriven_polynomial_has_ground_state_root():
@@ -393,8 +398,13 @@ def test_point_without_roots_is_skipped_in_both_traces(monkeypatch):
 
 
 def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
-    # both traces share one cubic per grid point; each solves its branches
-    calls = {"build_inversion_polynomial": 0, "solve_steady_branches": 0}
+    # both traces share one cubic and one branch list per grid point; each
+    # trace still asks for its branches at every point
+    preset = presets.get_preset("2b")
+    kept = sum(len(found[3]) for _, _, found in
+               steady.grid_roots(preset.params, preset.axis, preset.grid))
+    calls = {"build_inversion_polynomial": 0, "mean_field_jacobian": 0,
+             "solve_steady_branches": 0}
     for name in calls:
         original = getattr(steady, name)
 
@@ -403,11 +413,83 @@ def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(steady, name, counted)
-    preset = presets.get_preset("2b")
     result = hysteresis_sweep(preset.params, preset.axis, preset.grid)
     n = len(preset.grid)
     assert len(result.up) == len(result.down) == n
-    assert calls == {"build_inversion_polynomial": n, "solve_steady_branches": 2 * n}
+    assert kept > n
+    assert calls == {"build_inversion_polynomial": n, "mean_field_jacobian": kept,
+                     "solve_steady_branches": 2 * n}
+
+
+def _label_alone(jacobian):
+    """The stability label from one matrix's own ``eigvals``."""
+    top = float(np.max(np.linalg.eigvals(jacobian).real))
+    if top < -steady.STABILITY_TOL:
+        return Stability.STABLE
+    if top > steady.STABILITY_TOL:
+        return Stability.UNSTABLE
+    return Stability.MARGINAL
+
+
+def _preset_grid_points():
+    """Every point of every inversion preset member's grid."""
+    for fid in ("2a", "2b", "3a", "3b"):
+        preset = presets.get_preset(fid)
+        for _, params in preset.members():
+            yield preset, params
+
+
+def test_stacked_labels_match_each_matrix_bit_for_bit():
+    jacobians = [phonon_pole_jacobian(g) for g in (0.0, 1e-13)]
+    for preset, params in _preset_grid_points():
+        for _, _, found in steady.grid_roots(params, preset.axis, preset.grid):
+            if not isinstance(found, Exception):
+                jacobians += [b.jacobian for b in found[3]]
+    for p in _wide_box_points(np.random.default_rng(5), 400):
+        jacobians += [b.jacobian for b in solve_steady_branches(p)]
+    np.random.default_rng(6).shuffle(jacobians)
+    stack = np.array(jacobians)
+    tops = np.linalg.eigvals(stack).real.max(axis=-1)
+    alone = np.array([np.max(np.linalg.eigvals(j).real) for j in jacobians])
+    assert tops.tobytes() == alone.tobytes()
+    labels = steady._stability_labels(stack)
+    assert labels == [_label_alone(j) for j in jacobians]
+    assert labels == [steady.classify_stability(j) for j in jacobians]
+    assert set(labels) == set(Stability)
+
+
+def test_grid_branches_match_per_point_branches():
+    checked = 0
+    for preset, params in _preset_grid_points():
+        for _, p, found in steady.grid_roots(params, preset.axis, preset.grid):
+            alone = _outcome(lambda: (*inversion_roots(p), solve_steady_branches(p)))
+            if isinstance(found, Exception):
+                assert alone == (type(found), str(found))
+                continue
+            assert repr(found) == repr(alone)
+            for b, ref in zip(found[3], alone[3]):
+                assert b.jacobian.tobytes() == ref.jacobian.tobytes()
+            checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("fault", ["overflow", "non_finite"])
+def test_failing_branch_raises_at_its_turn_in_a_hysteresis_grid(monkeypatch, fault):
+    grid = [2.0, 4.0, 6.0, 8.0]
+    clean = steady.grid_roots(bistable_point(), SweepAxis.EP0, grid)
+    error, message = faulty_jacobian(monkeypatch, fault, at=6.0)
+    faulty = steady.grid_roots(bistable_point(), SweepAxis.EP0, grid)
+    # the other points keep their branches and labels
+    assert [repr(e) for x, _, e in faulty if x != 6.0] \
+        == [repr(e) for x, _, e in clean if x != 6.0]
+    solved = []
+    solve = steady.solve_steady_branches
+    monkeypatch.setattr(steady, "solve_steady_branches",
+                        lambda p, **kw: solved.append(p.ep0) or solve(p, **kw))
+    with pytest.raises(error) as err:
+        hysteresis_sweep(bistable_point(), SweepAxis.EP0, grid)
+    assert str(err.value) == message
+    assert solved == [2.0, 4.0, 6.0]
 
 
 def _scaled_fixed_point_residual(p, branch):

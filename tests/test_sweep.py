@@ -24,6 +24,7 @@ from qdresponse.sweep import (
 from conftest import (
     bistable_point,
     detuning_scan_point,
+    faulty_jacobian,
     kerr_point,
     transmission_point_params,
 )
@@ -165,6 +166,21 @@ def test_overflowing_point_raises_at_its_turn_in_a_sweep(monkeypatch):
     assert str(err.value) == "the inversion cubic overflows at these parameters"
     # the points before it are solved, none after it
     assert [x for x in solved if x != 1e200] == [2.0, 4.0]
+
+
+@pytest.mark.parametrize("fault", ["overflow", "non_finite"])
+def test_failing_branch_raises_at_its_turn_in_a_sweep(monkeypatch, fault):
+    error, message = faulty_jacobian(monkeypatch, fault, at=6.0)
+    solved = []
+    solve = sweep.solve_steady_branches
+    monkeypatch.setattr(sweep, "solve_steady_branches",
+                        lambda p, **kw: solved.append(p.ep0) or solve(p, **kw))
+    cfg = SweepConfig(base=bistable_point(), axis=SweepAxis.EP0,
+                      grid=(2.0, 4.0, 6.0, 8.0), observable=Observable.W0)
+    with pytest.raises(error) as err:
+        run_sweep(cfg)
+    assert str(err.value) == message
+    assert solved == [2.0, 4.0, 6.0]
 
 
 def test_point_without_roots_is_pole_skipped(monkeypatch):
