@@ -47,10 +47,6 @@ class InvalidGrid(QdResponseError):
 
 # -- sideband response -----------------------------------------------------
 
-class UnstableBranch(QdResponseError):
-    """Sideband response requested about an unstable branch without override."""
-
-
 class SingularSystem(QdResponseError):
     """Sideband linear system is singular; parameters sit on a resonance pole."""
 

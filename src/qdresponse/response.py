@@ -22,20 +22,21 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import resources
 
 import numpy as np
 
-from .errors import PoleHit, SingularSystem, UnstableBranch, ZeroPump
+from .errors import PoleHit, SingularSystem, ZeroPump
 from .model import Params
-from .steady import SINGULAR_RCOND, Stability, SteadyBranch, coherence_amplitudes
+from .steady import SteadyBranch, coherence_amplitudes
 
 __all__ = [
     "Backend",
     "SidebandAmplitudes",
     "ResponsePoint",
+    "certify_detuning",
     "solve_sidebands",
     "chi1_closed_form",
     "chi3_closed_form",
@@ -46,6 +47,12 @@ __all__ = [
 
 _POLE_TOL = 1e-14
 _EYE = np.eye(7)
+#: rcond below which the sideband system counts as singular
+#: (``SingularSystem``).
+SINGULAR_RCOND = 1e-14
+#: rcond that ``certify_detuning`` certifies; the factor 100
+#: covers the rounding of the computed eigenpairs and of the SVD.
+_CERTIFIED_RCOND = 100.0 * SINGULAR_RCOND
 
 
 class Backend(Enum):
@@ -81,11 +88,37 @@ class ResponsePoint:
     T2: float
 
 
-def _require_stable(branch: SteadyBranch, allow_unstable: bool):
-    if branch.stability is not Stability.STABLE and not allow_unstable:
-        raise UnstableBranch(
-            f"branch w0={branch.w0:.6f} is {branch.stability.value}; "
-            "pass allow_unstable=True to override")
+def _frobenius_sq(a: np.ndarray) -> float:
+    """Squared Frobenius norm as a Python float; an overflow gives inf or
+    nan, never a warning."""
+    return float(np.vdot(a, a).real)
+
+
+def certify_detuning(branch: SteadyBranch) -> SteadyBranch:
+    """The branch with ``safe_detuning`` set from one eigendecomposition of
+    its ``sideband_generator`` K.
+
+    With K = V diag(lam) V^-1, sigma_min(-K - i delta I) >= min |Re lam| /
+    cond_F(V) and sigma_max <= ||K||_F + |delta|.  So for |delta| up to
+    ``min |Re lam| / (_CERTIFIED_RCOND cond_F(V)) - ||K||_F`` the rcond of
+    the system is at least ``_CERTIFIED_RCOND``, a hundred times
+    ``SINGULAR_RCOND``.  The bound is negative where an eigenvalue sits on
+    or near the imaginary axis (marginal branches, branches next to a fold
+    or Hopf point); a singular V leaves the branch uncertified.  It costs
+    about two SVDs, so it pays only on a branch that serves many detunings.
+    """
+    K = branch.sideband_generator
+    lam, V = np.linalg.eig(K)
+    try:
+        V_inv = np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        return branch
+    cond = math.sqrt(_frobenius_sq(V) * _frobenius_sq(V_inv))
+    if not math.isfinite(cond):
+        return branch
+    gap = min(map(abs, lam.real.tolist()))
+    return replace(branch, safe_detuning=gap / (_CERTIFIED_RCOND * cond)
+                   - math.sqrt(_frobenius_sq(K)))
 
 
 def _solve_unit(p: Params, branch: SteadyBranch) -> np.ndarray:
@@ -94,7 +127,7 @@ def _solve_unit(p: Params, branch: SteadyBranch) -> np.ndarray:
 
     ``SingularSystem`` is raised where the system's rcond is below
     ``SINGULAR_RCOND``.  Within ``branch.safe_detuning`` (see
-    ``steady.certify_detuning``) the branch's eigendecomposition proves that
+    ``certify_detuning``) the branch's eigendecomposition proves that
     it is not, and the SVD is skipped; the error therefore fires at the same
     detunings as an SVD at every point.
     """
@@ -108,14 +141,12 @@ def _solve_unit(p: Params, branch: SteadyBranch) -> np.ndarray:
     return np.linalg.solve(M, _EYE[0])
 
 
-def solve_sidebands(p: Params, branch: SteadyBranch,
-                    allow_unstable: bool = False) -> SidebandAmplitudes:
+def solve_sidebands(p: Params, branch: SteadyBranch) -> SidebandAmplitudes:
     """Sideband amplitudes for signal amplitude ``p.es0``.
 
     The system is solved once per unit signal and scaled, so the amplitudes
     are exactly linear in the signal amplitude.
     """
-    _require_stable(branch, allow_unstable)
     x = _solve_unit(p, branch) * p.es0
     return SidebandAmplitudes(
         a_plus=complex(x[0]),
@@ -146,8 +177,8 @@ def _common_scale(p: Params) -> float:
         p.kappa_c0 + p.g0 ** 2 + 2.0 * p.omega_k0 * p.eta
 
 
-def chi1_closed_form(p: Params, branch: SteadyBranch, corrected: bool = True,
-                     allow_unstable: bool = False) -> complex:
+def chi1_closed_form(p: Params, branch: SteadyBranch,
+                     corrected: bool = True) -> complex:
     """Closed-form linear susceptibility at the branch.
 
     ``corrected=False`` evaluates the legacy transcription verbatim: the two
@@ -155,7 +186,6 @@ def chi1_closed_form(p: Params, branch: SteadyBranch, corrected: bool = True,
     legacy cavity-field amplitudes are used (ledger entries
     ``chi1-bracket-imaginary-signs`` and ``steady-field-amplitude``).
     """
-    _require_stable(branch, allow_unstable)
     w0 = branch.w0
     g0, d0, eta, wk = p.g0, p.delta0, p.eta, p.omega_k0
     scale = _common_scale(p)
@@ -189,15 +219,14 @@ def chi1_closed_form(p: Params, branch: SteadyBranch, corrected: bool = True,
         / (phi1 * A1**2 * M1**2) + 2.0 * g0 * w0 / (A1 * M1)
 
 
-def chi3_closed_form(p: Params, branch: SteadyBranch, corrected: bool = True,
-                     allow_unstable: bool = False) -> complex:
+def chi3_closed_form(p: Params, branch: SteadyBranch,
+                     corrected: bool = True) -> complex:
     """Closed-form nonlinear susceptibility at the branch.
 
     ``corrected=False`` keeps the legacy denominator (one extra factor of the
     pulsation resonance) and omits the pump normalization (ledger entry
     ``chi3-normalization``).
     """
-    _require_stable(branch, allow_unstable)
     if not _has_chi3(p):
         raise ZeroPump("chi3 is normalized by 3 ep0^2, which is not a "
                        "positive normal float here")
@@ -235,8 +264,7 @@ def chi3_closed_form(p: Params, branch: SteadyBranch, corrected: bool = True,
 # -- transmission ------------------------------------------------------------
 
 def transmission_point(p: Params, branch: SteadyBranch,
-                       backend: Backend = Backend.LINEAR_SOLVE,
-                       allow_unstable: bool = False) -> ResponsePoint:
+                       backend: Backend = Backend.LINEAR_SOLVE) -> ResponsePoint:
     """chi1, chi3, signal output amplitude and transmission at one detuning.
 
     All quantities are per unit signal amplitude.  The real part of the output
@@ -244,7 +272,6 @@ def transmission_point(p: Params, branch: SteadyBranch,
     chi3 is normalized by 3 ep0^2, so it is NaN where that is not a positive
     normal float: at zero pump and at a pump whose square underflows.
     """
-    _require_stable(branch, allow_unstable)
     has_chi3 = _has_chi3(p)
     if backend is Backend.LINEAR_SOLVE:
         x = _solve_unit(p, branch)
@@ -253,9 +280,8 @@ def transmission_point(p: Params, branch: SteadyBranch,
             else complex("nan")
         a_plus = complex(x[0])
     else:
-        chi1 = chi1_closed_form(p, branch, allow_unstable=allow_unstable)
-        chi3 = chi3_closed_form(p, branch, allow_unstable=allow_unstable) \
-            if has_chi3 else complex("nan")
+        chi1 = chi1_closed_form(p, branch)
+        chi3 = chi3_closed_form(p, branch) if has_chi3 else complex("nan")
         A1 = 1j * p.delta_c0 + p.kappa_c0 - 1j * p.delta0
         a_plus = (1.0 - 1j * p.g0 * chi1) / A1
     root = math.sqrt(2.0 * p.kappa_c0)

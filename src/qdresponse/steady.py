@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -49,7 +49,6 @@ __all__ = [
     "solve_steady_branches",
     "mean_field_jacobian",
     "classify_stability",
-    "certify_detuning",
     "hysteresis_sweep",
 ]
 
@@ -61,12 +60,6 @@ STABILITY_TOL = 1e-9
 #: evaluation noise floor where that is larger (see ``inversion_roots``).
 RESIDUAL_BOUND = 1e-10
 _EPS = np.finfo(float).eps
-#: rcond below which the sideband system counts as singular
-#: (``response.SingularSystem``).
-SINGULAR_RCOND = 1e-14
-#: rcond that ``certify_detuning`` certifies; the factor 100
-#: covers the rounding of the computed eigenpairs and of the SVD.
-_CERTIFIED_RCOND = 100.0 * SINGULAR_RCOND
 
 _PHYSICAL_LO = -1.0
 _PHYSICAL_HI = 0.0
@@ -92,8 +85,8 @@ class SteadyBranch:
 
     ``jacobian`` is ``mean_field_jacobian(p, w0)`` at the solving parameters:
     the one linearization behind both the stability label and the sideband
-    response.  ``safe_detuning`` is set by ``certify_detuning``; for
-    |delta0| up to it the sideband system is certified well conditioned
+    response.  ``safe_detuning`` is set by ``response.certify_detuning``;
+    for |delta0| up to it the sideband system is certified well conditioned
     (``-inf``, no certificate, until then).  Neither takes part in ``==``,
     ``hash`` or ``repr``.
     """
@@ -336,15 +329,18 @@ def inversion_root_sets(ps) -> list:
     polished in one stacked step per degree (``_polished_root_sets``).  An
     entry that is an exception is what ``inversion_roots`` raises at that
     point: the caller raises it at that point's turn, so a grid fails where
-    and how a per-point loop would.
+    and how a per-point loop would.  An ``ArithmeticError`` in a point's
+    cubic is its ``NonFinite``.
     """
     out = [None] * len(ps)
     at, polys = [], []
     for i, p in enumerate(ps):
         try:
             polys.append(build_inversion_polynomial(p))
-        except (QdResponseError, ArithmeticError) as exc:  # raised at its turn
+        except QdResponseError as exc:  # raised at its turn
             out[i] = exc
+        except ArithmeticError:
+            out[i] = NonFinite("the inversion cubic overflows at these parameters")
         else:
             at.append(i)
     for i, found in zip(at, _polished_root_sets(polys)):
@@ -465,40 +461,6 @@ def _stability_labels(jacobians) -> list[Stability]:
 def classify_stability(jacobian: np.ndarray) -> Stability:
     """The label of a branch from the real parts of its Jacobian's eigenvalues."""
     return _stability_labels([jacobian])[0]
-
-
-def _frobenius_sq(a: np.ndarray) -> float:
-    """Squared Frobenius norm as a Python float; an overflow gives inf or
-    nan, never a warning."""
-    return float(np.vdot(a, a).real)
-
-
-def certify_detuning(branch: SteadyBranch) -> SteadyBranch:
-    """The branch with ``safe_detuning`` set from one eigendecomposition of
-    its Jacobian.
-
-    With K = V diag(lam) V^-1 (V = T V_J, the eigenvectors in complex
-    amplitudes), sigma_min(-K - i delta I) >= min |Re lam| / cond_F(V) and
-    sigma_max <= ||K||_F + |delta|.  So for |delta| up to
-    ``min |Re lam| / (_CERTIFIED_RCOND cond_F(V)) - ||K||_F`` the rcond of
-    the system is at least ``_CERTIFIED_RCOND``, a hundred times
-    ``SINGULAR_RCOND``.  The bound is negative where an eigenvalue sits on
-    or near the imaginary axis (marginal branches, branches next to a fold
-    or Hopf point); a singular V leaves the branch uncertified.  It costs
-    about two SVDs, so it pays only on a branch that serves many detunings.
-    """
-    lam, vecs = np.linalg.eig(branch.jacobian)
-    V = _TO_COMPLEX @ vecs
-    try:
-        V_inv = np.linalg.inv(V)
-    except np.linalg.LinAlgError:
-        return branch
-    cond = math.sqrt(_frobenius_sq(V) * _frobenius_sq(V_inv))
-    if not math.isfinite(cond):
-        return branch
-    gap = min(map(abs, lam.real.tolist()))
-    return replace(branch, safe_detuning=gap / (_CERTIFIED_RCOND * cond)
-                   - math.sqrt(_frobenius_sq(branch.sideband_generator)))
 
 
 def _branch_sets(ps, root_sets) -> list:

@@ -8,8 +8,8 @@ from enum import Enum
 from .errors import InvalidGrid, NoRealRoot, PoleHit, SingularSystem, TooFewPoints, ZeroPump
 from .model import Params, SweepAxis, apply_axis, checked_grid, validate_params
 from .records import Flag, SpectrumRecord
-from .response import Backend, transmission_point
-from .steady import Stability, certify_detuning, grid_roots, solve_steady_branches
+from .response import Backend, certify_detuning, transmission_point
+from .steady import Stability, grid_roots, solve_steady_branches
 
 __all__ = [
     "Observable",
@@ -57,8 +57,7 @@ class SweepConfig:
 
 
 def _observable_value(cfg: SweepConfig, p: Params, branch) -> tuple[float, float]:
-    point = transmission_point(p, branch, cfg.backend,
-                               allow_unstable=True)
+    point = transmission_point(p, branch, cfg.backend)
     obs = cfg.observable
     if obs is Observable.CHI1:
         return point.chi1.real, point.chi1.imag

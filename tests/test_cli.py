@@ -225,12 +225,32 @@ def test_oracle_check_of_a_decoupled_dot_judges_the_cavity_sideband(tmp_path, ca
     ["steady", "--preset", "2b", "--param", "omega_k0=1e110"],
     ["spectrum", "--preset", "4b", "--param", "omega_k0=1e110", "--grid", "0:1:3"],
     ["bistability", "--preset", "2b", "--param", "omega_k0=1e110", "--grid", "1:2:3"],
+    # |d1| overflows while the cubic's sample points are placed
+    ["steady", "--preset", "2b", "--param", "eta=3e305"],
+    ["bistability", "--preset", "2b", "--param", "eta=3e305", "--grid", "1:2:3"],
+    ["spectrum", "--preset", "2b", "--param", "eta=3e305", "--grid", "1:2:3"],
 ])
 def test_overflowing_parameters_are_numerical_errors(tmp_path, capsys, argv):
     assert run(argv, tmp_path) == 2
     cause = "a steady branch" if "omega_k0=1e110" in argv else "the inversion cubic"
     assert capsys.readouterr().err \
         == f"numerical error: {cause} overflows at these parameters\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kerr", "--preset", "9b", "--param", "ep0=0", "--grid", "0:1:3"],
+     "every grid point failed (pole or no steady branch)"),
+    (["peaks", "--preset", "9b", "--observable", "kerr", "--param", "ep0=0",
+      "--grid", "0:1:3"], "every grid point failed"),
+    (["figure", "9a", "--param", "ep0=0"], "every grid point failed for preset"),
+    # above the Hopf point near ep0 = 20.9 no branch of 2b is stable
+    (["oracle-check", "--preset", "2b", "--param", "ep0=25", "--param", "es0=0.01"],
+     "no stable branch at this point"),
+])
+def test_commands_without_a_result_exit_2(tmp_path, capsys, argv, message):
+    assert run(argv, tmp_path) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("preset, message", [

@@ -5,13 +5,14 @@ from qdresponse.errors import (
     PoleHit,
     QdResponseError,
     SingularSystem,
-    UnstableBranch,
     ZeroPump,
 )
 from qdresponse.model import Params, SweepAxis, apply_axis, delta_from_signal_detuning
 from qdresponse.presets import figure_ids, get_preset
 from qdresponse.response import (
+    SINGULAR_RCOND,
     Backend,
+    certify_detuning,
     chi1_closed_form,
     chi3_closed_form,
     load_formula_ledger,
@@ -21,10 +22,8 @@ from qdresponse.response import (
 )
 from qdresponse.records import Flag
 from qdresponse.steady import (
-    SINGULAR_RCOND,
     Stability,
     SteadyBranch,
-    certify_detuning,
     classify_stability,
     solve_steady_branches,
 )
@@ -95,13 +94,11 @@ def test_no_phonon_feature_without_lattice_coupling():
             0.1 * _feature_amplitude(grid, coupled, x0)
 
 
-def test_unstable_branch_requires_override():
+def test_unstable_branch_has_a_finite_response():
     p = bistable_point(ep0=8.0).replace(delta0=3.0)
     middle = solve_steady_branches(p)[1]
     assert middle.stability is Stability.UNSTABLE
-    with pytest.raises(UnstableBranch):
-        transmission_point(p, middle)
-    value = transmission_point(p, middle, allow_unstable=True).chi1
+    value = transmission_point(p, middle).chi1
     assert np.isfinite(value.real) and np.isfinite(value.imag)
 
 
@@ -139,6 +136,15 @@ def test_legacy_chi1_disagrees_with_linear_solve():
     b = branch_of(p)
     ls = linear_chi1(p, b)
     legacy = chi1_closed_form(p, b, corrected=False)
+    assert abs(legacy - ls) > 1e-3 * abs(ls)
+
+
+def test_legacy_chi3_disagrees_with_linear_solve():
+    p = kerr_point().replace(delta0=4.3)
+    b = branch_of(p)
+    ls = transmission_point(p, b).chi3
+    assert abs(chi3_closed_form(p, b) - ls) < 1e-11 * abs(ls)
+    legacy = chi3_closed_form(p, b, corrected=False)
     assert abs(legacy - ls) > 1e-3 * abs(ls)
 
 
@@ -373,11 +379,10 @@ def test_singular_system_fires_at_a_pole_on_or_near_the_axis(gamma, singular):
     p = absorption_point(delta0=2.0)
     if singular:
         with pytest.raises(SingularSystem):
-            transmission_point(p, b, allow_unstable=True)
+            transmission_point(p, b)
     else:
-        assert np.isfinite(transmission_point(p, b, allow_unstable=True).T)
-    assert np.isfinite(transmission_point(p.replace(delta0=1.5), b,
-                                          allow_unstable=True).T)
+        assert np.isfinite(transmission_point(p, b).T)
+    assert np.isfinite(transmission_point(p.replace(delta0=1.5), b).T)
 
 
 def test_sweep_over_a_pole_flags_pole_skipped(monkeypatch):

@@ -107,6 +107,16 @@ def test_middle_branch_unstable_outer_stable():
         assert labels == [Stability.STABLE, Stability.UNSTABLE, Stability.STABLE]
 
 
+def test_pole_cancellation_roots_are_filtered():
+    # at zero pump the cleared cubic has a spurious double root at
+    # (delta_c0^2 + kappa_c0^2) / (2 g0^2 kappa_c0) = 0.5, no fixed point
+    p = Params(delta_p0=0.1, delta_c0=0.0, g0=1.0, eta=0.01, omega_k0=10.0,
+               kappa_c0=1.0, gamma_q0=0.1, ep0=0.0)
+    real, _, _ = inversion_roots(p)
+    assert len(real) == 3 and sum(abs(w - 0.5) < 1e-6 for w in real) == 2
+    assert [b.w0 for b in solve_steady_branches(p)] == [-1.0]
+
+
 def test_branch_fields_satisfy_displacement_relation():
     for b in solve_steady_branches(bistable_point(ep0=8.0)):
         p = bistable_point(ep0=8.0)
