@@ -2,7 +2,7 @@
 
 Subcommands: steady, bistability, spectrum, kerr, peaks, figure, oracle-check.
 Exit codes: 0 success, 1 usage/configuration error (bad parameter values and
-bad grids included), 2 numerical failure.  Identical invocations produce
+bad grids included), 2 numerical failure or no result.  Identical invocations produce
 byte-identical artifacts.
 """
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .model import (
     SweepAxis,
     checked_grid,
     default_signal_amplitude,
-    params_from_file,
     params_from_mapping,
+    read_param_file,
     validate_params,
 )
 
@@ -42,6 +42,10 @@ def _member(enum, label: str, value: str):
                         f"use {', '.join(m.value for m in enum)}") from None
 
 
+class _NoResult(Exception):
+    """A run that completed but has no result to give: exit 2."""
+
+
 def _params(base: Params | None, items, config=None) -> Params:
     """Layer ``--config`` and ``--param KEY=VALUE`` items over ``base``.
 
@@ -51,7 +55,7 @@ def _params(base: Params | None, items, config=None) -> Params:
     mapping = dict(vars(base)) if base is not None else {}
     try:
         if config:
-            mapping.update(vars(params_from_file(config)))
+            mapping.update(read_param_file(config))
         for item in items:
             key, eq, raw = item.partition("=")
             if not eq:
@@ -105,13 +109,13 @@ def _emit(out, write) -> None:
 
 def _record_writer(records, fmt, meta):
     """A writer of sweep records as CSV or JSON with metadata."""
-    if fmt == "csv":
-        return lambda fh: sweep.records_to_csv(records, fh, meta)
-    return lambda fh: sweep.records_to_json(records, fh, meta=meta)
+    write = sweep.records_to_csv if fmt == "csv" else sweep.records_to_json
+    return lambda fh: write(records, fh, meta)
 
 
-def _save_hysteresis(stem, fmt, result, meta) -> list[str]:
-    """Write ``<stem>_up``/``<stem>_down`` with the turning points P1/P2."""
+def _hysteresis(p, axis, grid, stem, fmt, meta) -> list[str]:
+    """Run the hysteresis sweep; write ``<stem>_up``/``<stem>_down`` with P1/P2."""
+    result = steady.hysteresis_sweep(p, axis, grid)
     meta = {**meta,
             "P1": "" if result.turning_up is None else repr(result.turning_up),
             "P2": "" if result.turning_down is None else repr(result.turning_down)}
@@ -121,12 +125,11 @@ def _save_hysteresis(stem, fmt, result, meta) -> list[str]:
 
 
 def _clean_sweep(cfg, context=""):
-    """The sweep's records, or None after a message if no grid point is clean."""
+    """The sweep's records; ``_NoResult`` if no grid point is clean."""
     records = sweep.run_sweep(cfg)
     if any(not r.flags and r.value_re == r.value_re for r in records):
         return records
-    print(f"error: every grid point failed{context}", file=sys.stderr)
-    return None
+    raise _NoResult(f"every grid point failed{context}")
 
 
 def _sweep(args, context="", min_points=1):
@@ -166,18 +169,15 @@ def _cmd_steady(args) -> int:
 
 def _cmd_bistability(args) -> int:
     preset, p = _point(args)
-    axis = SweepAxis(args.axis)
-    result = steady.hysteresis_sweep(p, axis, _grid(args, preset))
-    meta = {**_params_meta(p), "axis": axis.value}
-    for path in _save_hysteresis(args.out or "bistability", args.format, result, meta):
+    axis = _member(SweepAxis, "axis", args.axis)
+    for path in _hysteresis(p, axis, _grid(args, preset), args.out or "bistability",
+                            args.format, {**_params_meta(p), "axis": axis.value}):
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     cfg, records = _sweep(args, " (pole or no steady branch)")
-    if records is None:
-        return 2
     meta = {**_params_meta(cfg.base), "axis": cfg.axis.value,
             "observable": cfg.observable.value, "backend": cfg.backend.value}
     _emit(args.out, _record_writer(records, args.format, meta))
@@ -186,8 +186,6 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_peaks(args) -> int:
     _, records = _sweep(args, min_points=3)
-    if records is None:
-        return 2
     kind = sweep.ExtremumKind(args.kind)
     found = sweep.locate_extrema(records, kind, component=args.component)
     text = "\n".join(["x,value"] + [f"{x!r},{v!r}" for x, v in found]) + "\n"
@@ -206,14 +204,11 @@ def _cmd_figure(args) -> int:
                 "assumed": " ".join(preset.assumed)}
         member = stem + ("_" + label.replace("=", "-") if label else "")
         if preset.branch_policy is sweep.BranchPolicy.CONTINUATION:
-            result = steady.hysteresis_sweep(p, preset.axis, preset.grid)
-            wrote += _save_hysteresis(member, args.format, result, meta)
+            wrote += _hysteresis(p, preset.axis, preset.grid, member, args.format, meta)
             continue
         cfg = sweep.SweepConfig(p, preset.axis, preset.grid, preset.observable,
                                 response.Backend(args.backend), preset.branch_policy)
         records = _clean_sweep(cfg, f" for {label or 'preset'}")
-        if records is None:
-            return 2
         wrote.append(_save(f"{member}.{args.format}",
                            _record_writer(records, args.format, meta)))
     for path in wrote:
@@ -245,8 +240,7 @@ def _cmd_oracle_check(args) -> int:
     branches = steady.solve_steady_branches(p)
     stable = [b for b in branches if b.stability is steady.Stability.STABLE]
     if not stable:
-        print("error: no stable branch at this point", file=sys.stderr)
-        return 2
+        raise _NoResult("no stable branch at this point")
     branch = min(stable, key=lambda b: b.w0)
     dt = min(args.dt, oracle.max_step(p))
     traj = oracle.integrate_mean_field(
@@ -306,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("steady", _cmd_steady, "solve the steady-state branches",
             *_POINT, "--out")
     command("bistability", _cmd_bistability, "hysteresis continuation sweep",
-            *_POINT, ("--axis", dict(default="ep0", choices=("ep0", "delta_p0"))),
+            *_POINT, ("--axis", dict(default="ep0")),
             "--grid", "--format", "--out")
     command("spectrum", _cmd_spectrum, "sweep an observable over a grid",
             *_POINT, "--axis", "--grid", "--observable", "--backend",
@@ -363,6 +357,9 @@ def main(argv=None) -> int:
     except (BadConfig, InvalidGrid, UnknownFigure, WriteFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except _NoResult as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except QdResponseError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2

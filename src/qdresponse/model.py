@@ -21,7 +21,7 @@ __all__ = [
     "apply_axis",
     "checked_grid",
     "params_from_mapping",
-    "params_from_file",
+    "read_param_file",
     "default_signal_amplitude",
 ]
 
@@ -157,8 +157,8 @@ def params_from_mapping(mapping: dict) -> Params:
     return validate_params(Params(**values))
 
 
-def params_from_file(path) -> Params:
-    """Parse a flat ``key = value`` text file (one pair per line, # comments)."""
+def read_param_file(path) -> dict:
+    """The strings of a flat ``key = value`` text file (one pair per line, # comments)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -176,4 +176,4 @@ def params_from_file(path) -> Params:
         if key in mapping:
             raise BadConfig(f"{path}:{lineno}: duplicate key {key!r}")
         mapping[key] = raw.strip()
-    return params_from_mapping(mapping)
+    return mapping

@@ -163,26 +163,29 @@ def build_inversion_polynomial(p: Params,
     """
     samples = list(_SAMPLES)
     vinv = _VANDER_INV
-    for attempt in range(8):
-        ok = True
-        for x in samples:
-            d1, d2 = _denominators(p, x)
-            scale = (1.0 + abs(p.delta_c0) + p.kappa_c0) * (
-                1.0 + abs(p.delta_p0) + 2.0 * p.omega_k0 * p.eta * abs(x)
-            ) + 2.0 * p.g0 * p.g0 * abs(x)
-            if abs(d1) < 1e-13 * scale or abs(d2) < 1e-13 * scale:
-                ok = False
+    try:
+        for attempt in range(8):
+            ok = True
+            for x in samples:
+                d1, d2 = _denominators(p, x)
+                scale = (1.0 + abs(p.delta_c0) + p.kappa_c0) * (
+                    1.0 + abs(p.delta_p0) + 2.0 * p.omega_k0 * p.eta * abs(x)
+                ) + 2.0 * p.g0 * p.g0 * abs(x)
+                if abs(d1) < 1e-13 * scale or abs(d2) < 1e-13 * scale:
+                    ok = False
+                    break
+            if ok:
                 break
-        if ok:
-            break
-        samples = [x + 0.37 * (attempt + 1) for x in samples]
-        vinv = np.linalg.inv(np.vander(np.array(samples), 4))
-    else:
-        raise DegenerateDenominator(
-            "could not place sample points away from coefficient poles")
+            samples = [x + 0.37 * (attempt + 1) for x in samples]
+            vinv = np.linalg.inv(np.vander(np.array(samples), 4))
+        else:
+            raise DegenerateDenominator(
+                "could not place sample points away from coefficient poles")
 
-    values = [cleared_inversion_expression(p, x, legacy_field_amplitude)
-              for x in samples]
+        values = [cleared_inversion_expression(p, x, legacy_field_amplitude)
+                  for x in samples]
+    except ArithmeticError:  # abs() of an overflowing complex value
+        values = [cmath.inf]
     scale = math.inf
     if all(map(cmath.isfinite, values)):
         coeffs = vinv @ np.array(values)
@@ -329,8 +332,7 @@ def inversion_root_sets(ps) -> list:
     polished in one stacked step per degree (``_polished_root_sets``).  An
     entry that is an exception is what ``inversion_roots`` raises at that
     point: the caller raises it at that point's turn, so a grid fails where
-    and how a per-point loop would.  An ``ArithmeticError`` in a point's
-    cubic is its ``NonFinite``.
+    and how a per-point loop would.
     """
     out = [None] * len(ps)
     at, polys = [], []
@@ -339,8 +341,6 @@ def inversion_root_sets(ps) -> list:
             polys.append(build_inversion_polynomial(p))
         except QdResponseError as exc:  # raised at its turn
             out[i] = exc
-        except ArithmeticError:
-            out[i] = NonFinite("the inversion cubic overflows at these parameters")
         else:
             at.append(i)
     for i, found in zip(at, _polished_root_sets(polys)):
@@ -407,10 +407,10 @@ def _steady_rhs_scaled(p: Params, w0: float, sigma0: complex, a0: complex,
     g0, g1 = p.g0, p.gamma1_ratio
     t1 = -g1 * (w0 + 1.0)
     t2 = 2.0 * g0 * (a0 * sigma0.conjugate()).imag
-    r_w = abs(t1 + t2) / (abs(t1) + abs(t2) + 1.0)
+    r_w = abs(t1 + t2) / (g1 * (abs(w0) + 1.0) + abs(t2) + 1.0)
     ts = -(1.0 + 1j * (p.delta_p0 + q0)) * sigma0
     td = 2j * g0 * a0 * w0
-    r_s = abs(ts + td) / (abs(ts) + abs(td) + 1.0)
+    r_s = abs(ts + td) / ((1.0 + abs(p.delta_p0) + abs(q0)) * abs(sigma0) + abs(td) + 1.0)
     ta = -(1j * p.delta_c0 + p.kappa_c0) * a0
     tg = -1j * g0 * sigma0
     r_a = abs(ta + tg + p.ep0) / (abs(ta) + abs(tg) + p.ep0 + 1.0)
@@ -601,7 +601,7 @@ def hysteresis_sweep(p: Params, axis: SweepAxis, grid) -> HysteresisResult:
     than ``NoRealRoot`` raises it at its turn in the up trace.
     """
     if axis not in (SweepAxis.EP0, SweepAxis.DELTA_P0):
-        raise InvalidGrid(f"hysteresis axis must be ep0 or delta_p0, got {axis}")
+        raise InvalidGrid(f"hysteresis axis must be ep0 or delta_p0, got {axis.value}")
     points = grid_roots(p, axis, checked_grid(grid, minimum=2, ascending=True))
     up, turning_up = _continuation(points, start_high=False)
     down, turning_down = _continuation(points[::-1], start_high=True)

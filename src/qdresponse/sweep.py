@@ -187,19 +187,18 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def records_to_csv(records, fh, meta: dict | None = None) -> None:
-    """Emit records as CSV; optional metadata goes into leading # lines."""
-    if meta:
-        for key, value in meta.items():
-            fh.write(f"# {key}={value}\n")
+def records_to_csv(records, fh, meta: dict) -> None:
+    """Emit records as CSV; the metadata goes into leading # lines."""
+    for key, value in meta.items():
+        fh.write(f"# {key}={value}\n")
     fh.write("x,branch_id,w0,value_re,value_im,flags\n")
     for r in records:
         fh.write(f"{_fmt(r.x)},{r.branch_id},{_fmt(r.w0)},{_fmt(r.value_re)},"
                  f"{_fmt(r.value_im)},{r.flags_text()}\n")
 
 
-def records_to_json(records, fh, meta: dict | None = None) -> None:
-    """Emit records as a JSON array (or wrapped object when meta is given)."""
+def records_to_json(records, fh, meta: dict) -> None:
+    """Emit records as the JSON object ``{"meta": meta, "records": [row, ...]}``."""
     rows = [{
         "x": r.x,
         "branch_id": r.branch_id,
@@ -208,6 +207,5 @@ def records_to_json(records, fh, meta: dict | None = None) -> None:
         "value_im": None if r.value_im != r.value_im else r.value_im,
         "flags": sorted(f.value for f in r.flags),
     } for r in records]
-    payload = {"meta": meta, "records": rows} if meta else rows
-    fh.write(json.dumps(payload, indent=1))
+    fh.write(json.dumps({"meta": meta, "records": rows}, indent=1))
     fh.write("\n")

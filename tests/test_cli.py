@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qdresponse.cli import main
+from qdresponse.model import PARAM_FIELDS
 
 
 def read_csv(path):
@@ -153,6 +154,24 @@ def test_bistability_subcommand(tmp_path):
     assert (tmp_path / "hys_down.csv").exists()
 
 
+def test_bistability_along_the_pump_detuning(tmp_path):
+    assert run(["bistability", "--preset", "2a", "--axis", "delta_p0",
+                "--grid=-50:10:601", "--out", "hys_dp"], tmp_path) == 0
+    for tag in ("up", "down"):
+        meta, rows = read_csv(tmp_path / f"hys_dp_{tag}.csv")
+        assert (meta["axis"], meta["P1"], meta["P2"]) == ("delta_p0", "-17.4", "-33.3")
+        assert len(rows) == 601
+
+
+def test_config_file_may_list_only_the_keys_it_overrides(tmp_path, capsys):
+    (tmp_path / "g0.cfg").write_text("g0 = 2\n", encoding="utf-8")
+    outs = []
+    for source in (["--config", "g0.cfg"], ["--param", "g0=2"]):
+        assert run(["steady", "--preset", "4b", *source], tmp_path) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) > 1
+
+
 def test_figure_json_format(tmp_path):
     assert run(["figure", "4a", "--format", "json"], tmp_path) == 0
     payload = json.loads((tmp_path / "fig4a.json").read_text())
@@ -237,6 +256,22 @@ def test_overflowing_parameters_are_numerical_errors(tmp_path, capsys, argv):
         == f"numerical error: {cause} overflows at these parameters\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["steady", "--preset", "2b"],
+    ["bistability", "--preset", "2b", "--grid", "1:2:3"],
+    ["spectrum", "--preset", "4b", "--grid", "0:1:3"],
+    ["spectrum", "--preset", "4b", "--axis", "ep0", "--grid", "1:2:3"],
+])
+def test_extreme_parameter_values_give_an_answer_or_a_typed_error(tmp_path, capsys,
+                                                                  argv):
+    for key in PARAM_FIELDS:
+        for value in ("1e100", "1e155", "1e200", "3e305", "1e-320"):
+            code = run([*argv, "--param", f"{key}={value}"], tmp_path)
+            err = capsys.readouterr().err
+            assert code == 0 or code in (1, 2) and err.startswith(
+                ("error: ", "numerical error: ")), (key, value, code, err)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["kerr", "--preset", "9b", "--param", "ep0=0", "--grid", "0:1:3"],
      "every grid point failed (pole or no steady branch)"),
@@ -296,6 +331,9 @@ POINT = ["--param", "delta_p0=-10", "--param", "delta_c0=-10", "--param", "g0=1.
      1, "cannot write no_such_dir/x.csv"),
     (["bistability", "--preset", "2b", "--grid", "0.2:16:20",
       "--out", "no_such_dir/h"], 1, "cannot write no_such_dir/h_up.csv"),
+    (["bistability", "--preset", "2a", "--axis", "g0", "--grid=-50:10:601"], 1,
+     "hysteresis axis must be ep0 or delta_p0, got g0"),
+    (["bistability", "--preset", "2a", "--axis", "zz"], 1, "unknown axis 'zz'"),
 ])
 def test_usage_error_paths(tmp_path, capsys, argv, code, message):
     assert run(argv, tmp_path) == code

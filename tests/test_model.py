@@ -14,8 +14,8 @@ from qdresponse.model import (
     apply_axis,
     default_signal_amplitude,
     delta_from_signal_detuning,
-    params_from_file,
     params_from_mapping,
+    read_param_file,
     validate_params,
 )
 
@@ -135,7 +135,9 @@ def test_param_file_roundtrip(tmp_path):
         "gamma_q0 = 0.1\n"
         "ep0 = 5\n",
         encoding="utf-8")
-    p = params_from_file(path)
+    mapping = read_param_file(path)
+    assert mapping["delta_p0"] == "-10" and len(mapping) == 8
+    p = params_from_mapping(mapping)
     assert p.delta_p0 == -10.0 and p.ep0 == 5.0
     assert p.gamma1_ratio == 2.0  # default
 
@@ -144,11 +146,11 @@ def test_param_file_rejects_duplicates(tmp_path):
     path = tmp_path / "dup.cfg"
     path.write_text("g0 = 1\ng0 = 2\n", encoding="utf-8")
     with pytest.raises(BadConfig, match="duplicate"):
-        params_from_file(path)
+        read_param_file(path)
 
 
 def test_param_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("just some words\n", encoding="utf-8")
     with pytest.raises(BadConfig):
-        params_from_file(path)
+        read_param_file(path)

@@ -117,6 +117,16 @@ def test_pole_cancellation_roots_are_filtered():
     assert [b.w0 for b in solve_steady_branches(p)] == [-1.0]
 
 
+@pytest.mark.parametrize("gamma1_ratio", [1e10, 1e12, 1e14])
+def test_dominant_population_decay_keeps_the_ground_state_branch(gamma1_ratio):
+    # gamma1 (w0 + 1) cancels at w0 ~ -1: a filter scaled after the
+    # cancellation read this correct root as a pole-cancellation artifact
+    p = bistable_point(ep0=8.0).replace(gamma1_ratio=gamma1_ratio)
+    stable = [b for b in solve_steady_branches(p) if b.stability is Stability.STABLE]
+    assert len(stable) == 1 and stable[0].w0 == pytest.approx(-1.0, abs=1e-9)
+    assert _scaled_fixed_point_residual(p, stable[0]) <= 1e-9
+
+
 def test_branch_fields_satisfy_displacement_relation():
     for b in solve_steady_branches(bistable_point(ep0=8.0)):
         p = bistable_point(ep0=8.0)
@@ -258,10 +268,24 @@ def test_hysteresis_monostable_traces_coincide():
     assert all(abs(r.w0 - down[r.x]) < 1e-15 for r in result.up)
 
 
-@pytest.mark.parametrize("change", [{"ep0": 1e200}, {"g0": 1e160}, {"ep0": 1e155}])
+@pytest.mark.parametrize("change", [{"ep0": 1e200}, {"g0": 1e160}, {"ep0": 1e155},
+                                    {"eta": 3e305}])
 def test_overflowing_cubic_raises_non_finite(change):
     with pytest.raises(NonFinite, match="overflows"):
         build_inversion_polynomial(bistable_point().replace(**change))
+
+
+@pytest.mark.parametrize("ep0, p1, p2", [(81.0, -17.4, -33.3), (36.0, -31.8, -36.2),
+                                         (12.0, -38.6, -38.7)])
+def test_hysteresis_along_the_pump_detuning(ep0, p1, p2):
+    # on preset 2a's grid the traces part exactly at the points strictly
+    # between P2 and P1; the window closes as the pump falls
+    grid = np.linspace(-50.0, 10.0, 601)
+    result = hysteresis_sweep(detuning_scan_point(ep0=ep0), SweepAxis.DELTA_P0, grid)
+    assert (result.turning_up, result.turning_down) == pytest.approx((p1, p2))
+    down = {r.x: r.w0 for r in result.down}
+    assert [r.x for r in result.up if r.w0 != down[r.x]] == \
+        [r.x for r in result.up if result.turning_down < r.x < result.turning_up]
 
 
 def test_hysteresis_rejects_single_point_grid():

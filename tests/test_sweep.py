@@ -281,9 +281,10 @@ def test_json_emission_schema():
     records = [SpectrumRecord(2.0, 1, -0.25, float("nan"), float("nan"),
                               frozenset({Flag.POLE_SKIPPED}))]
     buf = io.StringIO()
-    records_to_json(records, buf)
+    records_to_json(records, buf, meta={"observable": "chi1"})
     payload = json.loads(buf.getvalue())
-    assert payload == [{
+    assert payload["meta"] == {"observable": "chi1"}
+    assert payload["records"] == [{
         "x": 2.0, "branch_id": 1, "w0": -0.25, "value_re": None,
         "value_im": None, "flags": ["PoleSkipped"],
     }]
