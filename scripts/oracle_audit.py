@@ -3,10 +3,11 @@
 
 For each selected preset: seed the integrator on the stable branch, drive it
 with a weak signal, demodulate the settled tail and compare the extracted
-upper-sideband amplitude against the linear-solve backend.  Also reports the
-linearity defect when the signal amplitude is doubled.
+upper-sideband amplitudes a+ and sigma+ against the linear-solve backend.
+Also reports the linearity defect of a+ when the signal amplitude is doubled.
 
-Usage: python scripts/oracle_audit.py [preset ...]   (default: 4b 5a 9b)
+Usage: python scripts/oracle_audit.py [preset ...]
+(default: every preset with a pump, ep0 != 0)
 
 Exits 0 when every deviation is below 1e-3, 2 when one is not, and 1 with an
 ``error:`` line for an unknown preset or one without a pump (its default
@@ -23,7 +24,7 @@ from qdresponse.oracle import (
     max_step,
     steady_state_vector,
 )
-from qdresponse.presets import get_preset
+from qdresponse.presets import figure_ids, get_preset
 from qdresponse.response import solve_sidebands
 from qdresponse.steady import Stability, solve_steady_branches
 
@@ -49,14 +50,17 @@ def audit(figure_id: str) -> float:
     elapsed = time.perf_counter() - t0
     bands = solve_sidebands(p, branch)
     dev = abs(one.a_plus - bands.a_plus) / abs(bands.a_plus)
+    dev_s = abs(one.sigma_plus - bands.sigma_plus) / abs(bands.sigma_plus)
     lin = abs(two.a_plus / one.a_plus - 2.0)
     print(f"{figure_id:>4}  delta0={p.delta0:6.2f}  a+ dev={dev:.3e}  "
-          f"linearity defect={lin:.3e}  ({elapsed:.1f}s)")
-    return max(dev, lin)
+          f"sigma+ dev={dev_s:.3e}  linearity defect={lin:.3e}  "
+          f"({elapsed:.1f}s)")
+    return max(dev, dev_s, lin)
 
 
 def main() -> int:
-    ids = sys.argv[1:] or ["4b", "5a", "9b"]
+    ids = sys.argv[1:] or [fid for fid in figure_ids()
+                           if get_preset(fid).params.ep0 != 0.0]
     try:
         worst = max(audit(fid) for fid in ids)
     except (BadConfig, UnknownFigure) as exc:

@@ -61,8 +61,7 @@ class Params:
 
         The fields are read through one ``attrgetter``, not ``vars(self)``:
         on CPython 3.11+ ``vars`` materializes the instance dict, which
-        doubles the cost of every later attribute read on ``self`` (the RK4
-        oracle reads ``p`` at every step).
+        doubles the cost of every later attribute read on ``self``.
         """
         return Params(**dict(zip(PARAM_FIELDS, _field_values(self)), **changes))
 

@@ -1,4 +1,6 @@
 import io
+import math
+import random
 
 import numpy as np
 import pytest
@@ -6,19 +8,22 @@ import pytest
 from qdresponse.errors import (
     BoundViolation,
     InvalidGrid,
+    NonFinite,
     NotSettled,
     ZeroDelta,
 )
-from qdresponse.model import default_signal_amplitude
+from qdresponse.model import Params, default_signal_amplitude
 from qdresponse.oracle import (
     Trajectory,
     demodulate_sidebands,
     dump_trajectory,
     integrate_mean_field,
     max_step,
+    mean_field_rhs,
     perturbation_outcome,
     steady_state_vector,
 )
+from qdresponse.presets import figure_ids, get_preset
 from qdresponse.response import solve_sidebands
 from qdresponse.steady import Stability, solve_steady_branches
 
@@ -168,3 +173,97 @@ def test_trajectory_dump_format():
     assert lines[0] == "t,w,re_sigma,im_sigma,re_a,im_a,q,qdot"
     assert len(lines) == traj.t.size + 1
     assert lines[1].startswith("0.0,-1.0,")
+
+
+def reference_rk4(p, init, t_end, dt, es0):
+    """The RK4 step as four ``mean_field_rhs`` calls, without the guards:
+    the statement of the scheme that ``integrate_mean_field`` unrolls."""
+    n = int(round(t_end / dt))
+    y = tuple(float(v) for v in init)
+    out = np.empty((n + 1, 7))
+    out[0] = y
+    h2 = 0.5 * dt
+    h6 = dt / 6.0
+    t = 0.0
+    for k in range(n):
+        k1 = mean_field_rhs(p, y, t, es0)
+        k2 = mean_field_rhs(p, [y[i] + h2 * k1[i] for i in range(7)],
+                            t + h2, es0)
+        k3 = mean_field_rhs(p, [y[i] + h2 * k2[i] for i in range(7)],
+                            t + h2, es0)
+        k4 = mean_field_rhs(p, [y[i] + dt * k3[i] for i in range(7)],
+                            t + dt, es0)
+        y = tuple(y[i] + h6 * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
+                  for i in range(7))
+        t += dt
+        out[k + 1] = y
+    return Trajectory(t=np.arange(n + 1) * dt, w=out[:, 0],
+                      sigma=out[:, 1] + 1j * out[:, 2],
+                      a=out[:, 3] + 1j * out[:, 4], q=out[:, 5],
+                      qdot=out[:, 6], dt=dt)
+
+
+def assert_same_bits(p, init, t_end, dt, es0):
+    got = integrate_mean_field(p, init, t_end, dt, es0=es0)
+    ref = reference_rk4(p, init, t_end, dt, es0)
+    for name in ("t", "w", "sigma", "a", "q", "qdot"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+def oracle_setup(fid):
+    """The signal, detuning, step and stable-branch start of the oracle
+    cross-check of preset ``fid``."""
+    preset = get_preset(fid)
+    p = preset.params.replace(delta0=preset.oracle_delta0)
+    p = p.replace(es0=default_signal_amplitude(p))
+    stable = [b for b in solve_steady_branches(p)
+              if b.stability is Stability.STABLE]
+    branch = min(stable, key=lambda b: b.w0)
+    return p, steady_state_vector(branch), min(0.01, max_step(p))
+
+
+PUMPED = [fid for fid in figure_ids() if get_preset(fid).params.ep0 != 0.0]
+
+
+@pytest.mark.parametrize("fid", PUMPED)
+def test_step_is_bit_identical_to_rhs_calls_on_preset_oracle_setups(fid):
+    p, init, dt = oracle_setup(fid)
+    assert p.es0 > 0.0 and p.delta0 != 0.0
+    assert_same_bits(p, init, 2.0, dt, p.es0)
+
+
+def test_step_is_bit_identical_to_rhs_calls_on_random_points():
+    rng = random.Random(20261018)
+    for _ in range(40):
+        p = Params(delta_p0=rng.uniform(-10, 10), delta_c0=rng.uniform(-10, 10),
+                   g0=rng.uniform(0, 2), eta=rng.uniform(0, 0.1),
+                   omega_k0=rng.uniform(1, 20), kappa_c0=rng.uniform(0.5, 3),
+                   gamma_q0=rng.uniform(0.01, 1), ep0=rng.uniform(0, 5),
+                   delta0=rng.uniform(-10, 10), es0=rng.uniform(0, 0.1),
+                   gamma1_ratio=rng.uniform(0.5, 3))
+        init = (rng.uniform(-1, -0.5), rng.uniform(-0.2, 0.2),
+                rng.uniform(-0.2, 0.2), rng.uniform(-2, 2), rng.uniform(-2, 2),
+                rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
+        dt = max_step(p)
+        assert_same_bits(p, init, 60 * dt, dt, p.es0)
+
+
+def test_step_is_bit_identical_to_rhs_calls_without_signal():
+    p = bistable_point(ep0=8.0).replace(es0=0.0, delta0=0.0)
+    for branch in solve_steady_branches(p):
+        init = steady_state_vector(branch)
+        kicked = (init[0] + 1e-6,) + init[1:]
+        assert_same_bits(p, kicked, 2.0, max_step(p), 0.0)
+
+
+@pytest.mark.parametrize("init, error, message", [
+    ((0.99, 100, 0, 0, 100, 0, 0), BoundViolation,
+     "inversion w=-138.943 left [-1, 1] at t=0.01"),
+    ((-1, 0, 0, 0, 0, 2e12, 0), NonFinite, "state diverged at t=0.01"),
+    ((-1, math.inf, 0, 0, 0, 0, 0), NonFinite, "state became NaN at t=0.01"),
+])
+def test_in_loop_guards_stop_at_the_first_bad_step(init, error, message):
+    p = get_preset("4b").params
+    with pytest.raises(error) as exc:
+        integrate_mean_field(p, init, 1.0, 0.01)
+    assert str(exc.value) == message
