@@ -37,6 +37,7 @@ __all__ = [
     "SidebandAmplitudes",
     "ResponsePoint",
     "certify_detuning",
+    "solve_unit_grid",
     "solve_sidebands",
     "chi1_closed_form",
     "chi3_closed_form",
@@ -121,9 +122,15 @@ def certify_detuning(branch: SteadyBranch) -> SteadyBranch:
                    - math.sqrt(_frobenius_sq(K)))
 
 
-def _solve_unit(p: Params, branch: SteadyBranch) -> np.ndarray:
-    """(a+, conj(a-), s+, conj(s-), w+, q+, dq+/dt) per unit signal: the
-    solution of (-K - i delta0 I) x = e0, K = ``branch.sideband_generator``.
+def _sideband_matrix(K: np.ndarray, delta):
+    """The sideband system -K - i delta I at ``delta``: a float, or an
+    (n, 1, 1) array for a stack of n systems.  Both evaluate the same
+    operations in the same order, so they give the same bits."""
+    return -K - 1j * delta * _EYE
+
+
+def _checked_matrix(p: Params, branch: SteadyBranch) -> np.ndarray:
+    """The sideband system at ``p.delta0``, after its singularity test.
 
     ``SingularSystem`` is raised where the system's rcond is below
     ``SINGULAR_RCOND``.  Within ``branch.safe_detuning`` (see
@@ -131,14 +138,45 @@ def _solve_unit(p: Params, branch: SteadyBranch) -> np.ndarray:
     it is not, and the SVD is skipped; the error therefore fires at the same
     detunings as an SVD at every point.
     """
-    M = -branch.sideband_generator - 1j * p.delta0 * _EYE
+    M = _sideband_matrix(branch.sideband_generator, p.delta0)
     if not abs(p.delta0) <= branch.safe_detuning:  # a NaN delta0 lands here
         sv = np.linalg.svd(M, compute_uv=False)
         if sv[-1] < SINGULAR_RCOND * sv[0]:
             raise SingularSystem(
                 f"sideband system is singular at delta0={p.delta0!r} "
                 f"(rcond {sv[-1] / sv[0]:.2e})")
-    return np.linalg.solve(M, _EYE[0])
+    return M
+
+
+def _solve_unit(p: Params, branch: SteadyBranch) -> np.ndarray:
+    """(a+, conj(a-), s+, conj(s-), w+, q+, dq+/dt) per unit signal: the
+    solution of (-K - i delta0 I) x = e0, K = ``branch.sideband_generator``,
+    or ``SingularSystem`` (see ``_checked_matrix``)."""
+    return np.linalg.solve(_checked_matrix(p, branch), _EYE[0])
+
+
+def solve_unit_grid(branch: SteadyBranch, deltas) -> list:
+    """``_solve_unit`` at each detuning of ``deltas``, stacked.
+
+    Each entry is the unit-signal solution as a list of 7 Python ``complex``,
+    or ``None`` for a detuning outside ``branch.safe_detuning``: such a row
+    needs ``_solve_unit``'s singularity test, so the caller solves it alone
+    (``transmission_point`` with no ``unit``).  The certified rows take one
+    stacked ``np.linalg.solve``, whose LAPACK call per system is the one a
+    single solve makes, so each row has the bits of ``_solve_unit``.  The
+    right-hand side is passed as (n, 7, 1): numpy 1.x and 2.x read that shape
+    alike, unlike (n, 7).
+    """
+    safe = branch.safe_detuning
+    rows = [k for k, d in enumerate(deltas) if abs(d) <= safe]
+    units = [None] * len(deltas)
+    if rows:
+        d = np.array([deltas[k] for k in rows])[:, None, None]
+        M = _sideband_matrix(branch.sideband_generator, d)
+        x = np.linalg.solve(M, np.broadcast_to(_EYE[:, :1], (len(rows), 7, 1)))
+        for k, unit in zip(rows, x[:, :, 0].tolist()):
+            units[k] = unit
+    return units
 
 
 def solve_sidebands(p: Params, branch: SteadyBranch) -> SidebandAmplitudes:
@@ -264,21 +302,29 @@ def chi3_closed_form(p: Params, branch: SteadyBranch,
 # -- transmission ------------------------------------------------------------
 
 def transmission_point(p: Params, branch: SteadyBranch,
-                       backend: Backend = Backend.LINEAR_SOLVE) -> ResponsePoint:
+                       backend: Backend = Backend.LINEAR_SOLVE, *,
+                       unit=None) -> ResponsePoint:
     """chi1, chi3, signal output amplitude and transmission at one detuning.
 
     All quantities are per unit signal amplitude.  The real part of the output
     amplitude is the absorption quadrature, the imaginary part the dispersion.
     chi3 is normalized by 3 ep0^2, so it is NaN where that is not a positive
     normal float: at zero pump and at a pump whose square underflows.
+
+    ``unit`` is the unit-signal solution at ``p.delta0`` when the caller has
+    already solved it (an entry of ``solve_unit_grid``); only the
+    ``LINEAR_SOLVE`` backend takes it.  With ``None`` the system is solved
+    here.
     """
     has_chi3 = _has_chi3(p)
     if backend is Backend.LINEAR_SOLVE:
-        x = _solve_unit(p, branch)
+        x = _solve_unit(p, branch) if unit is None else unit
         chi1 = complex(x[2])
         chi3 = complex(x[3].conjugate()) / (3.0 * p.ep0 ** 2) if has_chi3 \
             else complex("nan")
         a_plus = complex(x[0])
+    elif unit is not None:
+        raise ValueError("a pre-solved unit vector needs the linear-solve backend")
     else:
         chi1 = chi1_closed_form(p, branch)
         chi3 = chi3_closed_form(p, branch) if has_chi3 else complex("nan")
@@ -292,14 +338,16 @@ def transmission_point(p: Params, branch: SteadyBranch,
 
 
 def dispersion_slope(p: Params, branch: SteadyBranch) -> float:
-    """d Im(a_out+)/d Delta_s at the configured detuning (central difference).
+    """d Im(a_out+)/d Delta_s at the configured detuning, exactly.
 
-    Delta_s and delta0 move with opposite sign, hence the inverted stencil.
+    With M x = e0 and dM/d delta0 = -i I, dx/d delta0 = i M^-1 x: one more
+    solve with the same matrix.  Delta_s and delta0 move with opposite sign,
+    so the slope is -Im(sqrt(2 kappa) (i M^-1 x)[0]).  ``SingularSystem`` is
+    raised as by ``transmission_point``.
     """
-    h = 1e-4
-    lo = transmission_point(p.replace(delta0=p.delta0 + h), branch)
-    hi = transmission_point(p.replace(delta0=p.delta0 - h), branch)
-    return (hi.a_out_plus.imag - lo.a_out_plus.imag) / (2.0 * h)
+    M = _checked_matrix(p, branch)
+    dx = 1j * np.linalg.solve(M, np.linalg.solve(M, _EYE[0]))
+    return -(math.sqrt(2.0 * p.kappa_c0) * complex(dx[0])).imag
 
 
 def load_formula_ledger() -> list[dict]:

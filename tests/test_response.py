@@ -15,6 +15,7 @@ from qdresponse.response import (
     certify_detuning,
     chi1_closed_form,
     chi3_closed_form,
+    dispersion_slope,
     load_formula_ledger,
     solve_sidebands,
     transmission_point,
@@ -293,8 +294,6 @@ def test_formula_ledger_is_complete():
 
 
 def test_dispersion_slope_reacts_to_lattice_coupling():
-    from qdresponse.response import dispersion_slope
-
     slopes = {}
     for eta in (0.0, 0.015):
         p0 = transmission_point_params(eta=eta)
@@ -303,6 +302,36 @@ def test_dispersion_slope_reacts_to_lattice_coupling():
         slopes[eta] = dispersion_slope(p, b)
     assert np.isfinite(slopes[0.0]) and np.isfinite(slopes[0.015])
     assert abs(slopes[0.015] - slopes[0.0]) > 1e-5
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.015])
+@pytest.mark.parametrize("delta_s0", [0.0, 6.3, 9.9])
+def test_dispersion_slope_is_the_exact_derivative(eta, delta_s0):
+    """Against a Richardson-extrapolated central difference in Delta_s; at
+    eta = 0.015, delta_s0 = 0 (the phonon dip) a plain difference with
+    h = 1e-4 is off by 5e-7 relative."""
+    p0 = transmission_point_params(eta=eta)
+    b = branch_of(p0)
+
+    def dispersion(ds):
+        p = p0.replace(delta0=delta_from_signal_detuning(ds, p0.delta_p0))
+        return transmission_point(p, b).a_out_plus.imag
+
+    def central(h):
+        return (dispersion(delta_s0 + h) - dispersion(delta_s0 - h)) / (2.0 * h)
+
+    richardson = (4.0 * central(5e-4) - central(1e-3)) / 3.0
+    p = p0.replace(delta0=delta_from_signal_detuning(delta_s0, p0.delta_p0))
+    assert abs(dispersion_slope(p, b) - richardson) <= 1e-7 * abs(richardson)
+
+
+def test_a_presolved_unit_needs_the_linear_solve_backend():
+    p = absorption_point(delta0=1.0)
+    b = branch_of(p)
+    unit = list(_solve_unit(p, b))
+    assert transmission_point(p, b, unit=unit) == transmission_point(p, b)
+    with pytest.raises(ValueError, match="linear-solve"):
+        transmission_point(p, b, Backend.CLOSED_FORM, unit=unit)
 
 
 # -- certified sideband solve ------------------------------------------------
@@ -386,11 +415,23 @@ def test_singular_system_fires_at_a_pole_on_or_near_the_axis(gamma, singular):
 
 
 def test_sweep_over_a_pole_flags_pole_skipped(monkeypatch):
+    """The pole branch sits between two certified branches, so at x = 2 its
+    row falls between two rows of one stacked solve."""
     b = phonon_pole_branch(0.0)
-    monkeypatch.setattr("qdresponse.sweep.solve_steady_branches", lambda p: [b])
+    healthy = branch_of(absorption_point())
+    assert certify_detuning(healthy).safe_detuning > 3.0 > 0.0 > b.safe_detuning
+    monkeypatch.setattr("qdresponse.sweep.solve_steady_branches",
+                        lambda p: [healthy, b, healthy])
     cfg = SweepConfig(base=absorption_point(), axis=SweepAxis.DELTA0,
                       grid=(1.0, 2.0, 3.0), observable=Observable.CHI1,
                       branch_policy=BranchPolicy.ALL_BRANCHES)
     rows = run_sweep(cfg)
-    assert [Flag.POLE_SKIPPED in r.flags for r in rows] == [False, True, False]
-    assert np.isnan(rows[1].value_re) and np.isfinite(rows[0].value_re)
+    assert [(r.x, r.branch_id) for r in rows] == \
+        [(x, i) for x in (1.0, 2.0, 3.0) for i in range(3)]
+    assert [Flag.POLE_SKIPPED in r.flags for r in rows] == \
+        [False, False, False, False, True, False, False, False, False]
+    assert np.isnan(rows[4].value_re) and np.isnan(rows[4].value_im)
+    for r in rows[:4] + rows[5:]:
+        chi1 = transmission_point(absorption_point(delta0=r.x),
+                                  b if r.branch_id == 1 else healthy).chi1
+        assert (r.value_re, r.value_im) == (chi1.real, chi1.imag)

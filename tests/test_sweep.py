@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -6,9 +7,9 @@ import pytest
 
 from qdresponse import steady, sweep
 from qdresponse.errors import InvalidGrid, NonFinite, TooFewPoints
-from qdresponse.model import SweepAxis
+from qdresponse.model import SweepAxis, apply_axis
 from qdresponse.records import Flag, SpectrumRecord
-from qdresponse.response import Backend
+from qdresponse.response import Backend, transmission_point
 from qdresponse.steady import hysteresis_sweep
 from qdresponse.sweep import (
     BranchPolicy,
@@ -116,17 +117,124 @@ def test_transmission_dip_splits_as_coupling_grows():
 
 
 def test_detuning_sweep_certifies_its_branches(monkeypatch):
-    """A delta_s0 sweep over a stable branch never needs the SVD test."""
+    """A delta_s0 sweep over a stable branch never needs the SVD test; it
+    takes one stacked solve per emitting branch and block, and one
+    ``transmission_point`` per response row."""
     def no_svd(*args, **kwargs):
         raise AssertionError("SVD taken on a detuning sweep")
 
+    calls = {"solve": 0, "transmission_point": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
     monkeypatch.setattr("qdresponse.response.np.linalg.svd", no_svd)
+    monkeypatch.setattr("qdresponse.response.np.linalg.solve",
+                        counted("solve", np.linalg.solve))
+    monkeypatch.setattr(sweep, "transmission_point",
+                        counted("transmission_point", sweep.transmission_point))
     cfg = SweepConfig(base=transmission_point_params(),
                       axis=SweepAxis.DELTA_S0,
                       grid=tuple(np.linspace(-10.0, 30.0, 81)),
                       observable=Observable.T2)
     rows = run_sweep(cfg)
     assert len(rows) == 81 and not any(r.flags for r in rows)
+    assert calls == {"solve": len({r.branch_id for r in rows}),
+                     "transmission_point": 81}
+
+
+_OBSERVED = {
+    Observable.CHI1: lambda pt: (pt.chi1.real, pt.chi1.imag),
+    Observable.CHI3: lambda pt: (pt.chi3.real, pt.chi3.imag),
+    Observable.A_OUT_PLUS: lambda pt: (pt.a_out_plus.real, pt.a_out_plus.imag),
+    Observable.T2: lambda pt: (pt.T2, 0.0),
+    Observable.KERR: lambda pt: (pt.chi3.real, 0.0),
+    Observable.NONLIN_ABS: lambda pt: (pt.chi3.imag, 0.0),
+}
+
+
+def _rows_text(rows):
+    return [(repr(r.x), r.branch_id, repr(r.w0), repr(r.value_re),
+             repr(r.value_im)) for r in rows]
+
+
+def _per_point_text(cfg):
+    """The rows of ``cfg`` from one ``transmission_point`` per row, each
+    solving its own system after the SVD test (no certificate)."""
+    branches = steady.solve_steady_branches(cfg.base)
+    rows = []
+    for x in cfg.grid:
+        p = apply_axis(cfg.base, cfg.axis, x)
+        for branch_id, b in enumerate(branches):
+            re, im = _OBSERVED[cfg.observable](transmission_point(p, b))
+            rows.append((repr(x), branch_id, repr(b.w0), repr(re), repr(im)))
+    return rows
+
+
+@pytest.mark.parametrize("axis", [SweepAxis.DELTA0, SweepAxis.DELTA_S0])
+@pytest.mark.parametrize("observable", list(_OBSERVED))
+def test_stacked_rows_equal_the_per_point_path_bit_for_bit(axis, observable):
+    # 300 points: one full block of 256 and a partial one
+    base = bistable_point(ep0=8.0)
+    assert len(steady.solve_steady_branches(base)) == 3
+    cfg = SweepConfig(base=base, axis=axis,
+                      grid=tuple(np.linspace(-12.0, 12.0, 300).tolist()),
+                      observable=observable,
+                      branch_policy=BranchPolicy.ALL_BRANCHES)
+    assert _rows_text(run_sweep(cfg)) == _per_point_text(cfg)
+
+
+@pytest.mark.parametrize("observable, backend, policy, solves", [
+    (Observable.CHI1, Backend.LINEAR_SOLVE, BranchPolicy.ALL_BRANCHES, 3 * 2),
+    (Observable.CHI1, Backend.LINEAR_SOLVE, BranchPolicy.STABLE_ONLY, 2 * 2),
+    (Observable.CHI1, Backend.CLOSED_FORM, BranchPolicy.ALL_BRANCHES, 0),
+    (Observable.W0, Backend.LINEAR_SOLVE, BranchPolicy.ALL_BRANCHES, 0),
+])
+def test_stacked_solves_only_for_emitting_branches(monkeypatch, observable,
+                                                   backend, policy, solves):
+    """Two blocks over the bistable point (two stable branches of three)."""
+    calls = []
+    solve_unit_grid = sweep.solve_unit_grid
+    monkeypatch.setattr(sweep, "solve_unit_grid",
+                        lambda b, deltas: calls.append(b.stability)
+                        or solve_unit_grid(b, deltas))
+    cfg = SweepConfig(base=bistable_point(ep0=8.0), axis=SweepAxis.DELTA0,
+                      grid=tuple(np.linspace(-3.0, 3.0, 300).tolist()),
+                      observable=observable, backend=backend,
+                      branch_policy=policy)
+    rows = run_sweep(cfg)
+    assert len(calls) == solves
+    assert len(rows) == 300 * (2 if policy is BranchPolicy.STABLE_ONLY else 3)
+    if policy is BranchPolicy.STABLE_ONLY:
+        assert set(calls) == {steady.Stability.STABLE}
+
+
+def test_rows_outside_the_certificate_equal_the_per_point_path(monkeypatch):
+    """With every certificate cut to |delta0| <= 5, a -10..10 grid mixes
+    stacked rows with rows solved alone after their SVD test."""
+    solved = []
+    solve_unit_grid = sweep.solve_unit_grid
+
+    def spy(branch, deltas):
+        units = solve_unit_grid(branch, deltas)
+        solved.extend(u is not None for u in units)
+        return units
+
+    monkeypatch.setattr(sweep, "certify_detuning",
+                        lambda b: dataclasses.replace(b, safe_detuning=5.0))
+    monkeypatch.setattr(sweep, "solve_unit_grid", spy)
+    cfg = SweepConfig(base=bistable_point(ep0=8.0), axis=SweepAxis.DELTA0,
+                      grid=tuple(np.linspace(-10.0, 10.0, 301).tolist()),
+                      observable=Observable.CHI3,
+                      branch_policy=BranchPolicy.ALL_BRANCHES)
+    assert _rows_text(run_sweep(cfg)) == _per_point_text(cfg)
+    inside = sum(abs(x) <= 5.0 for x in cfg.grid)
+    assert 0 < inside < len(cfg.grid)
+    assert (solved.count(True), solved.count(False)) == \
+        (3 * inside, 3 * (len(cfg.grid) - inside))
 
 
 def test_records_are_ordered_and_deterministic():
