@@ -56,14 +56,19 @@ class Params:
     gamma1_ratio: float = 2.0
 
     def replace(self, **changes) -> "Params":
-        """``dataclasses.replace`` without its per-field checks; unknown keys
-        raise ``TypeError`` as there.
+        """``dataclasses.replace(self, **changes)``, unchecked: as frozen, equal
+        and of equal hash.  An unknown key raises ``TypeError``.
 
-        The fields are read through one ``attrgetter``, not ``vars(self)``:
-        on CPython 3.11+ ``vars`` materializes the instance dict, which
-        doubles the cost of every later attribute read on ``self``.
-        """
-        return Params(**dict(zip(PARAM_FIELDS, _field_values(self)), **changes))
+        The copy's fields go into its instance dict in one update, not through
+        the frozen ``__init__``'s ``object.__setattr__`` per field.  ``self`` is
+        read through one ``attrgetter``: on CPython 3.11+ ``vars(self)`` would
+        materialize its dict and double the cost of every later read on it."""
+        values = dict(zip(PARAM_FIELDS, _field_values(self)), **changes)
+        if len(values) != len(PARAM_FIELDS):
+            raise TypeError(f"unknown Params fields among {sorted(changes)}")
+        new = object.__new__(Params)
+        new.__dict__.update(values)
+        return new
 
 
 PARAM_FIELDS = tuple(f.name for f in fields(Params))

@@ -1,8 +1,8 @@
 """Sweep output records shared by the steady and sweep modules."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 __all__ = ["Flag", "SpectrumRecord"]
 
@@ -13,8 +13,7 @@ class Flag(Enum):
     UNSTABLE = "Unstable"
 
 
-@dataclass(frozen=True)
-class SpectrumRecord:
+class SpectrumRecord(NamedTuple):
     """One row of a sweep: swept value, branch id, observable, flags."""
 
     x: float
@@ -22,7 +21,7 @@ class SpectrumRecord:
     w0: float
     value_re: float
     value_im: float
-    flags: frozenset = field(default_factory=frozenset)
+    flags: frozenset = frozenset()
 
     def flags_text(self) -> str:
         return "|".join(sorted(f.value for f in self.flags))

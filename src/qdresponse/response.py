@@ -25,6 +25,7 @@ import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +79,7 @@ class SidebandAmplitudes:
     q_plus: complex
 
 
-@dataclass(frozen=True)
-class ResponsePoint:
+class ResponsePoint(NamedTuple):
     """Derived observables at one detuning, normalized per unit signal."""
 
     chi1: complex
@@ -333,8 +333,7 @@ def transmission_point(p: Params, branch: SteadyBranch,
     root = math.sqrt(2.0 * p.kappa_c0)
     a_out_plus = root * a_plus
     T = abs(1.0 - root * a_out_plus)
-    return ResponsePoint(chi1=chi1, chi3=chi3, a_out_plus=a_out_plus,
-                         T=T, T2=T * T)
+    return ResponsePoint(chi1, chi3, a_out_plus, T, T * T)
 
 
 def dispersion_slope(p: Params, branch: SteadyBranch) -> float:

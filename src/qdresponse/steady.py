@@ -576,12 +576,8 @@ def _continuation(points, start_high: bool):
                 nearest = min(abs(r - prev_w) for r in remnants)
                 if nearest < abs(sel.w0 - prev_w):
                     turning = x
-        branch_id = branches.index(sel)
-        flags = set()
-        if not sel.physical:
-            flags.add(Flag.NON_PHYSICAL)
-        rows.append(SpectrumRecord(x, branch_id, sel.w0, sel.w0, 0.0,
-                                   frozenset(flags)))
+        flags = frozenset() if sel.physical else frozenset({Flag.NON_PHYSICAL})
+        rows.append(SpectrumRecord(x, branches.index(sel), sel.w0, sel.w0, 0.0, flags))
         prev_w = sel.w0
     return rows, turning
 

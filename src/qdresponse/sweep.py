@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .errors import InvalidGrid, NoRealRoot, PoleHit, SingularSystem, TooFewPoints, ZeroPump
 from .model import Params, SweepAxis, apply_axis, checked_grid, validate_params
@@ -61,58 +63,50 @@ class SweepConfig:
     branch_policy: BranchPolicy = BranchPolicy.STABLE_ONLY
 
 
-def _observable_value(cfg: SweepConfig, p: Params, branch, unit) -> tuple[float, float]:
-    point = transmission_point(p, branch, cfg.backend, unit=unit)
-    obs = cfg.observable
-    if obs is Observable.CHI1:
-        return point.chi1.real, point.chi1.imag
-    if obs is Observable.A_OUT_PLUS:
-        return point.a_out_plus.real, point.a_out_plus.imag
-    if obs is Observable.T2:
-        return point.T2, 0.0
-    if point.chi3 != point.chi3:  # the rest derive from chi3
+def _defined_chi3(point) -> complex:
+    if point.chi3 != point.chi3:
         raise ZeroPump("chi3 is undefined where 3 ep0^2 is not a normal float")
-    if obs is Observable.CHI3:
-        return point.chi3.real, point.chi3.imag
-    if obs is Observable.KERR:
-        return point.chi3.real, 0.0
-    if obs is Observable.NONLIN_ABS:
-        return point.chi3.imag, 0.0
-    raise AssertionError(obs)
+    return point.chi3
 
 
-def _emits(cfg: SweepConfig, branch) -> bool:
-    """Whether ``branch`` gets a row at each grid point."""
-    return branch.stability is Stability.STABLE or \
-        cfg.branch_policy is not BranchPolicy.STABLE_ONLY
+#: Each response observable's (re, im) from a ``ResponsePoint``; ``W0`` has
+#: no entry, its rows come from the branch alone.
+_VALUE = {
+    Observable.CHI1: attrgetter("chi1.real", "chi1.imag"),
+    Observable.A_OUT_PLUS: attrgetter("a_out_plus.real", "a_out_plus.imag"),
+    Observable.T2: lambda point: (point.T2, 0.0),
+    Observable.CHI3: lambda point: (_defined_chi3(point).real, point.chi3.imag),
+    Observable.KERR: lambda point: (_defined_chi3(point).real, 0.0),
+    Observable.NONLIN_ABS: lambda point: (_defined_chi3(point).imag, 0.0),
+}
 
 
-def _point_records(cfg: SweepConfig, x: float, p: Params, branches,
-                   units) -> list[SpectrumRecord]:
-    """The rows of one grid point; ``units`` holds each branch's pre-solved
-    unit vector at ``p`` (see ``transmission_point``) or ``None``."""
-    rows = []
-    for branch_id, (b, unit) in enumerate(zip(branches, units)):
-        if not _emits(cfg, b):
+def _emitting(cfg: SweepConfig, branches) -> list[tuple]:
+    """``(branch_id, branch, flags, skipped_flags)`` of each branch that gets
+    a row under the branch policy; ``skipped_flags`` mark a failed response."""
+    emitting = []
+    for branch_id, b in enumerate(branches):
+        stable = b.stability is Stability.STABLE
+        if not stable and cfg.branch_policy is BranchPolicy.STABLE_ONLY:
             continue
-        flags = set()
-        if not b.physical:
-            flags.add(Flag.NON_PHYSICAL)
-        if b.stability is not Stability.STABLE:
-            flags.add(Flag.UNSTABLE)
-            flags.add(Flag.NON_PHYSICAL)
-        if cfg.observable is Observable.W0:
-            rows.append(SpectrumRecord(x, branch_id, b.w0, b.w0, 0.0,
-                                       frozenset(flags)))
-            continue
+        flags = frozenset({Flag.UNSTABLE, Flag.NON_PHYSICAL} if not stable else
+                          set() if b.physical else {Flag.NON_PHYSICAL})
+        emitting.append((branch_id, b, flags, flags | {Flag.POLE_SKIPPED}))
+    return emitting
+
+
+def _point_rows(rows: list, cfg: SweepConfig, x: float, p: Params, emitting,
+                units, value) -> None:
+    """Append the rows of one grid point: ``units`` holds each emitting
+    branch's unit vector at ``p`` (see ``transmission_point``) or ``None``,
+    ``value`` is the observable's ``_VALUE`` entry, ``None`` for ``W0``."""
+    for (branch_id, b, flags, skipped), unit in zip(emitting, units):
         try:
-            re, im = _observable_value(cfg, p, b, unit)
+            re, im = (b.w0, 0.0) if value is None else \
+                value(transmission_point(p, b, cfg.backend, unit=unit))
         except (PoleHit, SingularSystem, ZeroPump):
-            flags.add(Flag.POLE_SKIPPED)
-            re = im = float("nan")
-        rows.append(SpectrumRecord(x, branch_id, b.w0, re, im,
-                                   frozenset(flags)))
-    return rows
+            re, im, flags = float("nan"), float("nan"), skipped
+        rows.append(SpectrumRecord(x, branch_id, b.w0, re, im, flags))
 
 
 def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
@@ -122,35 +116,36 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
     failures become flags on the record, never fabricated values.  The
     continuation policy is not a sweep: ``steady.hysteresis_sweep`` runs it.
 
-    On a detuning axis the base point's branches serve every grid point.
-    The grid is walked in fixed blocks of ``_BLOCK`` points: each branch
-    that emits response rows solves its certified rows of the block in one
-    stacked solve (``response.solve_unit_grid``), and every row's
-    observables still come from one ``transmission_point`` call, given the
-    row's solution.  On any other axis each grid point's roots and branches
-    come from one ``steady.grid_roots`` call over the grid; a point that
-    raises a typed error other than ``NoRealRoot`` raises it at its turn.
+    On a detuning axis the base point's branches, and their flags, serve
+    every grid point.  The grid is walked in fixed blocks of ``_BLOCK``
+    points: each branch that emits response rows solves its certified rows
+    of the block in one stacked solve (``response.solve_unit_grid``), and
+    every row's observables still come from one ``transmission_point`` call,
+    given the row's solution.  On any other axis each grid point's roots and
+    branches come from one ``steady.grid_roots`` call over the grid; a point
+    that raises a typed error other than ``NoRealRoot`` raises it at its turn.
     """
     validate_params(cfg.base)
     xs = checked_grid(cfg.grid, minimum=1, ascending=False)
     if cfg.branch_policy is BranchPolicy.CONTINUATION:
         raise InvalidGrid("continuation sweeps run through steady.hysteresis_sweep")
 
+    value = _VALUE.get(cfg.observable)
     rows = []
     if cfg.axis in (SweepAxis.DELTA0, SweepAxis.DELTA_S0):
         # the same branches serve every grid point, so one certificate each
         # lets the response skip its per-point SVD and stack its solves
-        branches = [certify_detuning(b) for b in solve_steady_branches(cfg.base)]
-        stacked = cfg.backend is Backend.LINEAR_SOLVE and \
-            cfg.observable is not Observable.W0
+        emitting = _emitting(cfg, [certify_detuning(b)
+                                   for b in solve_steady_branches(cfg.base)])
+        stacked = cfg.backend is Backend.LINEAR_SOLVE and value is not None
         for start in range(0, len(xs), _BLOCK):
             block = xs[start:start + _BLOCK]
             ps = [apply_axis(cfg.base, cfg.axis, x) for x in block]
             deltas = [p.delta0 for p in ps]
-            units = [solve_unit_grid(b, deltas) if stacked and _emits(cfg, b)
-                     else [None] * len(block) for b in branches]
+            units = [solve_unit_grid(b, deltas) if stacked else [None] * len(block)
+                     for _, b, _, _ in emitting]
             for x, p, point_units in zip(block, ps, zip(*units)):
-                rows += _point_records(cfg, x, p, branches, point_units)
+                _point_rows(rows, cfg, x, p, emitting, point_units, value)
         return rows
     for x, p, found in grid_roots(cfg.base, cfg.axis, xs):
         try:
@@ -159,18 +154,13 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
             rows.append(SpectrumRecord(x, -1, float("nan"), float("nan"),
                                        float("nan"), frozenset({Flag.POLE_SKIPPED})))
             continue
-        rows += _point_records(cfg, x, p, branches, [None] * len(branches))
+        _point_rows(rows, cfg, x, p, _emitting(cfg, branches),
+                    [None] * len(branches), value)
     return rows
 
 
-def _component(rec: SpectrumRecord, component: str) -> float:
-    if component == "re":
-        return rec.value_re
-    if component == "im":
-        return rec.value_im
-    if component == "abs":
-        return (rec.value_re ** 2 + rec.value_im ** 2) ** 0.5
-    raise InvalidGrid(f"unknown component {component!r}; use re, im or abs")
+_COMPONENT = {"re": attrgetter("value_re"), "im": attrgetter("value_im"),
+              "abs": lambda r: math.hypot(r.value_re, r.value_im)}
 
 
 def locate_extrema(records, kind: ExtremumKind,
@@ -180,14 +170,16 @@ def locate_extrema(records, kind: ExtremumKind,
     Requires a single-branch record stream with at least three points; exact
     for quadratic data.
     """
-    rows = [r for r in records
-            if _component(r, component) == _component(r, component)]
+    if component not in _COMPONENT:
+        raise InvalidGrid(f"unknown component {component!r}; use re, im or abs")
+    value = _COMPONENT[component]
+    rows = [r for r in records if value(r) == value(r)]
     if len({r.branch_id for r in rows}) > 1:
         raise InvalidGrid("locate_extrema needs a single-branch record stream")
     if len(rows) < 3:
         raise TooFewPoints(f"need >= 3 points, got {len(rows)}")
     xs = [r.x for r in rows]
-    ys = [_component(r, component) for r in rows]
+    ys = [value(r) for r in rows]
     sign = 1.0 if kind is ExtremumKind.PEAK else -1.0
     found = []
     for k in range(1, len(rows) - 1):
@@ -208,29 +200,36 @@ def locate_extrema(records, kind: ExtremumKind,
     return found
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _flag_names(records) -> dict:
+    """Each distinct flag set of ``records`` with its sorted flag names."""
+    return {flags: sorted(f.value for f in flags)
+            for flags in {r.flags for r in records}}
 
 
 def records_to_csv(records, fh, meta: dict) -> None:
-    """Emit records as CSV; the metadata goes into leading # lines."""
-    for key, value in meta.items():
-        fh.write(f"# {key}={value}\n")
-    fh.write("x,branch_id,w0,value_re,value_im,flags\n")
-    for r in records:
-        fh.write(f"{_fmt(r.x)},{r.branch_id},{_fmt(r.w0)},{_fmt(r.value_re)},"
-                 f"{_fmt(r.value_im)},{r.flags_text()}\n")
+    """Emit a sequence of records as CSV, the metadata in leading # lines:
+    floats as ``repr(float(v))``, flags as their sorted names joined by
+    ``|`` (made once per distinct flag set), in one ``fh.write``."""
+    text = {flags: "|".join(names) for flags, names in _flag_names(records).items()}
+    lines = [f"# {key}={value}\n" for key, value in meta.items()]
+    lines.append("x,branch_id,w0,value_re,value_im,flags\n")
+    lines += [f"{float(x)!r},{branch_id},{float(w0)!r},{float(re)!r},"
+              f"{float(im)!r},{text[flags]}\n"
+              for x, branch_id, w0, re, im, flags in records]
+    fh.write("".join(lines))
 
 
 def records_to_json(records, fh, meta: dict) -> None:
-    """Emit records as the JSON object ``{"meta": meta, "records": [row, ...]}``."""
+    """Emit a sequence of records as the JSON object
+    ``{"meta": meta, "records": [row, ...]}``; NaN is written as ``null``."""
+    names = _flag_names(records)
     rows = [{
         "x": r.x,
         "branch_id": r.branch_id,
         "w0": None if r.w0 != r.w0 else r.w0,
         "value_re": None if r.value_re != r.value_re else r.value_re,
         "value_im": None if r.value_im != r.value_im else r.value_im,
-        "flags": sorted(f.value for f in r.flags),
+        "flags": names[r.flags],
     } for r in records]
     fh.write(json.dumps({"meta": meta, "records": rows}, indent=1))
     fh.write("\n")

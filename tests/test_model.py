@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from qdresponse.errors import (
     NonPositiveRate,
 )
 from qdresponse.model import (
+    PARAM_FIELDS,
     SweepAxis,
     apply_axis,
     default_signal_amplitude,
@@ -94,15 +96,27 @@ def test_apply_axis_plain_fields():
 
 def test_replace_matches_dataclasses_replace_and_rejects_unknown_keys():
     p = absorption_point()
-    for changes in ({}, {"delta0": -3.5}, {"ep0": 1.0, "g0": 0.0, "es0": 2e-3}):
+    rng = random.Random(7)
+    changes_list = [{}, {"delta0": -3.5}, {"ep0": 1.0, "g0": 0.0, "es0": 2e-3}]
+    changes_list += [{name: rng.uniform(-10.0, 10.0)
+                      for name in rng.sample(PARAM_FIELDS, rng.randint(1, len(PARAM_FIELDS)))}
+                     for _ in range(50)]
+    for changes in changes_list:
         q = p.replace(**changes)
-        assert q == dataclasses.replace(p, **changes)
+        want = dataclasses.replace(p, **changes)
+        assert q == want and hash(q) == hash(want)
+        assert tuple(getattr(q, name) for name in PARAM_FIELDS) == \
+            tuple(getattr(want, name) for name in PARAM_FIELDS)
         assert type(q) is type(p) and q is not p
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.ep0 = 1.0
+        assert q.replace(**changes) == q
     assert p == absorption_point()
-    with pytest.raises(TypeError):
-        p.replace(delta_zz=1.0)
-    with pytest.raises(TypeError):
-        dataclasses.replace(p, delta_zz=1.0)
+    for bad in ({"delta_zz": 1.0}, {"delta0": 1.0, "delta_zz": 1.0}):
+        with pytest.raises(TypeError):
+            p.replace(**bad)
+        with pytest.raises(TypeError):
+            dataclasses.replace(p, **bad)
 
 
 def test_default_signal_amplitude_tracks_pump():

@@ -12,6 +12,7 @@ from qdresponse.presets import figure_ids, get_preset
 from qdresponse.response import (
     SINGULAR_RCOND,
     Backend,
+    ResponsePoint,
     certify_detuning,
     chi1_closed_form,
     chi3_closed_form,
@@ -332,6 +333,15 @@ def test_a_presolved_unit_needs_the_linear_solve_backend():
     assert transmission_point(p, b, unit=unit) == transmission_point(p, b)
     with pytest.raises(ValueError, match="linear-solve"):
         transmission_point(p, b, Backend.CLOSED_FORM, unit=unit)
+
+
+def test_response_point_is_an_immutable_tuple_with_fixed_fields():
+    p = absorption_point(delta0=1.0)
+    point = transmission_point(p, branch_of(p))
+    assert ResponsePoint._fields == ("chi1", "chi3", "a_out_plus", "T", "T2")
+    assert point.T2 == point.T * point.T
+    with pytest.raises(AttributeError):
+        point.T = 0.0
 
 
 # -- certified sideband solve ------------------------------------------------

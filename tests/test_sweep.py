@@ -1,6 +1,8 @@
 import dataclasses
 import io
 import json
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -374,6 +376,17 @@ def test_refined_extrema_are_grid_stable():
     assert abs(positive_side_peak(coarse_grid) - positive_side_peak(fine_grid)) < 0.1
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_abs_extrema_survive_extreme_magnitudes(scale):
+    # squaring the parts overflows at 1e200 and underflows to 0 at 1e-200
+    xs = np.linspace(-2.0, 2.0, 21)
+    records = [SpectrumRecord(x, 0, 0.0, scale * y, 0.5 * scale * y, frozenset())
+               for x, y in zip(xs, 1.5 - 0.1 * (xs - 0.3217) ** 2)]
+    ((x, v),) = locate_extrema(records, ExtremumKind.PEAK, component="abs")
+    assert x == pytest.approx(0.3217, abs=1e-9)
+    assert v == pytest.approx(1.5 * 1.25 ** 0.5 * scale, rel=1e-9)
+
+
 def test_csv_emission_schema():
     records = [SpectrumRecord(1.0, 0, -0.5, 0.25, -0.125,
                               frozenset({Flag.UNSTABLE, Flag.NON_PHYSICAL}))]
@@ -396,3 +409,84 @@ def test_json_emission_schema():
         "x": 2.0, "branch_id": 1, "w0": -0.25, "value_re": None,
         "value_im": None, "flags": ["PoleSkipped"],
     }]
+
+
+def test_records_are_immutable_tuples_with_fixed_fields():
+    rec = SpectrumRecord(1.0, 0, -0.5, 0.25, -0.125)
+    assert SpectrumRecord._fields == ("x", "branch_id", "w0", "value_re",
+                                      "value_im", "flags")
+    assert rec.flags == frozenset() and type(rec.flags) is frozenset
+    with pytest.raises(AttributeError):
+        rec.value_re = 0.0
+    with pytest.raises(AttributeError):
+        rec.flags = frozenset({Flag.UNSTABLE})
+    assert rec == SpectrumRecord(1.0, 0, -0.5, 0.25, -0.125, frozenset())
+
+
+def _reference_csv(records, meta):
+    """The CSV writer as first written: one f-string per row, each float
+    through ``repr(float(v))``, each row's flags sorted anew."""
+    def fmt(v):
+        return repr(float(v))
+    out = [f"# {key}={value}\n" for key, value in meta.items()]
+    out.append("x,branch_id,w0,value_re,value_im,flags\n")
+    for r in records:
+        out.append(f"{fmt(r.x)},{r.branch_id},{fmt(r.w0)},{fmt(r.value_re)},"
+                   f"{fmt(r.value_im)},{'|'.join(sorted(f.value for f in r.flags))}\n")
+    return "".join(out)
+
+
+def _reference_json(records, meta):
+    """The JSON writer as first written, with one sorted flag list per row."""
+    def num(v):
+        return None if v != v else v
+    rows = [{"x": r.x, "branch_id": r.branch_id, "w0": num(r.w0),
+             "value_re": num(r.value_re), "value_im": num(r.value_im),
+             "flags": sorted(f.value for f in r.flags)} for r in records]
+    return json.dumps({"meta": meta, "records": rows}, indent=1) + "\n"
+
+
+def _edge_records():
+    nan, inf = float("nan"), float("inf")
+    return [
+        SpectrumRecord(-0.0, 0, -0.0, -0.0, 0.0),
+        SpectrumRecord(0.5, -1, nan, nan, nan, frozenset({Flag.POLE_SKIPPED})),
+        SpectrumRecord(inf, 1, -inf, inf, -inf,
+                       frozenset({Flag.UNSTABLE, Flag.NON_PHYSICAL})),
+        SpectrumRecord(5e-324, 2, -5e-324, 1e308, -1e308,
+                       frozenset({Flag.NON_PHYSICAL})),
+        SpectrumRecord(3, -1, 0.1, 1 / 3, -2.5e-17),  # an int-valued x
+    ]
+
+
+def _random_records(seed, n=300):
+    """Rows whose floats are random bit patterns, NaN and inf included."""
+    rng = random.Random(seed)
+    flag_sets = [frozenset(), frozenset({Flag.POLE_SKIPPED}),
+                 frozenset({Flag.NON_PHYSICAL}),
+                 frozenset({Flag.UNSTABLE, Flag.NON_PHYSICAL}),
+                 frozenset({Flag.UNSTABLE, Flag.NON_PHYSICAL, Flag.POLE_SKIPPED})]
+
+    def bits():
+        return struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+    return [SpectrumRecord(bits(), rng.randint(-1, 2), bits(), bits(), bits(),
+                           rng.choice(flag_sets)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("records", [_edge_records(), _random_records(3), []],
+                         ids=["edge", "random", "empty"])
+def test_writers_match_the_per_row_reference_bytes(records):
+    meta = {"observable": "chi1", "P1": ""}
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text)
+
+    records_to_csv(records, Sink(), meta)
+    assert len(writes) == 1
+    assert writes[0] == _reference_csv(records, meta)
+    buf = io.StringIO()
+    records_to_json(records, buf, meta)
+    assert buf.getvalue() == _reference_json(records, meta)
+
