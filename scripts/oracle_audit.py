@@ -3,7 +3,8 @@
 
 For each selected preset: seed the integrator on the stable branch, drive it
 with a weak signal, demodulate the settled tail and compare the extracted
-upper-sideband amplitudes a+ and sigma+ against the linear-solve backend.
+upper-sideband amplitudes a+, sigma+, w+ and q+ against the linear-solve
+backend; w+ and q+ are the mechanical channel behind the induced absorption.
 Also reports the linearity defect of a+ when the signal amplitude is doubled.
 
 Usage: python scripts/oracle_audit.py [preset ...]
@@ -22,6 +23,7 @@ from qdresponse.oracle import (
     demodulate_sidebands,
     integrate_mean_field,
     max_step,
+    relative_deviation,
     steady_state_vector,
 )
 from qdresponse.presets import figure_ids, get_preset
@@ -49,13 +51,16 @@ def audit(figure_id: str) -> float:
         integrate_mean_field(p, init, 260.0, dt, es0=2.0 * p.es0), p.delta0)
     elapsed = time.perf_counter() - t0
     bands = solve_sidebands(p, branch)
-    dev = abs(one.a_plus - bands.a_plus) / abs(bands.a_plus)
-    dev_s = abs(one.sigma_plus - bands.sigma_plus) / abs(bands.sigma_plus)
+    devs = {name: relative_deviation(got, want) for name, got, want in (
+        ("a+", one.a_plus, bands.a_plus),
+        ("sigma+", one.sigma_plus, bands.sigma_plus),
+        ("w+", one.w_plus, bands.sigmaz_plus),
+        ("q+", one.q_plus, bands.q_plus))}
     lin = abs(two.a_plus / one.a_plus - 2.0)
-    print(f"{figure_id:>4}  delta0={p.delta0:6.2f}  a+ dev={dev:.3e}  "
-          f"sigma+ dev={dev_s:.3e}  linearity defect={lin:.3e}  "
-          f"({elapsed:.1f}s)")
-    return max(dev, dev_s, lin)
+    print(f"{figure_id:>4}  delta0={p.delta0:6.2f}  "
+          + "  ".join(f"{name} dev={dev:.3e}" for name, dev in devs.items())
+          + f"  linearity defect={lin:.3e}  ({elapsed:.1f}s)")
+    return max(*devs.values(), lin)
 
 
 def main() -> int:

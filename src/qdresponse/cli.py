@@ -216,15 +216,6 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def _relative_deviation(got: complex, want: complex) -> float:
-    """|got - want| / |want|.  An amplitude the linear solve gives as exactly
-    0 (sigma+ of a dot decoupled by g0 = 0) deviates by 0 if the oracle's is
-    0 too and by inf otherwise, so the verdict rests on the other one."""
-    if want == 0:
-        return 0.0 if got == 0 else math.inf
-    return abs(got - want) / abs(want)
-
-
 def _cmd_oracle_check(args) -> int:
     if not 0.0 < args.tolerance < math.inf:
         raise BadConfig(f"--tolerance must be finite and > 0, got {args.tolerance:g}")
@@ -250,8 +241,8 @@ def _cmd_oracle_check(args) -> int:
         print(f"wrote {path}")
     demod = oracle.demodulate_sidebands(traj, p.delta0)
     bands = response.solve_sidebands(p, branch)
-    dev_a = _relative_deviation(demod.a_plus, bands.a_plus)
-    dev_s = _relative_deviation(demod.sigma_plus, bands.sigma_plus)
+    dev_a = oracle.relative_deviation(demod.a_plus, bands.a_plus)
+    dev_s = oracle.relative_deviation(demod.sigma_plus, bands.sigma_plus)
     dev = max(dev_a, dev_s)
     print(f"branch w0 = {branch.w0!r}")
     print(f"a_plus  deviation = {dev_a:.3e}")

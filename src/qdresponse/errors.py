@@ -5,6 +5,13 @@ class QdResponseError(Exception):
     """Base class for every error raised by this package."""
 
 
+def _or_raise(found):
+    """``found``; raised instead where it is the error its point raises."""
+    if isinstance(found, Exception):
+        raise found
+    return found
+
+
 # -- parameter validation -------------------------------------------------
 
 class NonPositiveRate(QdResponseError):

@@ -27,6 +27,7 @@ __all__ = [
     "integrate_mean_field",
     "demodulate_sidebands",
     "perturbation_outcome",
+    "relative_deviation",
     "dump_trajectory",
 ]
 
@@ -140,11 +141,15 @@ def integrate_mean_field(p: Params, init, t_end: float, dt: float,
             f"dt={dt} exceeds the resolution bound {max_step(p):.6g} "
             "for these parameters")
     es = p.es0 if es0 is None else es0
-    n = int(round(t_end / dt))
     y = tuple(float(v) for v in init)
     if len(y) != 7:
         raise InvalidGrid("initial state must have 7 components")
-    out = np.empty((n + 1, 7))
+    try:
+        n = int(round(t_end / dt))
+        out = np.empty((n + 1, 7))
+    except (OverflowError, ValueError):  # round(inf); a shape numpy refuses
+        raise InvalidGrid(f"t_end/dt = {t_end / dt:.6g} steps do not fit in "
+                          "an array") from None
     out[0] = y
     h2 = 0.5 * dt
     h6 = dt / 6.0
@@ -336,6 +341,15 @@ def perturbation_outcome(p: Params, branch: SteadyBranch,
             return "decayed"
         elapsed += span
     return "inconclusive"
+
+
+def relative_deviation(got: complex, want: complex) -> float:
+    """|got - want| / |want|.  An amplitude the linear solve gives as exactly
+    0 (sigma+ of a dot decoupled by g0 = 0, q+ of a dot without phonon
+    coupling) deviates by 0 if the oracle's is 0 too and by inf otherwise."""
+    if want == 0:
+        return 0.0 if got == 0 else math.inf
+    return abs(got - want) / abs(want)
 
 
 def dump_trajectory(traj: Trajectory, fh) -> None:

@@ -22,6 +22,3 @@ class SpectrumRecord(NamedTuple):
     value_re: float
     value_im: float
     flags: frozenset = frozenset()
-
-    def flags_text(self) -> str:
-        return "|".join(sorted(f.value for f in self.flags))

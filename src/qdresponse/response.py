@@ -24,12 +24,13 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import wraps
 from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PoleHit, SingularSystem, ZeroPump
+from .errors import NonFinite, PoleHit, SingularSystem, ZeroPump, _or_raise
 from .model import Params
 from .steady import SteadyBranch, coherence_amplitudes
 
@@ -129,54 +130,43 @@ def _sideband_matrix(K: np.ndarray, delta):
     return -K - 1j * delta * _EYE
 
 
-def _checked_matrix(p: Params, branch: SteadyBranch) -> np.ndarray:
-    """The sideband system at ``p.delta0``, after its singularity test.
-
-    ``SingularSystem`` is raised where the system's rcond is below
-    ``SINGULAR_RCOND``.  Within ``branch.safe_detuning`` (see
-    ``certify_detuning``) the branch's eigendecomposition proves that
-    it is not, and the SVD is skipped; the error therefore fires at the same
-    detunings as an SVD at every point.
-    """
-    M = _sideband_matrix(branch.sideband_generator, p.delta0)
-    if not abs(p.delta0) <= branch.safe_detuning:  # a NaN delta0 lands here
-        sv = np.linalg.svd(M, compute_uv=False)
-        if sv[-1] < SINGULAR_RCOND * sv[0]:
-            raise SingularSystem(
-                f"sideband system is singular at delta0={p.delta0!r} "
-                f"(rcond {sv[-1] / sv[0]:.2e})")
-    return M
-
-
-def _solve_unit(p: Params, branch: SteadyBranch) -> np.ndarray:
-    """(a+, conj(a-), s+, conj(s-), w+, q+, dq+/dt) per unit signal: the
-    solution of (-K - i delta0 I) x = e0, K = ``branch.sideband_generator``,
-    or ``SingularSystem`` (see ``_checked_matrix``)."""
-    return np.linalg.solve(_checked_matrix(p, branch), _EYE[0])
+def _solve_alone(K: np.ndarray, delta) -> list | SingularSystem:
+    """``solve_unit_grid``'s entry at one detuning, after the SVD test."""
+    M = _sideband_matrix(K, delta)
+    sv = np.linalg.svd(M, compute_uv=False)
+    if sv[-1] < SINGULAR_RCOND * sv[0]:
+        return SingularSystem(f"sideband system is singular at delta0={delta!r} "
+                              f"(rcond {sv[-1] / sv[0]:.2e})")
+    return np.linalg.solve(M, _EYE[0]).tolist()
 
 
 def solve_unit_grid(branch: SteadyBranch, deltas) -> list:
-    """``_solve_unit`` at each detuning of ``deltas``, stacked.
+    """(a+, conj(a-), s+, conj(s-), w+, q+, dq+/dt) per unit signal at each
+    detuning of ``deltas``, 7 Python ``complex`` solving (-K - i delta I) x =
+    e0 for K = ``branch.sideband_generator``; or, where the rcond of that
+    system is below ``SINGULAR_RCOND``, its ``SingularSystem``.
 
-    Each entry is the unit-signal solution as a list of 7 Python ``complex``,
-    or ``None`` for a detuning outside ``branch.safe_detuning``: such a row
-    needs ``_solve_unit``'s singularity test, so the caller solves it alone
-    (``transmission_point`` with no ``unit``).  The certified rows take one
-    stacked ``np.linalg.solve``, whose LAPACK call per system is the one a
-    single solve makes, so each row has the bits of ``_solve_unit``.  The
-    right-hand side is passed as (n, 7, 1): numpy 1.x and 2.x read that shape
-    alike, unlike (n, 7).
+    Rows within ``branch.safe_detuning`` (``certify_detuning`` proves their
+    rcond) skip the SVD and share one stacked ``np.linalg.solve`` (right-hand
+    side (n, 7, 1), read alike by numpy 1.x and 2.x), whose LAPACK call per
+    system is a single solve's.  Every other row, a NaN detuning included, is
+    SVD-tested and solved alone.  So each row has a lone solve's bits and error.
     """
-    safe = branch.safe_detuning
-    rows = [k for k, d in enumerate(deltas) if abs(d) <= safe]
-    units = [None] * len(deltas)
-    if rows:
-        d = np.array([deltas[k] for k in rows])[:, None, None]
-        M = _sideband_matrix(branch.sideband_generator, d)
-        x = np.linalg.solve(M, np.broadcast_to(_EYE[:, :1], (len(rows), 7, 1)))
-        for k, unit in zip(rows, x[:, :, 0].tolist()):
-            units[k] = unit
-    return units
+    K, safe = branch.sideband_generator, branch.safe_detuning
+    certified = [abs(d) <= safe for d in deltas]  # False for a NaN detuning
+    stacked = iter(())
+    if any(certified):
+        ds = np.array([d for d, c in zip(deltas, certified) if c])[:, None, None]
+        x = np.linalg.solve(_sideband_matrix(K, ds),
+                            np.broadcast_to(_EYE[:, :1], (len(ds), 7, 1)))
+        stacked = iter(x[:, :, 0].tolist())
+    return [next(stacked) if c else _solve_alone(K, d)
+            for d, c in zip(deltas, certified)]
+
+
+def _solve_unit(p: Params, branch: SteadyBranch) -> list:
+    """``solve_unit_grid`` at ``p.delta0`` alone, its error raised."""
+    return _or_raise(solve_unit_grid(branch, [p.delta0])[0])
 
 
 def solve_sidebands(p: Params, branch: SteadyBranch) -> SidebandAmplitudes:
@@ -185,15 +175,8 @@ def solve_sidebands(p: Params, branch: SteadyBranch) -> SidebandAmplitudes:
     The system is solved once per unit signal and scaled, so the amplitudes
     are exactly linear in the signal amplitude.
     """
-    x = _solve_unit(p, branch) * p.es0
-    return SidebandAmplitudes(
-        a_plus=complex(x[0]),
-        a_minus=complex(x[1].conjugate()),
-        sigma_plus=complex(x[2]),
-        sigma_minus=complex(x[3].conjugate()),
-        sigmaz_plus=complex(x[4]),
-        q_plus=complex(x[5]),
-    )
+    a, a_m, s, s_m, w, q, _ = (v * p.es0 for v in _solve_unit(p, branch))
+    return SidebandAmplitudes(a, a_m.conjugate(), s, s_m.conjugate(), w, q)
 
 
 # -- closed forms ------------------------------------------------------------
@@ -204,10 +187,25 @@ def _guard(name: str, value: complex, scale: float):
     return value
 
 
-def _has_chi3(p: Params) -> bool:
-    """Whether chi3, normalized by 3 ep0^2, is defined: where 3 ep0^2 is a
-    positive normal float.  Below that it is 0 or loses bits to underflow."""
-    return 3.0 * p.ep0 ** 2 >= sys.float_info.min
+def _chi3_norm(p: Params) -> float:
+    """3 ep0^2, chi3's normalization, where it is a positive, finite, normal
+    float (ep0 up to about 7.7e153), else 0.0: chi3 is undefined there."""
+    try:
+        norm = 3.0 * p.ep0 ** 2
+    except OverflowError:
+        return 0.0
+    return norm if sys.float_info.min <= norm < math.inf else 0.0
+
+
+def _overflow_is_non_finite(form):
+    """``form``, raising ``NonFinite`` where its arithmetic overflows."""
+    @wraps(form)
+    def checked(*args, **kwargs):
+        try:
+            return form(*args, **kwargs)
+        except OverflowError:
+            raise NonFinite(f"{form.__name__} overflows at these parameters") from None
+    return checked
 
 
 def _common_scale(p: Params) -> float:
@@ -215,6 +213,7 @@ def _common_scale(p: Params) -> float:
         p.kappa_c0 + p.g0 ** 2 + 2.0 * p.omega_k0 * p.eta
 
 
+@_overflow_is_non_finite
 def chi1_closed_form(p: Params, branch: SteadyBranch,
                      corrected: bool = True) -> complex:
     """Closed-form linear susceptibility at the branch.
@@ -257,6 +256,7 @@ def chi1_closed_form(p: Params, branch: SteadyBranch,
         / (phi1 * A1**2 * M1**2) + 2.0 * g0 * w0 / (A1 * M1)
 
 
+@_overflow_is_non_finite
 def chi3_closed_form(p: Params, branch: SteadyBranch,
                      corrected: bool = True) -> complex:
     """Closed-form nonlinear susceptibility at the branch.
@@ -265,9 +265,10 @@ def chi3_closed_form(p: Params, branch: SteadyBranch,
     pulsation resonance) and omits the pump normalization (ledger entry
     ``chi3-normalization``).
     """
-    if not _has_chi3(p):
+    norm = _chi3_norm(p)
+    if not norm:
         raise ZeroPump("chi3 is normalized by 3 ep0^2, which is not a "
-                       "positive normal float here")
+                       "positive, finite, normal float here")
     w0 = branch.w0
     g0, d0, eta, wk = p.g0, p.delta0, p.eta, p.omega_k0
     scale = _common_scale(p)
@@ -295,7 +296,7 @@ def chi3_closed_form(p: Params, branch: SteadyBranch,
                 + 2j * g0**2 * f1 * A2 * w0)
     lead = 2.0 * wk * eta * zeta2 * c1 + 2.0 * g0 * f1
     if corrected:
-        return lead * bracket / (phi2 * A2**2 * M2 * N2) / (3.0 * p.ep0 ** 2)
+        return lead * bracket / (phi2 * A2**2 * M2 * N2) / norm
     return lead * bracket / (phi2 * A2**2 * M2**2 * N2)
 
 
@@ -308,26 +309,22 @@ def transmission_point(p: Params, branch: SteadyBranch,
 
     All quantities are per unit signal amplitude.  The real part of the output
     amplitude is the absorption quadrature, the imaginary part the dispersion.
-    chi3 is normalized by 3 ep0^2, so it is NaN where that is not a positive
-    normal float: at zero pump and at a pump whose square underflows.
+    chi3 is normalized by 3 ep0^2, so it is NaN where that is not a positive,
+    finite, normal float: at a zero, an underflowing or an overflowing pump.
 
-    ``unit`` is the unit-signal solution at ``p.delta0`` when the caller has
-    already solved it (an entry of ``solve_unit_grid``); only the
-    ``LINEAR_SOLVE`` backend takes it.  With ``None`` the system is solved
-    here.
+    ``unit`` is the caller's ``solve_unit_grid`` entry at ``p.delta0``, whose
+    error is raised here; only the ``LINEAR_SOLVE`` backend takes it.
     """
-    has_chi3 = _has_chi3(p)
+    norm = _chi3_norm(p)
     if backend is Backend.LINEAR_SOLVE:
-        x = _solve_unit(p, branch) if unit is None else unit
-        chi1 = complex(x[2])
-        chi3 = complex(x[3].conjugate()) / (3.0 * p.ep0 ** 2) if has_chi3 \
-            else complex("nan")
-        a_plus = complex(x[0])
+        x = _solve_unit(p, branch) if unit is None else _or_raise(unit)
+        chi1, a_plus = x[2], x[0]
+        chi3 = x[3].conjugate() / norm if norm else complex("nan")
     elif unit is not None:
         raise ValueError("a pre-solved unit vector needs the linear-solve backend")
     else:
         chi1 = chi1_closed_form(p, branch)
-        chi3 = chi3_closed_form(p, branch) if has_chi3 else complex("nan")
+        chi3 = chi3_closed_form(p, branch) if norm else complex("nan")
         A1 = 1j * p.delta_c0 + p.kappa_c0 - 1j * p.delta0
         a_plus = (1.0 - 1j * p.g0 * chi1) / A1
     root = math.sqrt(2.0 * p.kappa_c0)
@@ -344,8 +341,8 @@ def dispersion_slope(p: Params, branch: SteadyBranch) -> float:
     so the slope is -Im(sqrt(2 kappa) (i M^-1 x)[0]).  ``SingularSystem`` is
     raised as by ``transmission_point``.
     """
-    M = _checked_matrix(p, branch)
-    dx = 1j * np.linalg.solve(M, np.linalg.solve(M, _EYE[0]))
+    M = _sideband_matrix(branch.sideband_generator, p.delta0)
+    dx = 1j * np.linalg.solve(M, _solve_unit(p, branch))
     return -(math.sqrt(2.0 * p.kappa_c0) * complex(dx[0])).imag
 
 

@@ -31,6 +31,7 @@ from .errors import (
     NoRealRoot,
     QdResponseError,
     RootResidual,
+    _or_raise,
 )
 from .model import Params, SweepAxis, apply_axis, checked_grid, validate_params
 from .records import Flag, SpectrumRecord
@@ -49,6 +50,7 @@ __all__ = [
     "solve_steady_branches",
     "mean_field_jacobian",
     "classify_stability",
+    "row_flags",
     "hysteresis_sweep",
 ]
 
@@ -105,6 +107,13 @@ class SteadyBranch:
     def sideband_generator(self) -> np.ndarray:
         """``jacobian`` in the complex amplitudes: K = T J T^-1."""
         return _TO_COMPLEX @ self.jacobian @ _FROM_COMPLEX
+
+
+def row_flags(branch: SteadyBranch) -> frozenset:
+    """The flags of a sweep or hysteresis row that reports ``branch``."""
+    return frozenset({Flag.UNSTABLE, Flag.NON_PHYSICAL}
+                     if branch.stability is not Stability.STABLE else
+                     set() if branch.physical else {Flag.NON_PHYSICAL})
 
 
 # -- coefficient set --------------------------------------------------------
@@ -232,14 +241,14 @@ def _horner_rows(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _polished_root_sets(polys) -> list:
-    """``_polished_roots`` of each polynomial, or the ``NoRealRoot`` it
-    raises.
+    """(roots, monic) of each polynomial: its trimmed monic form and all its
+    roots (complex), polished; or the ``NoRealRoot`` the polynomial raises.
 
     The trimmed monic polynomials are stacked by degree: one ``eigvals``
     and one array Newton step per stack, elementwise the operations of a
-    single polynomial, so each point's roots are the same bits.  Rows whose
-    eigenvalues are all real are polished as a float array, as ``eigvals``
-    of that companion alone returns them.
+    single polynomial, so each polynomial's roots have the bits it gets in
+    a stack of one.  Rows whose eigenvalues are all real are polished as a
+    float array, as ``eigvals`` of that companion alone returns them.
     """
     out = [None] * len(polys)
     stacks = {}
@@ -280,18 +289,6 @@ def _polished_root_sets(polys) -> list:
             for i, r, m in zip(at, roots, monic):
                 out[i] = (r, m)
     return out
-
-
-def _or_raise(found):
-    """``found``; raised instead where it is the error its point raises."""
-    if isinstance(found, Exception):
-        raise found
-    return found
-
-
-def _polished_roots(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All roots (complex) of the trimmed monic polynomial plus monic coeffs."""
-    return _or_raise(_polished_root_sets([poly])[0])
 
 
 def _horner(coeffs, x: float) -> float:
@@ -576,8 +573,8 @@ def _continuation(points, start_high: bool):
                 nearest = min(abs(r - prev_w) for r in remnants)
                 if nearest < abs(sel.w0 - prev_w):
                     turning = x
-        flags = frozenset() if sel.physical else frozenset({Flag.NON_PHYSICAL})
-        rows.append(SpectrumRecord(x, branches.index(sel), sel.w0, sel.w0, 0.0, flags))
+        rows.append(SpectrumRecord(x, branches.index(sel), sel.w0, sel.w0, 0.0,
+                                   row_flags(sel)))
         prev_w = sel.w0
     return rows, turning
 

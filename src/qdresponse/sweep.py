@@ -11,7 +11,7 @@ from .errors import InvalidGrid, NoRealRoot, PoleHit, SingularSystem, TooFewPoin
 from .model import Params, SweepAxis, apply_axis, checked_grid, validate_params
 from .records import Flag, SpectrumRecord
 from .response import Backend, certify_detuning, solve_unit_grid, transmission_point
-from .steady import Stability, grid_roots, solve_steady_branches
+from .steady import Stability, grid_roots, row_flags, solve_steady_branches
 
 __all__ = [
     "Observable",
@@ -82,30 +82,25 @@ _VALUE = {
 
 
 def _emitting(cfg: SweepConfig, branches) -> list[tuple]:
-    """``(branch_id, branch, flags, skipped_flags)`` of each branch that gets
-    a row under the branch policy; ``skipped_flags`` mark a failed response."""
-    emitting = []
-    for branch_id, b in enumerate(branches):
-        stable = b.stability is Stability.STABLE
-        if not stable and cfg.branch_policy is BranchPolicy.STABLE_ONLY:
-            continue
-        flags = frozenset({Flag.UNSTABLE, Flag.NON_PHYSICAL} if not stable else
-                          set() if b.physical else {Flag.NON_PHYSICAL})
-        emitting.append((branch_id, b, flags, flags | {Flag.POLE_SKIPPED}))
-    return emitting
+    """``(branch_id, branch, flags)`` of each branch that gets a row under
+    the branch policy."""
+    return [(branch_id, b, row_flags(b)) for branch_id, b in enumerate(branches)
+            if cfg.branch_policy is not BranchPolicy.STABLE_ONLY
+            or b.stability is Stability.STABLE]
 
 
 def _point_rows(rows: list, cfg: SweepConfig, x: float, p: Params, emitting,
-                units, value) -> None:
-    """Append the rows of one grid point: ``units`` holds each emitting
-    branch's unit vector at ``p`` (see ``transmission_point``) or ``None``,
-    ``value`` is the observable's ``_VALUE`` entry, ``None`` for ``W0``."""
-    for (branch_id, b, flags, skipped), unit in zip(emitting, units):
+                value, units=None) -> None:
+    """Append the rows of one grid point: ``value`` is the observable's
+    ``_VALUE`` entry, ``None`` for ``W0``; ``units`` holds each emitting
+    branch's ``solve_unit_grid`` entry at ``p`` if the caller stacked them."""
+    for k, (branch_id, b, flags) in enumerate(emitting):
         try:
-            re, im = (b.w0, 0.0) if value is None else \
-                value(transmission_point(p, b, cfg.backend, unit=unit))
+            re, im = (b.w0, 0.0) if value is None else value(
+                transmission_point(p, b, cfg.backend) if units is None
+                else transmission_point(p, b, unit=units[k]))
         except (PoleHit, SingularSystem, ZeroPump):
-            re, im, flags = float("nan"), float("nan"), skipped
+            re, im, flags = float("nan"), float("nan"), flags | {Flag.POLE_SKIPPED}
         rows.append(SpectrumRecord(x, branch_id, b.w0, re, im, flags))
 
 
@@ -118,12 +113,12 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
 
     On a detuning axis the base point's branches, and their flags, serve
     every grid point.  The grid is walked in fixed blocks of ``_BLOCK``
-    points: each branch that emits response rows solves its certified rows
-    of the block in one stacked solve (``response.solve_unit_grid``), and
-    every row's observables still come from one ``transmission_point`` call,
-    given the row's solution.  On any other axis each grid point's roots and
-    branches come from one ``steady.grid_roots`` call over the grid; a point
-    that raises a typed error other than ``NoRealRoot`` raises it at its turn.
+    points: each branch that emits response rows solves the block in one
+    ``response.solve_unit_grid`` call, and every row's observables still
+    come from one ``transmission_point`` call, given the row's entry.  On
+    any other axis each grid point's roots and branches come from one
+    ``steady.grid_roots`` call over the grid; a point that raises a typed
+    error other than ``NoRealRoot`` raises it at its turn.
     """
     validate_params(cfg.base)
     xs = checked_grid(cfg.grid, minimum=1, ascending=False)
@@ -142,10 +137,10 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
             block = xs[start:start + _BLOCK]
             ps = [apply_axis(cfg.base, cfg.axis, x) for x in block]
             deltas = [p.delta0 for p in ps]
-            units = [solve_unit_grid(b, deltas) if stacked else [None] * len(block)
-                     for _, b, _, _ in emitting]
-            for x, p, point_units in zip(block, ps, zip(*units)):
-                _point_rows(rows, cfg, x, p, emitting, point_units, value)
+            units = zip(*[solve_unit_grid(b, deltas) for _, b, _ in emitting]) \
+                if stacked else [None] * len(block)
+            for x, p, point_units in zip(block, ps, units):
+                _point_rows(rows, cfg, x, p, emitting, value, point_units)
         return rows
     for x, p, found in grid_roots(cfg.base, cfg.axis, xs):
         try:
@@ -154,8 +149,7 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
             rows.append(SpectrumRecord(x, -1, float("nan"), float("nan"),
                                        float("nan"), frozenset({Flag.POLE_SKIPPED})))
             continue
-        _point_rows(rows, cfg, x, p, _emitting(cfg, branches),
-                    [None] * len(branches), value)
+        _point_rows(rows, cfg, x, p, _emitting(cfg, branches), value)
     return rows
 
 

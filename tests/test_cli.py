@@ -248,10 +248,15 @@ def test_oracle_check_of_a_decoupled_dot_judges_the_cavity_sideband(tmp_path, ca
     ["steady", "--preset", "2b", "--param", "eta=3e305"],
     ["bistability", "--preset", "2b", "--param", "eta=3e305", "--grid", "1:2:3"],
     ["spectrum", "--preset", "2b", "--param", "eta=3e305", "--grid", "1:2:3"],
+    # the closed form's complex square A1**2 overflows; the linear solve
+    # answers at these points
+    ["spectrum", "--preset", "5a", "--backend", "closed_form", "--axis", "delta0",
+     "--grid", "1e155:2e155:2"],
 ])
 def test_overflowing_parameters_are_numerical_errors(tmp_path, capsys, argv):
     assert run(argv, tmp_path) == 2
-    cause = "a steady branch" if "omega_k0=1e110" in argv else "the inversion cubic"
+    cause = "a steady branch" if "omega_k0=1e110" in argv else \
+        "chi1_closed_form" if "closed_form" in argv else "the inversion cubic"
     assert capsys.readouterr().err \
         == f"numerical error: {cause} overflows at these parameters\n"
 
@@ -281,6 +286,12 @@ def test_extreme_parameter_values_give_an_answer_or_a_typed_error(tmp_path, caps
     # above the Hopf point near ep0 = 20.9 no branch of 2b is stable
     (["oracle-check", "--preset", "2b", "--param", "ep0=25", "--param", "es0=0.01"],
      "no stable branch at this point"),
+    # 3 ep0^2 overflows: chi3 is undefined, as at zero pump.  The T2 rows
+    # never read chi3; the only branch sits 1 ulp below w = -1, NonPhysical
+    (["spectrum", "--preset", "5a", "--param", "ep0=1e160", "--param", "g0=0"],
+     "every grid point failed (pole or no steady branch)"),
+    (["kerr", "--preset", "9b", "--param", "ep0=2e154", "--param", "g0=1e-150",
+      "--grid", "0:1:2"], "every grid point failed (pole or no steady branch)"),
 ])
 def test_commands_without_a_result_exit_2(tmp_path, capsys, argv, message):
     assert run(argv, tmp_path) == 2
@@ -389,6 +400,11 @@ def test_usage_error_paths(tmp_path, capsys, argv, code, message):
      "g0 grid reaches an invalid point: g0 must be >= 0, got -1.0"),
     (["bistability", "--preset", "2b", "--grid=-1:1:3"],
      "ep0 grid reaches an invalid point: ep0 must be >= 0, got -1.0"),
+    # step counts whose trajectory shape numpy refuses before allocating
+    (["oracle-check", "--preset", "4b", "--dt", "1e-300"],
+     "t_end/dt = 2.6e+302 steps do not fit in an array"),
+    (["oracle-check", "--preset", "4b", "--t-end", "1e300"],
+     "t_end/dt = 1e+302 steps do not fit in an array"),
 ])
 def test_bad_parameter_values_and_grids_are_usage_errors(tmp_path, capsys, argv,
                                                          message):

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qdresponse.oracle import (
     max_step,
     mean_field_rhs,
     perturbation_outcome,
+    relative_deviation,
     steady_state_vector,
 )
 from qdresponse.presets import figure_ids, get_preset
@@ -35,6 +37,24 @@ def stable_branch(p):
               if b.stability is Stability.STABLE]
     assert len(stable) == 1
     return stable[0]
+
+
+@pytest.mark.parametrize("got, want, dev", [
+    (1.5 + 0j, 1.0 + 0j, 0.5), (0j, 0j, 0.0), (1e-300j, 0j, math.inf),
+    (0j, 2.0, 1.0)])
+def test_relative_deviation(got, want, dev):
+    assert relative_deviation(got, want) == dev
+
+
+@pytest.mark.parametrize("t_end, dt, steps", [(260.0, 1e-300, "2.6e+302"),
+                                              (1e300, 0.01, "1e+302"),
+                                              (1e300, 1e-300, "inf")])
+def test_a_step_count_no_trajectory_can_hold_is_an_invalid_grid(t_end, dt, steps):
+    # numpy refuses the first two shapes before it allocates anything, and
+    # the third step count does not reach numpy
+    p = absorption_point(delta0=4.3)
+    with pytest.raises(InvalidGrid, match=re.escape(f"t_end/dt = {steps} steps")):
+        integrate_mean_field(p, (-1.0, 0, 0, 0, 0, 0, 0), t_end, dt)
 
 
 def test_undriven_ground_state_is_constant():
@@ -223,6 +243,21 @@ def oracle_setup(fid):
 
 
 PUMPED = [fid for fid in figure_ids() if get_preset(fid).params.ep0 != 0.0]
+
+
+@pytest.mark.parametrize("fid", ["4b", "5a", "9b"])
+def test_mechanical_sidebands_match_the_linear_solve(fid):
+    """w+ and q+, the mechanical channel behind the induced absorption, as
+    the oracle audit checks them; at most 2.5e-6 on these presets."""
+    p, init, dt = oracle_setup(fid)
+    demod = demodulate_sidebands(integrate_mean_field(p, init, 260.0, dt),
+                                 p.delta0)
+    bands = solve_sidebands(p, min(
+        [b for b in solve_steady_branches(p) if b.stability is Stability.STABLE],
+        key=lambda b: b.w0))
+    assert bands.sigmaz_plus != 0 and bands.q_plus != 0
+    assert relative_deviation(demod.w_plus, bands.sigmaz_plus) < 1e-5
+    assert relative_deviation(demod.q_plus, bands.q_plus) < 1e-5
 
 
 @pytest.mark.parametrize("fid", PUMPED)

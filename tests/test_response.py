@@ -1,13 +1,22 @@
+import random
+
 import numpy as np
 import pytest
 
 from qdresponse.errors import (
+    NonFinite,
     PoleHit,
     QdResponseError,
     SingularSystem,
     ZeroPump,
 )
-from qdresponse.model import Params, SweepAxis, apply_axis, delta_from_signal_detuning
+from qdresponse.model import (
+    PARAM_FIELDS,
+    Params,
+    SweepAxis,
+    apply_axis,
+    delta_from_signal_detuning,
+)
 from qdresponse.presets import figure_ids, get_preset
 from qdresponse.response import (
     SINGULAR_RCOND,
@@ -19,6 +28,7 @@ from qdresponse.response import (
     dispersion_slope,
     load_formula_ledger,
     solve_sidebands,
+    solve_unit_grid,
     transmission_point,
     _solve_unit,
 )
@@ -189,6 +199,70 @@ def test_chi3_requires_pump():
         [row] = run_sweep(cfg)
         assert row.flags == {Flag.POLE_SKIPPED}
         assert np.isnan(row.value_re) and np.isnan(row.value_im)
+
+
+@pytest.mark.parametrize("ep0, defined", [
+    (7.7e153, True), (7.8e153, False), (2e154, False), (1e160, False),
+    (1e300, False)])
+def test_chi3_is_undefined_where_its_normalization_overflows(ep0, defined):
+    # 3 ep0^2 overflows to inf above about 7.74e153, and ep0 ** 2 raises
+    # OverflowError above about 1.34e154; the sideband solve reads ep0 only
+    # for this normalization
+    p = kerr_point().replace(delta0=3.0)
+    b = branch_of(p)
+    big = p.replace(ep0=ep0)
+    point = transmission_point(big, b)
+    assert point.chi1 == transmission_point(p, b).chi1
+    if defined:
+        assert point.chi3 == pytest.approx(
+            transmission_point(p, b).chi3 * 3.0 * p.ep0 ** 2 / (3.0 * ep0 ** 2),
+            rel=1e-14)
+        return
+    assert np.isnan(point.chi3)
+    with pytest.raises(ZeroPump, match="positive, finite, normal float"):
+        chi3_closed_form(big, b)
+
+
+@pytest.mark.parametrize("form", [chi1_closed_form, chi3_closed_form])
+def test_closed_forms_raise_non_finite_on_an_overflow(form):
+    # at delta0 = 1.5e155 the complex square A1**2 overflows, which raises
+    p = get_preset("5a").params
+    b = branch_of(p)
+    with pytest.raises(NonFinite, match=f"{form.__name__} overflows"):
+        form(p.replace(delta0=1.5e155), b)
+    assert np.isfinite(transmission_point(p.replace(delta0=1.5e155), b).T)
+
+
+def test_extreme_points_beyond_the_preset_box_give_an_answer_or_a_typed_error():
+    """Seeded points that set one to three fields of a preset far outside
+    the preset box, most between 1e20 and 1e200 and some between 1e-320
+    and 1e308, a third of them with g0 = 0: every failure of the steady
+    solve and of the response on both backends is a ``QdResponseError``."""
+    rng = random.Random(1175)
+    bases = [get_preset(fid).params.replace(delta0=get_preset(fid).oracle_delta0)
+             for fid in figure_ids()]
+    outcomes = {"answer": 0, "error": 0}
+    for _ in range(2500):
+        changes = {}
+        for key in rng.sample(PARAM_FIELDS, rng.randint(1, 3)):
+            lo, hi = (20, 200) if rng.random() < 0.7 else (-320, 308)
+            changes[key] = 10.0 ** rng.uniform(lo, hi)
+        if rng.random() < 0.3:
+            changes["g0"] = 0.0
+        p = rng.choice(bases).replace(**changes)
+        try:
+            branches = solve_steady_branches(p)
+        except QdResponseError:
+            outcomes["error"] += 1
+            continue
+        for b in branches:
+            for backend in Backend:
+                try:
+                    transmission_point(p, b, backend)
+                    outcomes["answer"] += 1
+                except QdResponseError:
+                    outcomes["error"] += 1
+    assert outcomes["answer"] > 1000 and outcomes["error"] > 100, outcomes
 
 
 def test_kerr_enhancement_needs_lattice_coupling():
@@ -422,6 +496,34 @@ def test_singular_system_fires_at_a_pole_on_or_near_the_axis(gamma, singular):
     else:
         assert np.isfinite(transmission_point(p, b).T)
     assert np.isfinite(transmission_point(p.replace(delta0=1.5), b).T)
+
+
+def test_each_detuning_gets_its_solution_or_its_singular_system():
+    """Certified rows of a healthy branch are stacked, the rest are solved
+    alone after the SVD test; a pole branch answers its poles with the
+    ``SingularSystem`` that ``transmission_point`` raises there."""
+    p = absorption_point()
+    healthy = certify_detuning(branch_of(p))
+    pole = phonon_pole_branch(0.0)
+    deltas = [1.5, 2.0, -2.0, 2.0 * healthy.safe_detuning, -1.5]
+    for b in (healthy, pole):
+        for d, entry in zip(deltas, solve_unit_grid(b, deltas)):
+            pd = p.replace(delta0=d)
+            if isinstance(entry, SingularSystem):
+                assert b is pole and abs(d) == 2.0
+                with pytest.raises(SingularSystem) as alone:
+                    transmission_point(pd, b)
+                assert str(alone.value) == str(entry)
+                with pytest.raises(SingularSystem) as stored:
+                    transmission_point(pd, b, unit=entry)
+                assert stored.value is entry
+                continue
+            assert len(entry) == 7 and all(type(v) is complex for v in entry)
+            assert entry == _solve_unit(pd, b)
+            alone = np.linalg.solve(-b.sideband_generator - 1j * d * np.eye(7),
+                                    np.eye(7)[0])
+            assert np.array(entry).tobytes() == alone.tobytes()
+            assert transmission_point(pd, b, unit=entry) == transmission_point(pd, b)
 
 
 def test_sweep_over_a_pole_flags_pole_skipped(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdresponse import presets, steady
-from qdresponse.errors import InvalidGrid, NonFinite, NoRealRoot, QdResponseError
+from qdresponse.errors import InvalidGrid, NonFinite, NoRealRoot, QdResponseError, _or_raise
 from qdresponse.model import Params, SweepAxis
 from qdresponse.oracle import mean_field_rhs, steady_state_vector
 from qdresponse.records import Flag
@@ -313,8 +313,13 @@ def test_coherence_amplitudes_are_conjugate_pairs():
     assert d2 == pytest.approx(d1.conjugate(), rel=1e-14)
 
 
+def _polished_alone(poly):
+    """``steady._polished_root_sets`` on ``poly`` alone, a stack of one."""
+    return _or_raise(steady._polished_root_sets([poly])[0])
+
+
 def _polished_roots_per_root(poly):
-    """The per-root Newton polish that ``_polished_roots`` does as array
+    """The per-root Newton polish that ``_polished_root_sets`` does as array
     arithmetic; kept as the bit-for-bit reference."""
     cn = poly / float(np.max(np.abs(poly)))
     k = 0
@@ -352,7 +357,7 @@ def _random_cubics(rng, n):
 ])
 def test_array_polish_matches_per_root_loop_on_special_cubics(coeffs):
     poly = np.array(coeffs)
-    (roots, monic), (ref, ref_monic) = steady._polished_roots(poly), \
+    (roots, monic), (ref, ref_monic) = _polished_alone(poly), \
         _polished_roots_per_root(poly)
     assert roots.dtype == ref.dtype and roots.tobytes() == ref.tobytes()
     assert monic.tobytes() == ref_monic.tobytes()
@@ -363,7 +368,7 @@ def test_array_polish_matches_per_root_loop_bit_for_bit():
     kinds = set()
     for c in _random_cubics(rng, 500):
         poly = np.array([float(v) for v in c])
-        roots, monic = steady._polished_roots(poly)
+        roots, monic = _polished_alone(poly)
         ref, ref_monic = _polished_roots_per_root(poly)
         assert roots.dtype == ref.dtype and roots.tobytes() == ref.tobytes()
         assert monic.tobytes() == ref_monic.tobytes()
@@ -386,7 +391,7 @@ def test_stacked_roots_match_each_point_bit_for_bit():
     rng.shuffle(polys)  # degrees and root dtypes interleaved in one call
     kinds = set()
     for poly, found in zip(polys, steady._polished_root_sets(polys)):
-        alone = _outcome(steady._polished_roots, poly)
+        alone = _outcome(_polished_alone, poly)
         if isinstance(found, Exception):
             assert alone == (NoRealRoot, str(found))
             continue

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from qdresponse import steady, sweep
+from qdresponse import response, steady, sweep
 from qdresponse.errors import InvalidGrid, NonFinite, TooFewPoints
 from qdresponse.model import SweepAxis, apply_axis
 from qdresponse.records import Flag, SpectrumRecord
@@ -217,26 +217,35 @@ def test_stacked_solves_only_for_emitting_branches(monkeypatch, observable,
 def test_rows_outside_the_certificate_equal_the_per_point_path(monkeypatch):
     """With every certificate cut to |delta0| <= 5, a -10..10 grid mixes
     stacked rows with rows solved alone after their SVD test."""
-    solved = []
-    solve_unit_grid = sweep.solve_unit_grid
+    entries, tested = [], []
+    solve_unit_grid, solve_alone = sweep.solve_unit_grid, response._solve_alone
 
-    def spy(branch, deltas):
-        units = solve_unit_grid(branch, deltas)
-        solved.extend(u is not None for u in units)
-        return units
+    def grid_spy(branch, deltas):
+        found = solve_unit_grid(branch, deltas)
+        entries.extend(found)
+        return found
+
+    def alone_spy(K, delta):
+        tested.append(delta)
+        return solve_alone(K, delta)
 
     monkeypatch.setattr(sweep, "certify_detuning",
                         lambda b: dataclasses.replace(b, safe_detuning=5.0))
-    monkeypatch.setattr(sweep, "solve_unit_grid", spy)
+    monkeypatch.setattr(sweep, "solve_unit_grid", grid_spy)
+    monkeypatch.setattr(response, "_solve_alone", alone_spy)
     cfg = SweepConfig(base=bistable_point(ep0=8.0), axis=SweepAxis.DELTA0,
                       grid=tuple(np.linspace(-10.0, 10.0, 301).tolist()),
                       observable=Observable.CHI3,
                       branch_policy=BranchPolicy.ALL_BRANCHES)
-    assert _rows_text(run_sweep(cfg)) == _per_point_text(cfg)
+    rows = _rows_text(run_sweep(cfg))
     inside = sum(abs(x) <= 5.0 for x in cfg.grid)
     assert 0 < inside < len(cfg.grid)
-    assert (solved.count(True), solved.count(False)) == \
+    assert all(isinstance(entry, list) for entry in entries)
+    assert all(abs(d) > 5.0 for d in tested)
+    # (stacked rows, SVD-tested rows) over the three branches
+    assert (len(entries) - len(tested), len(tested)) == \
         (3 * inside, 3 * (len(cfg.grid) - inside))
+    assert rows == _per_point_text(cfg)
 
 
 def test_records_are_ordered_and_deterministic():
