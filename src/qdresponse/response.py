@@ -130,8 +130,11 @@ def _sideband_matrix(K: np.ndarray, delta):
     return -K - 1j * delta * _EYE
 
 
-def _solve_alone(K: np.ndarray, delta) -> list | SingularSystem:
-    """``solve_unit_grid``'s entry at one detuning, after the SVD test."""
+def _solve_alone(K: np.ndarray, delta) -> list | NonFinite | SingularSystem:
+    """``solve_unit_grid``'s entry at one detuning, after the SVD test; a
+    non-finite detuning is ``NonFinite`` before any matrix is built."""
+    if not math.isfinite(delta):
+        return NonFinite(f"sideband detuning delta0={delta!r} is not finite")
     M = _sideband_matrix(K, delta)
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[-1] < SINGULAR_RCOND * sv[0]:
@@ -144,13 +147,16 @@ def solve_unit_grid(branch: SteadyBranch, deltas) -> list:
     """(a+, conj(a-), s+, conj(s-), w+, q+, dq+/dt) per unit signal at each
     detuning of ``deltas``, 7 Python ``complex`` solving (-K - i delta I) x =
     e0 for K = ``branch.sideband_generator``; or, where the rcond of that
-    system is below ``SINGULAR_RCOND``, its ``SingularSystem``.
+    system is below ``SINGULAR_RCOND``, its ``SingularSystem``, and at a
+    non-finite detuning ``NonFinite``.
 
     Rows within ``branch.safe_detuning`` (``certify_detuning`` proves their
     rcond) skip the SVD and share one stacked ``np.linalg.solve`` (right-hand
     side (n, 7, 1), read alike by numpy 1.x and 2.x), whose LAPACK call per
-    system is a single solve's.  Every other row, a NaN detuning included, is
-    SVD-tested and solved alone.  So each row has a lone solve's bits and error.
+    system is a single solve's.  Every other row is answered alone: a
+    non-finite detuning before any matrix is built, a finite one by the SVD
+    test and a solve of its own.  So each row has a lone solve's bits and
+    error.
     """
     K, safe = branch.sideband_generator, branch.safe_detuning
     certified = [abs(d) <= safe for d in deltas]  # False for a NaN detuning
@@ -338,11 +344,12 @@ def dispersion_slope(p: Params, branch: SteadyBranch) -> float:
 
     With M x = e0 and dM/d delta0 = -i I, dx/d delta0 = i M^-1 x: one more
     solve with the same matrix.  Delta_s and delta0 move with opposite sign,
-    so the slope is -Im(sqrt(2 kappa) (i M^-1 x)[0]).  ``SingularSystem`` is
-    raised as by ``transmission_point``.
+    so the slope is -Im(sqrt(2 kappa) (i M^-1 x)[0]).  ``SingularSystem`` and
+    ``NonFinite`` are raised as by ``transmission_point``.
     """
+    x = _solve_unit(p, branch)
     M = _sideband_matrix(branch.sideband_generator, p.delta0)
-    dx = 1j * np.linalg.solve(M, _solve_unit(p, branch))
+    dx = 1j * np.linalg.solve(M, x)
     return -(math.sqrt(2.0 * p.kappa_c0) * complex(dx[0])).imag
 
 

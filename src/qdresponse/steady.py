@@ -133,7 +133,12 @@ def coherence_amplitudes(p: Params, w: complex, legacy_field_amplitude: bool = F
     field equation; the legacy transcription replaces the pump amplitude in
     its numerator by ``w``.
     """
-    d1, d2 = _denominators(p, w)
+    return _amplitudes(p, w, *_denominators(p, w), legacy_field_amplitude)
+
+
+def _amplitudes(p: Params, w: complex, d1: complex, d2: complex,
+                legacy_field_amplitude: bool):
+    """``coherence_amplitudes`` given ``_denominators(p, w)``."""
     c1 = 2.0 * p.g0 * w * p.ep0 / d1
     c2 = 2.0 * p.g0 * w * p.ep0 / d2
     drive = w if legacy_field_amplitude else p.ep0
@@ -149,8 +154,13 @@ def cleared_inversion_expression(p: Params, w: complex,
     This is a polynomial of degree <= 3 in ``w``; for real ``w`` its value is
     real up to rounding.
     """
-    d1, d2 = _denominators(p, w)
-    c1, c2, a1, a2 = coherence_amplitudes(p, w, legacy_field_amplitude)
+    return _cleared(p, w, *_denominators(p, w), legacy_field_amplitude)
+
+
+def _cleared(p: Params, w: complex, d1: complex, d2: complex,
+             legacy_field_amplitude: bool) -> complex:
+    """``cleared_inversion_expression`` given ``_denominators(p, w)``."""
+    c1, c2, a1, a2 = _amplitudes(p, w, d1, d2, legacy_field_amplitude)
     expr = -p.gamma1_ratio * (w + 1.0) - 1j * p.g0 * (a1 * c2 - a2 * c1)
     return expr * d1 * d2
 
@@ -165,7 +175,9 @@ def build_inversion_polynomial(p: Params,
     float array (c3, c2, c1, c0) of c3 w^3 + c2 w^2 + c1 w + c0.
 
     Four distinct real sample points are evaluated and fitted exactly; sample
-    points that land on a coefficient pole are shifted and retried.  A
+    points that land on a coefficient pole are shifted and retried.  Each
+    sample's two denominators are computed once, for the pole check and the
+    cleared expression.  A
     non-negligible imaginary residue in the fitted coefficients signals a sign
     convention bug and raises ``NonRealCoefficients``; a sample value or
     coefficient that overflows raises ``NonFinite``.
@@ -173,17 +185,19 @@ def build_inversion_polynomial(p: Params,
     samples = list(_SAMPLES)
     vinv = _VANDER_INV
     try:
+        lead = 1.0 + abs(p.delta_c0) + p.kappa_c0
+        base = 1.0 + abs(p.delta_p0)
+        slope = 2.0 * p.omega_k0 * p.eta
+        coupling = 2.0 * p.g0 * p.g0
         for attempt in range(8):
-            ok = True
+            dens = []
             for x in samples:
                 d1, d2 = _denominators(p, x)
-                scale = (1.0 + abs(p.delta_c0) + p.kappa_c0) * (
-                    1.0 + abs(p.delta_p0) + 2.0 * p.omega_k0 * p.eta * abs(x)
-                ) + 2.0 * p.g0 * p.g0 * abs(x)
+                scale = lead * (base + slope * abs(x)) + coupling * abs(x)
                 if abs(d1) < 1e-13 * scale or abs(d2) < 1e-13 * scale:
-                    ok = False
                     break
-            if ok:
+                dens.append((d1, d2))
+            if len(dens) == len(samples):
                 break
             samples = [x + 0.37 * (attempt + 1) for x in samples]
             vinv = np.linalg.inv(np.vander(np.array(samples), 4))
@@ -191,21 +205,22 @@ def build_inversion_polynomial(p: Params,
             raise DegenerateDenominator(
                 "could not place sample points away from coefficient poles")
 
-        values = [cleared_inversion_expression(p, x, legacy_field_amplitude)
-                  for x in samples]
+        values = [_cleared(p, x, d1, d2, legacy_field_amplitude)
+                  for x, (d1, d2) in zip(samples, dens)]
     except ArithmeticError:  # abs() of an overflowing complex value
         values = [cmath.inf]
     scale = math.inf
     if all(map(cmath.isfinite, values)):
         coeffs = vinv @ np.array(values)
-        scale = float(np.max(np.abs(coeffs)))
+        scale = float(np.abs(coeffs).max())
     if not math.isfinite(scale):
         raise NonFinite("the inversion cubic overflows at these parameters")
     if scale == 0.0:
         raise NonRealCoefficients("inversion expression is identically zero")
-    if float(np.max(np.abs(coeffs.imag))) > 1e-12 * scale:
+    residue = float(np.abs(coeffs.imag).max())
+    if residue > 1e-12 * scale:
         raise NonRealCoefficients(
-            f"imaginary residue {np.max(np.abs(coeffs.imag)) / scale:.3e} "
+            f"imaginary residue {residue / scale:.3e} "
             "exceeds 1e-12 of the coefficient scale")
     return coeffs.real
 
@@ -225,19 +240,24 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
-def _horner_rows(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Each row of ``x`` at the polynomial whose descending coefficients are
-    the same row of ``coeffs``, in the operation order of ``np.polyval``.
+def _value_and_slope(monic: np.ndarray, x: np.ndarray):
+    """(f, f') at each row of ``x`` of the polynomial f whose descending
+    coefficients are the same row of ``monic``, in one pass: each in the
+    operation order of ``np.polyval`` on f's and on f''s coefficients.
 
-    ``np.polyval`` starts from ``0 * x + c[0]``, which is exactly ``c[0]``
-    (``c[0] + 0j`` for complex ``x``) at a finite ``x``; the loop starts
-    there.
+    The coefficient columns are cast to the dtype of ``x`` once, as each
+    mixed-dtype product would cast them.  ``np.polyval`` starts from
+    ``0 * x + c[0]``, which is exactly ``c[0]`` (``c[0] + 0j`` for complex
+    ``x``) at a finite ``x``; the pass starts there.
     """
-    cols = coeffs.T[:, :, None]
-    y = cols[0]
-    for c in cols[1:]:
-        y = y * x + c
-    return y
+    n = monic.shape[1] - 1
+    cols = monic.T.astype(x.dtype)[:, :, None]
+    slopes = (monic[:, :-1] * np.arange(n, 0, -1)).T.astype(x.dtype)[:, :, None]
+    f, df = cols[0], slopes[0]
+    for k in range(1, n):
+        f = f * x + cols[k]
+        df = df * x + slopes[k]
+    return f * x + cols[n], df
 
 
 def _polished_root_sets(polys) -> list:
@@ -280,9 +300,7 @@ def _polished_root_sets(polys) -> list:
                          (at[~real].tolist(), monic[~real], roots[~real])]
         for at, monic, roots in parts:
             # one newton step per root; skip near-double roots where p' ~ 0
-            fv = _horner_rows(monic, roots)
-            dv = _horner_rows(monic[:, :-1] * np.arange(monic.shape[1] - 1, 0, -1),
-                              roots)
+            fv, dv = _value_and_slope(monic, roots)
             step = np.abs(dv) > 1e-9
             np.subtract(roots, np.divide(fv, dv, out=fv, where=step),
                         out=roots, where=step)
@@ -425,21 +443,29 @@ def mean_field_jacobian(p: Params, w0: float) -> np.ndarray:
 
     State ordering: (w, Re sigma, Im sigma, Re a, Im a, q, dq/dt).
     """
-    sigma0, a0, q0 = steady_fields(p, w0)
+    jacobian = np.empty((7, 7))
+    jacobian.reshape(49)[:] = _jacobian_entries(p, w0, *steady_fields(p, w0))
+    return jacobian
+
+
+def _jacobian_entries(p: Params, w0: float, sigma0: complex, a0: complex,
+                      q0: float) -> tuple:
+    """The 49 entries, row by row, of ``mean_field_jacobian`` given the
+    branch's ``steady_fields``."""
     x0, y0 = sigma0.real, sigma0.imag
     u0, v0 = a0.real, a0.imag
     g0 = p.g0
     dpq = p.delta_p0 + q0
     wk2 = p.omega_k0 ** 2
-    return np.array([
-        [-p.gamma1_ratio, 2*g0*v0, -2*g0*u0, -2*g0*y0, 2*g0*x0, 0.0, 0.0],
-        [-2*g0*v0, -1.0, dpq, 0.0, -2*g0*w0, y0, 0.0],
-        [2*g0*u0, -dpq, -1.0, 2*g0*w0, 0.0, -x0, 0.0],
-        [0.0, 0.0, g0, -p.kappa_c0, p.delta_c0, 0.0, 0.0],
-        [0.0, -g0, 0.0, -p.delta_c0, -p.kappa_c0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
-        [-2.0*p.eta*p.omega_k0**3, 0.0, 0.0, 0.0, 0.0, -wk2, -p.gamma_q0],
-    ])
+    return (
+        -p.gamma1_ratio, 2*g0*v0, -2*g0*u0, -2*g0*y0, 2*g0*x0, 0.0, 0.0,
+        -2*g0*v0, -1.0, dpq, 0.0, -2*g0*w0, y0, 0.0,
+        2*g0*u0, -dpq, -1.0, 2*g0*w0, 0.0, -x0, 0.0,
+        0.0, 0.0, g0, -p.kappa_c0, p.delta_c0, 0.0, 0.0,
+        0.0, -g0, 0.0, -p.delta_c0, -p.kappa_c0, 0.0, 0.0,
+        0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
+        -2.0*p.eta*p.omega_k0**3, 0.0, 0.0, 0.0, 0.0, -wk2, -p.gamma_q0,
+    )
 
 
 def _stability_labels(jacobians) -> list[Stability]:
@@ -464,43 +490,48 @@ def _branch_sets(ps, root_sets) -> list:
     """Each ``inversion_root_sets`` entry of ``ps`` with the point's branches
     appended, (real, resid, cplx, branches), or the error the point raises.
 
-    Every real root that passes the fixed-point check gets one
-    ``mean_field_jacobian``, and the kept roots of all points are labelled
-    in one stacked ``_stability_labels``.  Errors stay with their point, to
-    be raised at its turn: an ``ArithmeticError`` in a point's fields or
-    Jacobians is its ``NonFinite``, and a stack that holds a non-finite
-    Jacobian is labelled matrix by matrix, each failing point keeping its
-    own ``LinAlgError``.
+    Every real root that passes the fixed-point check gets its Jacobian from
+    the same ``steady_fields``, written into one (n, 7, 7) stack for the
+    kept roots of all points; the stack is labelled in one
+    ``_stability_labels``, and each branch's ``jacobian`` is its row.
+    Errors stay with their point, to be raised at its turn: an
+    ``ArithmeticError`` in a point's fields or Jacobians is its
+    ``NonFinite``, and a stack that holds a non-finite Jacobian is labelled
+    matrix by matrix, each failing point keeping its own ``LinAlgError``.
     """
     out = list(root_sets)
-    kept = []  # (point index, w0, residual, sigma0, a0, q0, jacobian) per root
+    size = sum(len(found[0]) for found in root_sets
+               if not isinstance(found, Exception))
+    stack = np.empty((size, 7, 7))
+    entries = stack.reshape(size, 49)
+    kept = []  # (point index, w0, residual, sigma0, a0, q0) per stack row
     for i, (p, found) in enumerate(zip(ps, root_sets)):
         if isinstance(found, Exception):
             continue
-        rows = []
+        start = len(kept)
         try:
             for w0, res in zip(found[0], found[1]):
                 sigma0, a0, q0 = steady_fields(p, w0)
                 if _steady_rhs_scaled(p, w0, sigma0, a0, q0) > 1e-6:
                     continue
-                rows.append((i, w0, res, sigma0, a0, q0,
-                             mean_field_jacobian(p, w0)))
+                entries[len(kept)] = _jacobian_entries(p, w0, sigma0, a0, q0)
+                kept.append((i, w0, res, sigma0, a0, q0))
         except ArithmeticError:
+            del kept[start:]
             out[i] = NonFinite("a steady branch overflows at these parameters")
-            continue
-        kept += rows
+    stack = stack[:len(kept)]
     try:
-        labels = _stability_labels([row[-1] for row in kept]) if kept else []
+        labels = _stability_labels(stack) if kept else []
     except np.linalg.LinAlgError:
         labels = []
-        for row in kept:
+        for k, (i, *_) in enumerate(kept):
             try:
-                labels += _stability_labels([row[-1]])
+                labels += _stability_labels(stack[k:k + 1])
             except np.linalg.LinAlgError as exc:
                 labels.append(None)
-                out[row[0]] = exc
+                out[i] = exc
     branches = [[] for _ in ps]
-    for (i, w0, res, sigma0, a0, q0, jacobian), label in zip(kept, labels):
+    for (i, w0, res, sigma0, a0, q0), label, jacobian in zip(kept, labels, stack):
         branches[i].append(SteadyBranch(
             w0=w0, a0=a0, sigma0=sigma0, q0=q0, residual=res, stability=label,
             physical=_PHYSICAL_LO <= w0 <= _PHYSICAL_HI, jacobian=jacobian))

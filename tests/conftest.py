@@ -52,19 +52,20 @@ def phonon_pole_jacobian(gamma):
 
 
 def faulty_jacobian(monkeypatch, fault, at):
-    """Patch ``steady.mean_field_jacobian`` to overflow (``fault`` is
-    "overflow") or to go non-finite at the points whose ep0 is ``at``;
-    returns the type and message the point should raise."""
-    jacobian = steady.mean_field_jacobian
+    """Patch ``steady._jacobian_entries``, the per-root kernel behind every
+    Jacobian, to overflow (``fault`` is "overflow") or to go non-finite at
+    the points whose ep0 is ``at``; returns the type and message the point
+    should raise."""
+    entries = steady._jacobian_entries
 
-    def faulty(p, w0):
+    def faulty(p, w0, *fields):
         if p.ep0 != at:
-            return jacobian(p, w0)
+            return entries(p, w0, *fields)
         if fault == "overflow":  # omega_k0 ** 3 overflows
-            return jacobian(p.replace(omega_k0=1e110), w0)
-        return np.full((7, 7), np.nan)
+            return entries(p.replace(omega_k0=1e110), w0, *fields)
+        return (np.nan,) * 49
 
-    monkeypatch.setattr(steady, "mean_field_jacobian", faulty)
+    monkeypatch.setattr(steady, "_jacobian_entries", faulty)
     if fault == "overflow":
         return NonFinite, "a steady branch overflows at these parameters"
     return np.linalg.LinAlgError, "Array must not contain infs or NaNs"

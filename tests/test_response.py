@@ -498,23 +498,31 @@ def test_singular_system_fires_at_a_pole_on_or_near_the_axis(gamma, singular):
     assert np.isfinite(transmission_point(p.replace(delta0=1.5), b).T)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_each_detuning_gets_its_solution_or_its_singular_system():
     """Certified rows of a healthy branch are stacked, the rest are solved
     alone after the SVD test; a pole branch answers its poles with the
-    ``SingularSystem`` that ``transmission_point`` raises there."""
+    ``SingularSystem`` that ``transmission_point`` raises there.  A
+    non-finite detuning, certified branch or not, is ``NonFinite`` and
+    leaves the other rows their bits."""
     p = absorption_point()
     healthy = certify_detuning(branch_of(p))
     pole = phonon_pole_branch(0.0)
-    deltas = [1.5, 2.0, -2.0, 2.0 * healthy.safe_detuning, -1.5]
+    nan, inf = float("nan"), float("inf")
+    deltas = [1.5, nan, 2.0, -2.0, inf, 2.0 * healthy.safe_detuning, -inf, -1.5]
     for b in (healthy, pole):
         for d, entry in zip(deltas, solve_unit_grid(b, deltas)):
             pd = p.replace(delta0=d)
-            if isinstance(entry, SingularSystem):
-                assert b is pole and abs(d) == 2.0
-                with pytest.raises(SingularSystem) as alone:
+            if isinstance(entry, (NonFinite, SingularSystem)):
+                if isinstance(entry, NonFinite):
+                    assert not np.isfinite(d)
+                    assert str(entry) == f"sideband detuning delta0={d!r} is not finite"
+                else:
+                    assert b is pole and abs(d) == 2.0
+                with pytest.raises(type(entry)) as alone:
                     transmission_point(pd, b)
                 assert str(alone.value) == str(entry)
-                with pytest.raises(SingularSystem) as stored:
+                with pytest.raises(type(entry)) as stored:
                     transmission_point(pd, b, unit=entry)
                 assert stored.value is entry
                 continue
@@ -524,6 +532,16 @@ def test_each_detuning_gets_its_solution_or_its_singular_system():
                                     np.eye(7)[0])
             assert np.array(entry).tobytes() == alone.tobytes()
             assert transmission_point(pd, b, unit=entry) == transmission_point(pd, b)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("delta0", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_detuning_is_non_finite(delta0):
+    p = absorption_point(delta0=delta0)
+    for b in (branch_of(p), certify_detuning(branch_of(p))):
+        for response in (transmission_point, dispersion_slope):
+            with pytest.raises(NonFinite, match="is not finite"):
+                response(p, b)
 
 
 def test_sweep_over_a_pole_flags_pole_skipped(monkeypatch):

@@ -442,7 +442,7 @@ def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
     preset = presets.get_preset("2b")
     kept = sum(len(found[3]) for _, _, found in
                steady.grid_roots(preset.params, preset.axis, preset.grid))
-    calls = {"build_inversion_polynomial": 0, "mean_field_jacobian": 0,
+    calls = {"build_inversion_polynomial": 0, "_jacobian_entries": 0,
              "solve_steady_branches": 0}
     for name in calls:
         original = getattr(steady, name)
@@ -456,7 +456,7 @@ def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
     n = len(preset.grid)
     assert len(result.up) == len(result.down) == n
     assert kept > n
-    assert calls == {"build_inversion_polynomial": n, "mean_field_jacobian": kept,
+    assert calls == {"build_inversion_polynomial": n, "_jacobian_entries": kept,
                      "solve_steady_branches": 2 * n}
 
 
@@ -512,6 +512,28 @@ def test_grid_branches_match_per_point_branches():
     assert checked > 1000
 
 
+def test_grid_kernels_give_the_bits_of_the_public_formulas():
+    """Each cubic, built from its samples' denominators computed once, is
+    the interpolation of ``cleared_inversion_expression``; each grid
+    Jacobian, written into the stack from its root's fields, is
+    ``mean_field_jacobian``."""
+    def interpolated(p):
+        return (steady._VANDER_INV @ [cleared_inversion_expression(p, x)
+                                      for x in steady._SAMPLES]).real
+
+    grids = [(p, found) for preset, params in _preset_grid_points()
+             for _, p, found in steady.grid_roots(params, preset.axis, preset.grid)]
+    wide = list(_wide_box_points(np.random.default_rng(17), 1000))
+    grids += zip(wide, steady._branch_sets(wide, steady.inversion_root_sets(wide)))
+    jacobians = 0
+    for p, found in grids:
+        assert build_inversion_polynomial(p).tobytes() == interpolated(p).tobytes()
+        for b in found[3]:
+            assert b.jacobian.tobytes() == mean_field_jacobian(p, b.w0).tobytes()
+            jacobians += 1
+    assert len(grids) > 5000 and jacobians > len(grids)
+
+
 @pytest.mark.parametrize("fault", ["overflow", "non_finite"])
 def test_failing_branch_raises_at_its_turn_in_a_hysteresis_grid(monkeypatch, fault):
     grid = [2.0, 4.0, 6.0, 8.0]
@@ -529,6 +551,38 @@ def test_failing_branch_raises_at_its_turn_in_a_hysteresis_grid(monkeypatch, fau
         hysteresis_sweep(bistable_point(), SweepAxis.EP0, grid)
     assert str(err.value) == message
     assert solved == [2.0, 4.0, 6.0]
+
+
+def test_a_point_that_overflows_at_a_later_root_keeps_no_earlier_row(monkeypatch):
+    # the first root's Jacobian is non-finite and the second one overflows:
+    # the point is the overflow's NonFinite, and its non-finite first row
+    # does not send the stack to the matrix-by-matrix labels
+    entries = steady._jacobian_entries
+    seen = []
+
+    def faulty(p, w0, *fields):
+        if p.ep0 != 6.0:
+            return entries(p, w0, *fields)
+        seen.append(w0)
+        if len(seen) == 1:
+            return (np.nan,) * 49
+        return entries(p.replace(omega_k0=1e110), w0, *fields)
+
+    grid = [2.0, 4.0, 6.0, 8.0]
+    clean = steady.grid_roots(bistable_point(), SweepAxis.EP0, grid)
+    monkeypatch.setattr(steady, "_jacobian_entries", faulty)
+    labels = steady._stability_labels
+    stacks = []
+    monkeypatch.setattr(steady, "_stability_labels",
+                        lambda stack: stacks.append(len(stack)) or labels(stack))
+    faulty_grid = steady.grid_roots(bistable_point(), SweepAxis.EP0, grid)
+    assert len(seen) == 2
+    error = faulty_grid[2][2]
+    assert type(error) is NonFinite
+    assert str(error) == "a steady branch overflows at these parameters"
+    assert [repr(e) for x, _, e in faulty_grid if x != 6.0] \
+        == [repr(e) for x, _, e in clean if x != 6.0]
+    assert stacks == [7]
 
 
 def _scaled_fixed_point_residual(p, branch):
