@@ -221,7 +221,7 @@ def _cmd_oracle_check(args) -> int:
         raise BadConfig(f"--tolerance must be finite and > 0, got {args.tolerance:g}")
     preset, p = _point(args)
     if p.delta0 == 0.0:
-        p = p.replace(delta0=preset.oracle_delta0 if preset else 4.3)
+        p = p.replace(delta0=preset.oracle_delta0 if preset else presets.ORACLE_DELTA0)
     if p.es0 == 0.0:
         p = p.replace(es0=default_signal_amplitude(p))
     if p.es0 == 0.0:

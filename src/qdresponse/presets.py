@@ -15,6 +15,9 @@ from .sweep import BranchPolicy, Observable
 
 __all__ = ["FigurePreset", "figure_ids", "get_preset"]
 
+#: The oracle check's delta0 where neither the point nor its preset sets one.
+ORACLE_DELTA0 = 4.3
+
 
 @dataclass(frozen=True)
 class FigurePreset:
@@ -99,6 +102,6 @@ def get_preset(figure_id: str) -> FigurePreset:
         family_key=family_key,
         family_values=family_values,
         assumed=tuple(raw.get("assumed", "").split()),
-        oracle_delta0=float(raw.get("oracle_delta0", "4.3")),
+        oracle_delta0=float(raw.get("oracle_delta0", ORACLE_DELTA0)),
         note=raw.get("note", ""),
     )

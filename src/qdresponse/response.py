@@ -4,7 +4,7 @@ Two backends compute the same quantities and cross-check each other:
 
 * ``LINEAR_SOLVE`` evaluates, at the signal detuning, the resolvent of the
   branch's mean-field Jacobian in complex amplitudes
-  (``SteadyBranch.sideband_generator``).  It is the ground truth.  It
+  (``sideband_generator``).  It is the ground truth.  It
   linearizes about the branch as it was solved: ``p`` supplies only
   ``delta0``, ``ep0`` (chi3 normalization), ``kappa_c0`` (output coupling)
   and ``es0``.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import wraps
 from importlib import resources
@@ -38,6 +38,7 @@ __all__ = [
     "Backend",
     "SidebandAmplitudes",
     "ResponsePoint",
+    "sideband_generator",
     "certify_detuning",
     "solve_unit_grid",
     "solve_sidebands",
@@ -50,6 +51,13 @@ __all__ = [
 
 _POLE_TOL = 1e-14
 _EYE = np.eye(7)
+#: Real state (w, Re s, Im s, Re a, Im a, q, dq/dt) to complex amplitudes
+#: (a, conj a, s, conj s, w, q, dq/dt).
+_TO_COMPLEX = np.array([[0, 0, 0, 1, 1j, 0, 0], [0, 0, 0, 1, -1j, 0, 0],
+                        [0, 1, 1j, 0, 0, 0, 0], [0, 1, -1j, 0, 0, 0, 0],
+                        [1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0],
+                        [0, 0, 0, 0, 0, 0, 1]])
+_FROM_COMPLEX = np.linalg.inv(_TO_COMPLEX)
 #: rcond below which the sideband system counts as singular
 #: (``SingularSystem``).
 SINGULAR_RCOND = 1e-14
@@ -96,9 +104,13 @@ def _frobenius_sq(a: np.ndarray) -> float:
     return float(np.vdot(a, a).real)
 
 
-def certify_detuning(branch: SteadyBranch) -> SteadyBranch:
-    """The branch with ``safe_detuning`` set from one eigendecomposition of
-    its ``sideband_generator`` K.
+def sideband_generator(branch: SteadyBranch) -> np.ndarray:
+    """The branch's ``jacobian`` in the complex amplitudes: K = T J T^-1."""
+    return _TO_COMPLEX @ branch.jacobian @ _FROM_COMPLEX
+
+
+def certify_detuning(K: np.ndarray) -> float:
+    """The |delta| up to which -K - i delta I is certified well conditioned.
 
     With K = V diag(lam) V^-1, sigma_min(-K - i delta I) >= min |Re lam| /
     cond_F(V) and sigma_max <= ||K||_F + |delta|.  So for |delta| up to
@@ -106,21 +118,20 @@ def certify_detuning(branch: SteadyBranch) -> SteadyBranch:
     the system is at least ``_CERTIFIED_RCOND``, a hundred times
     ``SINGULAR_RCOND``.  The bound is negative where an eigenvalue sits on
     or near the imaginary axis (marginal branches, branches next to a fold
-    or Hopf point); a singular V leaves the branch uncertified.  It costs
-    about two SVDs, so it pays only on a branch that serves many detunings.
+    or Hopf point), and ``-inf`` where V is singular or its condition number
+    is not finite.  It costs about two SVDs, so it pays only on a branch that
+    serves many detunings.
     """
-    K = branch.sideband_generator
     lam, V = np.linalg.eig(K)
     try:
         V_inv = np.linalg.inv(V)
     except np.linalg.LinAlgError:
-        return branch
+        return -math.inf
     cond = math.sqrt(_frobenius_sq(V) * _frobenius_sq(V_inv))
     if not math.isfinite(cond):
-        return branch
+        return -math.inf
     gap = min(map(abs, lam.real.tolist()))
-    return replace(branch, safe_detuning=gap / (_CERTIFIED_RCOND * cond)
-                   - math.sqrt(_frobenius_sq(K)))
+    return gap / (_CERTIFIED_RCOND * cond) - math.sqrt(_frobenius_sq(K))
 
 
 def _sideband_matrix(K: np.ndarray, delta):
@@ -143,23 +154,22 @@ def _solve_alone(K: np.ndarray, delta) -> list | NonFinite | SingularSystem:
     return np.linalg.solve(M, _EYE[0]).tolist()
 
 
-def solve_unit_grid(branch: SteadyBranch, deltas) -> list:
+def solve_unit_grid(K: np.ndarray, deltas, safe_detuning: float) -> list:
     """(a+, conj(a-), s+, conj(s-), w+, q+, dq+/dt) per unit signal at each
     detuning of ``deltas``, 7 Python ``complex`` solving (-K - i delta I) x =
-    e0 for K = ``branch.sideband_generator``; or, where the rcond of that
-    system is below ``SINGULAR_RCOND``, its ``SingularSystem``, and at a
-    non-finite detuning ``NonFinite``.
+    e0 for the ``sideband_generator`` K; or, where the rcond of that system
+    is below ``SINGULAR_RCOND``, its ``SingularSystem``, and at a non-finite
+    detuning ``NonFinite``.
 
-    Rows within ``branch.safe_detuning`` (``certify_detuning`` proves their
+    Rows within ``safe_detuning`` (``certify_detuning(K)`` proves their
     rcond) skip the SVD and share one stacked ``np.linalg.solve`` (right-hand
     side (n, 7, 1), read alike by numpy 1.x and 2.x), whose LAPACK call per
     system is a single solve's.  Every other row is answered alone: a
     non-finite detuning before any matrix is built, a finite one by the SVD
     test and a solve of its own.  So each row has a lone solve's bits and
-    error.
+    error; a ``safe_detuning`` of ``-inf`` stacks none.
     """
-    K, safe = branch.sideband_generator, branch.safe_detuning
-    certified = [abs(d) <= safe for d in deltas]  # False for a NaN detuning
+    certified = [abs(d) <= safe_detuning for d in deltas]  # False for a NaN
     stacked = iter(())
     if any(certified):
         ds = np.array([d for d, c in zip(deltas, certified) if c])[:, None, None]
@@ -170,9 +180,9 @@ def solve_unit_grid(branch: SteadyBranch, deltas) -> list:
             for d, c in zip(deltas, certified)]
 
 
-def _solve_unit(p: Params, branch: SteadyBranch) -> list:
-    """``solve_unit_grid`` at ``p.delta0`` alone, its error raised."""
-    return _or_raise(solve_unit_grid(branch, [p.delta0])[0])
+def _solve_unit(K: np.ndarray, delta) -> list:
+    """``solve_unit_grid`` at ``delta`` alone, uncertified, its error raised."""
+    return _or_raise(solve_unit_grid(K, [delta], -math.inf)[0])
 
 
 def solve_sidebands(p: Params, branch: SteadyBranch) -> SidebandAmplitudes:
@@ -181,7 +191,8 @@ def solve_sidebands(p: Params, branch: SteadyBranch) -> SidebandAmplitudes:
     The system is solved once per unit signal and scaled, so the amplitudes
     are exactly linear in the signal amplitude.
     """
-    a, a_m, s, s_m, w, q, _ = (v * p.es0 for v in _solve_unit(p, branch))
+    a, a_m, s, s_m, w, q, _ = (v * p.es0 for v in
+                               _solve_unit(sideband_generator(branch), p.delta0))
     return SidebandAmplitudes(a, a_m.conjugate(), s, s_m.conjugate(), w, q)
 
 
@@ -323,7 +334,8 @@ def transmission_point(p: Params, branch: SteadyBranch,
     """
     norm = _chi3_norm(p)
     if backend is Backend.LINEAR_SOLVE:
-        x = _solve_unit(p, branch) if unit is None else _or_raise(unit)
+        x = _solve_unit(sideband_generator(branch), p.delta0) if unit is None \
+            else _or_raise(unit)
         chi1, a_plus = x[2], x[0]
         chi3 = x[3].conjugate() / norm if norm else complex("nan")
     elif unit is not None:
@@ -347,9 +359,9 @@ def dispersion_slope(p: Params, branch: SteadyBranch) -> float:
     so the slope is -Im(sqrt(2 kappa) (i M^-1 x)[0]).  ``SingularSystem`` and
     ``NonFinite`` are raised as by ``transmission_point``.
     """
-    x = _solve_unit(p, branch)
-    M = _sideband_matrix(branch.sideband_generator, p.delta0)
-    dx = 1j * np.linalg.solve(M, x)
+    K = sideband_generator(branch)
+    x = _solve_unit(K, p.delta0)
+    dx = 1j * np.linalg.solve(_sideband_matrix(K, p.delta0), x)
     return -(math.sqrt(2.0 * p.kappa_c0) * complex(dx[0])).imag
 
 

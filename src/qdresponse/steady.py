@@ -19,7 +19,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -66,14 +65,6 @@ _EPS = np.finfo(float).eps
 _PHYSICAL_LO = -1.0
 _PHYSICAL_HI = 0.0
 
-#: Real state (w, Re s, Im s, Re a, Im a, q, dq/dt) to complex amplitudes
-#: (a, conj a, s, conj s, w, q, dq/dt).
-_TO_COMPLEX = np.array([[0, 0, 0, 1, 1j, 0, 0], [0, 0, 0, 1, -1j, 0, 0],
-                        [0, 1, 1j, 0, 0, 0, 0], [0, 1, -1j, 0, 0, 0, 0],
-                        [1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0],
-                        [0, 0, 0, 0, 0, 0, 1]])
-_FROM_COMPLEX = np.linalg.inv(_TO_COMPLEX)
-
 
 class Stability(Enum):
     STABLE = "Stable"
@@ -87,9 +78,7 @@ class SteadyBranch:
 
     ``jacobian`` is ``mean_field_jacobian(p, w0)`` at the solving parameters:
     the one linearization behind both the stability label and the sideband
-    response.  ``safe_detuning`` is set by ``response.certify_detuning``;
-    for |delta0| up to it the sideband system is certified well conditioned
-    (``-inf``, no certificate, until then).  Neither takes part in ``==``,
+    response (``response.sideband_generator``).  It takes no part in ``==``,
     ``hash`` or ``repr``.
     """
 
@@ -101,12 +90,6 @@ class SteadyBranch:
     stability: Stability
     physical: bool
     jacobian: np.ndarray = field(compare=False, repr=False)
-    safe_detuning: float = field(default=-math.inf, compare=False, repr=False)
-
-    @cached_property
-    def sideband_generator(self) -> np.ndarray:
-        """``jacobian`` in the complex amplitudes: K = T J T^-1."""
-        return _TO_COMPLEX @ self.jacobian @ _FROM_COMPLEX
 
 
 def row_flags(branch: SteadyBranch) -> frozenset:

@@ -10,7 +10,8 @@ from operator import attrgetter
 from .errors import InvalidGrid, NoRealRoot, PoleHit, SingularSystem, TooFewPoints, ZeroPump
 from .model import Params, SweepAxis, apply_axis, checked_grid, validate_params
 from .records import Flag, SpectrumRecord
-from .response import Backend, certify_detuning, solve_unit_grid, transmission_point
+from .response import (Backend, certify_detuning, sideband_generator, solve_unit_grid,
+                       transmission_point)
 from .steady import Stability, grid_roots, row_flags, solve_steady_branches
 
 __all__ = [
@@ -113,12 +114,12 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
 
     On a detuning axis the base point's branches, and their flags, serve
     every grid point.  The grid is walked in fixed blocks of ``_BLOCK``
-    points: each branch that emits response rows solves the block in one
-    ``response.solve_unit_grid`` call, and every row's observables still
-    come from one ``transmission_point`` call, given the row's entry.  On
-    any other axis each grid point's roots and branches come from one
-    ``steady.grid_roots`` call over the grid; a point that raises a typed
-    error other than ``NoRealRoot`` raises it at its turn.
+    points: each branch that emits response rows certifies its K once and
+    solves the block in one ``response.solve_unit_grid`` call, and every
+    row's observables still come from one ``transmission_point`` call, given
+    the row's entry.  On any other axis each grid point's roots and branches
+    come from one ``steady.grid_roots`` call over the grid; a point that
+    raises a typed error other than ``NoRealRoot`` raises it at its turn.
     """
     validate_params(cfg.base)
     xs = checked_grid(cfg.grid, minimum=1, ascending=False)
@@ -128,16 +129,16 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
     value = _VALUE.get(cfg.observable)
     rows = []
     if cfg.axis in (SweepAxis.DELTA0, SweepAxis.DELTA_S0):
-        # the same branches serve every grid point, so one certificate each
-        # lets the response skip its per-point SVD and stack its solves
-        emitting = _emitting(cfg, [certify_detuning(b)
-                                   for b in solve_steady_branches(cfg.base)])
+        emitting = _emitting(cfg, solve_steady_branches(cfg.base))
         stacked = cfg.backend is Backend.LINEAR_SOLVE and value is not None
+        # one K and certificate per stacked branch serve every grid point
+        Ks = [sideband_generator(b) for _, b, _ in emitting] if stacked else []
+        systems = [(K, certify_detuning(K)) for K in Ks]
         for start in range(0, len(xs), _BLOCK):
             block = xs[start:start + _BLOCK]
             ps = [apply_axis(cfg.base, cfg.axis, x) for x in block]
             deltas = [p.delta0 for p in ps]
-            units = zip(*[solve_unit_grid(b, deltas) for _, b, _ in emitting]) \
+            units = zip(*[solve_unit_grid(K, deltas, safe) for K, safe in systems]) \
                 if stacked else [None] * len(block)
             for x, p, point_units in zip(block, ps, units):
                 _point_rows(rows, cfg, x, p, emitting, value, point_units)

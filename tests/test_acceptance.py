@@ -330,7 +330,7 @@ def test_c10_stability_labels_match_perturbation_dynamics():
     agreements = 0
     outcomes = []
     for p, branch in samples:
-        outcome = perturbation_outcome(p, branch, horizon=320.0)
+        outcome = perturbation_outcome(p, branch, horizon=300.0)
         expect = "decayed" if branch.stability is Stability.STABLE else "departed"
         agreements += outcome == expect
         outcomes.append(f"{branch.stability.value[0]}:{outcome[:3]}")

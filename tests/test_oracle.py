@@ -21,7 +21,6 @@ from qdresponse.oracle import (
     integrate_mean_field,
     max_step,
     mean_field_rhs,
-    perturbation_outcome,
     relative_deviation,
     steady_state_vector,
 )
@@ -174,14 +173,6 @@ def test_unsettled_trajectory_rejected():
     traj = integrate_mean_field(p, (-1.0, 0, 0, 0, 0, 0, 0), 60.0, 0.01)
     with pytest.raises(NotSettled):
         demodulate_sidebands(traj, p.delta0)
-
-
-def test_stability_labels_agree_with_perturbation_outcomes():
-    p = bistable_point(ep0=8.0)
-    low, mid, high = solve_steady_branches(p)
-    assert perturbation_outcome(p, low, horizon=300.0) == "decayed"
-    assert perturbation_outcome(p, mid, horizon=300.0) == "departed"
-    assert perturbation_outcome(p, high, horizon=300.0) == "decayed"
 
 
 def test_trajectory_dump_format():

@@ -27,6 +27,7 @@ from qdresponse.response import (
     chi3_closed_form,
     dispersion_slope,
     load_formula_ledger,
+    sideband_generator,
     solve_sidebands,
     solve_unit_grid,
     transmission_point,
@@ -403,7 +404,7 @@ def test_dispersion_slope_is_the_exact_derivative(eta, delta_s0):
 def test_a_presolved_unit_needs_the_linear_solve_backend():
     p = absorption_point(delta0=1.0)
     b = branch_of(p)
-    unit = list(_solve_unit(p, b))
+    unit = list(_solve_unit(sideband_generator(b), p.delta0))
     assert transmission_point(p, b, unit=unit) == transmission_point(p, b)
     with pytest.raises(ValueError, match="linear-solve"):
         transmission_point(p, b, Backend.CLOSED_FORM, unit=unit)
@@ -421,21 +422,20 @@ def test_response_point_is_an_immutable_tuple_with_fixed_fields():
 # -- certified sideband solve ------------------------------------------------
 
 def certified_checks(p, branch, deltas):
-    """Certify the branch, check every certified detuning in ``deltas`` and
-    at the certificate's edges; return how many were certified."""
-    assert branch.safe_detuning == -np.inf
-    branch = certify_detuning(branch)
-    assert branch == certify_detuning(branch)
-    safe = branch.safe_detuning
+    """Certify the branch's K, check every certified detuning in ``deltas``
+    and at the certificate's edges; return how many were certified."""
+    K = sideband_generator(branch)
+    safe = certify_detuning(K)
+    assert safe == certify_detuning(sideband_generator(branch))
     deltas = list(deltas) + ([safe, -safe] if safe > 0 else [])
     checked = 0
     for d in deltas:
         if not abs(d) <= safe:
             continue
-        M = -branch.sideband_generator - 1j * d * np.eye(7)
+        M = -K - 1j * d * np.eye(7)
         sv = np.linalg.svd(M, compute_uv=False)
         assert sv[-1] >= SINGULAR_RCOND * sv[0]
-        x = _solve_unit(p.replace(delta0=d), branch)
+        x = solve_unit_grid(K, [d], safe)[0]
         assert np.array_equal(x, np.linalg.solve(M, np.eye(7)[0]))
         checked += 1
     return checked
@@ -478,9 +478,9 @@ def test_certificate_holds_on_random_branches_far_outside_the_presets():
 def phonon_pole_branch(gamma):
     """A branch on ``phonon_pole_jacobian(gamma)``."""
     jac = phonon_pole_jacobian(gamma)
-    return certify_detuning(SteadyBranch(
-        w0=-1.0, a0=0j, sigma0=0j, q0=0.0, residual=0.0,
-        stability=classify_stability(jac), physical=True, jacobian=jac))
+    return SteadyBranch(w0=-1.0, a0=0j, sigma0=0j, q0=0.0, residual=0.0,
+                        stability=classify_stability(jac), physical=True,
+                        jacobian=jac)
 
 
 @pytest.mark.parametrize("gamma, singular", [(0.0, True), (1e-13, True),
@@ -488,7 +488,8 @@ def phonon_pole_branch(gamma):
 def test_singular_system_fires_at_a_pole_on_or_near_the_axis(gamma, singular):
     # at delta0 = 2 the rcond is about 1e-17, 8e-15 and 8e-14 respectively
     b = phonon_pole_branch(gamma)
-    assert b.stability is Stability.MARGINAL and b.safe_detuning < 0
+    assert b.stability is Stability.MARGINAL
+    assert certify_detuning(sideband_generator(b)) < 0
     p = absorption_point(delta0=2.0)
     if singular:
         with pytest.raises(SingularSystem):
@@ -506,12 +507,13 @@ def test_each_detuning_gets_its_solution_or_its_singular_system():
     non-finite detuning, certified branch or not, is ``NonFinite`` and
     leaves the other rows their bits."""
     p = absorption_point()
-    healthy = certify_detuning(branch_of(p))
-    pole = phonon_pole_branch(0.0)
+    healthy, pole = branch_of(p), phonon_pole_branch(0.0)
     nan, inf = float("nan"), float("inf")
-    deltas = [1.5, nan, 2.0, -2.0, inf, 2.0 * healthy.safe_detuning, -inf, -1.5]
+    safe = certify_detuning(sideband_generator(healthy))
+    deltas = [1.5, nan, 2.0, -2.0, inf, 2.0 * safe, -inf, -1.5]
     for b in (healthy, pole):
-        for d, entry in zip(deltas, solve_unit_grid(b, deltas)):
+        K = sideband_generator(b)
+        for d, entry in zip(deltas, solve_unit_grid(K, deltas, certify_detuning(K))):
             pd = p.replace(delta0=d)
             if isinstance(entry, (NonFinite, SingularSystem)):
                 if isinstance(entry, NonFinite):
@@ -527,9 +529,8 @@ def test_each_detuning_gets_its_solution_or_its_singular_system():
                 assert stored.value is entry
                 continue
             assert len(entry) == 7 and all(type(v) is complex for v in entry)
-            assert entry == _solve_unit(pd, b)
-            alone = np.linalg.solve(-b.sideband_generator - 1j * d * np.eye(7),
-                                    np.eye(7)[0])
+            assert entry == _solve_unit(K, d)
+            alone = np.linalg.solve(-K - 1j * d * np.eye(7), np.eye(7)[0])
             assert np.array(entry).tobytes() == alone.tobytes()
             assert transmission_point(pd, b, unit=entry) == transmission_point(pd, b)
 
@@ -538,10 +539,14 @@ def test_each_detuning_gets_its_solution_or_its_singular_system():
 @pytest.mark.parametrize("delta0", [float("nan"), float("inf"), -float("inf")])
 def test_a_non_finite_detuning_is_non_finite(delta0):
     p = absorption_point(delta0=delta0)
-    for b in (branch_of(p), certify_detuning(branch_of(p))):
-        for response in (transmission_point, dispersion_slope):
-            with pytest.raises(NonFinite, match="is not finite"):
-                response(p, b)
+    b = branch_of(p)
+    for response in (transmission_point, dispersion_slope):
+        with pytest.raises(NonFinite, match="is not finite"):
+            response(p, b)
+    K = sideband_generator(b)
+    for safe in (-np.inf, certify_detuning(K)):
+        entry = solve_unit_grid(K, [delta0], safe)[0]
+        assert isinstance(entry, NonFinite) and "is not finite" in str(entry)
 
 
 def test_sweep_over_a_pole_flags_pole_skipped(monkeypatch):
@@ -549,7 +554,8 @@ def test_sweep_over_a_pole_flags_pole_skipped(monkeypatch):
     row falls between two rows of one stacked solve."""
     b = phonon_pole_branch(0.0)
     healthy = branch_of(absorption_point())
-    assert certify_detuning(healthy).safe_detuning > 3.0 > 0.0 > b.safe_detuning
+    assert certify_detuning(sideband_generator(healthy)) > 3.0 > 0.0 \
+        > certify_detuning(sideband_generator(b))
     monkeypatch.setattr("qdresponse.sweep.solve_steady_branches",
                         lambda p: [healthy, b, healthy])
     cfg = SweepConfig(base=absorption_point(), axis=SweepAxis.DELTA0,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +9,10 @@ from qdresponse.errors import InvalidGrid, NonFinite, NoRealRoot, QdResponseErro
 from qdresponse.model import Params, SweepAxis
 from qdresponse.oracle import mean_field_rhs, steady_state_vector
 from qdresponse.records import Flag
+from qdresponse.response import sideband_generator
 from qdresponse.steady import (
     Stability,
+    SteadyBranch,
     build_inversion_polynomial,
     cleared_inversion_expression,
     coherence_amplitudes,
@@ -217,6 +221,29 @@ def test_sample_point_on_coefficient_pole_is_resampled(monkeypatch):
             assert _scaled_fixed_point_residual(p, b) <= 1e-12
 
 
+@pytest.mark.parametrize("gap, shifted", [(1.5e-11, True), (3e-11, False)])
+def test_pole_check_scale_counts_the_coupling(monkeypatch, gap, shifted):
+    # at w = 1 both denominators are +-i (2 g0^2 - kappa_c0), |d1| = gap; the
+    # pole check's scale there is (1 + kappa_c0) + 2 g0^2 = 101 + 100, of
+    # which the coupling term 2 g0^2 |w| is nearly half (at a pole it is
+    # never more).  A gap of 1.5e-11 is 7.5e-14 of that scale, a pole, but
+    # 1.5e-13 of the scale without the coupling term; 3e-11 is 1.5e-13 of
+    # it, no pole
+    fits = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: fits.append(a) or inv(a))
+    p = Params(delta_p0=0.0, delta_c0=0.0, g0=((100.0 + gap) / 2.0) ** 0.5,
+               eta=0.0, omega_k0=10.0, kappa_c0=100.0, gamma_q0=0.1, ep0=2.0)
+    d1, d2 = steady._denominators(p, 1.0)
+    assert abs(d1) == abs(d2) and abs(abs(d1) / gap - 1.0) < 1e-3
+    poly = build_inversion_polynomial(p)
+    assert len(fits) == (1 if shifted else 0)
+    scale = max(abs(c) for c in poly)
+    for w in (-1.7, -0.4, 0.3, 1.9):
+        assert abs(np.polyval(poly, w) - cleared_inversion_expression(p, w)) \
+            < 1e-11 * scale
+
+
 def test_jacobian_matches_numerical_differentiation():
     from qdresponse.oracle import mean_field_rhs, steady_state_vector
 
@@ -234,6 +261,9 @@ def test_jacobian_matches_numerical_differentiation():
 
 
 def test_branch_carries_its_jacobian_outside_equality():
+    # the steady state and its Jacobian, nothing of the sideband response
+    assert [f.name for f in dataclasses.fields(SteadyBranch)] == \
+        ["w0", "a0", "sigma0", "q0", "residual", "stability", "physical", "jacobian"]
     p = bistable_point(ep0=8.0)
     first, second = solve_steady_branches(p), solve_steady_branches(p)
     assert len(first) == 3
@@ -242,7 +272,7 @@ def test_branch_carries_its_jacobian_outside_equality():
         assert a == b and hash(a) == hash(b) and a.jacobian is not b.jacobian
         # the complex-amplitude generator is a similarity transform of J
         ev_j = np.linalg.eigvals(a.jacobian)
-        ev_k = np.linalg.eigvals(a.sideband_generator)
+        ev_k = np.linalg.eigvals(sideband_generator(a))
         gap = np.abs(ev_j[:, None] - ev_k[None, :]).min(axis=1)
         assert np.max(gap) < 1e-10 * np.max(np.abs(ev_j))
 

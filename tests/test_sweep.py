@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import random
@@ -189,29 +188,37 @@ def test_stacked_rows_equal_the_per_point_path_bit_for_bit(axis, observable):
     assert _rows_text(run_sweep(cfg)) == _per_point_text(cfg)
 
 
-@pytest.mark.parametrize("observable, backend, policy, solves", [
-    (Observable.CHI1, Backend.LINEAR_SOLVE, BranchPolicy.ALL_BRANCHES, 3 * 2),
-    (Observable.CHI1, Backend.LINEAR_SOLVE, BranchPolicy.STABLE_ONLY, 2 * 2),
+@pytest.mark.parametrize("observable, backend, policy, stacked", [
+    (Observable.CHI1, Backend.LINEAR_SOLVE, BranchPolicy.ALL_BRANCHES, 3),
+    (Observable.CHI1, Backend.LINEAR_SOLVE, BranchPolicy.STABLE_ONLY, 2),
     (Observable.CHI1, Backend.CLOSED_FORM, BranchPolicy.ALL_BRANCHES, 0),
     (Observable.W0, Backend.LINEAR_SOLVE, BranchPolicy.ALL_BRANCHES, 0),
 ])
 def test_stacked_solves_only_for_emitting_branches(monkeypatch, observable,
-                                                   backend, policy, solves):
-    """Two blocks over the bistable point (two stable branches of three)."""
-    calls = []
+                                                   backend, policy, stacked):
+    """Two blocks over the bistable point (two stable branches of three):
+    each stacked branch builds its K and certificate once and solves once
+    per block; a branch whose rows are not stacked builds neither."""
+    generated, certified, solved = [], [], []
+    generate, certify = sweep.sideband_generator, sweep.certify_detuning
     solve_unit_grid = sweep.solve_unit_grid
+    monkeypatch.setattr(sweep, "sideband_generator",
+                        lambda b: generated.append(b.stability) or generate(b))
+    monkeypatch.setattr(sweep, "certify_detuning",
+                        lambda K: certified.append(K) or certify(K))
     monkeypatch.setattr(sweep, "solve_unit_grid",
-                        lambda b, deltas: calls.append(b.stability)
-                        or solve_unit_grid(b, deltas))
+                        lambda K, deltas, safe: solved.append((id(K), safe))
+                        or solve_unit_grid(K, deltas, safe))
     cfg = SweepConfig(base=bistable_point(ep0=8.0), axis=SweepAxis.DELTA0,
                       grid=tuple(np.linspace(-3.0, 3.0, 300).tolist()),
                       observable=observable, backend=backend,
                       branch_policy=policy)
     rows = run_sweep(cfg)
-    assert len(calls) == solves
+    assert len(generated) == len(certified) == stacked
+    assert sorted(solved) == sorted(2 * [(id(K), certify(K)) for K in certified])
     assert len(rows) == 300 * (2 if policy is BranchPolicy.STABLE_ONLY else 3)
     if policy is BranchPolicy.STABLE_ONLY:
-        assert set(calls) == {steady.Stability.STABLE}
+        assert set(generated) == {steady.Stability.STABLE}
 
 
 def test_rows_outside_the_certificate_equal_the_per_point_path(monkeypatch):
@@ -220,8 +227,8 @@ def test_rows_outside_the_certificate_equal_the_per_point_path(monkeypatch):
     entries, tested = [], []
     solve_unit_grid, solve_alone = sweep.solve_unit_grid, response._solve_alone
 
-    def grid_spy(branch, deltas):
-        found = solve_unit_grid(branch, deltas)
+    def grid_spy(K, deltas, safe_detuning):
+        found = solve_unit_grid(K, deltas, safe_detuning)
         entries.extend(found)
         return found
 
@@ -229,8 +236,7 @@ def test_rows_outside_the_certificate_equal_the_per_point_path(monkeypatch):
         tested.append(delta)
         return solve_alone(K, delta)
 
-    monkeypatch.setattr(sweep, "certify_detuning",
-                        lambda b: dataclasses.replace(b, safe_detuning=5.0))
+    monkeypatch.setattr(sweep, "certify_detuning", lambda K: 5.0)
     monkeypatch.setattr(sweep, "solve_unit_grid", grid_spy)
     monkeypatch.setattr(response, "_solve_alone", alone_spy)
     cfg = SweepConfig(base=bistable_point(ep0=8.0), axis=SweepAxis.DELTA0,
