@@ -38,10 +38,12 @@ SETTLE_DRIFT = 1e-6
 #: Signal periods in each analysis window of ``demodulate_sidebands``.
 DEMOD_PERIODS = 20
 #: ``perturbation_outcome``: the inversion kick, the distance that counts as
-#: departure, and the integration span between distance checks.
+#: departure, the integration span between distance checks, and the time
+#: after which the outcome is inconclusive.
 KICK = 1e-6
 DEPARTURE = 1e-3
 CHECK_SPAN = 5.0
+HORIZON = 300.0
 
 
 @dataclass(frozen=True)
@@ -305,18 +307,17 @@ def demodulate_sidebands(traj: Trajectory, delta0: float) -> DemodResult:
     )
 
 
-def perturbation_outcome(p: Params, branch: SteadyBranch,
-                         horizon: float = 400.0) -> str:
+def perturbation_outcome(p: Params, branch: SteadyBranch) -> str:
     """Integrate a perturbed branch with the pump only and classify the outcome.
 
     The inversion is kicked by ``KICK``.  Returns "decayed" once the state
     comes back within ``0.02 * KICK`` of the branch, "departed" once any
     component moves beyond ``DEPARTURE`` (or the integration blows up),
-    otherwise "inconclusive" at the horizon.  The
-    displacement velocity is weighted by 1/omega_k0 so that the metric is the
-    oscillator phase-space norm; an inversion kick transiently rings the
-    displacement velocity by ~2 eta omega_k0^2 times its size, which would
-    otherwise masquerade as departure.
+    otherwise "inconclusive" at ``HORIZON``.  The displacement velocity is
+    weighted by 1/omega_k0 so that the metric is the oscillator phase-space
+    norm; an inversion kick transiently rings the displacement velocity by
+    ~2 eta omega_k0^2 times its size, which would otherwise masquerade as
+    departure.
     """
     p0 = p.replace(es0=0.0, delta0=0.0)
     ref = np.array(steady_state_vector(branch))
@@ -324,8 +325,8 @@ def perturbation_outcome(p: Params, branch: SteadyBranch,
     state = tuple(v + (KICK if i == 0 else 0.0) for i, v in enumerate(ref))
     dt = min(max_step(p0), CHECK_SPAN / 10.0)
     elapsed = 0.0
-    while elapsed < horizon:
-        span = min(CHECK_SPAN, horizon - elapsed)
+    while elapsed < HORIZON:
+        span = min(CHECK_SPAN, HORIZON - elapsed)
         try:
             traj = integrate_mean_field(p0, state, span, dt)
         except (BoundViolation, NonFinite):

@@ -9,9 +9,9 @@ pointwise evaluation.
 Two transcriptions of the coefficient set exist (see ``data/formula_ledger.json``).
 The default one is self-consistent with the mean-field dynamics: its roots are
 fixed points of the time-domain equations to machine precision.  The legacy
-transcription (``legacy_field_amplitude=True``) uses the inversion instead of
-the pump amplitude in the cavity-field numerator and is kept only as a
-documented reference; its roots are not fixed points.
+transcription (``build_inversion_polynomial(p, legacy_field_amplitude=True)``)
+uses the inversion instead of the pump amplitude in the cavity-field numerator
+and is kept only as a documented reference; its roots are not fixed points.
 """
 from __future__ import annotations
 
@@ -43,7 +43,6 @@ __all__ = [
     "cleared_inversion_expression",
     "build_inversion_polynomial",
     "inversion_roots",
-    "inversion_root_sets",
     "grid_roots",
     "steady_fields",
     "solve_steady_branches",
@@ -130,14 +129,13 @@ def _amplitudes(p: Params, w: complex, d1: complex, d2: complex,
     return c1, c2, a1, a2
 
 
-def cleared_inversion_expression(p: Params, w: complex,
-                                 legacy_field_amplitude: bool = False) -> complex:
+def cleared_inversion_expression(p: Params, w: complex) -> complex:
     """Inversion equation with both coefficient denominators cleared.
 
     This is a polynomial of degree <= 3 in ``w``; for real ``w`` its value is
     real up to rounding.
     """
-    return _cleared(p, w, *_denominators(p, w), legacy_field_amplitude)
+    return _cleared(p, w, *_denominators(p, w), legacy_field_amplitude=False)
 
 
 def _cleared(p: Params, w: complex, d1: complex, d2: complex,
@@ -323,14 +321,20 @@ def _split_roots(roots: np.ndarray, monic: np.ndarray):
     return real, resid, cplx
 
 
-def inversion_root_sets(ps) -> list:
-    """``inversion_roots`` of each point of ``ps``, or the error it raises.
+def inversion_roots(ps) -> list:
+    """Each point of ``ps``'s real roots of the inversion cubic, their monic
+    residuals and the complex rest, (real, resid, cplx), or the error the
+    point raises; a lone point is a stack of one.
 
     Each cubic is built alone; the roots of all of them are extracted and
     polished in one stacked step per degree (``_polished_root_sets``).  An
-    entry that is an exception is what ``inversion_roots`` raises at that
-    point: the caller raises it at that point's turn, so a grid fails where
-    and how a per-point loop would.
+    entry that is an exception is raised by the caller at that point's turn,
+    so a grid fails where and how a per-point loop would.
+
+    A point is ``RootResidual`` when a real root's monic residual reaches
+    ``RESIDUAL_BOUND`` and also the rounding noise of evaluating the monic
+    polynomial there, 8 eps sum_k |m_k| |w0|^k: with monic coefficients up
+    to 1e13 an absolute bound alone rejects roots accurate to the last bit.
     """
     out = [None] * len(ps)
     at, polys = [], []
@@ -351,17 +355,6 @@ def inversion_root_sets(ps) -> list:
     return out
 
 
-def inversion_roots(p: Params) -> tuple[list[float], list[float], list[complex]]:
-    """Real roots of the inversion cubic, their monic residuals, complex rest.
-
-    Raises ``RootResidual`` when a real root's monic residual reaches
-    ``RESIDUAL_BOUND`` and also the rounding noise of evaluating the monic
-    polynomial there, 8 eps sum_k |m_k| |w0|^k: with monic coefficients up
-    to 1e13 an absolute bound alone rejects roots accurate to the last bit.
-    """
-    return _or_raise(inversion_root_sets([p])[0])
-
-
 def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
     """(x, params, entry) for each point of ``xs`` (a checked grid) along
     ``axis`` from ``p``: the entry is the point's (real, resid, cplx,
@@ -369,9 +362,9 @@ def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
     as ``solve_steady_branches`` gives them, or the error the point raises.
 
     Each point's roots and branches are computed once, in one stacked step
-    per stage over the whole grid (``inversion_root_sets``,
-    ``_branch_sets``); callers share the entries.  The grid's two ends must
-    pass ``validate_params``; every parameter rule is a bound, so the points
+    per stage over the whole grid (``inversion_roots``, ``_branch_sets``);
+    callers share the entries.  The grid's two ends must pass
+    ``validate_params``; every parameter rule is a bound, so the points
     between them do too.  A point that does not raises ``InvalidGrid``
     naming the axis.
     """
@@ -382,7 +375,7 @@ def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
         except QdResponseError as exc:
             raise InvalidGrid(f"{axis.value} grid reaches an invalid point: "
                               f"{exc}") from None
-    return list(zip(xs, ps, _branch_sets(ps, inversion_root_sets(ps))))
+    return list(zip(xs, ps, _branch_sets(ps, inversion_roots(ps))))
 
 
 # -- branch assembly ---------------------------------------------------------
@@ -451,12 +444,13 @@ def _jacobian_entries(p: Params, w0: float, sigma0: complex, a0: complex,
     )
 
 
-def _stability_labels(jacobians) -> list[Stability]:
+def classify_stability(jacobians) -> list[Stability]:
     """The label of each Jacobian of a stack from the real parts of its
     eigenvalues, in one ``eigvals``; a non-finite one raises ``LinAlgError``.
 
     ``eigvals`` of a stack gives each matrix the real parts it gets alone,
-    so a label does not depend on the rest of the stack.
+    so a label does not depend on the rest of the stack; a lone matrix is a
+    stack of one.
     """
     tops = np.linalg.eigvals(jacobians).real.max(axis=-1)
     return [Stability.STABLE if top < -STABILITY_TOL
@@ -464,19 +458,14 @@ def _stability_labels(jacobians) -> list[Stability]:
             else Stability.MARGINAL for top in tops.tolist()]
 
 
-def classify_stability(jacobian: np.ndarray) -> Stability:
-    """The label of a branch from the real parts of its Jacobian's eigenvalues."""
-    return _stability_labels([jacobian])[0]
-
-
 def _branch_sets(ps, root_sets) -> list:
-    """Each ``inversion_root_sets`` entry of ``ps`` with the point's branches
+    """Each ``inversion_roots`` entry of ``ps`` with the point's branches
     appended, (real, resid, cplx, branches), or the error the point raises.
 
     Every real root that passes the fixed-point check gets its Jacobian from
     the same ``steady_fields``, written into one (n, 7, 7) stack for the
     kept roots of all points; the stack is labelled in one
-    ``_stability_labels``, and each branch's ``jacobian`` is its row.
+    ``classify_stability``, and each branch's ``jacobian`` is its row.
     Errors stay with their point, to be raised at its turn: an
     ``ArithmeticError`` in a point's fields or Jacobians is its
     ``NonFinite``, and a stack that holds a non-finite Jacobian is labelled
@@ -504,12 +493,12 @@ def _branch_sets(ps, root_sets) -> list:
             out[i] = NonFinite("a steady branch overflows at these parameters")
     stack = stack[:len(kept)]
     try:
-        labels = _stability_labels(stack) if kept else []
+        labels = classify_stability(stack) if kept else []
     except np.linalg.LinAlgError:
         labels = []
         for k, (i, *_) in enumerate(kept):
             try:
-                labels += _stability_labels(stack[k:k + 1])
+                labels += classify_stability(stack[k:k + 1])
             except np.linalg.LinAlgError as exc:
                 labels.append(None)
                 out[i] = exc
@@ -530,9 +519,8 @@ def solve_steady_branches(p: Params, *, roots=None) -> list[SteadyBranch]:
 
     ``roots`` is the point's ``grid_roots`` entry when the caller holds one:
     its branch list is returned as it is, shared by every caller of the
-    entry, or its error raised.  Otherwise the roots are
-    ``inversion_roots(p)`` and the branches come from the grid's kernel
-    (``_branch_sets``) run on this one point.
+    entry, or its error raised.  Otherwise both stages run on this one
+    point as a stack of one, ``_branch_sets([p], inversion_roots([p]))``.
 
     Complex cubic roots are discarded; real roots that are pole-cancellation
     artifacts of denominator clearing (possible only at degenerate corners
@@ -540,7 +528,7 @@ def solve_steady_branches(p: Params, *, roots=None) -> list[SteadyBranch]:
     residual.  Roots outside [-1, 0] are returned but marked non-physical.
     """
     if roots is None:
-        roots = _branch_sets([p], [inversion_roots(p)])[0]
+        roots = _branch_sets([p], inversion_roots([p]))[0]
     return _or_raise(roots)[3]
 
 

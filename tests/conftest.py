@@ -2,7 +2,7 @@
 import numpy as np
 
 from qdresponse import steady
-from qdresponse.errors import NonFinite
+from qdresponse.errors import NonFinite, _or_raise
 from qdresponse.model import Params
 
 
@@ -41,6 +41,12 @@ def kerr_peaks_point(omega_k0=10.0) -> Params:
     """Kerr-peak scenario with both drives on the exciton line."""
     return Params(delta_p0=0.0, delta_c0=0.0, g0=1.5, eta=0.06,
                   omega_k0=omega_k0, kappa_c0=1.35, gamma_q0=0.1, ep0=0.54)
+
+
+def lone_roots(p: Params):
+    """``steady.inversion_roots`` of ``p`` alone, a stack of one: the point's
+    (real, resid, cplx), or the error it raises, raised."""
+    return _or_raise(steady.inversion_roots([p])[0])
 
 
 def phonon_pole_jacobian(gamma):

@@ -28,7 +28,6 @@ from qdresponse.response import (
 from qdresponse.steady import (
     Stability,
     hysteresis_sweep,
-    inversion_roots,
     solve_steady_branches,
 )
 
@@ -37,6 +36,7 @@ from conftest import (
     bistable_point,
     kerr_peaks_point,
     kerr_point,
+    lone_roots,
     transmission_point_params,
 )
 
@@ -70,7 +70,7 @@ def test_c01_root_residuals_on_random_points():
                    kappa_c0=rng.uniform(0.5, 2.5),
                    gamma_q0=rng.uniform(0.02, 0.5),
                    ep0=rng.uniform(0.01, 85.0))
-        real, resid, _ = inversion_roots(p)
+        real, resid, _ = lone_roots(p)
         counts_ok = counts_ok and len(real) in (1, 3)
         worst = max(worst, max(resid))
     elapsed = time.perf_counter() - t0
@@ -83,7 +83,7 @@ def test_c02_bistability_window_and_hysteresis():
     t0 = time.perf_counter()
     p = bistable_point(ep0=0.0)
     grid = np.linspace(0.2, 16.0, 317)
-    counts = [len(inversion_roots(p.replace(ep0=x))[0]) for x in grid]
+    counts = [len(lone_roots(p.replace(ep0=x))[0]) for x in grid]
     window = [x for x, n in zip(grid, counts) if n == 3]
     result = hysteresis_sweep(p, SweepAxis.EP0, grid)
     p1, p2 = result.turning_up, result.turning_down
@@ -112,7 +112,7 @@ def test_c03_bistability_onset_monotone_in_coupling():
     def onset(g0):
         p = base.replace(g0=g0)
         for x in grid:
-            if len(inversion_roots(p.replace(ep0=x))[0]) == 3:
+            if len(lone_roots(p.replace(ep0=x))[0]) == 3:
                 return x
         return None
 
@@ -330,7 +330,7 @@ def test_c10_stability_labels_match_perturbation_dynamics():
     agreements = 0
     outcomes = []
     for p, branch in samples:
-        outcome = perturbation_outcome(p, branch, horizon=300.0)
+        outcome = perturbation_outcome(p, branch)
         expect = "decayed" if branch.stability is Stability.STABLE else "departed"
         agreements += outcome == expect
         outcomes.append(f"{branch.stability.value[0]}:{outcome[:3]}")

@@ -479,7 +479,7 @@ def phonon_pole_branch(gamma):
     """A branch on ``phonon_pole_jacobian(gamma)``."""
     jac = phonon_pole_jacobian(gamma)
     return SteadyBranch(w0=-1.0, a0=0j, sigma0=0j, q0=0.0, residual=0.0,
-                        stability=classify_stability(jac), physical=True,
+                        stability=classify_stability([jac])[0], physical=True,
                         jacobian=jac)
 
 

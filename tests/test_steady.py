@@ -14,6 +14,7 @@ from qdresponse.steady import (
     Stability,
     SteadyBranch,
     build_inversion_polynomial,
+    classify_stability,
     cleared_inversion_expression,
     coherence_amplitudes,
     hysteresis_sweep,
@@ -27,6 +28,7 @@ from conftest import (
     bistable_point,
     detuning_scan_point,
     faulty_jacobian,
+    lone_roots,
     phonon_pole_jacobian,
 )
 
@@ -40,7 +42,7 @@ def test_undriven_polynomial_has_ground_state_root():
 
 def test_bistable_window_has_three_distinct_roots():
     p = bistable_point(ep0=8.0)
-    real, resid, cplx = inversion_roots(p)
+    real, resid, cplx = lone_roots(p)
     assert len(real) == 3
     assert len(set(np.round(real, 6))) == 3
     assert not cplx
@@ -77,11 +79,8 @@ def test_undriven_state_is_unique_ground_branch():
 
 def test_root_count_transitions_one_three_one():
     p = bistable_point()
-    counts = []
-    for ep0 in np.linspace(0.5, 16.0, 63):
-        real, _, _ = inversion_roots(p.replace(ep0=ep0))
-        counts.append(len(real))
-    counts = np.array(counts)
+    ps = [p.replace(ep0=ep0) for ep0 in np.linspace(0.5, 16.0, 63)]
+    counts = np.array([len(_or_raise(found)[0]) for found in inversion_roots(ps)])
     assert counts[0] == 1 and counts[-1] == 1
     assert np.any(counts == 3)
     # exactly one contiguous 3-root window
@@ -94,8 +93,8 @@ def test_detuning_window_widens_with_pump():
 
     def window_width(ep0):
         p = detuning_scan_point(ep0=ep0)
-        hits = [x for x in grid
-                if len(inversion_roots(p.replace(delta_p0=x))[0]) == 3]
+        found = inversion_roots([p.replace(delta_p0=x) for x in grid])
+        hits = [x for x, roots in zip(grid, found) if len(_or_raise(roots)[0]) == 3]
         return (max(hits) - min(hits)) if hits else 0.0
 
     w12, w36, w81 = window_width(12.0), window_width(36.0), window_width(81.0)
@@ -116,7 +115,7 @@ def test_pole_cancellation_roots_are_filtered():
     # (delta_c0^2 + kappa_c0^2) / (2 g0^2 kappa_c0) = 0.5, no fixed point
     p = Params(delta_p0=0.1, delta_c0=0.0, g0=1.0, eta=0.01, omega_k0=10.0,
                kappa_c0=1.0, gamma_q0=0.1, ep0=0.0)
-    real, _, _ = inversion_roots(p)
+    real, _, _ = lone_roots(p)
     assert len(real) == 3 and sum(abs(w - 0.5) < 1e-6 for w in real) == 2
     assert [b.w0 for b in solve_steady_branches(p)] == [-1.0]
 
@@ -183,7 +182,7 @@ def test_random_points_residual_and_count(dp, dc, g0, eta, wk, kc, ep0):
     # larger
     p = Params(delta_p0=dp, delta_c0=dc, g0=g0, eta=eta, omega_k0=wk,
                kappa_c0=kc, gamma_q0=0.1, ep0=ep0)
-    real, resid, _ = inversion_roots(p)
+    real, resid, _ = lone_roots(p)
     assert len(real) in (1, 3)
     coeffs = build_inversion_polynomial(p)
     monic = np.abs(coeffs / coeffs[0])
@@ -437,8 +436,8 @@ def test_stacked_roots_match_each_point_bit_for_bit():
 def test_grid_roots_match_per_point_roots():
     ps = [bistable_point(ep0=x) for x in np.linspace(0.0, 20.0, 81)]
     ps += [detuning_scan_point().replace(delta_p0=x) for x in np.linspace(-50.0, 10.0, 61)]
-    for p, found in zip(ps, steady.inversion_root_sets(ps)):
-        assert repr(found) == repr(inversion_roots(p))
+    for p, found in zip(ps, inversion_roots(ps)):
+        assert repr(found) == repr(lone_roots(p))
 
 
 def test_overflowing_point_raises_at_its_turn_in_a_hysteresis_grid(monkeypatch):
@@ -467,13 +466,15 @@ def test_point_without_roots_is_skipped_in_both_traces(monkeypatch):
 
 
 def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
-    # both traces share one cubic and one branch list per grid point; each
-    # trace still asks for its branches at every point
+    # both traces share one cubic and one branch list per grid point, and
+    # each stage runs once on the whole grid; each trace still asks for its
+    # branches at every point
     preset = presets.get_preset("2b")
     kept = sum(len(found[3]) for _, _, found in
                steady.grid_roots(preset.params, preset.axis, preset.grid))
     calls = {"build_inversion_polynomial": 0, "_jacobian_entries": 0,
-             "solve_steady_branches": 0}
+             "solve_steady_branches": 0, "inversion_roots": 0,
+             "classify_stability": 0}
     for name in calls:
         original = getattr(steady, name)
 
@@ -487,7 +488,15 @@ def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
     assert len(result.up) == len(result.down) == n
     assert kept > n
     assert calls == {"build_inversion_polynomial": n, "_jacobian_entries": kept,
-                     "solve_steady_branches": 2 * n}
+                     "solve_steady_branches": 2 * n, "inversion_roots": 1,
+                     "classify_stability": 1}
+    # a lone point runs each stage once, as a stack of one
+    calls.update(dict.fromkeys(calls, 0))
+    branches = steady.solve_steady_branches(bistable_point(ep0=8.0))
+    assert calls == {"build_inversion_polynomial": 1,
+                     "_jacobian_entries": len(branches),
+                     "solve_steady_branches": 1, "inversion_roots": 1,
+                     "classify_stability": 1}
 
 
 def _label_alone(jacobian):
@@ -521,9 +530,9 @@ def test_stacked_labels_match_each_matrix_bit_for_bit():
     tops = np.linalg.eigvals(stack).real.max(axis=-1)
     alone = np.array([np.max(np.linalg.eigvals(j).real) for j in jacobians])
     assert tops.tobytes() == alone.tobytes()
-    labels = steady._stability_labels(stack)
+    labels = classify_stability(stack)
     assert labels == [_label_alone(j) for j in jacobians]
-    assert labels == [steady.classify_stability(j) for j in jacobians]
+    assert labels == [classify_stability([j])[0] for j in jacobians]
     assert set(labels) == set(Stability)
 
 
@@ -531,7 +540,7 @@ def test_grid_branches_match_per_point_branches():
     checked = 0
     for preset, params in _preset_grid_points():
         for _, p, found in steady.grid_roots(params, preset.axis, preset.grid):
-            alone = _outcome(lambda: (*inversion_roots(p), solve_steady_branches(p)))
+            alone = _outcome(lambda: (*lone_roots(p), solve_steady_branches(p)))
             if isinstance(found, Exception):
                 assert alone == (type(found), str(found))
                 continue
@@ -554,7 +563,7 @@ def test_grid_kernels_give_the_bits_of_the_public_formulas():
     grids = [(p, found) for preset, params in _preset_grid_points()
              for _, p, found in steady.grid_roots(params, preset.axis, preset.grid)]
     wide = list(_wide_box_points(np.random.default_rng(17), 1000))
-    grids += zip(wide, steady._branch_sets(wide, steady.inversion_root_sets(wide)))
+    grids += zip(wide, steady._branch_sets(wide, inversion_roots(wide)))
     jacobians = 0
     for p, found in grids:
         assert build_inversion_polynomial(p).tobytes() == interpolated(p).tobytes()
@@ -601,9 +610,9 @@ def test_a_point_that_overflows_at_a_later_root_keeps_no_earlier_row(monkeypatch
     grid = [2.0, 4.0, 6.0, 8.0]
     clean = steady.grid_roots(bistable_point(), SweepAxis.EP0, grid)
     monkeypatch.setattr(steady, "_jacobian_entries", faulty)
-    labels = steady._stability_labels
+    labels = steady.classify_stability
     stacks = []
-    monkeypatch.setattr(steady, "_stability_labels",
+    monkeypatch.setattr(steady, "classify_stability",
                         lambda stack: stacks.append(len(stack)) or labels(stack))
     faulty_grid = steady.grid_roots(bistable_point(), SweepAxis.EP0, grid)
     assert len(seen) == 2
