@@ -82,6 +82,13 @@ def _grid(args, preset):
     raise BadConfig("missing --grid start:stop:points")
 
 
+def _axis(args, preset, default: SweepAxis) -> SweepAxis:
+    """The ``--axis``, else the preset's axis, else ``default``."""
+    if args.axis:
+        return _member(SweepAxis, "axis", args.axis)
+    return preset.axis if preset else default
+
+
 def _params_meta(p: Params) -> dict:
     return {k: repr(v) for k, v in vars(p).items()}
 
@@ -135,8 +142,7 @@ def _clean_sweep(cfg, context=""):
 def _sweep(args, context="", min_points=1):
     """Resolve preset, parameters, axis, observable and grid, then sweep."""
     preset, p = _point(args)
-    axis = _member(SweepAxis, "axis", args.axis) if args.axis else \
-        (preset.axis if preset else SweepAxis.DELTA0)
+    axis = _axis(args, preset, SweepAxis.DELTA0)
     obs = _member(sweep.Observable, "observable", args.observable) \
         if args.observable else (preset.observable if preset else None)
     if obs is None:
@@ -169,7 +175,7 @@ def _cmd_steady(args) -> int:
 
 def _cmd_bistability(args) -> int:
     preset, p = _point(args)
-    axis = _member(SweepAxis, "axis", args.axis)
+    axis = _axis(args, preset, SweepAxis.EP0)
     for path in _hysteresis(p, axis, _grid(args, preset), args.out or "bistability",
                             args.format, {**_params_meta(p), "axis": axis.value}):
         print(f"wrote {path}")
@@ -291,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("steady", _cmd_steady, "solve the steady-state branches",
             *_POINT, "--out")
     command("bistability", _cmd_bistability, "hysteresis continuation sweep",
-            *_POINT, ("--axis", dict(default="ep0")),
-            "--grid", "--format", "--out")
+            *_POINT, "--axis", "--grid", "--format", "--out")
     command("spectrum", _cmd_spectrum, "sweep an observable over a grid",
             *_POINT, "--axis", "--grid", "--observable", "--backend",
             "--branch-policy", "--format", "--out")

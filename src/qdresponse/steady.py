@@ -4,7 +4,9 @@ The population inversion of the driven dot obeys a real cubic equation.  The
 cubic is never expanded symbolically: the cleared rational expression is
 evaluated at four sample points and interpolated, which makes the construction
 immune to algebra slips and lets a test compare the polynomial against direct
-pointwise evaluation.
+pointwise evaluation.  Along a steady grid each coefficient is a polynomial of
+degree 1 or 2 in the swept value or its square, so a grid's cubics are
+interpolated from two or three such builds (``_grid_cubics``).
 
 Two transcriptions of the coefficient set exist (see ``data/formula_ledger.json``).
 The default one is self-consistent with the mean-field dynamics: its roots are
@@ -321,31 +323,21 @@ def _split_roots(roots: np.ndarray, monic: np.ndarray):
     return real, resid, cplx
 
 
-def inversion_roots(ps) -> list:
-    """Each point of ``ps``'s real roots of the inversion cubic, their monic
-    residuals and the complex rest, (real, resid, cplx), or the error the
-    point raises; a lone point is a stack of one.
+def _cubic(p: Params):
+    """``build_inversion_polynomial(p)``, or the error it raises."""
+    try:
+        return build_inversion_polynomial(p)
+    except QdResponseError as exc:  # raised at its turn
+        return exc
 
-    Each cubic is built alone; the roots of all of them are extracted and
-    polished in one stacked step per degree (``_polished_root_sets``).  An
-    entry that is an exception is raised by the caller at that point's turn,
-    so a grid fails where and how a per-point loop would.
 
-    A point is ``RootResidual`` when a real root's monic residual reaches
-    ``RESIDUAL_BOUND`` and also the rounding noise of evaluating the monic
-    polynomial there, 8 eps sum_k |m_k| |w0|^k: with monic coefficients up
-    to 1e13 an absolute bound alone rejects roots accurate to the last bit.
-    """
-    out = [None] * len(ps)
-    at, polys = [], []
-    for i, p in enumerate(ps):
-        try:
-            polys.append(build_inversion_polynomial(p))
-        except QdResponseError as exc:  # raised at its turn
-            out[i] = exc
-        else:
-            at.append(i)
-    for i, found in zip(at, _polished_root_sets(polys)):
+def _root_sets(cubics) -> list:
+    """``inversion_roots`` given each point's cubic or the error its build
+    raised: the roots of all the cubics are extracted and polished in one
+    stacked step per degree (``_polished_root_sets``)."""
+    out = list(cubics)
+    at = [i for i, c in enumerate(out) if not isinstance(c, Exception)]
+    for i, found in zip(at, _polished_root_sets([out[i] for i in at])):
         if not isinstance(found, Exception):
             try:
                 found = _split_roots(*found)
@@ -355,18 +347,81 @@ def inversion_roots(ps) -> list:
     return out
 
 
+def inversion_roots(ps) -> list:
+    """Each point of ``ps``'s real roots of the inversion cubic, their monic
+    residuals and the complex rest, (real, resid, cplx), or the error the
+    point raises; a lone point is a stack of one.
+
+    Each cubic is built alone; the roots of all of them come from one
+    stacked step (``_root_sets``).  An entry that is an exception is raised
+    by the caller at that point's turn, so a list fails where and how a
+    per-point loop would.
+
+    A point is ``RootResidual`` when a real root's monic residual reaches
+    ``RESIDUAL_BOUND`` and also the rounding noise of evaluating the monic
+    polynomial there, 8 eps sum_k |m_k| |w0|^k: with monic coefficients up
+    to 1e13 an absolute bound alone rejects roots accurate to the last bit.
+    """
+    return _root_sets([_cubic(p) for p in ps])
+
+
+#: Each steady axis's (power, degree): along the axis every coefficient of
+#: the cubic is a polynomial of that degree in u = x**power.  The cleared
+#: expression is -gamma1_ratio (w + 1) d1 d2 plus ep0**2 g0**2 times a sum
+#: of terms linear in d1, d2 or g0**2, and the denominators d1 and d2 are
+#: affine in delta_p0 and in g0**2.
+_AXIS_BASIS = {SweepAxis.EP0: (2, 1), SweepAxis.DELTA_P0: (1, 2), SweepAxis.G0: (2, 2)}
+
+
+def _grid_cubics(ps, axis: SweepAxis, xs) -> list:
+    """Each point's cubic along ``axis``, or the error its build raises,
+    from ``degree + 1`` node builds: the first and the last point, and for
+    degree 2 the point nearest the middle of the grid in u, which keeps
+    every Lagrange weight within [-2, 2] on any monotone grid.
+
+    A point's coefficients are the Lagrange interpolation in u of the node
+    cubics, in one array expression: its own build up to rounding, and a
+    node's row is its build.  A grid of at most ``degree + 1`` points, or
+    one where a node's build raises, builds every point alone, and so does
+    a row whose interpolated coefficients are not all finite: each error is
+    the one its own point's build raises.
+    """
+    power, degree = _AXIS_BASIS[axis]
+    n = len(ps)
+    if n <= degree + 1:
+        return [_cubic(p) for p in ps]
+    with np.errstate(all="ignore"):  # an overflowing u leaves its rows non-finite
+        u = np.array(xs) ** power
+        middle = 1 + int(np.argmin(abs(u[1:-1] - (u[0] + u[-1]) / 2)))
+    nodes = [0, middle, n - 1] if degree == 2 else [0, n - 1]
+    basis = [_cubic(ps[k]) for k in nodes]
+    if any(isinstance(c, Exception) for c in basis):
+        return [_cubic(p) for p in ps]
+    with np.errstate(all="ignore"):
+        cubics = 0.0
+        for j, c in zip(nodes, basis):
+            weight = 1.0
+            for k in nodes:
+                if k != j:
+                    weight = weight * (u - u[k]) / (u[j] - u[k])
+            cubics = cubics + weight[:, None] * c
+    finite = np.isfinite(cubics).all(axis=1).tolist()
+    return [c if ok else _cubic(p) for p, c, ok in zip(ps, cubics, finite)]
+
+
 def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
     """(x, params, entry) for each point of ``xs`` (a checked grid) along
     ``axis`` from ``p``: the entry is the point's (real, resid, cplx,
     branches), its roots as ``inversion_roots`` gives them and its branches
     as ``solve_steady_branches`` gives them, or the error the point raises.
 
-    Each point's roots and branches are computed once, in one stacked step
-    per stage over the whole grid (``inversion_roots``, ``_branch_sets``);
-    callers share the entries.  The grid's two ends must pass
-    ``validate_params``; every parameter rule is a bound, so the points
-    between them do too.  A point that does not raises ``InvalidGrid``
-    naming the axis.
+    The grid's cubics come from a few node builds (``_grid_cubics``), so a
+    point's roots may differ from a lone solve's by rounding.  Each point's
+    roots and branches are computed once, in one stacked step per stage
+    over the whole grid (``_root_sets``, ``_branch_sets``); callers share
+    the entries.  The grid's two ends must pass ``validate_params``; every
+    parameter rule is a bound, so the points between them do too.  A point
+    that does not raises ``InvalidGrid`` naming the axis.
     """
     ps = [apply_axis(p, axis, x) for x in xs]
     for end in (ps[0], ps[-1]):
@@ -375,7 +430,8 @@ def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
         except QdResponseError as exc:
             raise InvalidGrid(f"{axis.value} grid reaches an invalid point: "
                               f"{exc}") from None
-    return list(zip(xs, ps, _branch_sets(ps, inversion_roots(ps))))
+    root_sets = _root_sets(_grid_cubics(ps, axis, xs))
+    return list(zip(xs, ps, _branch_sets(ps, root_sets)))
 
 
 # -- branch assembly ---------------------------------------------------------

@@ -49,6 +49,18 @@ def lone_roots(p: Params):
     return _or_raise(steady.inversion_roots([p])[0])
 
 
+def rootless_grid_row(monkeypatch, at):
+    """Patch ``steady._grid_cubics`` so that the grid row whose ep0 is ``at``
+    gets the constant cubic 1, which has no roots."""
+    cubics = steady._grid_cubics
+
+    def faulty(ps, *args):
+        return [np.array([0.0, 0.0, 0.0, 1.0]) if p.ep0 == at else c
+                for p, c in zip(ps, cubics(ps, *args))]
+
+    monkeypatch.setattr(steady, "_grid_cubics", faulty)
+
+
 def phonon_pole_jacobian(gamma):
     """A Jacobian whose phonon mode has damping ``gamma``: eigenvalues
     -gamma/2 +- 2i, a pole on (gamma = 0) or next to the imaginary axis."""

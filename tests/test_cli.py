@@ -154,9 +154,11 @@ def test_bistability_subcommand(tmp_path):
     assert (tmp_path / "hys_down.csv").exists()
 
 
-def test_bistability_along_the_pump_detuning(tmp_path):
-    assert run(["bistability", "--preset", "2a", "--axis", "delta_p0",
-                "--grid=-50:10:601", "--out", "hys_dp"], tmp_path) == 0
+@pytest.mark.parametrize("options", [["--axis", "delta_p0", "--grid=-50:10:601"],
+                                     []])  # the preset's axis and grid
+def test_bistability_along_the_pump_detuning(tmp_path, options):
+    assert run(["bistability", "--preset", "2a", *options, "--out", "hys_dp"],
+               tmp_path) == 0
     for tag in ("up", "down"):
         meta, rows = read_csv(tmp_path / f"hys_dp_{tag}.csv")
         assert (meta["axis"], meta["P1"], meta["P2"]) == ("delta_p0", "-17.4", "-33.3")

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qdresponse import presets, steady
 from qdresponse.errors import InvalidGrid, NonFinite, NoRealRoot, QdResponseError, _or_raise
-from qdresponse.model import Params, SweepAxis
+from qdresponse.model import Params, SweepAxis, apply_axis
 from qdresponse.oracle import mean_field_rhs, steady_state_vector
 from qdresponse.records import Flag
 from qdresponse.response import sideband_generator
@@ -30,6 +30,7 @@ from conftest import (
     faulty_jacobian,
     lone_roots,
     phonon_pole_jacobian,
+    rootless_grid_row,
 )
 
 
@@ -453,11 +454,7 @@ def test_overflowing_point_raises_at_its_turn_in_a_hysteresis_grid(monkeypatch):
 
 
 def test_point_without_roots_is_skipped_in_both_traces(monkeypatch):
-    build = steady.build_inversion_polynomial
-    monkeypatch.setattr(
-        steady, "build_inversion_polynomial",
-        lambda p, *a: np.array([0.0, 0.0, 0.0, 1.0]) if p.ep0 == 4.0
-        else build(p, *a))
+    rootless_grid_row(monkeypatch, at=4.0)
     result = hysteresis_sweep(bistable_point(), SweepAxis.EP0, [2.0, 4.0, 6.0])
     for trace in (result.up, result.down):
         (row,) = [r for r in trace if r.x == 4.0]
@@ -466,15 +463,16 @@ def test_point_without_roots_is_skipped_in_both_traces(monkeypatch):
 
 
 def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
-    # both traces share one cubic and one branch list per grid point, and
-    # each stage runs once on the whole grid; each trace still asks for its
-    # branches at every point
+    # both traces share one cubic and one branch list per grid point, the
+    # grid's cubics come from its two end builds (ep0 axis), and each stage
+    # runs once on the whole grid; each trace still asks for its branches at
+    # every point
     preset = presets.get_preset("2b")
     kept = sum(len(found[3]) for _, _, found in
                steady.grid_roots(preset.params, preset.axis, preset.grid))
     calls = {"build_inversion_polynomial": 0, "_jacobian_entries": 0,
              "solve_steady_branches": 0, "inversion_roots": 0,
-             "classify_stability": 0}
+             "_root_sets": 0, "classify_stability": 0}
     for name in calls:
         original = getattr(steady, name)
 
@@ -487,16 +485,16 @@ def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
     n = len(preset.grid)
     assert len(result.up) == len(result.down) == n
     assert kept > n
-    assert calls == {"build_inversion_polynomial": n, "_jacobian_entries": kept,
-                     "solve_steady_branches": 2 * n, "inversion_roots": 1,
-                     "classify_stability": 1}
+    assert calls == {"build_inversion_polynomial": 2, "_jacobian_entries": kept,
+                     "solve_steady_branches": 2 * n, "inversion_roots": 0,
+                     "_root_sets": 1, "classify_stability": 1}
     # a lone point runs each stage once, as a stack of one
     calls.update(dict.fromkeys(calls, 0))
     branches = steady.solve_steady_branches(bistable_point(ep0=8.0))
     assert calls == {"build_inversion_polynomial": 1,
                      "_jacobian_entries": len(branches),
                      "solve_steady_branches": 1, "inversion_roots": 1,
-                     "classify_stability": 1}
+                     "_root_sets": 1, "classify_stability": 1}
 
 
 def _label_alone(jacobian):
@@ -536,17 +534,83 @@ def test_stacked_labels_match_each_matrix_bit_for_bit():
     assert set(labels) == set(Stability)
 
 
-def test_grid_branches_match_per_point_branches():
-    checked = 0
+def _preset_grids():
+    """(params, axis, grid, grid points' params, grid cubics) of every
+    inversion preset member."""
     for preset, params in _preset_grid_points():
-        for _, p, found in steady.grid_roots(params, preset.axis, preset.grid):
-            alone = _outcome(lambda: (*lone_roots(p), solve_steady_branches(p)))
+        ps = [apply_axis(params, preset.axis, x) for x in preset.grid]
+        yield (params, preset.axis, preset.grid, ps,
+               steady._grid_cubics(ps, preset.axis, preset.grid))
+
+
+#: Bound on a grid cubic's departure from its point's own build, relative to
+#: the build's largest coefficient.  The departure is the build's own
+#: rounding (interpolating the node builds in long double moves the grid
+#: cubics by at most 8.1e-15): it reached 1.6e-15 on the preset grids and
+#: 7.9e-13 (ep0), 1.3e-12 (delta_p0) and 1.9e-12 (g0) on 1,500 seeded
+#: random bases per axis.  A wrong entry in ``_AXIS_BASIS`` departs by 30 or
+#: more.
+_GRID_CUBIC_TOL = 1e-11
+
+
+def test_grid_cubics_match_per_point_builds():
+    grids = [grid[:3] for grid in _preset_grids()]
+    axes = {SweepAxis.EP0: np.linspace(0.0, 300.0, 41),
+            SweepAxis.DELTA_P0: np.linspace(-50.0, 50.0, 41),
+            SweepAxis.G0: np.linspace(0.0, 20.0, 41)}
+    for axis, xs in axes.items():
+        for k, p in enumerate(_wide_box_points(np.random.default_rng(23), 150)):
+            grids.append((p, axis, tuple(xs[::-1] if k % 2 else xs)))  # either order
+    worst = 0.0
+    for params, axis, xs in grids:
+        ps = [apply_axis(params, axis, x) for x in xs]
+        cubics = steady._grid_cubics(ps, axis, xs)
+        for p, cubic in zip(ps, cubics):
+            ref = build_inversion_polynomial(p)
+            worst = max(worst, float(np.abs(cubic - ref).max() / np.abs(ref).max()))
+        # each node's row is its own build
+        for k in (0, len(xs) - 1):
+            assert cubics[k].tobytes() == build_inversion_polynomial(ps[k]).tobytes()
+    assert 0.0 < worst <= _GRID_CUBIC_TOL
+
+
+def test_short_or_overflowing_grids_build_each_cubic_alone():
+    # at most degree + 1 points; a node whose build raises; ep0**2 overflows
+    # where the builds do not (g0 = 1e-200): every row is its own build, or
+    # the type and message of the error the build raises
+    grids = [(bistable_point(), SweepAxis.EP0, [2.0, 4.0]),
+             (bistable_point(), SweepAxis.G0, [0.5, 1.0, 2.0]),
+             (bistable_point(), SweepAxis.EP0, [2.0, 4.0, 1e200, 2e200]),
+             (bistable_point().replace(g0=1e-200), SweepAxis.EP0,
+              [1e153, 1.2e154, 1e155, 2e155])]
+    errors = 0
+    for params, axis, xs in grids:
+        ps = [apply_axis(params, axis, x) for x in xs]
+        for cubic, p in zip(steady._grid_cubics(ps, axis, xs), ps):
+            alone = _outcome(build_inversion_polynomial, p)
+            if isinstance(cubic, Exception):
+                assert (type(cubic), str(cubic)) == alone
+                errors += 1
+            else:
+                assert cubic.tobytes() == alone.tobytes()
+    assert errors == 2
+
+
+def test_grid_branches_match_per_point_branches():
+    # after the cubic, every grid point has the bits its own grid cubic gets
+    # alone, as a stack of one; every branch is a fixed point
+    checked = 0
+    for params, axis, grid, ps, cubics in _preset_grids():
+        found_grid = steady.grid_roots(params, axis, grid)
+        for (_, p, found), cubic in zip(found_grid, cubics):
+            alone = steady._branch_sets([p], steady._root_sets([cubic]))[0]
             if isinstance(found, Exception):
-                assert alone == (type(found), str(found))
+                assert (type(alone), str(alone)) == (type(found), str(found))
                 continue
             assert repr(found) == repr(alone)
             for b, ref in zip(found[3], alone[3]):
                 assert b.jacobian.tobytes() == ref.jacobian.tobytes()
+                assert _scaled_fixed_point_residual(p, b) <= 1e-9
             checked += 1
     assert checked > 1000
 

@@ -28,6 +28,7 @@ from conftest import (
     detuning_scan_point,
     faulty_jacobian,
     kerr_point,
+    rootless_grid_row,
     transmission_point_params,
 )
 
@@ -309,11 +310,7 @@ def test_failing_branch_raises_at_its_turn_in_a_sweep(monkeypatch, fault):
 
 
 def test_point_without_roots_is_pole_skipped(monkeypatch):
-    build = steady.build_inversion_polynomial
-    monkeypatch.setattr(
-        steady, "build_inversion_polynomial",
-        lambda p, *a: np.array([0.0, 0.0, 0.0, 1.0]) if p.ep0 == 4.0
-        else build(p, *a))
+    rootless_grid_row(monkeypatch, at=4.0)
     cfg = SweepConfig(base=bistable_point(), axis=SweepAxis.EP0,
                       grid=(2.0, 4.0, 6.0), observable=Observable.W0,
                       branch_policy=BranchPolicy.ALL_BRANCHES)
