@@ -210,86 +210,121 @@ def build_inversion_polynomial(p: Params,
 
 # -- root extraction ---------------------------------------------------------
 
-def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of the polynomials given by descending coefficients along the
-    last axis (length >= 2); a stack of companions takes one ``eigvals``."""
-    n = coeffs.shape[-1] - 1
-    if n == 1:
-        return -coeffs[..., 1:] / coeffs[..., :1]
-    comp = np.zeros(coeffs.shape[:-1] + (n, n))
-    comp[..., 0, :] = -coeffs[..., 1:] / coeffs[..., :1]
-    for j in range(1, n):
-        comp[..., j, j - 1] = 1.0
-    return np.linalg.eigvals(comp)
+def _compensated_horner(monic: list, x: float) -> tuple[float, float]:
+    """(value, slope) at ``x`` of the monic polynomial ``monic``, the value
+    as accurate as Horner's rule in twice the working precision: each
+    product's rounding error (Dekker's split product) and each sum's
+    (Knuth's two-sum) is carried in a second Horner pass (Graillat,
+    Langlois and Louvet's compensated Horner scheme)."""
+    c = monic[1]
+    value = x + c  # 1 * x is exact
+    s = value - x
+    err = (x - (value - s)) + (c - s)
+    slope = 1.0
+    s = 134217729.0 * x  # Dekker's splitter, 2**27 + 1
+    xh = s - (s - x)
+    xl = x - xh
+    for c in monic[2:]:
+        slope = slope * x + value
+        s = 134217729.0 * value
+        vh = s - (s - value)
+        vl = value - vh
+        prod = value * x
+        e_prod = vl * xl - (((prod - vh * xh) - vl * xh) - vh * xl)
+        value = prod + c
+        s = value - prod
+        err = err * x + (e_prod + ((prod - (value - s)) + (c - s)))
+    return value + err, slope
 
 
-def _value_and_slope(monic: np.ndarray, x: np.ndarray):
-    """(f, f') at each row of ``x`` of the polynomial f whose descending
-    coefficients are the same row of ``monic``, in one pass: each in the
-    operation order of ``np.polyval`` on f's and on f''s coefficients.
+def _newton_step(monic: list, x: float) -> float:
+    """``x`` after one Newton step with a compensated value, which lands it
+    next to the root whatever the rounding noise of plain Horner there; or
+    ``x`` itself where the slope is 1e-9 or less (a near-double root)."""
+    value, slope = _compensated_horner(monic, x)
+    return x - value / slope if abs(slope) > 1e-9 else x
 
-    The coefficient columns are cast to the dtype of ``x`` once, as each
-    mixed-dtype product would cast them.  ``np.polyval`` starts from
-    ``0 * x + c[0]``, which is exactly ``c[0]`` (``c[0] + 0j`` for complex
-    ``x``) at a finite ``x``; the pass starts there.
+
+def _pair(monic: list, b1: float, c2: float, scale: float) -> list:
+    """The roots of a factor w^2 + b1 w + c2 of ``monic`` whose cofactor is
+    ``scale`` at the factor's midpoint m = -b1/2: a real pair (the larger
+    root without cancellation, the other c2 over it), each given one
+    Newton step, or a complex pair.  The discriminant is -4 f(m) / scale
+    with f(m) compensated, where b1^2 - 4 c2 cancels near a double root, so
+    a complex pair needs no Newton step; a zero cofactor (a triple root)
+    falls back to b1^2 - 4 c2."""
+    m = -0.5 * b1
+    disc = -4.0 * _compensated_horner(monic, m)[0] / scale if scale else b1 * b1 - 4.0 * c2
+    if disc < 0.0:
+        im = 0.5 * math.sqrt(-disc)
+        return [complex(m, im), complex(m, -im)]
+    q = m - math.copysign(0.5 * math.sqrt(disc), b1)
+    return [_newton_step(monic, q), _newton_step(monic, c2 / q)] if q else [0.0, 0.0]
+
+
+def _depressed_root(cbar: float, dbar: float, scale: float, disc: float) -> float:
+    """The one real root of t^3 + 3 cbar t + dbar, whose discriminant
+    ``disc`` (scaled by ``scale``**2) is negative: Cardano's form with
+    Blinn's choices, each cube root and their sum free of cancellation."""
+    t0 = -math.copysign(scale * math.sqrt(-disc), dbar)
+    t1 = t0 - dbar
+    u = math.copysign(abs(0.5 * t1) ** (1.0 / 3.0), t1)
+    v = -u if t0 == t1 else -cbar / u
+    return u + v if cbar <= 0.0 else -dbar / (u * u + v * v + cbar)
+
+
+def _cubic_roots(monic: list) -> list:
+    """Roots of the monic cubic w^3 + a w^2 + b w + c: one real root w0 in
+    closed form and polished, then the pair it deflates to (``_pair``).
+
+    In Blinn's notation (A, B, C, D) = (1, a/3, b/3, c), one real root
+    comes from Cardano's form for w (A side) or 1/w (D side), whichever
+    avoids cancellation; of three, the trigonometric form gives the one of
+    largest magnitude.  The deflation takes Kahan's choice of coefficients.
     """
-    n = monic.shape[1] - 1
-    cols = monic.T.astype(x.dtype)[:, :, None]
-    slopes = (monic[:, :-1] * np.arange(n, 0, -1)).T.astype(x.dtype)[:, :, None]
-    f, df = cols[0], slopes[0]
-    for k in range(1, n):
-        f = f * x + cols[k]
-        df = df * x + slopes[k]
-    return f * x + cols[n], df
+    _, a, b, c = monic
+    big, mid = a / 3.0, b / 3.0
+    d1 = mid - big * big
+    d2 = c - big * mid
+    d3 = big * c - mid * mid
+    disc = 4.0 * d1 * d3 - d2 * d2
+    if disc >= 0.0:
+        r = 2.0 * math.sqrt(max(-d1, 0.0))
+        theta = abs(math.atan2(math.sqrt(disc), 2.0 * big * d1 - d2)) / 3.0
+        x1 = r * math.cos(theta)
+        x3 = r * (-0.5 * math.cos(theta) - math.sqrt(0.75) * math.sin(theta))
+        w0 = (x1 if x1 + x3 > 2.0 * big else x3) - big
+    else:
+        w = 0.0
+        if big * big * big * c < mid * mid * mid:
+            w = _depressed_root(d3, 2.0 * mid * d3 - c * d2, abs(c), disc) + mid
+        w0 = -c / w if w else _depressed_root(d1, d2 - 2.0 * big * d1, 1.0, disc) - big
+    w0 = _newton_step(monic, w0)
+    b1 = w0 + a
+    c2 = b1 * w0 + b
+    if w0 and w0 * w0 * abs(w0) > abs(c):
+        c2 = -c / w0
+        b1 = (c2 - b) / w0
+    return [w0, *_pair(monic, b1, c2, -0.5 * b1 - w0)]
 
 
-def _polished_root_sets(polys) -> list:
-    """(roots, monic) of each polynomial: its trimmed monic form and all its
-    roots (complex), polished; or the ``NoRealRoot`` the polynomial raises.
-
-    The trimmed monic polynomials are stacked by degree: one ``eigvals``
-    and one array Newton step per stack, elementwise the operations of a
-    single polynomial, so each polynomial's roots have the bits it gets in
-    a stack of one.  Rows whose eigenvalues are all real are polished as a
-    float array, as ``eigvals`` of that companion alone returns them.
-    """
-    out = [None] * len(polys)
-    stacks = {}
-    for i, c in enumerate(polys):
-        top = max(map(abs, c.tolist()))
-        if top == 0.0:
-            out[i] = NoRealRoot("zero polynomial")
-            continue
-        cn = c / top
-        k = 0
-        while k < 3 and abs(cn[k]) < 1e-12:
-            k += 1
-        if k == 3:
-            out[i] = NoRealRoot("inversion polynomial has no roots")
-            continue
-        at, monics = stacks.setdefault(3 - k, ([], []))
-        at.append(i)
-        monics.append(cn[k:] / cn[k])
-    for at, monics in stacks.values():
-        monic = np.array(monics)
-        roots = _companion_roots(monic)
-        parts = [(at, monic, roots)]
-        # a lone companion's eigvals are complex only if some root is
-        if roots.dtype.kind == "c" and len(at) > 1:
-            real = ~roots.imag.any(axis=1)
-            if real.any():
-                at = np.array(at)
-                parts = [(at[real].tolist(), monic[real], roots.real[real]),
-                         (at[~real].tolist(), monic[~real], roots[~real])]
-        for at, monic, roots in parts:
-            # one newton step per root; skip near-double roots where p' ~ 0
-            fv, dv = _value_and_slope(monic, roots)
-            step = np.abs(dv) > 1e-9
-            np.subtract(roots, np.divide(fv, dv, out=fv, where=step),
-                        out=roots, where=step)
-            for i, r, m in zip(at, roots, monic):
-                out[i] = (r, m)
-    return out
+def _polished_roots(c: np.ndarray) -> tuple[list, list]:
+    """(roots, monic) of a cubic: its trimmed monic form and all its roots
+    (``_cubic_roots``, ``_pair``); or ``NoRealRoot``."""
+    c = c.tolist()
+    top = max(map(abs, c))
+    if top == 0.0:
+        raise NoRealRoot("zero polynomial")
+    cn = [v / top for v in c]
+    k = 0
+    while k < 3 and abs(cn[k]) < 1e-12:
+        k += 1
+    if k == 3:
+        raise NoRealRoot("inversion polynomial has no roots")
+    lead = cn[k]
+    monic = [v / lead for v in cn[k:]]
+    return (_cubic_roots(monic) if k == 0 else _pair(monic, monic[1], monic[2], 1.0)
+            if k == 1 else [-monic[1]]), monic
 
 
 def _horner(coeffs, x: float) -> float:
@@ -301,21 +336,20 @@ def _horner(coeffs, x: float) -> float:
     return value
 
 
-def _split_roots(roots: np.ndarray, monic: np.ndarray):
+def _split_roots(roots: list, monic: list):
     """(real, resid, cplx) of polished roots; see ``inversion_roots``."""
     real, cplx = [], []
-    for r in roots.tolist():
+    for r in roots:
         if abs(r.imag) <= REAL_ROOT_TOL * max(1.0, abs(r.real)):
             real.append(r.real)
         else:
             cplx.append(r)
     real.sort()
-    m = monic.tolist()
     resid = []
     for w0 in real:
-        res = abs(_horner(m, w0))
+        res = abs(_horner(monic, w0))
         if res >= RESIDUAL_BOUND:
-            bound = max(RESIDUAL_BOUND, 8.0 * _EPS * _horner(map(abs, m), abs(w0)))
+            bound = max(RESIDUAL_BOUND, 8.0 * _EPS * _horner(map(abs, monic), abs(w0)))
             if res >= bound:
                 raise RootResidual(
                     f"monic residual {res:.3e} at root {w0!r} exceeds {bound:.3e}")
@@ -333,29 +367,23 @@ def _cubic(p: Params):
 
 def _root_sets(cubics) -> list:
     """``inversion_roots`` given each point's cubic or the error its build
-    raised: the roots of all the cubics are extracted and polished in one
-    stacked step per degree (``_polished_root_sets``)."""
+    raised: each cubic's roots come from one closed form
+    (``_polished_roots``), alone or along a grid."""
     out = list(cubics)
-    at = [i for i, c in enumerate(out) if not isinstance(c, Exception)]
-    for i, found in zip(at, _polished_root_sets([out[i] for i in at])):
-        if not isinstance(found, Exception):
+    for i, c in enumerate(out):
+        if not isinstance(c, Exception):
             try:
-                found = _split_roots(*found)
-            except RootResidual as exc:
-                found = exc
-        out[i] = found
+                out[i] = _split_roots(*_polished_roots(c))
+            except (NoRealRoot, RootResidual) as exc:
+                out[i] = exc
     return out
 
 
 def inversion_roots(ps) -> list:
     """Each point of ``ps``'s real roots of the inversion cubic, their monic
     residuals and the complex rest, (real, resid, cplx), or the error the
-    point raises; a lone point is a stack of one.
-
-    Each cubic is built alone; the roots of all of them come from one
-    stacked step (``_root_sets``).  An entry that is an exception is raised
-    by the caller at that point's turn, so a list fails where and how a
-    per-point loop would.
+    point raises, for the caller to raise at the point's turn.  Each cubic
+    is built alone; its roots come from the closed form of ``_root_sets``.
 
     A point is ``RootResidual`` when a real root's monic residual reaches
     ``RESIDUAL_BOUND`` and also the rounding noise of evaluating the monic
@@ -417,9 +445,9 @@ def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
 
     The grid's cubics come from a few node builds (``_grid_cubics``), so a
     point's roots may differ from a lone solve's by rounding.  Each point's
-    roots and branches are computed once, in one stacked step per stage
-    over the whole grid (``_root_sets``, ``_branch_sets``); callers share
-    the entries.  The grid's two ends must pass ``validate_params``; every
+    roots and branches are computed once, in one step per stage over the
+    whole grid (``_root_sets``, ``_branch_sets``); callers share the
+    entries.  The grid's two ends must pass ``validate_params``; every
     parameter rule is a bound, so the points between them do too.  A point
     that does not raises ``InvalidGrid`` naming the axis.
     """
@@ -521,11 +549,13 @@ def _branch_sets(ps, root_sets) -> list:
     Every real root that passes the fixed-point check gets its Jacobian from
     the same ``steady_fields``, written into one (n, 7, 7) stack for the
     kept roots of all points; the stack is labelled in one
-    ``classify_stability``, and each branch's ``jacobian`` is its row.
-    Errors stay with their point, to be raised at its turn: an
-    ``ArithmeticError`` in a point's fields or Jacobians is its
-    ``NonFinite``, and a stack that holds a non-finite Jacobian is labelled
-    matrix by matrix, each failing point keeping its own ``LinAlgError``.
+    ``classify_stability``, and each branch's ``jacobian`` is its row.  A
+    root whose fields divide by zero sits on a coefficient pole and is
+    dropped as a pole-cancellation artifact.  Errors stay with their point,
+    to be raised at its turn: any other ``ArithmeticError`` in a point's
+    fields or Jacobians is its ``NonFinite``, and a stack that holds a
+    non-finite Jacobian is labelled matrix by matrix, each failing point
+    keeping its own ``LinAlgError``.
     """
     out = list(root_sets)
     size = sum(len(found[0]) for found in root_sets
@@ -539,7 +569,10 @@ def _branch_sets(ps, root_sets) -> list:
         start = len(kept)
         try:
             for w0, res in zip(found[0], found[1]):
-                sigma0, a0, q0 = steady_fields(p, w0)
+                try:
+                    sigma0, a0, q0 = steady_fields(p, w0)
+                except ZeroDivisionError:  # a root on a coefficient pole
+                    continue
                 if _steady_rhs_scaled(p, w0, sigma0, a0, q0) > 1e-6:
                     continue
                 entries[len(kept)] = _jacobian_entries(p, w0, sigma0, a0, q0)
@@ -581,7 +614,8 @@ def solve_steady_branches(p: Params, *, roots=None) -> list[SteadyBranch]:
     Complex cubic roots are discarded; real roots that are pole-cancellation
     artifacts of denominator clearing (possible only at degenerate corners
     such as zero pump) are filtered by checking the mean-field fixed-point
-    residual.  Roots outside [-1, 0] are returned but marked non-physical.
+    residual, or dropped where they sit exactly on the pole.  Roots outside
+    [-1, 0] are returned but marked non-physical.
     """
     if roots is None:
         roots = _branch_sets([p], inversion_roots([p]))[0]

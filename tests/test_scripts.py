@@ -224,3 +224,19 @@ def test_seeded_points_compare_an_error_message_of_a_wide_box_point(digest):
     with pytest.raises(AssertionError):
         seeded_points.compare(lines, head, 1e-10)
     assert seeded_points.compare(lines, lines, 1e-10) == []
+
+
+def test_seeded_points_compare_a_complex_value_by_its_modulus_and_skip_the_residual():
+    line = {"set": "wide_box", "seed": 1, "k": 0, "steady": [
+        {"w0": -0.5, "residual": 1e-17, "response": [{"chi1": {"re": 1.0, "im": 1e-12}}]}]}
+    base = [json.dumps(line)]
+    line["steady"][0]["response"][0]["chi1"]["im"] = 1.00001e-12  # 1e-17 of |chi1|
+    assert seeded_points.compare(base, [json.dumps(line)], 1e-10) == []
+    line["steady"][0]["response"][0]["chi1"]["im"] = 1e-9
+    with pytest.raises(AssertionError, match="chi1"):
+        seeded_points.compare(base, [json.dumps(line)], 1e-10)
+    line["steady"][0]["response"][0]["chi1"]["im"] = 1e-12
+    line["steady"][0]["residual"] = 0.0  # rounding noise at the root
+    assert seeded_points.compare(base, [json.dumps(line)], 1e-10) == []
+    with pytest.raises(AssertionError):
+        seeded_points.compare(base, [json.dumps(line)])
