@@ -31,8 +31,7 @@ def table(path: pathlib.Path):
     lines = path.read_text(encoding="utf-8").splitlines()
     meta = [line for line in lines if line.startswith("#")]
     rows = [line.split(",") for line in lines if not line.startswith("#")]
-    if rows[0] != "x,branch_id,w0,value_re,value_im,flags".split(","):
-        raise ValueError(f"{path.name}: unexpected header {rows[0]}")
+    assert rows[0] == "x,branch_id,w0,value_re,value_im,flags".split(","), path.name
     return meta, [(x, b, flags, [None if v == "nan" else float(v) for v in vals])
                   for x, b, *vals, flags in rows[1:]]
 
@@ -88,6 +87,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not args.rel_tol >= 0.0:
         parser.error("--rel-tol must be >= 0")
+    if not __debug__:
+        parser.error("the comparison is made of assertions: run without -O")
     try:
         worst = compare(args.base, args.head, args.rel_tol, args.glob, args.count)
     except AssertionError as exc:

@@ -17,10 +17,11 @@ PYTHONPATH, then compare the two digests.
 ``--compare`` with T = 0 (the default) requires identical lines.  With
 T > 0 a ``wide_box`` point or sweep must keep every string (labels, flags,
 error types and messages), boolean, integer and NaN position, and every
-other float within T relative; an extreme point must keep its outcome
-(branches or error), its error type and its branch count, and every label,
-``physical`` or error-message change there is printed.  Exits 1 at the
-first difference beyond these rules.
+other float within T relative (a complex value against its modulus; a
+branch's ``residual`` is not compared); an extreme point must keep its
+outcome (branches or error), its error type and its branch count, and
+every label, ``physical`` or error-message change there is printed.
+Exits 1 at the first difference beyond these rules.
 """
 import argparse
 import json
@@ -123,10 +124,11 @@ def _close(a, b, rel_tol: float, where: str) -> None:
             _close(x, y, rel_tol, f"{where}[{i}]")
     elif isinstance(a, dict):
         assert a.keys() == b.keys(), (where, "keys")
-        x, y = complex(a.get("re", 0.0), a.get("im", 0.0)), complex(b.get("re", 0.0), b.get("im", 0.0))
-        if a.keys() == {"re", "im"} and x == x and y == y:
-            assert abs(x - y) <= rel_tol * max(abs(x), abs(y)), (where, x, y)
-            return
+        if a.keys() == {"re", "im"}:
+            x, y = complex(a["re"], a["im"]), complex(b["re"], b["im"])
+            if x == x and y == y:  # no NaN part
+                assert x == y or abs(x - y) <= rel_tol * max(abs(x), abs(y)), (where, x, y)
+                return
         for key in a.keys() - {"residual"}:
             _close(a[key], b[key], rel_tol, f"{where}.{key}")
     else:
@@ -176,6 +178,8 @@ def main(argv=None) -> int:
         parser.error("give PERFBENCH_DIR or --compare BASE HEAD")
     if not args.rel_tol >= 0.0:
         parser.error("--rel-tol must be >= 0")
+    if not __debug__:
+        parser.error("the comparison is made of assertions: run without -O")
     if args.perfbench_dir is not None:
         for line in digest(args.perfbench_dir):
             print(json.dumps(line))

@@ -454,9 +454,8 @@ def test_closed_form_roots_are_no_less_accurate_than_the_companion_roots():
         assert len(real) == len(ref_real), (poly, roots, ref)
         for r, ref_r in zip(real + cplx, ref_real + ref_cplx):
             exact = _long_double_root(monic, ref_r)
-            ulp = np.spacing(float(abs(exact)))
-            assert abs(np.clongdouble(r) - exact) <= abs(np.clongdouble(ref_r) - exact) + 2 * ulp, \
-                (poly, r, ref_r)
+            off, ref_off = (abs(np.clongdouble(z) - exact) for z in (r, ref_r))
+            assert off <= ref_off + 2 * np.spacing(float(abs(exact))), (poly, r, ref_r)
 
 
 @pytest.mark.parametrize("roots, real", [
@@ -483,6 +482,16 @@ def test_roots_of_widely_scaled_cubics_are_within_two_ulps(roots, real):
 ])
 def test_trimmed_cubics_take_the_quadratic_or_linear_form(coeffs, roots):
     assert steady._polished_roots(np.array(coeffs))[0] == roots
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ((0.0, 0.0, 0.0, 0.0), "zero polynomial"),
+    ((0.0, 0.0, 0.0, 2.0), "inversion polynomial has no roots"),
+    ((1e-13, 1e-14, 0.0, 2.0), "inversion polynomial has no roots"),
+])
+def test_a_cubic_without_roots_is_no_real_root(coeffs, message):
+    assert _outcome(steady._polished_roots, np.array(coeffs)) == (NoRealRoot, message)
+    assert repr(steady._root_sets([np.array(coeffs)])[0]) == repr(NoRealRoot(message))
 
 
 def test_grid_roots_match_per_point_roots():
