@@ -263,9 +263,9 @@ def _pair(monic: list, b1: float, c2: float, scale: float) -> list:
 
 
 def _depressed_root(cbar: float, dbar: float, scale: float, disc: float) -> float:
-    """The one real root of t^3 + 3 cbar t + dbar, whose discriminant
-    ``disc`` (scaled by ``scale``**2) is negative: Cardano's form with
-    Blinn's choices, each cube root and their sum free of cancellation."""
+    """The one real root of t^3 + 3 cbar t + dbar, where 4 cbar^3 + dbar^2
+    = -disc * scale^2 is positive: Cardano's form with Blinn's choices,
+    each cube root and their sum free of cancellation."""
     t0 = -math.copysign(scale * math.sqrt(-disc), dbar)
     t1 = t0 - dbar
     u = math.copysign(abs(0.5 * t1) ** (1.0 / 3.0), t1)
@@ -295,7 +295,7 @@ def _cubic_roots(monic: list) -> list:
         x3 = r * (-0.5 * math.cos(theta) - math.sqrt(0.75) * math.sin(theta))
         w0 = (x1 if x1 + x3 > 2.0 * big else x3) - big
     else:
-        w = 0.0
+        w = 0.0  # the D side's w = -c / w0 underflows only where w0 is huge
         if big * big * big * c < mid * mid * mid:
             w = _depressed_root(d3, 2.0 * mid * d3 - c * d2, abs(c), disc) + mid
         w0 = -c / w if w else _depressed_root(d1, d2 - 2.0 * big * d1, 1.0, disc) - big
