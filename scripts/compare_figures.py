@@ -1,20 +1,18 @@
 #!/usr/bin/env python3
 """Compare two directories of figure files written by reproduce_figures.py.
 
-Usage: python scripts/compare_figures.py BASE HEAD [--rel-tol T] [--glob G]
-                                          [--count N]
+Usage: python scripts/compare_figures.py BASE HEAD [--rel-tol T] [--count N]
 
 Both directories must hold the same file names.  With ``--rel-tol 0`` (the
-default) every file must be byte-identical.  With T > 0 the files whose
-names match G (default: every file) are read as tables, CSV or JSON: their
-``#`` lines (the JSON ``meta``), row count, ``x``, ``branch_id``, flags and
-NaN positions must be equal, and every other value within T relative; the
-other files must still be byte-identical.  ``--count N`` requires that G
-matches exactly N files.  The largest relative change of each compared file
-is printed.  Exits 1 on the first difference, naming the file and the row.
+default) every file must be byte-identical.  With T > 0 each file that
+differs is read as a table, CSV or JSON: its ``#`` lines (the JSON
+``meta``), row count, ``x``, ``branch_id``, flags and NaN positions must be
+equal, and every other value within T relative.  ``--count N`` requires
+that each directory holds exactly N files.  The largest relative change of
+each file is printed.  Exits 1 on the first difference, naming the file and
+the row.
 """
 import argparse
-import fnmatch
 import json
 import pathlib
 import sys
@@ -55,26 +53,24 @@ def largest_change(base: pathlib.Path, head: pathlib.Path, rel_tol: float) -> fl
 
 
 def compare(base_dir: pathlib.Path, head_dir: pathlib.Path, rel_tol: float = 0.0,
-            glob: str = "*", count: int | None = None) -> dict:
+            count: int | None = None) -> dict:
     """{file name: largest relative change} of the files compared at
     ``rel_tol``; raises AssertionError at the first difference."""
     names = sorted(p.name for p in base_dir.iterdir())
     head_names = sorted(p.name for p in head_dir.iterdir())
     assert names, f"{base_dir} holds no file"
     assert names == head_names, f"file names differ: {sorted(set(names) ^ set(head_names))}"
+    assert count is None or len(names) == count, f"{len(names)} files, not {count}"
     worst = {}
     for name in names:
         base, head = base_dir / name, head_dir / name
         if base.read_bytes() == head.read_bytes():
             worst[name] = 0.0
-        elif rel_tol > 0.0 and fnmatch.fnmatch(name, glob):
+        elif rel_tol > 0.0:
             worst[name] = largest_change(base, head, rel_tol)
         else:
             raise AssertionError(f"{name}: the files differ")
-    matched = [name for name in names if fnmatch.fnmatch(name, glob)]
-    if count is not None:
-        assert len(matched) == count, f"{glob} matches {len(matched)} files, not {count}"
-    return {name: worst[name] for name in matched} if rel_tol > 0.0 else worst
+    return worst
 
 
 def main(argv=None) -> int:
@@ -82,7 +78,6 @@ def main(argv=None) -> int:
     parser.add_argument("base", type=pathlib.Path)
     parser.add_argument("head", type=pathlib.Path)
     parser.add_argument("--rel-tol", type=float, default=0.0)
-    parser.add_argument("--glob", default="*")
     parser.add_argument("--count", type=int)
     args = parser.parse_args(argv)
     if not args.rel_tol >= 0.0:
@@ -90,7 +85,7 @@ def main(argv=None) -> int:
     if not __debug__:
         parser.error("the comparison is made of assertions: run without -O")
     try:
-        worst = compare(args.base, args.head, args.rel_tol, args.glob, args.count)
+        worst = compare(args.base, args.head, args.rel_tol, args.count)
     except AssertionError as exc:
         print(f"differs: {exc}", file=sys.stderr)
         return 1
