@@ -216,15 +216,11 @@ def _compensated_horner(monic: list, x: float) -> tuple[float, float]:
     product's rounding error (Dekker's split product) and each sum's
     (Knuth's two-sum) is carried in a second Horner pass (Graillat,
     Langlois and Louvet's compensated Horner scheme)."""
-    c = monic[1]
-    value = x + c  # 1 * x is exact
-    s = value - x
-    err = (x - (value - s)) + (c - s)
-    slope = 1.0
     s = 134217729.0 * x  # Dekker's splitter, 2**27 + 1
     xh = s - (s - x)
     xl = x - xh
-    for c in monic[2:]:
+    value, err, slope = 1.0, 0.0, 0.0
+    for c in monic[1:]:
         slope = slope * x + value
         s = 134217729.0 * value
         vh = s - (s - value)
@@ -237,29 +233,22 @@ def _compensated_horner(monic: list, x: float) -> tuple[float, float]:
     return value + err, slope
 
 
-def _newton_step(monic: list, x: float) -> float:
-    """``x`` after one Newton step with a compensated value, which lands it
-    next to the root whatever the rounding noise of plain Horner there; or
-    ``x`` itself where the slope is 1e-9 or less (a near-double root)."""
-    value, slope = _compensated_horner(monic, x)
-    return x - value / slope if abs(slope) > 1e-9 else x
-
-
 def _pair(monic: list, b1: float, c2: float, scale: float) -> list:
     """The roots of a factor w^2 + b1 w + c2 of ``monic`` whose cofactor is
-    ``scale`` at the factor's midpoint m = -b1/2: a real pair (the larger
-    root without cancellation, the other c2 over it), each given one
-    Newton step, or a complex pair.  The discriminant is -4 f(m) / scale
-    with f(m) compensated, where b1^2 - 4 c2 cancels near a double root, so
-    a complex pair needs no Newton step; a zero cofactor (a triple root)
-    falls back to b1^2 - 4 c2."""
+    ``scale`` at the factor's midpoint m = -b1/2.  The discriminant is
+    -4 f(m) / scale with f(m) compensated, where b1^2 - 4 c2 cancels near a
+    double root; a zero cofactor (a triple root) falls back to b1^2 - 4 c2.
+    A real pair is the larger root, free of cancellation, and c2 over it.
+    A complex pair whose real part is below eps times its imaginary part,
+    the rounding of the pair's modulus, has real part 0."""
     m = -0.5 * b1
     disc = -4.0 * _compensated_horner(monic, m)[0] / scale if scale else b1 * b1 - 4.0 * c2
     if disc < 0.0:
         im = 0.5 * math.sqrt(-disc)
+        m = m if abs(m) > _EPS * im else 0.0
         return [complex(m, im), complex(m, -im)]
     q = m - math.copysign(0.5 * math.sqrt(disc), b1)
-    return [_newton_step(monic, q), _newton_step(monic, c2 / q)] if q else [0.0, 0.0]
+    return [q, c2 / q] if q else [0.0, 0.0]
 
 
 def _depressed_root(cbar: float, dbar: float, scale: float, disc: float) -> float:
@@ -275,7 +264,8 @@ def _depressed_root(cbar: float, dbar: float, scale: float, disc: float) -> floa
 
 def _cubic_roots(monic: list) -> list:
     """Roots of the monic cubic w^3 + a w^2 + b w + c: one real root w0 in
-    closed form and polished, then the pair it deflates to (``_pair``).
+    closed form, given one Newton step with a compensated value (none
+    where |f'| <= 1e-9), then the pair it deflates to (``_pair``).
 
     In Blinn's notation (A, B, C, D) = (1, a/3, b/3, c), one real root
     comes from Cardano's form for w (A side) or 1/w (D side), whichever
@@ -299,7 +289,9 @@ def _cubic_roots(monic: list) -> list:
         if big * big * big * c < mid * mid * mid:
             w = _depressed_root(d3, 2.0 * mid * d3 - c * d2, abs(c), disc) + mid
         w0 = -c / w if w else _depressed_root(d1, d2 - 2.0 * big * d1, 1.0, disc) - big
-    w0 = _newton_step(monic, w0)
+    value, slope = _compensated_horner(monic, w0)
+    if abs(slope) > 1e-9:
+        w0 -= value / slope
     b1 = w0 + a
     c2 = b1 * w0 + b
     if w0 and w0 * w0 * abs(w0) > abs(c):

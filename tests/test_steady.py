@@ -136,6 +136,28 @@ def test_a_root_pair_on_a_coefficient_pole_is_dropped():
     assert [b.w0 for b in solve_steady_branches(p)] == [-1.0]
 
 
+@pytest.mark.parametrize("p", [
+    # the monic cubic is w^3 + w^2 + 5.9e-144: its small pair
+    # 2.9e-144 +- 7.7e-73 i counts as a real double root, whose fixed point
+    # is near -5e-299; at w = 2.9e-144 the drive term is 1e48 off it
+    Params(delta_p0=-8.0, delta_c0=0.8, g0=1.0, eta=1.6604956758209003e70,
+           omega_k0=100.0, kappa_c0=1.35, gamma_q0=0.1, ep0=1.8175440813595347e96,
+           delta0=4.3, gamma1_ratio=1.6632078271963144e-107),
+    # w^3 + w^2 + 6.7e-203: a pair at 3.4e-203 would be non-physical
+    Params(delta_p0=-10.0, delta_c0=-10.0, g0=1.5, eta=6.120607102925072e100,
+           omega_k0=10.0, kappa_c0=1.35, gamma_q0=0.1, ep0=5.0, delta0=6.3,
+           gamma1_ratio=3.397889724423161e-74),
+])
+def test_a_noise_level_pair_has_real_part_zero(p):
+    # a real part below eps times the pair's imaginary part is rounding
+    assert lone_roots(p)[0][1:] == [0.0, 0.0]
+    branches = solve_steady_branches(p)
+    assert [b.w0 for b in branches][1:] == [0.0, 0.0] and len(branches) == 3
+    for b in branches:
+        fields = steady_fields(p, b.w0)
+        assert b.physical and steady._steady_rhs_scaled(p, b.w0, *fields) <= 1e-9
+
+
 @pytest.mark.parametrize("gamma1_ratio", [1e10, 1e12, 1e14])
 def test_dominant_population_decay_keeps_the_ground_state_branch(gamma1_ratio):
     # gamma1 (w0 + 1) cancels at w0 ~ -1: a filter scaled after the
