@@ -2,6 +2,7 @@
 """Compare two directories of figure files written by reproduce_figures.py.
 
 Usage: python scripts/compare_figures.py BASE HEAD [--rel-tol T] [--count N]
+       python scripts/compare_figures.py --csv-json CSV_DIR JSON_DIR [--count N]
 
 Both directories must hold the same file names.  With ``--rel-tol 0`` (the
 default) every file must be byte-identical.  With T > 0 each file that
@@ -11,6 +12,11 @@ equal, and every other value within T relative.  ``--count N`` requires
 that each directory holds exactly N files.  The largest relative change of
 each file is printed.  Exits 1 on the first difference, naming the file and
 the row.
+
+``--csv-json`` instead checks that one commit's CSV and JSON files hold the
+same data: CSV_DIR's ``*.csv`` and JSON_DIR's ``*.json`` files have the same
+stems, and in each pair the ``#`` lines are the JSON ``meta`` as written,
+and every row has the same x, branch_id, flags and values, NaN as ``null``.
 """
 import argparse
 import json
@@ -73,18 +79,48 @@ def compare(base_dir: pathlib.Path, head_dir: pathlib.Path, rel_tol: float = 0.0
     return worst
 
 
+def same_data(csv_dir: pathlib.Path, json_dir: pathlib.Path,
+              count: int | None = None) -> list:
+    """The stems of the figures ``csv_dir`` holds as CSV and ``json_dir``
+    as JSON; raises AssertionError at the first pair that holds different
+    data."""
+    stems = sorted(p.stem for p in csv_dir.glob("*.csv"))
+    assert stems, f"{csv_dir} holds no CSV file"
+    assert stems == sorted(p.stem for p in json_dir.glob("*.json")), \
+        "the CSV and JSON file stems differ"
+    assert count is None or len(stems) == count, f"{len(stems)} pairs, not {count}"
+    for stem in stems:
+        meta, rows = table(csv_dir / f"{stem}.csv")
+        json_meta, json_rows = table(json_dir / f"{stem}.json")
+        assert meta == [f"# {k}={v}" for k, v in json_meta.items()], \
+            f"{stem}: the # lines are not the JSON meta"
+        assert len(rows) == len(json_rows), f"{stem}: the row counts differ"
+        for (x, b, flags, vals), json_row in zip(rows, json_rows):
+            assert (float(x), int(b), flags.split("|") if flags else [], vals) \
+                == json_row, f"{stem}, x={x}: the rows differ"
+    return stems
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=pathlib.Path)
     parser.add_argument("head", type=pathlib.Path)
     parser.add_argument("--rel-tol", type=float, default=0.0)
     parser.add_argument("--count", type=int)
+    parser.add_argument("--csv-json", action="store_true",
+                        help="check that CSV files and JSON files hold the same data")
     args = parser.parse_args(argv)
     if not args.rel_tol >= 0.0:
         parser.error("--rel-tol must be >= 0")
     if not __debug__:
         parser.error("the comparison is made of assertions: run without -O")
+    if args.csv_json and args.rel_tol:
+        parser.error("--csv-json compares exactly: no --rel-tol")
     try:
+        if args.csv_json:
+            stems = same_data(args.base, args.head, args.count)
+            print(f"{len(stems)} CSV/JSON dataset pairs agree")
+            return 0
         worst = compare(args.base, args.head, args.rel_tol, args.count)
     except AssertionError as exc:
         print(f"differs: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ the standard one-port expression |1 - 2 kappa / (kappa + i(delta_c - delta))|
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -61,8 +62,8 @@ _FROM_COMPLEX = np.linalg.inv(_TO_COMPLEX)
 #: rcond below which the sideband system counts as singular
 #: (``SingularSystem``).
 SINGULAR_RCOND = 1e-14
-#: rcond that ``certify_detuning`` certifies; the factor 100
-#: covers the rounding of the computed eigenpairs and of the SVD.
+#: rcond that ``certify_detuning`` and ``_solve_alone`` certify; the factor 100
+#: covers the rounding of the computed eigenpairs or inverse and of the SVD.
 _CERTIFIED_RCOND = 100.0 * SINGULAR_RCOND
 
 
@@ -119,8 +120,8 @@ def certify_detuning(K: np.ndarray) -> float:
     ``SINGULAR_RCOND``.  The bound is negative where an eigenvalue sits on
     or near the imaginary axis (marginal branches, branches next to a fold
     or Hopf point), and ``-inf`` where V is singular or its condition number
-    is not finite.  It costs about two SVDs, so it pays only on a branch that
-    serves many detunings.
+    is not finite.  It costs about four uncertified rows (``_solve_alone``),
+    so it pays only on a branch that serves many detunings.
     """
     lam, V = np.linalg.eig(K)
     try:
@@ -142,11 +143,17 @@ def _sideband_matrix(K: np.ndarray, delta):
 
 
 def _solve_alone(K: np.ndarray, delta) -> list | NonFinite | SingularSystem:
-    """``solve_unit_grid``'s entry at one detuning, after the SVD test; a
-    non-finite detuning is ``NonFinite`` before any matrix is built."""
+    """``solve_unit_grid``'s entry at one detuning (``NonFinite`` before any
+    matrix is built).  As rcond_2 >= 1 / (||M||_F ||M^-1||_F), a row whose
+    inverse bounds it by ``_CERTIFIED_RCOND`` takes the inverse's column 0 (a
+    solve's LU and pivots); the SVD test and a solve decide every other."""
     if not math.isfinite(delta):
         return NonFinite(f"sideband detuning delta0={delta!r} is not finite")
     M = _sideband_matrix(K, delta)
+    with contextlib.suppress(np.linalg.LinAlgError):  # an exactly singular pivot
+        M_inv = np.linalg.inv(M)
+        if _frobenius_sq(M) * _frobenius_sq(M_inv) <= _CERTIFIED_RCOND ** -2:
+            return M_inv[:, 0].tolist()
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[-1] < SINGULAR_RCOND * sv[0]:
         return SingularSystem(f"sideband system is singular at delta0={delta!r} "
@@ -164,10 +171,10 @@ def solve_unit_grid(K: np.ndarray, deltas, safe_detuning: float) -> list:
     Rows within ``safe_detuning`` (``certify_detuning(K)`` proves their
     rcond) skip the SVD and share one stacked ``np.linalg.solve`` (right-hand
     side (n, 7, 1), read alike by numpy 1.x and 2.x), whose LAPACK call per
-    system is a single solve's.  Every other row is answered alone: a
-    non-finite detuning before any matrix is built, a finite one by the SVD
-    test and a solve of its own.  So each row has a lone solve's bits and
-    error; a ``safe_detuning`` of ``-inf`` stacks none.
+    system is a single solve's.  Every other row is answered alone by
+    ``_solve_alone``: certified by its own inverse, else by the SVD test.
+    So each row has a lone solve's bits and error; a ``safe_detuning`` of
+    ``-inf`` stacks none.
     """
     certified = [abs(d) <= safe_detuning for d in deltas]  # False for a NaN
     stacked = iter(())

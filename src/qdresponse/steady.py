@@ -18,6 +18,7 @@ and is kept only as a documented reference; its roots are not fixed points.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -195,12 +196,14 @@ def build_inversion_polynomial(p: Params,
     scale = math.inf
     if all(map(cmath.isfinite, values)):
         coeffs = vinv @ np.array(values)
-        scale = float(np.abs(coeffs).max())
+        cs = coeffs.tolist()
+        with contextlib.suppress(OverflowError):  # |c| beyond the float range
+            scale = max(map(abs, cs)) if all(map(cmath.isfinite, cs)) else math.inf
     if not math.isfinite(scale):
         raise NonFinite("the inversion cubic overflows at these parameters")
     if scale == 0.0:
         raise NonRealCoefficients("inversion expression is identically zero")
-    residue = float(np.abs(coeffs.imag).max())
+    residue = max(abs(c.imag) for c in cs)
     if residue > 1e-12 * scale:
         raise NonRealCoefficients(
             f"imaginary residue {residue / scale:.3e} "

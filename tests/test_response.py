@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import numpy as np
@@ -497,6 +498,84 @@ def test_singular_system_fires_at_a_pole_on_or_near_the_axis(gamma, singular):
     else:
         assert np.isfinite(transmission_point(p, b).T)
     assert np.isfinite(transmission_point(p.replace(delta0=1.5), b).T)
+
+
+def _svd_spy(monkeypatch):
+    """Count the library's ``np.linalg.svd`` calls; returns (the list of
+    calls, the unpatched svd for the test's own use)."""
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr("qdresponse.response.np.linalg.svd",
+                        lambda *a, **k: calls.append(a) or svd(*a, **k))
+    return calls, svd
+
+
+def _inverse_certifies(M):
+    """The bound ``_solve_alone`` certifies a row by, taken independently:
+    ||M||_F^2 ||M^-1||_F^2 <= 1e24, so rcond_2 >= 1e-12."""
+    try:
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.linalg.norm(M) ** 2 * np.linalg.norm(inv) ** 2 <= 1e24)
+
+
+def test_a_row_certified_by_its_inverse_takes_no_svd_and_keeps_solves_bits(monkeypatch):
+    """Every uncertified row of 2,000 seeded ``wide_box`` stable branches
+    (each at its own detuning) and of every response-preset branch (at a
+    spread of its grid's detunings) is answered from its inverse: no SVD,
+    an rcond the SVD confirms, and the bytes of ``np.linalg.solve``."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "perfbench"))
+    from workloads import wide_box_params
+
+    rows, rng = [], random.Random(2022)
+    while len(rows) < 2000:
+        p = wide_box_params(rng)
+        try:
+            branches = solve_steady_branches(p)
+        except QdResponseError:
+            continue
+        rows += [(sideband_generator(b), p.delta0) for b in branches
+                 if b.stability is Stability.STABLE]
+    for fid in figure_ids():
+        preset = get_preset(fid)
+        if preset.axis not in (SweepAxis.DELTA0, SweepAxis.DELTA_S0):
+            continue
+        for _, p in preset.members():
+            deltas = [apply_axis(p, preset.axis, x).delta0
+                      for x in preset.grid[::97] + preset.grid[-1:]]
+            rows += [(sideband_generator(b), d) for b in solve_steady_branches(p)
+                     for d in deltas]
+    assert len(rows) > 2900
+    calls, svd = _svd_spy(monkeypatch)
+    for K, d in rows:
+        M = -K - 1j * d * np.eye(7)
+        assert _inverse_certifies(M), d
+        x = _solve_unit(K, d)
+        assert not calls
+        sv = svd(M, compute_uv=False)
+        assert sv[-1] >= SINGULAR_RCOND * sv[0]
+        assert np.array(x).tobytes() == np.linalg.solve(M, np.eye(7)[0]).tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-13, 1e-12])
+def test_a_pole_row_falls_back_to_the_svd(gamma, monkeypatch):
+    """At the phonon pole the inverse's bound fails (rcond about 1e-17,
+    8e-15 and 8e-14), so the SVD decides: ``SingularSystem`` with its
+    rcond below ``SINGULAR_RCOND``, else the solve's bits."""
+    K = sideband_generator(phonon_pole_branch(gamma))
+    M = -K - 2j * np.eye(7)
+    assert not _inverse_certifies(M)
+    calls, svd = _svd_spy(monkeypatch)
+    entry = solve_unit_grid(K, [2.0], -np.inf)[0]
+    assert len(calls) == 1
+    sv = svd(M, compute_uv=False)
+    if gamma < 1e-12:
+        assert isinstance(entry, SingularSystem)
+        assert str(entry) == "sideband system is singular at delta0=2.0 " \
+            f"(rcond {sv[-1] / sv[0]:.2e})"
+    else:
+        assert sv[-1] >= SINGULAR_RCOND * sv[0]
+        assert np.array(entry).tobytes() == np.linalg.solve(M, np.eye(7)[0]).tobytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -6,6 +6,8 @@ import pathlib
 
 import pytest
 
+from qdresponse import cli
+
 SCRIPTS = pathlib.Path(__file__).parents[1] / "scripts"
 
 
@@ -94,6 +96,66 @@ def test_compare_figures_fails_on_a_missing_file(tmp_path):
     base, head = _figure_dirs(tmp_path, "csv")
     (head / "other.csv").unlink()
     assert compare_figures.main([str(base), str(head), "--rel-tol", "1e-10"]) == 1
+
+
+def test_csv_json_passes_on_a_reproduced_pair(tmp_path, capsys):
+    """Presets 2a (NonPhysical|Unstable rows) and 3b (PoleSkipped rows with
+    NaN values), nine members, written by ``qdr figure`` in each format."""
+    dirs = [tmp_path / "csv", tmp_path / "json"]
+    for d in dirs:
+        d.mkdir()
+        for fid in ("2a", "3b"):
+            assert cli.main(["figure", fid, "--format", d.name,
+                             "--out", str(d / f"fig{fid}")]) == 0
+    assert "NonPhysical|Unstable" in (dirs[0] / "fig2a_ep0-81.csv").read_text(encoding="utf-8")
+    assert ",nan,nan,0.0,PoleSkipped" in (dirs[0] / "fig3b_g0-1.5_up.csv").read_text(encoding="utf-8")
+    capsys.readouterr()
+    assert compare_figures.main(["--csv-json", *map(str, dirs), "--count", "9"]) == 0
+    assert capsys.readouterr().out == "9 CSV/JSON dataset pairs agree\n"
+    assert compare_figures.main(["--csv-json", *map(str, dirs), "--count", "38"]) == 1
+
+
+def _format_dirs(root, csv_edit=None, json_edit=None):
+    """A CSV and a JSON directory under ``root`` holding the same figures
+    ``fig`` and ``other``, ``fig`` with ``csv_edit`` made to its CSV text
+    and ``json_edit`` to its JSON text."""
+    csv_dir, json_dir = root / "csv", root / "json"
+    csv_dir.mkdir(parents=True)
+    json_dir.mkdir()
+    for stem in ("fig", "other"):
+        csv_text, json_text = _CSV, _json_text(_CSV)
+        if stem == "fig":
+            csv_text = csv_text.replace(*csv_edit) if csv_edit else csv_text
+            json_text = json_text.replace(*json_edit) if json_edit else json_text
+        (csv_dir / f"{stem}.csv").write_text(csv_text, encoding="utf-8")
+        (json_dir / f"{stem}.json").write_text(json_text, encoding="utf-8")
+    return str(csv_dir), str(json_dir)
+
+
+@pytest.mark.parametrize("csv_edit, json_edit", [
+    (None, ('"value_im": 0.125', '"value_im": 0.12500000000001')),  # a value
+    (("0.001,2.5", "0.001,2.5000000000000004"), None),  # a value, by 1 ulp
+    (("NonPhysical|Unstable", "Unstable|NonPhysical"), None),  # a flag's order
+    (None, ('"PoleSkipped"', '"Unstable"')),  # a flag
+    (("# P1=2.7", "# P1=2.8"), None),  # a # line
+    (("# P1=2.7", "#P1=2.7"), None),  # a # line's form
+    (None, ('"w0": null', '"w0": NaN')),  # NaN written as a number
+    (("3.0,1,", "3.0,2,"), None),  # a branch id
+    (("2.0,-1,nan,nan,nan,PoleSkipped\n", ""), None),  # a row
+])
+def test_csv_json_fails_on_a_hand_edit(tmp_path, csv_edit, json_edit, capsys):
+    assert compare_figures.main(["--csv-json", *_format_dirs(tmp_path / "same")]) == 0
+    dirs = _format_dirs(tmp_path / "edited", csv_edit, json_edit)
+    assert compare_figures.main(["--csv-json", *dirs]) == 1
+    assert capsys.readouterr().err.startswith("differs: fig")
+
+
+def test_csv_json_fails_on_a_missing_file(tmp_path):
+    csv_dir, json_dir = _format_dirs(tmp_path)
+    (tmp_path / "json" / "other.json").unlink()
+    assert compare_figures.main(["--csv-json", csv_dir, json_dir]) == 1
+    with pytest.raises(SystemExit):
+        compare_figures.main(["--csv-json", csv_dir, json_dir, "--rel-tol", "1e-10"])
 
 
 @pytest.fixture(scope="module")

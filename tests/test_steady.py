@@ -342,6 +342,25 @@ def test_overflowing_cubic_raises_non_finite(change):
         build_inversion_polynomial(bistable_point().replace(**change))
 
 
+def test_a_coefficient_whose_modulus_overflows_is_non_finite(monkeypatch):
+    # four equal samples fit the constant cubic c0 = 1.5e308 (1 + i): both
+    # parts are finite, |c0| is not, and no RuntimeWarning is raised
+    monkeypatch.setattr(steady, "_cleared", lambda *args: 1.5e308 * (1 + 1j))
+    with pytest.raises(NonFinite, match="overflows"):
+        build_inversion_polynomial(bistable_point())
+
+
+@pytest.mark.parametrize("row", range(4))
+def test_a_nan_coefficient_is_non_finite_wherever_it_sits(monkeypatch, row):
+    # a fit whose sums overflow can give NaN (inf - inf) next to finite
+    # coefficients; a NaN fit row gives one without a RuntimeWarning
+    vinv = steady._VANDER_INV.copy()
+    vinv[row] = np.nan
+    monkeypatch.setattr(steady, "_VANDER_INV", vinv)
+    with pytest.raises(NonFinite, match="overflows"):
+        build_inversion_polynomial(bistable_point())
+
+
 @pytest.mark.parametrize("ep0, p1, p2", [(81.0, -17.4, -33.3), (36.0, -31.8, -36.2),
                                          (12.0, -38.6, -38.7)])
 def test_hysteresis_along_the_pump_detuning(ep0, p1, p2):
