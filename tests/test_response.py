@@ -504,8 +504,12 @@ def _svd_spy(monkeypatch):
     """Count the library's ``np.linalg.svd`` calls; returns (the list of
     calls, the unpatched svd for the test's own use)."""
     calls, svd = [], np.linalg.svd
-    monkeypatch.setattr("qdresponse.response.np.linalg.svd",
-                        lambda *a, **k: calls.append(a) or svd(*a, **k))
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr("qdresponse.response.np.linalg.svd", spy)
     return calls, svd
 
 
