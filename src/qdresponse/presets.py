@@ -56,7 +56,7 @@ def parse_grid(spec: str) -> tuple:
         raise BadConfig(f"grid start and stop must be finite, got {spec!r}")
     if points < 1:
         raise BadConfig(f"grid needs at least one point, got {points}")
-    return tuple(float(x) for x in np.linspace(start, stop, points))
+    return tuple(np.linspace(start, stop, points).tolist())
 
 
 @cache

@@ -35,7 +35,7 @@ from .errors import (
     RootResidual,
     _or_raise,
 )
-from .model import Params, SweepAxis, apply_axis, checked_grid, validate_params
+from .model import Params, SweepAxis, _filled, apply_axis, checked_grid, validate_params
 from .records import Flag, SpectrumRecord
 
 __all__ = [
@@ -94,20 +94,28 @@ class SteadyBranch:
     jacobian: np.ndarray = field(compare=False, repr=False)
 
 
+_UNSTABLE_FLAGS = frozenset({Flag.UNSTABLE, Flag.NON_PHYSICAL})
+_NON_PHYSICAL_FLAGS = frozenset({Flag.NON_PHYSICAL})
+_NO_FLAGS = frozenset()
+
+
 def row_flags(branch: SteadyBranch) -> frozenset:
-    """The flags of a sweep or hysteresis row that reports ``branch``."""
-    return frozenset({Flag.UNSTABLE, Flag.NON_PHYSICAL}
-                     if branch.stability is not Stability.STABLE else
-                     set() if branch.physical else {Flag.NON_PHYSICAL})
+    """The flags of a sweep or hysteresis row that reports ``branch``, shared."""
+    return (_UNSTABLE_FLAGS if branch.stability is not Stability.STABLE
+            else _NO_FLAGS if branch.physical else _NON_PHYSICAL_FLAGS)
 
 
 # -- coefficient set --------------------------------------------------------
 
-def _denominators(p: Params, w: complex) -> tuple[complex, complex]:
+def _sigma_denominator(p: Params, w: complex) -> tuple[complex, complex]:
+    """(phonon-shifted dot detuning, d1) at inversion ``w``."""
     shift = p.delta_p0 - 2.0 * p.omega_k0 * p.eta * w
-    d1 = (1j * p.delta_c0 + p.kappa_c0) * (shift - 1j) + 2j * p.g0 * p.g0 * w
-    d2 = (-1j * p.delta_c0 + p.kappa_c0) * (shift + 1j) - 2j * p.g0 * p.g0 * w
-    return d1, d2
+    return shift, (1j * p.delta_c0 + p.kappa_c0) * (shift - 1j) + 2j * p.g0 * p.g0 * w
+
+
+def _denominators(p: Params, w: complex) -> tuple[complex, complex]:
+    shift, d1 = _sigma_denominator(p, w)
+    return d1, (-1j * p.delta_c0 + p.kappa_c0) * (shift + 1j) - 2j * p.g0 * p.g0 * w
 
 
 def coherence_amplitudes(p: Params, w: complex, legacy_field_amplitude: bool = False):
@@ -124,12 +132,17 @@ def coherence_amplitudes(p: Params, w: complex, legacy_field_amplitude: bool = F
 def _amplitudes(p: Params, w: complex, d1: complex, d2: complex,
                 legacy_field_amplitude: bool):
     """``coherence_amplitudes`` given ``_denominators(p, w)``."""
-    c1 = 2.0 * p.g0 * w * p.ep0 / d1
-    c2 = 2.0 * p.g0 * w * p.ep0 / d2
     drive = w if legacy_field_amplitude else p.ep0
-    a1 = (drive - 1j * p.g0 * c1) / (1j * p.delta_c0 + p.kappa_c0)
+    c1, a1 = _sigma_amplitudes(p, w, d1, drive)
+    c2 = 2.0 * p.g0 * w * p.ep0 / d2
     a2 = (drive + 1j * p.g0 * c2) / (-1j * p.delta_c0 + p.kappa_c0)
     return c1, c2, a1, a2
+
+
+def _sigma_amplitudes(p: Params, w: complex, d1: complex, drive: complex):
+    """(C1, D1) of ``coherence_amplitudes`` given its d1 and cavity drive."""
+    c1 = 2.0 * p.g0 * w * p.ep0 / d1
+    return c1, (drive - 1j * p.g0 * c1) / (1j * p.delta_c0 + p.kappa_c0)
 
 
 def cleared_inversion_expression(p: Params, w: complex) -> complex:
@@ -465,7 +478,7 @@ def steady_fields(p: Params, w0: float) -> tuple[complex, complex, float]:
     q0 = -2 eta omega_k0 w0: the displacement sign convention is pinned to the
     coefficient set (ledger entry ``phonon-displacement-sign``).
     """
-    c1, _, a1, _ = coherence_amplitudes(p, w0)
+    c1, a1 = _sigma_amplitudes(p, w0, _sigma_denominator(p, w0)[1], p.ep0)
     q0 = -2.0 * p.eta * p.omega_k0 * w0
     return c1, a1, q0
 
@@ -487,10 +500,8 @@ def _steady_rhs_scaled(p: Params, w0: float, sigma0: complex, a0: complex,
     tq = p.omega_k0 ** 2 * q0
     tw = 2.0 * p.eta * p.omega_k0 ** 3 * w0
     r_q = abs(tq + tw) / (abs(tq) + abs(tw) + 1.0)
-    vals = (r_w, r_s, r_a, r_q)
-    if any(v != v for v in vals):  # NaN from a pole-cancellation root
-        return float("inf")
-    return max(vals)
+    total = r_w + r_s + r_a + r_q  # NaN, from a pole-cancellation root, iff a term is
+    return max(r_w, r_s, r_a, r_q) if total == total else float("inf")
 
 
 def mean_field_jacobian(p: Params, w0: float) -> np.ndarray:
@@ -550,7 +561,7 @@ def _branch_sets(ps, root_sets) -> list:
     to be raised at its turn: any other ``ArithmeticError`` in a point's
     fields or Jacobians is its ``NonFinite``, and a stack that holds a
     non-finite Jacobian is labelled matrix by matrix, each failing point
-    keeping its own ``LinAlgError``.
+    keeping its own ``LinAlgError``.  Branches are made here, by ``_filled``.
     """
     out = list(root_sets)
     size = sum(len(found[0]) for found in root_sets
@@ -588,9 +599,10 @@ def _branch_sets(ps, root_sets) -> list:
                 out[i] = exc
     branches = [[] for _ in ps]
     for (i, w0, res, sigma0, a0, q0), label, jacobian in zip(kept, labels, stack):
-        branches[i].append(SteadyBranch(
-            w0=w0, a0=a0, sigma0=sigma0, q0=q0, residual=res, stability=label,
-            physical=_PHYSICAL_LO <= w0 <= _PHYSICAL_HI, jacobian=jacobian))
+        branches[i].append(_filled(SteadyBranch, {
+            "w0": w0, "a0": a0, "sigma0": sigma0, "q0": q0, "residual": res,
+            "stability": label, "physical": _PHYSICAL_LO <= w0 <= _PHYSICAL_HI,
+            "jacobian": jacobian}))
     for i, found in enumerate(out):
         if not isinstance(found, Exception):
             out[i] = (*found, branches[i]) if branches[i] else NoRealRoot(

@@ -4,8 +4,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import numpy as np
+
 from qdresponse.errors import (
     BadConfig,
+    InvalidGrid,
     NegativeAmplitude,
     NonFinite,
     NonPositiveRate,
@@ -14,12 +17,14 @@ from qdresponse.model import (
     PARAM_FIELDS,
     SweepAxis,
     apply_axis,
+    checked_grid,
     default_signal_amplitude,
     delta_from_signal_detuning,
     params_from_mapping,
     read_param_file,
     validate_params,
 )
+from qdresponse.presets import parse_grid
 
 from conftest import absorption_point
 
@@ -117,6 +122,55 @@ def test_replace_matches_dataclasses_replace_and_rejects_unknown_keys():
             p.replace(**bad)
         with pytest.raises(TypeError):
             dataclasses.replace(p, **bad)
+
+
+def test_copies_list_their_fields_in_order_and_stay_frozen():
+    """A copy of an ``__init__``-built point, a copy of that copy and an
+    ``apply_axis`` copy hold their fields in field order (``vars`` feeds the
+    output metadata) and equal and hash as ``dataclasses.replace`` does."""
+    source = absorption_point()
+    first = source.replace(delta0=1.5, ep0=2.0)
+    second = first.replace(g0=0.25, gamma1_ratio=3.0)
+    pairs = [(source, first, {"delta0": 1.5, "ep0": 2.0}),
+             (first, second, {"g0": 0.25, "gamma1_ratio": 3.0})]
+    pairs += [(q, apply_axis(q, axis, 0.75),
+               {"delta0": delta_from_signal_detuning(0.75, q.delta_p0)}
+               if axis is SweepAxis.DELTA_S0 else {axis.value: 0.75})
+              for q in (source, second) for axis in SweepAxis]
+    for before, q, changes in pairs:
+        want = dataclasses.replace(before, **changes)
+        assert list(vars(q)) == list(PARAM_FIELDS) == list(vars(want))
+        assert q == want and hash(q) == hash(want) and repr(q) == repr(want)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.delta0 = 0.0
+    assert list(vars(source)) == list(PARAM_FIELDS)
+
+
+@pytest.mark.parametrize("grid, ascending, message", [
+    ((1.0, 1.0), True, "grid must be strictly ascending"),
+    ((-0.0, 0.0), True, "grid must be strictly ascending"),
+    ((0.0, -0.0), False, "grid must be strictly monotone"),
+    ((2.0, 1.0), True, "grid must be strictly ascending"),
+    ((1.0, 3.0, 2.0), False, "grid must be strictly monotone"),
+    ((3.0, 2.0, 2.0), False, "grid must be strictly monotone"),
+])
+def test_grid_must_be_strictly_monotone(grid, ascending, message):
+    with pytest.raises(InvalidGrid, match=f"^{message}$"):
+        checked_grid(grid, minimum=1, ascending=ascending)
+
+
+def test_checked_grid_keeps_monotone_grids_as_floats():
+    assert checked_grid((2,), minimum=1, ascending=True) == [2.0]
+    assert checked_grid((-1, 0.0, 2), minimum=2, ascending=True) == [-1.0, 0.0, 2.0]
+    assert checked_grid((2, -0.0, -1), minimum=2, ascending=False) == [2.0, -0.0, -1.0]
+
+
+def test_parsed_grid_is_the_inclusive_linspace():
+    for spec, (start, stop, n) in (("-13:13:131", (-13.0, 13.0, 131)),
+                                   ("0.2:16:317", (0.2, 16.0, 317)), ("5:5:1", (5, 5, 1))):
+        grid = parse_grid(spec)
+        assert grid == tuple(float(x) for x in np.linspace(start, stop, n))
+        assert all(type(x) is float for x in grid)
 
 
 def test_default_signal_amplitude_tracks_pump():

@@ -1,5 +1,6 @@
 """The repository scripts that compare two commits' outputs: each passes on
-identical inputs and fails on a hand-edited value, flag, NaN or message."""
+identical inputs and fails on a hand-edited value, flag, NaN or message; and
+the script that runs the README's examples."""
 import importlib.util
 import json
 import pathlib
@@ -19,6 +20,7 @@ def _script(name):
 
 
 compare_figures = _script("compare_figures")
+readme_examples = _script("readme_examples")
 seeded_points = _script("seeded_points")
 
 _CSV = """# figure=t
@@ -299,3 +301,30 @@ def test_seeded_points_compare_a_complex_value_by_its_modulus_and_skip_the_resid
     assert seeded_points.compare(base, [json.dumps(line)], 1e-10) == []
     with pytest.raises(AssertionError):
         seeded_points.compare(base, [json.dumps(line)])
+
+
+@pytest.fixture
+def readme_dir(tmp_path, monkeypatch):
+    """A scratch working directory, with the package on an absolute path."""
+    monkeypatch.setenv("PYTHONPATH", str(SCRIPTS.parent / "src"))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def test_readme_examples_pass_on_the_readme(readme_dir, capsys):
+    assert readme_examples.main([]) == 0
+    out = capsys.readouterr().out
+    assert out.count("$ qdr ") == 9 and "$ the Library use block\n" in out
+    assert (readme_dir / "fig4b.csv").is_file() and (readme_dir / "t2.csv").is_file()
+
+
+def test_readme_examples_fail_on_a_failing_command(readme_dir, capsys):
+    text = readme_examples.README.read_text(encoding="utf-8")
+    good = "qdr figure 4b --format csv"
+    assert text.count(good) == 1
+    readme = readme_dir / "README.md"
+    readme.write_text(text.replace(good, "qdr figure 4z --format csv"), encoding="utf-8")
+    assert readme_examples.main([str(readme)]) == 1
+    out, err = capsys.readouterr()
+    assert "$ qdr figure 4z" in out and "$ the Library use block" not in out
+    assert "error: 'qdr figure 4z --format csv" in err

@@ -1,4 +1,6 @@
 import dataclasses
+import pathlib
+import random
 
 import numpy as np
 import pytest
@@ -872,3 +874,81 @@ def test_residual_bound_is_the_larger_of_the_target_and_the_noise_floor():
     assert real == [root] and resid[0] > steady.RESIDUAL_BOUND and cplx == []
     with pytest.raises(RootResidual, match="exceeds"):
         steady._split_roots([root * (1.0 + 1e-6)], monic)
+
+
+def _wide_box_params(monkeypatch, seed, n):
+    """``n`` seeded points of the benchmark's ``wide_box`` workload."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "perfbench"))
+    from workloads import wide_box_params
+
+    rng = random.Random(seed)
+    return [wide_box_params(rng) for _ in range(n)]
+
+
+def _response_preset_points():
+    """Every member of every response preset (a detuning axis)."""
+    return [p for fid in presets.figure_ids()
+            for preset in [presets.get_preset(fid)]
+            if preset.axis in (SweepAxis.DELTA0, SweepAxis.DELTA_S0)
+            for _, p in preset.members()]
+
+
+def test_steady_fields_have_the_bits_of_the_coherence_amplitudes(monkeypatch):
+    """``steady_fields`` evaluates only the sigma/a side of the coefficient
+    set, with the bytes of ``coherence_amplitudes``'s C1 and D1."""
+    ps = _wide_box_params(monkeypatch, 23, 2000)
+    roots = [(p, w0) for p, found in zip(ps, inversion_roots(ps))
+             if not isinstance(found, Exception) for w0 in found[0]][:2000]
+    for p in _response_preset_points():
+        roots += [(p, b.w0) for b in solve_steady_branches(p)]
+    assert len(roots) > 2000
+    for p, w0 in roots:
+        c1, _, a1, _ = coherence_amplitudes(p, w0)
+        sigma0, a0, q0 = steady_fields(p, w0)
+        assert np.array([sigma0, a0]).tobytes() == np.array([c1, a1]).tobytes()
+        assert repr(q0) == repr(-2.0 * p.eta * p.omega_k0 * w0)
+
+
+def test_branches_are_filled_as_their_init_builds_them(monkeypatch):
+    """Each ``SteadyBranch`` of ``_branch_sets`` equals, hashes and prints as
+    ``SteadyBranch(**fields)`` of its own fields, lists them in field order
+    and stays frozen."""
+    names = [f.name for f in dataclasses.fields(SteadyBranch)]
+    ps = _response_preset_points() + _wide_box_params(monkeypatch, 29, 500)
+    branches = [b for found in steady._branch_sets(ps, inversion_roots(ps))
+                if not isinstance(found, Exception) for b in found[3]]
+    assert len(branches) > 500
+    for b in branches:
+        assert list(vars(b)) == names
+        built = SteadyBranch(**vars(b))
+        assert b == built and hash(b) == hash(built) and repr(b) == repr(built)
+        assert list(vars(built)) == names
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.w0 = 0.0
+
+
+def test_row_flags_are_three_shared_sets():
+    branch = solve_steady_branches(bistable_point(ep0=8.0))[0]
+    want = {(Stability.STABLE, True): frozenset(),
+            (Stability.STABLE, False): frozenset({Flag.NON_PHYSICAL})}
+    for stability in Stability:
+        for physical in (True, False):
+            b = dataclasses.replace(branch, stability=stability, physical=physical)
+            flags = steady.row_flags(b)
+            assert flags == want.get((stability, physical),
+                                     frozenset({Flag.UNSTABLE, Flag.NON_PHYSICAL}))
+            assert flags is steady.row_flags(dataclasses.replace(b))
+            assert any(flags is shared for shared in (
+                steady._NO_FLAGS, steady._NON_PHYSICAL_FLAGS, steady._UNSTABLE_FLAGS))
+
+
+@pytest.mark.parametrize("field", ["gamma1_ratio", "delta_p0", "delta_c0", "eta"])
+def test_a_nan_in_any_one_equation_fails_the_fixed_point_check(field):
+    # each field enters one of the four scaled equations only; a NaN there
+    # is a failed check wherever max() would have skipped it
+    p = bistable_point(ep0=8.0)
+    b = solve_steady_branches(p)[0]
+    fields = (b.w0, b.sigma0, b.a0, b.q0)
+    assert steady._steady_rhs_scaled(p, *fields) < 1e-9
+    nan = p.replace(**{field: float("nan")})
+    assert steady._steady_rhs_scaled(nan, *fields) == float("inf")
