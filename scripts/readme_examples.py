@@ -28,8 +28,7 @@ def block(text: str, heading: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("readme", nargs="?", type=pathlib.Path, default=README)
     text = parser.parse_args(argv).readme.read_text(encoding="utf-8")
     examples = []
