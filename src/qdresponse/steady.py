@@ -107,15 +107,11 @@ def row_flags(branch: SteadyBranch) -> frozenset:
 
 # -- coefficient set --------------------------------------------------------
 
-def _sigma_denominator(p: Params, w: complex) -> tuple[complex, complex]:
-    """(phonon-shifted dot detuning, d1) at inversion ``w``."""
-    shift = p.delta_p0 - 2.0 * p.omega_k0 * p.eta * w
-    return shift, (1j * p.delta_c0 + p.kappa_c0) * (shift - 1j) + 2j * p.g0 * p.g0 * w
-
-
 def _denominators(p: Params, w: complex) -> tuple[complex, complex]:
-    shift, d1 = _sigma_denominator(p, w)
-    return d1, (-1j * p.delta_c0 + p.kappa_c0) * (shift + 1j) - 2j * p.g0 * p.g0 * w
+    shift = p.delta_p0 - 2.0 * p.omega_k0 * p.eta * w
+    d1 = (1j * p.delta_c0 + p.kappa_c0) * (shift - 1j) + 2j * p.g0 * p.g0 * w
+    d2 = (-1j * p.delta_c0 + p.kappa_c0) * (shift + 1j) - 2j * p.g0 * p.g0 * w
+    return d1, d2
 
 
 def coherence_amplitudes(p: Params, w: complex, legacy_field_amplitude: bool = False):
@@ -132,17 +128,12 @@ def coherence_amplitudes(p: Params, w: complex, legacy_field_amplitude: bool = F
 def _amplitudes(p: Params, w: complex, d1: complex, d2: complex,
                 legacy_field_amplitude: bool):
     """``coherence_amplitudes`` given ``_denominators(p, w)``."""
-    drive = w if legacy_field_amplitude else p.ep0
-    c1, a1 = _sigma_amplitudes(p, w, d1, drive)
+    c1 = 2.0 * p.g0 * w * p.ep0 / d1
     c2 = 2.0 * p.g0 * w * p.ep0 / d2
+    drive = w if legacy_field_amplitude else p.ep0
+    a1 = (drive - 1j * p.g0 * c1) / (1j * p.delta_c0 + p.kappa_c0)
     a2 = (drive + 1j * p.g0 * c2) / (-1j * p.delta_c0 + p.kappa_c0)
     return c1, c2, a1, a2
-
-
-def _sigma_amplitudes(p: Params, w: complex, d1: complex, drive: complex):
-    """(C1, D1) of ``coherence_amplitudes`` given its d1 and cavity drive."""
-    c1 = 2.0 * p.g0 * w * p.ep0 / d1
-    return c1, (drive - 1j * p.g0 * c1) / (1j * p.delta_c0 + p.kappa_c0)
 
 
 def cleared_inversion_expression(p: Params, w: complex) -> complex:
@@ -478,7 +469,7 @@ def steady_fields(p: Params, w0: float) -> tuple[complex, complex, float]:
     q0 = -2 eta omega_k0 w0: the displacement sign convention is pinned to the
     coefficient set (ledger entry ``phonon-displacement-sign``).
     """
-    c1, a1 = _sigma_amplitudes(p, w0, _sigma_denominator(p, w0)[1], p.ep0)
+    c1, _, a1, _ = coherence_amplitudes(p, w0)
     q0 = -2.0 * p.eta * p.omega_k0 * w0
     return c1, a1, q0
 

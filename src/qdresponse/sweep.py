@@ -29,8 +29,6 @@ __all__ = [
 #: whole grid holds every point's system at once: on the figure presets that
 #: raised peak memory by a quarter, and 256-point blocks leave it flat.
 _BLOCK = 256
-#: Fewest detuning grid points that pay for a certificate (about four rows).
-_CERTIFY_MIN = 4
 
 
 class Observable(Enum):
@@ -116,13 +114,12 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
 
     On a detuning axis the base point's branches, and their flags, serve
     every grid point.  The grid is walked in fixed blocks of ``_BLOCK``
-    points: each branch that emits response rows certifies its K once (on
-    ``_CERTIFY_MIN`` points or more) and solves the block in one
-    ``response.solve_unit_grid`` call, and every row's observables still
-    come from one ``transmission_point`` call, given the row's entry.  On
-    any other axis each grid point's roots and branches come from one
-    ``steady.grid_roots`` call over the grid; a point that raises a typed
-    error other than ``NoRealRoot`` raises it at its turn.
+    points: each branch that emits response rows certifies its K once and
+    solves the block in one ``response.solve_unit_grid`` call, and every
+    row's observables still come from one ``transmission_point`` call, given
+    the row's entry.  On any other axis each grid point's roots and branches
+    come from one ``steady.grid_roots`` call over the grid; a point that
+    raises a typed error other than ``NoRealRoot`` raises it at its turn.
     """
     validate_params(cfg.base)
     xs = checked_grid(cfg.grid, minimum=1, ascending=False)
@@ -136,8 +133,7 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
         stacked = cfg.backend is Backend.LINEAR_SOLVE and value is not None
         # one K and certificate per stacked branch serve every grid point
         Ks = [sideband_generator(b) for _, b, _ in emitting] if stacked else []
-        systems = [(K, certify_detuning(K) if len(xs) >= _CERTIFY_MIN else -math.inf)
-                   for K in Ks]
+        systems = [(K, certify_detuning(K)) for K in Ks]
         for start in range(0, len(xs), _BLOCK):
             block = xs[start:start + _BLOCK]
             ps = [apply_axis(cfg.base, cfg.axis, x) for x in block]

@@ -893,22 +893,6 @@ def _response_preset_points():
             for _, p in preset.members()]
 
 
-def test_steady_fields_have_the_bits_of_the_coherence_amplitudes(monkeypatch):
-    """``steady_fields`` evaluates only the sigma/a side of the coefficient
-    set, with the bytes of ``coherence_amplitudes``'s C1 and D1."""
-    ps = _wide_box_params(monkeypatch, 23, 2000)
-    roots = [(p, w0) for p, found in zip(ps, inversion_roots(ps))
-             if not isinstance(found, Exception) for w0 in found[0]][:2000]
-    for p in _response_preset_points():
-        roots += [(p, b.w0) for b in solve_steady_branches(p)]
-    assert len(roots) > 2000
-    for p, w0 in roots:
-        c1, _, a1, _ = coherence_amplitudes(p, w0)
-        sigma0, a0, q0 = steady_fields(p, w0)
-        assert np.array([sigma0, a0]).tobytes() == np.array([c1, a1]).tobytes()
-        assert repr(q0) == repr(-2.0 * p.eta * p.omega_k0 * w0)
-
-
 def test_branches_are_filled_as_their_init_builds_them(monkeypatch):
     """Each ``SteadyBranch`` of ``_branch_sets`` equals, hashes and prints as
     ``SteadyBranch(**fields)`` of its own fields, lists them in field order
