@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import random
@@ -25,7 +24,6 @@ from qdresponse.sweep import (
 )
 
 from conftest import (
-    absorption_point,
     bistable_point,
     detuning_scan_point,
     faulty_jacobian,
@@ -148,19 +146,6 @@ def test_detuning_sweep_certifies_its_branches(monkeypatch):
     assert len(rows) == 81 and not any(r.flags for r in rows)
     assert calls == {"solve": len({r.branch_id for r in rows}),
                      "transmission_point": 81}
-
-
-def test_a_short_detuning_sweep_has_the_bits_of_a_long_one():
-    """A grid of one to four points, as a short ``qdr spectrum`` takes,
-    writes the bytes of the same points in a 121-point sweep."""
-    long_grid = tuple(np.linspace(-12.0, 12.0, 121).tolist())
-    cfg = SweepConfig(base=absorption_point(), axis=SweepAxis.DELTA0,
-                      grid=long_grid, observable=Observable.CHI1)
-    long_rows = _rows_text(run_sweep(cfg))
-    for grid in [long_grid[60:61], long_grid[7:114:106], long_grid[7:114:53],
-                 long_grid[7:114:35]]:
-        rows = _rows_text(run_sweep(dataclasses.replace(cfg, grid=grid)))
-        assert rows == [row for row in long_rows if float(row[0]) in grid]
 
 
 _OBSERVED = {
