@@ -43,7 +43,8 @@ class FigurePreset:
 
 
 def parse_grid(spec: str) -> tuple:
-    """Parse 'start:stop:points' into an inclusive linspace tuple."""
+    """Parse 'start:stop:points' into an inclusive linspace tuple; start, stop
+    and the span stop - start must be finite."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise BadConfig(f"grid must be start:stop:points, got {spec!r}")
@@ -54,6 +55,8 @@ def parse_grid(spec: str) -> tuple:
         raise BadConfig(f"could not parse grid {spec!r}") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise BadConfig(f"grid start and stop must be finite, got {spec!r}")
+    if not math.isfinite(stop - start):
+        raise BadConfig(f"grid span stop - start must be finite, got {spec!r}")
     if points < 1:
         raise BadConfig(f"grid needs at least one point, got {points}")
     return tuple(np.linspace(start, stop, points).tolist())

@@ -46,7 +46,6 @@ __all__ = [
     "chi1_closed_form",
     "chi3_closed_form",
     "transmission_point",
-    "dispersion_slope",
     "load_formula_ledger",
 ]
 
@@ -356,20 +355,6 @@ def transmission_point(p: Params, branch: SteadyBranch,
     a_out_plus = root * a_plus
     T = abs(1.0 - root * a_out_plus)
     return ResponsePoint(chi1, chi3, a_out_plus, T, T * T)
-
-
-def dispersion_slope(p: Params, branch: SteadyBranch) -> float:
-    """d Im(a_out+)/d Delta_s at the configured detuning, exactly.
-
-    With M x = e0 and dM/d delta0 = -i I, dx/d delta0 = i M^-1 x: one more
-    solve with the same matrix.  Delta_s and delta0 move with opposite sign,
-    so the slope is -Im(sqrt(2 kappa) (i M^-1 x)[0]).  ``SingularSystem`` and
-    ``NonFinite`` are raised as by ``transmission_point``.
-    """
-    K = sideband_generator(branch)
-    x = _solve_unit(K, p.delta0)
-    dx = 1j * np.linalg.solve(_sideband_matrix(K, p.delta0), x)
-    return -(math.sqrt(2.0 * p.kappa_c0) * complex(dx[0])).imag
 
 
 def load_formula_ledger() -> list[dict]:

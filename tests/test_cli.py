@@ -226,6 +226,12 @@ def test_oracle_check_failing_tolerance_is_numerical_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_oracle_check_of_a_short_trajectory_is_numerical_error(tmp_path, capsys):
+    assert run(["oracle-check", "--preset", "4b", "--t-end", "1"], tmp_path) == 2
+    assert capsys.readouterr().err.startswith(
+        "numerical error: trajectory too short: need ")
+
+
 def test_oracle_check_of_a_decoupled_dot_judges_the_cavity_sideband(tmp_path, capsys):
     # g0 = 0: sigma+ is exactly 0 in the linear solve and in the oracle
     code = run(["oracle-check", "--preset", "4b", "--param", "g0=0",
@@ -347,6 +353,7 @@ POINT = ["--param", "delta_p0=-10", "--param", "delta_c0=-10", "--param", "g0=1.
     (["bistability", "--preset", "2a", "--axis", "g0", "--grid=-50:10:601"], 1,
      "hysteresis axis must be ep0 or delta_p0, got g0"),
     (["bistability", "--preset", "2a", "--axis", "zz"], 1, "unknown axis 'zz'"),
+    (["steady"], 1, "no parameters given; use --preset, --config or --param"),
 ])
 def test_usage_error_paths(tmp_path, capsys, argv, code, message):
     assert run(argv, tmp_path) == code
@@ -407,6 +414,16 @@ def test_usage_error_paths(tmp_path, capsys, argv, code, message):
      "t_end/dt = 2.6e+302 steps do not fit in an array"),
     (["oracle-check", "--preset", "4b", "--t-end", "1e300"],
      "t_end/dt = 1e+302 steps do not fit in an array"),
+    # each end is finite, but stop - start overflows inside linspace
+    (["kerr", "--preset", "9b", "--grid=-1e308:1e308:3"],
+     "grid span stop - start must be finite, got '-1e308:1e308:3'"),
+    (["spectrum", "--preset", "4b", "--grid", "1:2"],
+     "grid must be start:stop:points, got '1:2'"),
+    (["spectrum", "--preset", "4b", "--grid", "a:1:3"], "could not parse grid 'a:1:3'"),
+    (["spectrum", "--preset", "4b", "--grid", "0:1:0"],
+     "grid needs at least one point, got 0"),
+    (["steady", "--preset", "2b", "--param", "ep0=abc"],
+     "parameter ep0 is not a number: 'abc'"),
 ])
 def test_bad_parameter_values_and_grids_are_usage_errors(tmp_path, capsys, argv,
                                                          message):

@@ -51,6 +51,12 @@ def test_nan_rejected():
         validate_params(absorption_point().replace(delta_p0=float("nan")))
 
 
+@pytest.mark.parametrize("value", ["5", True])
+def test_a_field_that_is_not_a_real_number_is_rejected(value):
+    with pytest.raises(NonFinite, match=f"ep0 is not a real number: {value!r}"):
+        validate_params(absorption_point().replace(ep0=value))
+
+
 def test_values_never_clamped():
     p = absorption_point().replace(ep0=1234.5)
     assert validate_params(p).ep0 == 1234.5

@@ -152,6 +152,11 @@ def test_step_size_precondition_enforced():
             integrate_mean_field(p, (-1, 0, 0, 0, 0, 0, 0), t_end, dt)
 
 
+def test_initial_state_needs_seven_components():
+    with pytest.raises(InvalidGrid, match="initial state must have 7 components"):
+        integrate_mean_field(absorption_point(), (-1, 0, 0, 0, 0, 0), 1.0, 0.01)
+
+
 def test_initial_bound_violation_detected():
     p = absorption_point()
     with pytest.raises(BoundViolation):

@@ -370,6 +370,12 @@ def test_extrema_reject_mixed_branches():
         locate_extrema(records, ExtremumKind.PEAK)
 
 
+def test_extrema_reject_an_unknown_component():
+    records = [SpectrumRecord(float(x), 0, 0.0, 1.0, 0.0) for x in range(5)]
+    with pytest.raises(InvalidGrid, match="unknown component 'zz'; use re, im or abs"):
+        locate_extrema(records, ExtremumKind.PEAK, component="zz")
+
+
 def test_refined_extrema_are_grid_stable():
     # doubling the density of a smooth feature moves the vertex < half a step
     from conftest import absorption_point
