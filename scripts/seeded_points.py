@@ -40,13 +40,33 @@ def _complex(z) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
+def extreme_points(count: int = 2500):
+    """The extreme points of the digest and of test_response: ``count``
+    seeded points that set one to three fields of a preset far outside the
+    preset box, most between 1e20 and 1e200 and some between 1e-320 and
+    1e308, a third of them with g0 = 0."""
+    from qdresponse.model import PARAM_FIELDS
+    from qdresponse.presets import figure_ids, get_preset
+
+    rng = random.Random(1175)
+    bases = [get_preset(fid).params.replace(delta0=get_preset(fid).oracle_delta0)
+             for fid in figure_ids()]
+    for _ in range(count):
+        changes = {}
+        for key in rng.sample(PARAM_FIELDS, rng.randint(1, 3)):
+            lo, hi = (20, 200) if rng.random() < 0.7 else (-320, 308)
+            changes[key] = 10.0 ** rng.uniform(lo, hi)
+        if rng.random() < 0.3:
+            changes["g0"] = 0.0
+        yield rng.choice(bases).replace(**changes)
+
+
 def digest(perfbench_dir: str, points: int = 5000, extremes: int = 2500):
     """The digest's lines, as objects: ``points`` seeded ``wide_box`` points
     per seed with a sweep on every tenth, then ``extremes`` extreme points."""
     sys.path.insert(0, perfbench_dir)
     from workloads import wide_box_params
-    from qdresponse.model import PARAM_FIELDS, SweepAxis
-    from qdresponse.presets import figure_ids, get_preset
+    from qdresponse.model import SweepAxis
     from qdresponse.response import Backend, transmission_point
     from qdresponse.steady import solve_steady_branches
     from qdresponse.sweep import BranchPolicy, Observable, SweepConfig, run_sweep
@@ -89,20 +109,8 @@ def digest(perfbench_dir: str, points: int = 5000, extremes: int = 2500):
                    "steady": steady(p, [Backend.LINEAR_SOLVE])}
             if k % 10 == 0:
                 yield {"set": "sweep", "seed": seed, "k": k, "records": sweep(p)}
-    # the extreme points of test_response: one to three fields far outside
-    # the preset box, a third of them with g0 = 0, each on both backends
-    rng = random.Random(1175)
-    bases = [get_preset(fid).params.replace(delta0=get_preset(fid).oracle_delta0)
-             for fid in figure_ids()]
-    for k in range(extremes):
-        changes = {}
-        for key in rng.sample(PARAM_FIELDS, rng.randint(1, 3)):
-            lo, hi = (20, 200) if rng.random() < 0.7 else (-320, 308)
-            changes[key] = 10.0 ** rng.uniform(lo, hi)
-        if rng.random() < 0.3:
-            changes["g0"] = 0.0
-        yield {"set": "extreme", "k": k,
-               "steady": steady(rng.choice(bases).replace(**changes), list(Backend))}
+    for k, p in enumerate(extreme_points(extremes)):  # each on both backends
+        yield {"set": "extreme", "k": k, "steady": steady(p, list(Backend))}
 
 
 def _close(a, b, rel_tol: float, where: str) -> None:

@@ -213,7 +213,7 @@ def _cmd_figure(args) -> int:
             wrote += _hysteresis(p, preset.axis, preset.grid, member, args.format, meta)
             continue
         cfg = sweep.SweepConfig(p, preset.axis, preset.grid, preset.observable,
-                                response.Backend(args.backend), preset.branch_policy)
+                                branch_policy=preset.branch_policy)
         records = _clean_sweep(cfg, f" for {label or 'preset'}")
         wrote.append(_save(f"{member}.{args.format}",
                            _record_writer(records, args.format, meta)))
@@ -311,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("--component", dict(default="re", choices=("re", "im", "abs"))),
             "--out", branch_policy=sweep.BranchPolicy.STABLE_ONLY.value)
     command("figure", _cmd_figure, "emit the sweep data for a catalog preset",
-            ("figure_id", dict(metavar="ID")), "--param", "--backend", "--format",
-            "--out")
+            ("figure_id", dict(metavar="ID")), "--param", "--format", "--out")
     command("oracle-check", _cmd_oracle_check,
             "compare the sideband solve against time-domain integration plus "
             "demodulation", *_POINT,

@@ -276,6 +276,8 @@ def demodulate_sidebands(traj: Trajectory, delta0: float) -> DemodResult:
     """
     if delta0 == 0.0:
         raise ZeroDelta("demodulation needs a nonzero signal-pump detuning")
+    if not math.isfinite(delta0):
+        raise NonFinite(f"sideband detuning delta0={delta0!r} is not finite")
     period = 2.0 * math.pi / abs(delta0)
     nw = int(round(DEMOD_PERIODS * period / traj.dt))
     if nw < 8 or 2 * nw > traj.t.size:

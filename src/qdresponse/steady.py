@@ -364,10 +364,19 @@ def _cubic(p: Params):
         return exc
 
 
-def _root_sets(cubics) -> list:
-    """``inversion_roots`` given each point's cubic or the error its build
-    raised: each cubic's roots come from one closed form
-    (``_polished_roots``), alone or along a grid."""
+def inversion_roots(cubics) -> list:
+    """Each point's (real, resid, cplx) given its inversion cubic: the real
+    roots, their monic residuals and the complex rest.  An item that is the
+    error its point's build raised (``_cubic``) is answered with it, and a
+    cubic whose roots fail with their error, for the caller to raise at the
+    point's turn.  The roots come from one closed form (``_polished_roots``),
+    for a lone point and along a grid alike.
+
+    A point is ``RootResidual`` when a real root's monic residual reaches
+    ``RESIDUAL_BOUND`` and also the rounding noise of evaluating the monic
+    polynomial there, 8 eps sum_k |m_k| |w0|^k: with monic coefficients up
+    to 1e13 an absolute bound alone rejects roots accurate to the last bit.
+    """
     out = list(cubics)
     for i, c in enumerate(out):
         if not isinstance(c, Exception):
@@ -376,20 +385,6 @@ def _root_sets(cubics) -> list:
             except (NoRealRoot, RootResidual) as exc:
                 out[i] = exc
     return out
-
-
-def inversion_roots(ps) -> list:
-    """Each point of ``ps``'s real roots of the inversion cubic, their monic
-    residuals and the complex rest, (real, resid, cplx), or the error the
-    point raises, for the caller to raise at the point's turn.  Each cubic
-    is built alone; its roots come from the closed form of ``_root_sets``.
-
-    A point is ``RootResidual`` when a real root's monic residual reaches
-    ``RESIDUAL_BOUND`` and also the rounding noise of evaluating the monic
-    polynomial there, 8 eps sum_k |m_k| |w0|^k: with monic coefficients up
-    to 1e13 an absolute bound alone rejects roots accurate to the last bit.
-    """
-    return _root_sets([_cubic(p) for p in ps])
 
 
 #: Each steady axis's (power, degree): along the axis every coefficient of
@@ -445,7 +440,7 @@ def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
     The grid's cubics come from a few node builds (``_grid_cubics``), so a
     point's roots may differ from a lone solve's by rounding.  Each point's
     roots and branches are computed once, in one step per stage over the
-    whole grid (``_root_sets``, ``_branch_sets``); callers share the
+    whole grid (``inversion_roots``, ``_branch_sets``); callers share the
     entries.  The grid's two ends must pass ``validate_params``; every
     parameter rule is a bound, so the points between them do too.  A point
     that does not raises ``InvalidGrid`` naming the axis.
@@ -457,7 +452,7 @@ def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
         except QdResponseError as exc:
             raise InvalidGrid(f"{axis.value} grid reaches an invalid point: "
                               f"{exc}") from None
-    root_sets = _root_sets(_grid_cubics(ps, axis, xs))
+    root_sets = inversion_roots(_grid_cubics(ps, axis, xs))
     return list(zip(xs, ps, _branch_sets(ps, root_sets)))
 
 
@@ -607,7 +602,7 @@ def solve_steady_branches(p: Params, *, roots=None) -> list[SteadyBranch]:
     ``roots`` is the point's ``grid_roots`` entry when the caller holds one:
     its branch list is returned as it is, shared by every caller of the
     entry, or its error raised.  Otherwise both stages run on this one
-    point as a stack of one, ``_branch_sets([p], inversion_roots([p]))``.
+    point as a stack of one, ``_branch_sets([p], inversion_roots([_cubic(p)]))``.
 
     Complex cubic roots are discarded; real roots that are pole-cancellation
     artifacts of denominator clearing (possible only at degenerate corners
@@ -616,7 +611,7 @@ def solve_steady_branches(p: Params, *, roots=None) -> list[SteadyBranch]:
     [-1, 0] are returned but marked non-physical.
     """
     if roots is None:
-        roots = _branch_sets([p], inversion_roots([p]))[0]
+        roots = _branch_sets([p], inversion_roots([_cubic(p)]))[0]
     return _or_raise(roots)[3]
 
 

@@ -1,9 +1,23 @@
 """Shared parameter points and faults used across the test modules."""
+import importlib.util
+import pathlib
+
 import numpy as np
 
 from qdresponse import steady
 from qdresponse.errors import NonFinite, _or_raise
 from qdresponse.model import Params
+
+
+SCRIPTS = pathlib.Path(__file__).parents[1] / "scripts"
+
+
+def script(name):
+    """The repository script ``scripts/<name>.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def bistable_point(ep0=8.0) -> Params:
@@ -46,7 +60,7 @@ def kerr_peaks_point(omega_k0=10.0) -> Params:
 def lone_roots(p: Params):
     """``steady.inversion_roots`` of ``p`` alone, a stack of one: the point's
     (real, resid, cplx), or the error it raises, raised."""
-    return _or_raise(steady.inversion_roots([p])[0])
+    return _or_raise(steady.inversion_roots([steady._cubic(p)])[0])
 
 
 def rootless_grid_row(monkeypatch, at):

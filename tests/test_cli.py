@@ -75,6 +75,13 @@ def test_oracle_check_preset_4b_within_tolerance(tmp_path, capsys):
     assert dev < 1e-3
 
 
+def test_figure_takes_no_backend_option(tmp_path, capsys):
+    # a figure file's metadata names no backend: its data come from the default
+    assert run(["figure", "4b", "--backend", "closed_form"], tmp_path) == 1
+    assert "unrecognized arguments: --backend closed_form" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_figure_is_usage_error(tmp_path, capsys):
     assert run(["figure", "zz"], tmp_path) == 1
     assert "unknown figure" in capsys.readouterr().err

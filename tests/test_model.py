@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import random
 
@@ -24,6 +25,7 @@ from qdresponse.model import (
     read_param_file,
     validate_params,
 )
+from qdresponse import presets
 from qdresponse.presets import parse_grid
 
 from conftest import absorption_point
@@ -228,3 +230,17 @@ def test_param_file_rejects_garbage(tmp_path):
     path.write_text("just some words\n", encoding="utf-8")
     with pytest.raises(BadConfig):
         read_param_file(path)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"axis": "zz"}, "[figzz] bad axis/observable/policy: 'zz' is not a valid SweepAxis"),
+    ({"family_key": "zz", "family_values": "1,2"},
+     "[figzz] family_key 'zz' is not a parameter"),
+])
+def test_a_bad_catalog_entry_is_bad_config(monkeypatch, entry, message):
+    catalog = configparser.ConfigParser()
+    catalog.read_dict({"figzz": {**presets._catalog()["fig4b"], **entry}})
+    monkeypatch.setattr(presets, "_catalog", lambda: catalog)
+    with pytest.raises(BadConfig) as err:
+        presets.get_preset("zz")
+    assert str(err.value) == message

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import random
@@ -21,6 +22,7 @@ from qdresponse.oracle import (
     integrate_mean_field,
     max_step,
     mean_field_rhs,
+    perturbation_outcome,
     relative_deviation,
     steady_state_vector,
 )
@@ -163,13 +165,23 @@ def test_initial_bound_violation_detected():
         integrate_mean_field(p, (1.5, 0, 0, 0, 0, 0, 0), 1.0, 0.01)
 
 
-def test_zero_delta_rejected():
+def _still_trajectory():
     t = np.arange(0, 100.0, 0.01)
     zero = np.zeros_like(t)
-    traj = Trajectory(t=t, w=zero, sigma=zero.astype(complex),
+    return Trajectory(t=t, w=zero, sigma=zero.astype(complex),
                       a=zero.astype(complex), q=zero, qdot=zero, dt=0.01)
+
+
+def test_zero_delta_rejected():
     with pytest.raises(ZeroDelta):
-        demodulate_sidebands(traj, 0.0)
+        demodulate_sidebands(_still_trajectory(), 0.0)
+
+
+@pytest.mark.parametrize("delta0", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_detuning_is_non_finite_before_any_window(delta0):
+    with pytest.raises(NonFinite) as err:
+        demodulate_sidebands(_still_trajectory(), delta0)
+    assert str(err.value) == f"sideband detuning delta0={delta0!r} is not finite"
 
 
 def test_unsettled_trajectory_rejected():
@@ -178,6 +190,19 @@ def test_unsettled_trajectory_rejected():
     traj = integrate_mean_field(p, (-1.0, 0, 0, 0, 0, 0, 0), 60.0, 0.01)
     with pytest.raises(NotSettled):
         demodulate_sidebands(traj, p.delta0)
+
+
+def test_a_branch_outside_the_inversion_bounds_departs_at_once():
+    # the kicked state starts at w = 1.5: the first chunk raises BoundViolation
+    p = absorption_point()
+    branch = dataclasses.replace(stable_branch(p), w0=1.5)
+    assert perturbation_outcome(p, branch) == "departed"
+
+
+def test_a_kick_that_outlives_the_horizon_is_inconclusive():
+    # with lattice damping 1e-3 the kicked state neither comes back nor departs
+    p = absorption_point().replace(gamma_q0=1e-3)
+    assert perturbation_outcome(p, stable_branch(p)) == "inconclusive"
 
 
 def test_trajectory_dump_format():

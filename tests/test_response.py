@@ -13,7 +13,6 @@ from qdresponse.errors import (
     ZeroPump,
 )
 from qdresponse.model import (
-    PARAM_FIELDS,
     Params,
     SweepAxis,
     apply_axis,
@@ -50,6 +49,7 @@ from conftest import (
     kerr_peaks_point,
     kerr_point,
     phonon_pole_jacobian,
+    script,
     transmission_point_params,
 )
 
@@ -237,22 +237,12 @@ def test_closed_forms_raise_non_finite_on_an_overflow(form):
 
 
 def test_extreme_points_beyond_the_preset_box_give_an_answer_or_a_typed_error():
-    """Seeded points that set one to three fields of a preset far outside
-    the preset box, most between 1e20 and 1e200 and some between 1e-320
-    and 1e308, a third of them with g0 = 0: every failure of the steady
-    solve and of the response on both backends is a ``QdResponseError``."""
-    rng = random.Random(1175)
-    bases = [get_preset(fid).params.replace(delta0=get_preset(fid).oracle_delta0)
-             for fid in figure_ids()]
+    """The seeded extreme points of ``scripts/seeded_points.py``, one to
+    three fields of a preset far outside the preset box: every failure of
+    the steady solve and of the response on both backends is a
+    ``QdResponseError``."""
     outcomes = {"answer": 0, "error": 0}
-    for _ in range(2500):
-        changes = {}
-        for key in rng.sample(PARAM_FIELDS, rng.randint(1, 3)):
-            lo, hi = (20, 200) if rng.random() < 0.7 else (-320, 308)
-            changes[key] = 10.0 ** rng.uniform(lo, hi)
-        if rng.random() < 0.3:
-            changes["g0"] = 0.0
-        p = rng.choice(bases).replace(**changes)
+    for p in script("seeded_points").extreme_points():
         try:
             branches = solve_steady_branches(p)
         except QdResponseError:
@@ -444,6 +434,17 @@ def certified_checks(p, branch, deltas):
         assert np.array_equal(x, np.linalg.solve(M, np.eye(7)[0]))
         checked += 1
     return checked
+
+
+def test_a_generator_without_a_well_conditioned_eigenbasis_certifies_nothing(monkeypatch):
+    # a nilpotent Jordan block has one eigenvector, so V is singular; scaled
+    # by 1e10 next to -I its eigenvectors are so close that cond_F(V) is inf
+    jordan = np.diag(np.ones(6), 1)
+    assert certify_detuning(jordan) == -np.inf
+    assert certify_detuning(-np.eye(7) + 1e10 * jordan) == -np.inf
+    # an inverse past the float range, on any numpy's eigenvectors
+    monkeypatch.setattr(np.linalg, "inv", lambda a: np.full_like(a, np.inf))
+    assert certify_detuning(-np.eye(7)) == -np.inf
 
 
 def test_certificate_holds_on_every_response_preset_branch():

@@ -1,27 +1,17 @@
 """The repository scripts that compare two commits' outputs: each passes on
 identical inputs and fails on a hand-edited value, flag, NaN or message; and
 the script that runs the README's examples."""
-import importlib.util
 import json
-import pathlib
 
 import pytest
 
 from qdresponse import cli
 
-SCRIPTS = pathlib.Path(__file__).parents[1] / "scripts"
+from conftest import SCRIPTS, script
 
-
-def _script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-compare_figures = _script("compare_figures")
-readme_examples = _script("readme_examples")
-seeded_points = _script("seeded_points")
+compare_figures = script("compare_figures")
+readme_examples = script("readme_examples")
+seeded_points = script("seeded_points")
 
 _CSV = """# figure=t
 # P1=2.7

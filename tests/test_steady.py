@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdresponse import presets, steady
-from qdresponse.errors import (InvalidGrid, NonFinite, NoRealRoot, QdResponseError,
-                               RootResidual, _or_raise)
+from qdresponse.errors import (InvalidGrid, NonFinite, NonRealCoefficients, NoRealRoot,
+                               QdResponseError, RootResidual, _or_raise)
 from qdresponse.model import Params, SweepAxis, apply_axis
 from qdresponse.oracle import mean_field_rhs, steady_state_vector
 from qdresponse.records import Flag
@@ -84,7 +84,8 @@ def test_undriven_state_is_unique_ground_branch():
 def test_root_count_transitions_one_three_one():
     p = bistable_point()
     ps = [p.replace(ep0=ep0) for ep0 in np.linspace(0.5, 16.0, 63)]
-    counts = np.array([len(_or_raise(found)[0]) for found in inversion_roots(ps)])
+    counts = np.array([len(_or_raise(found)[0])
+                       for found in inversion_roots(map(steady._cubic, ps))])
     assert counts[0] == 1 and counts[-1] == 1
     assert np.any(counts == 3)
     # exactly one contiguous 3-root window
@@ -97,7 +98,7 @@ def test_detuning_window_widens_with_pump():
 
     def window_width(ep0):
         p = detuning_scan_point(ep0=ep0)
-        found = inversion_roots([p.replace(delta_p0=x) for x in grid])
+        found = inversion_roots([steady._cubic(p.replace(delta_p0=x)) for x in grid])
         hits = [x for x, roots in zip(grid, found) if len(_or_raise(roots)[0]) == 3]
         return (max(hits) - min(hits)) if hits else 0.0
 
@@ -352,6 +353,23 @@ def test_a_coefficient_whose_modulus_overflows_is_non_finite(monkeypatch):
         build_inversion_polynomial(bistable_point())
 
 
+def test_an_undriven_dot_without_decay_or_coupling_has_no_cubic():
+    # gamma1_ratio underflows the (w + 1) d1 d2 term: every sample is 0
+    p = Params(delta_p0=0, delta_c0=0, g0=0, eta=0, omega_k0=1, kappa_c0=0.1,
+               gamma_q0=0.1, ep0=0, gamma1_ratio=5e-324)
+    with pytest.raises(NonRealCoefficients) as err:
+        build_inversion_polynomial(p)
+    assert str(err.value) == "inversion expression is identically zero"
+
+
+def test_an_imaginary_residue_in_the_fit_is_non_real(monkeypatch):
+    cleared = steady._cleared
+    monkeypatch.setattr(steady, "_cleared", lambda *args: cleared(*args) + 1j)
+    with pytest.raises(NonRealCoefficients,
+                       match=r"^imaginary residue \S+ exceeds 1e-12 of the coefficient scale$"):
+        build_inversion_polynomial(bistable_point())
+
+
 @pytest.mark.parametrize("row", range(4))
 def test_a_nan_coefficient_is_non_finite_wherever_it_sits(monkeypatch, row):
     # a fit whose sums overflow can give NaN (inf - inf) next to finite
@@ -534,13 +552,14 @@ def test_trimmed_cubics_take_the_quadratic_or_linear_form(coeffs, roots):
 ])
 def test_a_cubic_without_roots_is_no_real_root(coeffs, message):
     assert _outcome(steady._polished_roots, np.array(coeffs)) == (NoRealRoot, message)
-    assert repr(steady._root_sets([np.array(coeffs)])[0]) == repr(NoRealRoot(message))
+    assert repr(inversion_roots([np.array(coeffs)])[0]) == repr(NoRealRoot(message))
 
 
 def test_grid_roots_match_per_point_roots():
     ps = [bistable_point(ep0=x) for x in np.linspace(0.0, 20.0, 81)]
     ps += [detuning_scan_point().replace(delta_p0=x) for x in np.linspace(-50.0, 10.0, 61)]
-    for p, found in zip(ps, inversion_roots(ps)):
+    found_all = inversion_roots(map(steady._cubic, ps))
+    for p, found in zip(ps, found_all):
         assert repr(found) == repr(lone_roots(p))
 
 
@@ -575,7 +594,7 @@ def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
                steady.grid_roots(preset.params, preset.axis, preset.grid))
     calls = {"build_inversion_polynomial": 0, "_jacobian_entries": 0,
              "solve_steady_branches": 0, "inversion_roots": 0,
-             "_root_sets": 0, "classify_stability": 0}
+             "classify_stability": 0}
     for name in calls:
         original = getattr(steady, name)
 
@@ -589,15 +608,15 @@ def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
     assert len(result.up) == len(result.down) == n
     assert kept > n
     assert calls == {"build_inversion_polynomial": 2, "_jacobian_entries": kept,
-                     "solve_steady_branches": 2 * n, "inversion_roots": 0,
-                     "_root_sets": 1, "classify_stability": 1}
+                     "solve_steady_branches": 2 * n, "inversion_roots": 1,
+                     "classify_stability": 1}
     # a lone point runs each stage once, as a stack of one
     calls.update(dict.fromkeys(calls, 0))
     branches = steady.solve_steady_branches(bistable_point(ep0=8.0))
     assert calls == {"build_inversion_polynomial": 1,
                      "_jacobian_entries": len(branches),
                      "solve_steady_branches": 1, "inversion_roots": 1,
-                     "_root_sets": 1, "classify_stability": 1}
+                     "classify_stability": 1}
 
 
 def _label_alone(jacobian):
@@ -706,7 +725,7 @@ def test_grid_branches_match_per_point_branches():
     for params, axis, grid, ps, cubics in _preset_grids():
         found_grid = steady.grid_roots(params, axis, grid)
         for (_, p, found), cubic in zip(found_grid, cubics):
-            alone = steady._branch_sets([p], steady._root_sets([cubic]))[0]
+            alone = steady._branch_sets([p], inversion_roots([cubic]))[0]
             if isinstance(found, Exception):
                 assert (type(alone), str(alone)) == (type(found), str(found))
                 continue
@@ -730,7 +749,8 @@ def test_grid_kernels_give_the_bits_of_the_public_formulas():
     grids = [(p, found) for preset, params in _preset_grid_points()
              for _, p, found in steady.grid_roots(params, preset.axis, preset.grid)]
     wide = list(_wide_box_points(np.random.default_rng(17), 1000))
-    grids += zip(wide, steady._branch_sets(wide, inversion_roots(wide)))
+    grids += zip(wide, steady._branch_sets(
+        wide, inversion_roots(map(steady._cubic, wide))))
     jacobians = 0
     for p, found in grids:
         assert build_inversion_polynomial(p).tobytes() == interpolated(p).tobytes()
@@ -899,7 +919,8 @@ def test_branches_are_filled_as_their_init_builds_them(monkeypatch):
     and stays frozen."""
     names = [f.name for f in dataclasses.fields(SteadyBranch)]
     ps = _response_preset_points() + _wide_box_params(monkeypatch, 29, 500)
-    branches = [b for found in steady._branch_sets(ps, inversion_roots(ps))
+    root_sets = inversion_roots(map(steady._cubic, ps))
+    branches = [b for found in steady._branch_sets(ps, root_sets)
                 if not isinstance(found, Exception) for b in found[3]]
     assert len(branches) > 500
     for b in branches:

@@ -357,6 +357,15 @@ def test_parabola_vertex_recovered_exactly():
     assert peaks[0][1] == pytest.approx(1.5, abs=1e-9)
 
 
+def test_a_peak_whose_parabola_rounds_flat_is_the_grid_point():
+    # at x ~ 3e16 the curvature term rounds to exactly 0: no vertex to refine
+    xs = [3e16, 3e16 + 4, 3e16 + 8]
+    ys = [0.9677999949201714, 0.9677999949201724, 0.3580493746949883]
+    records = [SpectrumRecord(x, 0, 0.0, y, 0.0) for x, y in zip(xs, ys)]
+    assert locate_extrema(records, ExtremumKind.PEAK) == [
+        (3.0000000000000004e16, 0.9677999949201724)]
+
+
 def test_extrema_need_three_points():
     records = [SpectrumRecord(0.0, 0, 0.0, 1.0, 0.0),
                SpectrumRecord(1.0, 0, 0.0, 2.0, 0.0)]
