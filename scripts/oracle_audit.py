@@ -14,6 +14,9 @@ signal amplitude is doubled.
 Usage: python scripts/oracle_audit.py [preset ...]
 (default: every preset with a pump, ep0 != 0)
 
+Each preset's integration time goes to stderr, so stdout is the same on
+every run of the same code.
+
 Exits 0 when every deviation is below 1e-3, 2 when one is not, and 1 with an
 ``error:`` line for an unknown preset or one without a pump (its default
 signal es0 = 1e-3*ep0 is then zero; use ``qdr oracle-check --param es0=...``).
@@ -73,7 +76,8 @@ def audit(figure_id: str) -> float:
     print(f"{figure_id:>4}  delta0={p.delta0:6.2f}  "
           + "  ".join(f"{name} below floor" if dev is None else f"{name} dev={dev:.3e}"
                       for name, dev in devs.items())
-          + f"  linearity defect={lin:.3e}  ({elapsed:.1f}s)")
+          + f"  linearity defect={lin:.3e}")
+    print(f"{figure_id:>4}  integrated in {elapsed:.1f}s", file=sys.stderr)
     return max(dev for dev in (*devs.values(), lin) if dev is not None)
 
 

@@ -48,14 +48,12 @@ HORIZON = 300.0
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled mean-field trajectory (state order w, sigma, a, q, qdot)."""
+    """Sampled mean-field trajectory: ``y[k]`` is the state at ``t[k]``, in
+    the order (w, Re sigma, Im sigma, Re a, Im a, q, qdot) of
+    ``mean_field_rhs`` and ``steady_state_vector``."""
 
     t: np.ndarray
-    w: np.ndarray
-    sigma: np.ndarray
-    a: np.ndarray
-    q: np.ndarray
-    qdot: np.ndarray
+    y: np.ndarray
     dt: float
 
 
@@ -127,8 +125,8 @@ def integrate_mean_field(p: Params, init, t_end: float, dt: float,
 
     ``init`` is the 7-component real state; ``es0`` overrides the signal
     amplitude (defaults to ``p.es0``).  Raises ``BoundViolation`` when the
-    inversion leaves [-1, 1] by more than ``BOUND_EPS`` and ``NonFinite`` on
-    numerical blow-up.
+    inversion leaves [-1, 1] by more than ``BOUND_EPS`` and ``NonFinite`` for
+    a non-finite ``init`` or on numerical blow-up.
 
     The four stages are ``mean_field_rhs`` unrolled inline, term for term in
     its operation order, with the parameters bound once per integration; the
@@ -146,6 +144,8 @@ def integrate_mean_field(p: Params, init, t_end: float, dt: float,
     y = tuple(float(v) for v in init)
     if len(y) != 7:
         raise InvalidGrid("initial state must have 7 components")
+    if not all(map(math.isfinite, y)):
+        raise NonFinite(f"initial state {y} is not finite")
     try:
         n = int(round(t_end / dt))
         out = np.empty((n + 1, 7))
@@ -248,21 +248,22 @@ def integrate_mean_field(p: Params, init, t_end: float, dt: float,
         if not -1e12 < total < 1e12:
             raise NonFinite(f"state diverged at t={t:.6g}")
         out[k + 1] = (w, sx, sy, au, av, q, pq)
-    ts = np.arange(n + 1) * dt
-    return Trajectory(t=ts, w=out[:, 0], sigma=out[:, 1] + 1j * out[:, 2],
-                      a=out[:, 3] + 1j * out[:, 4], q=out[:, 5],
-                      qdot=out[:, 6], dt=dt)
+    return Trajectory(t=np.arange(n + 1) * dt, y=out, dt=dt)
 
 
-def _project(tw: np.ndarray, signal: np.ndarray, delta0: float):
+def _project(tw: np.ndarray, signals, delta0: float):
+    """Each signal's three-tone coefficients, one column per signal, from one
+    basis and Gram matrix, and the energy fraction of the first signal that
+    the tones hold."""
     basis = np.empty((tw.size, 3), dtype=complex)
     basis[:, 0] = 1.0
     basis[:, 1] = np.exp(-1j * delta0 * tw)
     basis[:, 2] = np.conj(basis[:, 1])
-    gram = basis.conj().T @ basis
-    coef = np.linalg.solve(gram, basis.conj().T @ signal)
-    resid = signal - basis @ coef
-    denom = float(np.sum(np.abs(signal) ** 2))
+    bh = basis.conj().T
+    coef = np.linalg.solve(bh @ basis, np.stack([bh @ s for s in signals], axis=1))
+    first = signals[0]
+    resid = first - basis @ coef[:, 0]
+    denom = float(np.sum(np.abs(first) ** 2))
     frac = 1.0 - float(np.sum(np.abs(resid) ** 2)) / denom if denom > 0 else 1.0
     return coef, frac
 
@@ -284,21 +285,15 @@ def demodulate_sidebands(traj: Trajectory, delta0: float) -> DemodResult:
         raise NotSettled(
             f"trajectory too short: need {2 * nw} samples for two analysis "
             f"windows, have {traj.t.size}")
-    tail = slice(traj.t.size - nw, traj.t.size)
-    prev = slice(traj.t.size - 2 * nw, traj.t.size - nw)
-    drift = max(
-        abs(np.mean(traj.a[tail]) - np.mean(traj.a[prev])),
-        abs(np.mean(traj.sigma[tail]) - np.mean(traj.sigma[prev])),
-        abs(float(np.mean(traj.w[tail]) - np.mean(traj.w[prev]))),
-        abs(float(np.mean(traj.q[tail]) - np.mean(traj.q[prev]))),
-    )
+    # the channels a, sigma, w and q over the preceding and the tail window
+    y = traj.y[-2 * nw:]
+    chans = (y[:, 3] + 1j * y[:, 4], y[:, 1] + 1j * y[:, 2], y[:, 0], y[:, 5])
+    drift = max(abs(np.mean(c[nw:]) - np.mean(c[:nw])) for c in chans)
     if drift >= SETTLE_DRIFT:
         raise NotSettled(f"DC drift {drift:.3e} >= {SETTLE_DRIFT}")
-    tw = traj.t[tail]
-    ca, frac_a = _project(tw, traj.a[tail], delta0)
-    cs, _ = _project(tw, traj.sigma[tail], delta0)
-    cw, _ = _project(tw, traj.w[tail].astype(complex), delta0)
-    cq, _ = _project(tw, traj.q[tail].astype(complex), delta0)
+    coef, frac_a = _project(
+        traj.t[-nw:], [c[nw:].astype(complex, copy=False) for c in chans], delta0)
+    ca, cs, cw, cq = coef.T
     return DemodResult(
         a0=complex(ca[0]), a_plus=complex(ca[1]), a_minus=complex(ca[2]),
         sigma0=complex(cs[0]), sigma_plus=complex(cs[1]),
@@ -333,10 +328,7 @@ def perturbation_outcome(p: Params, branch: SteadyBranch) -> str:
             traj = integrate_mean_field(p0, state, span, dt)
         except (BoundViolation, NonFinite):
             return "departed"
-        state = (float(traj.w[-1]), float(traj.sigma[-1].real),
-                 float(traj.sigma[-1].imag), float(traj.a[-1].real),
-                 float(traj.a[-1].imag), float(traj.q[-1]),
-                 float(traj.qdot[-1]))
+        state = tuple(traj.y[-1].tolist())
         dist = float(np.max(np.abs(np.array(state) - ref) * weights))
         if dist > DEPARTURE:
             return "departed"
@@ -358,7 +350,5 @@ def relative_deviation(got: complex, want: complex) -> float:
 def dump_trajectory(traj: Trajectory, fh) -> None:
     """Write the trajectory as CSV (t,w,re_sigma,im_sigma,re_a,im_a,q,qdot)."""
     fh.write("t,w,re_sigma,im_sigma,re_a,im_a,q,qdot\n")
-    for k in range(traj.t.size):
-        row = (traj.t[k], traj.w[k], traj.sigma[k].real, traj.sigma[k].imag,
-               traj.a[k].real, traj.a[k].imag, traj.q[k], traj.qdot[k])
-        fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    for t, row in zip(traj.t.tolist(), traj.y.tolist()):
+        fh.write(",".join(map(repr, (t, *row))) + "\n")

@@ -19,6 +19,7 @@ the standard one-port expression |1 - 2 kappa / (kappa + i(delta_c - delta))|
 """
 from __future__ import annotations
 
+import cmath
 import contextlib
 import json
 import math
@@ -221,13 +222,17 @@ def _chi3_norm(p: Params) -> float:
 
 
 def _overflow_is_non_finite(form):
-    """``form``, raising ``NonFinite`` where its arithmetic overflows."""
+    """``form``, raising ``NonFinite`` where its arithmetic overflows or its
+    result is not finite."""
     @wraps(form)
     def checked(*args, **kwargs):
         try:
-            return form(*args, **kwargs)
+            value = form(*args, **kwargs)
         except OverflowError:
             raise NonFinite(f"{form.__name__} overflows at these parameters") from None
+        if not cmath.isfinite(value):
+            raise NonFinite(f"{form.__name__} is not finite at these parameters")
+        return value
     return checked
 
 

@@ -61,35 +61,32 @@ def test_a_step_count_no_trajectory_can_hold_is_an_invalid_grid(t_end, dt, steps
 def test_undriven_ground_state_is_constant():
     p = absorption_point().replace(ep0=0.0, es0=0.0)
     traj = integrate_mean_field(p, (-1.0, 0, 0, 0, 0, 0, 0), 5.0, 0.01)
-    assert np.max(np.abs(traj.w + 1.0)) < 1e-12
-    assert np.max(np.abs(traj.a)) < 1e-12
+    assert np.max(np.abs(traj.y[:, 0] + 1.0)) < 1e-12
+    assert np.max(np.abs(traj.y[:, 3:5])) < 1e-12
 
 
 def test_inversion_relaxes_at_population_decay_rate():
     p = absorption_point().replace(ep0=0.0, es0=0.0, eta=0.0)
     traj = integrate_mean_field(p, (-0.5, 0, 0, 0, 0, 0, 0), 2.0, 0.005)
     expected = -1.0 + 0.5 * np.exp(-p.gamma1_ratio * traj.t)
-    assert np.max(np.abs(traj.w - expected)) < 1e-10
+    assert np.max(np.abs(traj.y[:, 0] - expected)) < 1e-10
 
 
 def test_long_time_state_matches_steady_branch():
     p = absorption_point().replace(es0=0.0)
     b = stable_branch(p)
     traj = integrate_mean_field(p, (-1.0, 0, 0, 0, 0, 0, 0), 350.0, 0.01)
-    final = np.array([traj.w[-1], traj.sigma[-1].real, traj.sigma[-1].imag,
-                      traj.a[-1].real, traj.a[-1].imag, traj.q[-1],
-                      traj.qdot[-1]])
     target = np.array(steady_state_vector(b))
-    assert np.max(np.abs(final - target)) < 1e-6
+    assert np.max(np.abs(traj.y[-1] - target)) < 1e-6
 
 
 def test_pure_tone_demodulates_exactly():
     delta0 = 3.7
     t = np.arange(0, 400.0, 0.01)
     a = 0.3 * np.exp(-1j * delta0 * t)
-    zero = np.zeros_like(t)
-    traj = Trajectory(t=t, w=zero, sigma=np.zeros_like(a), a=a, q=zero,
-                      qdot=zero, dt=0.01)
+    y = np.zeros((t.size, 7))
+    y[:, 3], y[:, 4] = a.real, a.imag
+    traj = Trajectory(t=t, y=y, dt=0.01)
     demod = demodulate_sidebands(traj, delta0)
     assert abs(demod.a_plus - 0.3) < 1e-10
     assert abs(demod.a_minus) < 1e-10
@@ -167,9 +164,7 @@ def test_initial_bound_violation_detected():
 
 def _still_trajectory():
     t = np.arange(0, 100.0, 0.01)
-    zero = np.zeros_like(t)
-    return Trajectory(t=t, w=zero, sigma=zero.astype(complex),
-                      a=zero.astype(complex), q=zero, qdot=zero, dt=0.01)
+    return Trajectory(t=t, y=np.zeros((t.size, 7)), dt=0.01)
 
 
 def test_zero_delta_rejected():
@@ -206,14 +201,19 @@ def test_a_kick_that_outlives_the_horizon_is_inconclusive():
 
 
 def test_trajectory_dump_format():
-    p = absorption_point().replace(ep0=0.0, es0=0.0)
+    # a driven trajectory, so that every column moves
+    p = absorption_point(delta0=4.3)
+    p = p.replace(es0=default_signal_amplitude(p))
     traj = integrate_mean_field(p, (-1.0, 0, 0, 0, 0, 0, 0), 0.1, 0.01)
+    assert np.all(traj.y[-1] != traj.y[0])
     buf = io.StringIO()
     dump_trajectory(traj, buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "t,w,re_sigma,im_sigma,re_a,im_a,q,qdot"
     assert len(lines) == traj.t.size + 1
     assert lines[1].startswith("0.0,-1.0,")
+    for line, t, row in zip(lines[1:], traj.t, traj.y):
+        assert line.split(",") == [repr(float(v)) for v in (t, *row)]
 
 
 def reference_rk4(p, init, t_end, dt, es0):
@@ -238,16 +238,15 @@ def reference_rk4(p, init, t_end, dt, es0):
                   for i in range(7))
         t += dt
         out[k + 1] = y
-    return Trajectory(t=np.arange(n + 1) * dt, w=out[:, 0],
-                      sigma=out[:, 1] + 1j * out[:, 2],
-                      a=out[:, 3] + 1j * out[:, 4], q=out[:, 5],
-                      qdot=out[:, 6], dt=dt)
+    return Trajectory(t=np.arange(n + 1) * dt, y=out, dt=dt)
 
 
 def assert_same_bits(p, init, t_end, dt, es0):
     got = integrate_mean_field(p, init, t_end, dt, es0=es0)
     ref = reference_rk4(p, init, t_end, dt, es0)
-    for name in ("t", "w", "sigma", "a", "q", "qdot"):
+    assert got.dt == ref.dt
+    for name in ("t", "y"):
+        assert getattr(got, name).shape == getattr(ref, name).shape, name
         assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
@@ -316,10 +315,20 @@ def test_step_is_bit_identical_to_rhs_calls_without_signal():
     ((0.99, 100, 0, 0, 100, 0, 0), BoundViolation,
      "inversion w=-138.943 left [-1, 1] at t=0.01"),
     ((-1, 0, 0, 0, 0, 2e12, 0), NonFinite, "state diverged at t=0.01"),
-    ((-1, math.inf, 0, 0, 0, 0, 0), NonFinite, "state became NaN at t=0.01"),
+    # finite, but av sx - au sy is inf - inf in the first stage
+    ((-1, 1e308, 1e308, 1e308, 1e308, 0, 0), NonFinite,
+     "state became NaN at t=0.01"),
 ])
 def test_in_loop_guards_stop_at_the_first_bad_step(init, error, message):
     p = get_preset("4b").params
     with pytest.raises(error) as exc:
         integrate_mean_field(p, init, 1.0, 0.01)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("init", [(math.nan, 0, 0, 0, 0, 0, 0),
+                                  (-1, 0, 0, 0, 0, math.inf, 0)])
+def test_a_non_finite_initial_state_is_non_finite_before_any_step(init):
+    with pytest.raises(NonFinite) as exc:
+        integrate_mean_field(get_preset("4b").params, init, 1.0, 0.01)
+    assert str(exc.value) == f"initial state {tuple(map(float, init))} is not finite"
