@@ -7,12 +7,16 @@ Usage: PYTHONPATH=src python scripts/seeded_points.py PERFBENCH_DIR > digest.jso
 The digest covers the paths the figures do not reach: a lone cubic, root
 polish and branch assembly, and an uncertified sideband row per point, on
 10,000 ``wide_box_params`` points (seeds 1 and 2); on every tenth point, a
-certified stacked delta0 sweep of branches far outside the preset box; and
-the 2,500 extreme points of test_response on both backends.  Each line is
-one JSON object.  A point's branches carry every field, the Jacobian's 49
-entries and each response; a failure is its ``Type: message``, so the
-errors are compared too.  Run it once with each commit's ``src`` on
-PYTHONPATH, then compare the two digests.
+certified stacked delta0 sweep of branches far outside the preset box; the
+branches of every grid point of ``steady.grid_roots``, whose cubics and
+branch rows are assembled a grid at a time, on each member grid of the
+inversion presets 2a-3b (whose figure rows carry only w0 and the labels)
+and on 5 seeded 41-point ``wide_box_params`` grids along each of ep0,
+delta_p0 and g0; and the 2,500 extreme points of test_response on both
+backends.  Each line is one JSON object.  A point's branches carry every
+field, the Jacobian's 49 entries and each response; a failure is its
+``Type: message``, so the errors are compared too.  Run it once with each
+commit's ``src`` on PYTHONPATH, then compare the two digests.
 
 ``--compare`` with T = 0 (the default) requires identical lines.  With
 T > 0 a ``wide_box`` point or sweep must keep every string (labels, flags,
@@ -61,14 +65,17 @@ def extreme_points(count: int = 2500):
         yield rng.choice(bases).replace(**changes)
 
 
-def digest(perfbench_dir: str, points: int = 5000, extremes: int = 2500):
+def digest(perfbench_dir: str, points: int = 5000, extremes: int = 2500, grids: int = 5):
     """The digest's lines, as objects: ``points`` seeded ``wide_box`` points
-    per seed with a sweep on every tenth, then ``extremes`` extreme points."""
+    per seed with a sweep on every tenth, the preset member grids and
+    ``grids`` seeded grids per steady axis, then ``extremes`` extreme
+    points."""
     sys.path.insert(0, perfbench_dir)
     from workloads import wide_box_params
     from qdresponse.model import SweepAxis
+    from qdresponse.presets import get_preset
     from qdresponse.response import Backend, transmission_point
-    from qdresponse.steady import solve_steady_branches
+    from qdresponse.steady import grid_roots, solve_steady_branches
     from qdresponse.sweep import BranchPolicy, Observable, SweepConfig, run_sweep
 
     def response(p, b, backend):
@@ -79,9 +86,9 @@ def digest(perfbench_dir: str, points: int = 5000, extremes: int = 2500):
         return {k: _complex(v) if isinstance(v, complex) else v
                 for k, v in r._asdict().items()}
 
-    def steady(p, backends):
+    def steady(p, backends, roots=None):
         try:
-            branches = solve_steady_branches(p)
+            branches = solve_steady_branches(p, roots=roots)
         except Exception as exc:
             return _error(exc)
         return [{"w0": b.w0, "a0": _complex(b.a0), "sigma0": _complex(b.sigma0),
@@ -100,6 +107,9 @@ def digest(perfbench_dir: str, points: int = 5000, extremes: int = 2500):
         return [[r.x, r.branch_id, r.w0, r.value_re, r.value_im,
                  "|".join(sorted(f.value for f in r.flags))] for r in records]
 
+    def grid_steady(p, axis, xs):
+        return [[x, steady(px, [], roots)] for x, px, roots in grid_roots(p, axis, xs)]
+
     grid = tuple(np.linspace(-60.0, 60.0, 64).tolist())
     for seed in (1, 2):
         rng = random.Random(seed)
@@ -109,6 +119,19 @@ def digest(perfbench_dir: str, points: int = 5000, extremes: int = 2500):
                    "steady": steady(p, [Backend.LINEAR_SOLVE])}
             if k % 10 == 0:
                 yield {"set": "sweep", "seed": seed, "k": k, "records": sweep(p)}
+    for fid in ("2a", "2b", "3a", "3b"):
+        preset = get_preset(fid)
+        for member, p in preset.members():
+            yield {"set": "grid", "figure": fid, "member": member,
+                   "steady": grid_steady(p, preset.axis, preset.grid)}
+    rng = random.Random(3)
+    axes = {SweepAxis.EP0: (0.0, 300.0), SweepAxis.DELTA_P0: (-50.0, 50.0),
+            SweepAxis.G0: (0.0, 20.0)}
+    for axis, (lo, hi) in axes.items():
+        xs = np.linspace(lo, hi, 41).tolist()
+        for k in range(grids):
+            yield {"set": "grid", "axis": axis.value, "k": k,
+                   "steady": grid_steady(wide_box_params(rng), axis, xs)}
     for k, p in enumerate(extreme_points(extremes)):  # each on both backends
         yield {"set": "extreme", "k": k, "steady": steady(p, list(Backend))}
 

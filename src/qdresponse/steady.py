@@ -6,7 +6,9 @@ evaluated at four sample points and interpolated, which makes the construction
 immune to algebra slips and lets a test compare the polynomial against direct
 pointwise evaluation.  Along a steady grid each coefficient is a polynomial of
 degree 1 or 2 in the swept value or its square, so a grid's cubics are
-interpolated from two or three such builds (``_grid_cubics``).
+interpolated from two or three such builds (``_grid_cubics``).  Their branches
+come from one array pass over all their real roots (``_root_rows``) that follows
+CPython's complex arithmetic, so each root gets the bits it gets alone.
 
 Two transcriptions of the coefficient set exist (see ``data/formula_ledger.json``).
 The default one is self-consistent with the mean-field dynamics: its roots are
@@ -440,8 +442,9 @@ def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
     The grid's cubics come from a few node builds (``_grid_cubics``), so a
     point's roots may differ from a lone solve's by rounding.  Each point's
     roots and branches are computed once, in one step per stage over the
-    whole grid (``inversion_roots``, ``_branch_sets``); callers share the
-    entries.  The grid's two ends must pass ``validate_params``; every
+    whole grid (``inversion_roots``, ``_branch_sets``), the branch rows in
+    one array pass that gives each root the bits of the per-root formulas
+    (``_root_rows``); callers share the entries.  The grid's two ends must pass ``validate_params``; every
     parameter rule is a bound, so the points between them do too.  A point
     that does not raises ``InvalidGrid`` naming the axis.
     """
@@ -520,6 +523,99 @@ def _jacobian_entries(p: Params, w0: float, sigma0: complex, a0: complex,
     )
 
 
+# CPython's complex arithmetic (_Py_c_prod, _Py_c_sum, ...) on (real, imag)
+# pairs of float arrays, float operation by float operation; a float operand
+# is (x, 0.0), as CPython promotes it.
+
+def _mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _div(a, b, on_pole):
+    """``a / b`` as ``_Py_c_quot`` computes it, Smith's branch picked per
+    element; sets ``on_pole`` where CPython raises ``ZeroDivisionError``."""
+    on_pole |= (b[0] == 0.0) & (b[1] == 0.0)
+    first = abs(b[0]) >= abs(b[1])
+    ratio = np.where(first, b[1] / b[0], b[0] / b[1])
+    denom = np.where(first, b[0] + b[1] * ratio, b[0] * ratio + b[1])
+    return (np.where(first, a[0] + a[1] * ratio, a[0] * ratio + a[1]) / denom,
+            np.where(first, a[1] - a[0] * ratio, a[1] * ratio - a[0]) / denom)
+
+
+def _abs(z, overflow):
+    """``abs(z)`` as ``_Py_c_abs`` computes it; sets ``overflow`` where
+    CPython raises ``OverflowError``: finite parts, infinite modulus."""
+    modulus = np.hypot(*z)
+    overflow |= np.isinf(modulus) & np.isfinite(z[0]) & np.isfinite(z[1])
+    return modulus
+
+
+def _powers(x) -> tuple[float, float]:
+    try:
+        return float(x ** 2), float(x ** 3)
+    except OverflowError:  # x ** 2 raises only where x ** 3 does
+        return math.inf, math.inf
+
+
+def _root_rows(ps, point, w):
+    """``steady_fields``, the fixed-point check and ``_jacobian_entries`` of
+    each real root ``w[k]`` of ``ps[point[k]]`` with the per-root bits, in
+    one array pass: (sigma0, a0, q0, entries, on_pole, overflow, passes).
+
+    ``on_pole`` marks a root whose fields raise ``ZeroDivisionError``,
+    ``overflow`` another where ``abs`` or ``pow`` raises ``OverflowError``,
+    and ``passes`` one whose scaled residual is at most 1e-6 (not NaN).
+    The powers of ``omega_k0`` are Python's, computed per point.
+    """
+    cols = np.array([(p.delta_p0, p.delta_c0, p.kappa_c0, p.g0, p.eta, p.ep0,
+                      p.gamma1_ratio, p.gamma_q0, p.omega_k0, *_powers(p.omega_k0))
+                     for p in ps]).T[:, point]
+    dp, dc, kc, g0, eta, ep0, g1, gq, wk, wk2, wk3 = cols
+    j, neg_j, two_j = (0.0, 1.0), (-0.0, -1.0), (0.0, 2.0)
+    on_pole, overflow = np.zeros(len(w), bool), np.isinf(wk3)
+    with np.errstate(all="ignore"):
+        # steady_fields' c1 and a1 (c2 and a2 divide by d1's and ka's
+        # conjugates but for the signs of zeros, so raise where these do)
+        shift = dp - 2.0 * wk * eta * w
+        ka = _add(_mul(j, (dc, 0.0)), (kc, 0.0))
+        gw = _mul(_mul(_mul(two_j, (g0, 0.0)), (g0, 0.0)), (w, 0.0))
+        d1 = _add(_mul(ka, (shift - 0.0, 0.0 - 1.0)), gw)
+        s = _div((2.0 * g0 * w * ep0, 0.0), d1, on_pole)
+        i_c = _mul(_mul(j, (g0, 0.0)), s)
+        a = _div((ep0 - i_c[0], 0.0 - i_c[1]), ka, on_pole)
+        q0 = -2.0 * eta * wk * w
+        # _steady_rhs_scaled
+        t2 = 2.0 * g0 * (a[0] * -s[1] + a[1] * s[0])
+        r_w = abs(-g1 * (w + 1.0) + t2) / (g1 * (abs(w) + 1.0) + abs(t2) + 1.0)
+        lead = _mul(j, (dp + q0, 0.0))
+        ts = _mul((-(1.0 + lead[0]), -(0.0 + lead[1])), s)
+        td = _mul(_mul(_mul(two_j, (g0, 0.0)), a), (w, 0.0))
+        r_s = _abs(_add(ts, td), overflow) / (
+            (1.0 + abs(dp) + abs(q0)) * _abs(s, overflow) + _abs(td, overflow) + 1.0)
+        ta = _mul((-ka[0], -ka[1]), a)
+        tg = _mul(_mul(neg_j, (g0, 0.0)), s)
+        r_a = _abs(_add(_add(ta, tg), (ep0, 0.0)), overflow) / (
+            _abs(ta, overflow) + _abs(tg, overflow) + ep0 + 1.0)
+        tq, tw = wk2 * q0, 2.0 * eta * wk3 * w
+        r_q = abs(tq + tw) / (abs(tq) + abs(tw) + 1.0)
+        passes = (r_w <= 1e-6) & (r_s <= 1e-6) & (r_a <= 1e-6) & (r_q <= 1e-6)
+        # _jacobian_entries
+        entries, dpq = np.zeros((len(w), 49)), dp + q0
+        for k, column in ((0, -g1), (1, 2 * g0 * a[1]), (2, -2 * g0 * a[0]),
+                          (3, -2 * g0 * s[1]), (4, 2 * g0 * s[0]), (7, -2 * g0 * a[1]),
+                          (8, -1.0), (9, dpq), (11, -2 * g0 * w), (12, s[1]),
+                          (14, 2 * g0 * a[0]), (15, -dpq), (16, -1.0), (17, 2 * g0 * w),
+                          (19, -s[0]), (23, g0), (24, -kc), (25, dc), (29, -g0), (31, -dc),
+                          (32, -kc), (41, 1.0), (42, -2.0 * eta * wk3), (47, -wk2), (48, -gq)):
+            entries[:, k] = column
+    sigma0, a0 = (np.stack(z, axis=-1).view(complex).ravel() for z in (s, a))
+    return sigma0, a0, q0, entries, on_pole, overflow & ~on_pole, passes
+
+
 def classify_stability(jacobians) -> list[Stability]:
     """The label of each Jacobian of a stack from the real parts of its
     eigenvalues, in one ``eigvals``; a non-finite one raises ``LinAlgError``.
@@ -534,28 +630,13 @@ def classify_stability(jacobians) -> list[Stability]:
             else Stability.MARGINAL for top in tops.tolist()]
 
 
-def _branch_sets(ps, root_sets) -> list:
-    """Each ``inversion_roots`` entry of ``ps`` with the point's branches
-    appended, (real, resid, cplx, branches), or the error the point raises.
-
-    Every real root that passes the fixed-point check gets its Jacobian from
-    the same ``steady_fields``, written into one (n, 7, 7) stack for the
-    kept roots of all points; the stack is labelled in one
-    ``classify_stability``, and each branch's ``jacobian`` is its row.  A
-    root whose fields divide by zero sits on a coefficient pole and is
-    dropped as a pole-cancellation artifact.  Errors stay with their point,
-    to be raised at its turn: any other ``ArithmeticError`` in a point's
-    fields or Jacobians is its ``NonFinite``, and a stack that holds a
-    non-finite Jacobian is labelled matrix by matrix, each failing point
-    keeping its own ``LinAlgError``.  Branches are made here, by ``_filled``.
-    """
-    out = list(root_sets)
-    size = sum(len(found[0]) for found in root_sets
-               if not isinstance(found, Exception))
+def _loop_rows(ps, out) -> tuple[list, np.ndarray]:
+    """``_branch_sets``' kept roots and Jacobian stack, root by root."""
+    size = sum(len(found[0]) for found in out if not isinstance(found, Exception))
     stack = np.empty((size, 7, 7))
     entries = stack.reshape(size, 49)
     kept = []  # (point index, w0, residual, sigma0, a0, q0) per stack row
-    for i, (p, found) in enumerate(zip(ps, root_sets)):
+    for i, (p, found) in enumerate(zip(ps, out)):
         if isinstance(found, Exception):
             continue
         start = len(kept)
@@ -572,7 +653,43 @@ def _branch_sets(ps, root_sets) -> list:
         except ArithmeticError:
             del kept[start:]
             out[i] = NonFinite("a steady branch overflows at these parameters")
-    stack = stack[:len(kept)]
+    return kept, stack[:len(kept)]
+
+
+def _array_rows(ps, out) -> tuple[list, np.ndarray]:
+    """``_branch_sets``' kept roots and Jacobian stack, in one ``_root_rows``."""
+    found = [(i, f) for i, f in enumerate(out) if not isinstance(f, Exception)]
+    point = np.array([i for i, f in found for _ in f[0]], int)
+    w0, res = (np.array([x for _, f in found for x in f[k]], float) for k in (0, 1))
+    sigma0, a0, q0, entries, on_pole, overflow, passes = _root_rows(ps, point, w0)
+    failing = np.isin(point, point[overflow])
+    for i in set(point[failing].tolist()):
+        out[i] = NonFinite("a steady branch overflows at these parameters")
+    rows = np.flatnonzero(passes & ~on_pole & ~failing)
+    kept = zip(*(column[rows].tolist()
+                 for column in (point, w0, res, sigma0, a0, q0)))
+    return list(kept), entries[rows].reshape(-1, 7, 7)
+
+
+def _branch_sets(ps, root_sets) -> list:
+    """Each ``inversion_roots`` entry of ``ps`` with the point's branches
+    appended, (real, resid, cplx, branches), or the error the point raises.
+
+    A lone point runs the per-root formulas (``_loop_rows``); a stack of
+    more points checks every real root and writes its Jacobian in one array
+    pass (``_root_rows``) that follows CPython's complex arithmetic float
+    operation by float operation, so each root gets the bits it gets alone.
+    The kept roots' Jacobians form one (n, 7, 7) stack, labelled in one
+    ``classify_stability``; each branch's ``jacobian`` is its row.  A root
+    whose fields divide by zero sits on a coefficient pole and is dropped.
+    Errors stay with their point, to be raised at its turn: an overflow in
+    any other root's check or Jacobian is its ``NonFinite``, and a stack
+    that holds a non-finite Jacobian is labelled matrix by matrix, each
+    failing point keeping its own ``LinAlgError``.  Branches are made here,
+    by ``_filled``.
+    """
+    out = list(root_sets)
+    kept, stack = (_loop_rows if len(ps) < 2 else _array_rows)(ps, out)
     try:
         labels = classify_stability(stack) if kept else []
     except np.linalg.LinAlgError:
@@ -602,7 +719,8 @@ def solve_steady_branches(p: Params, *, roots=None) -> list[SteadyBranch]:
     ``roots`` is the point's ``grid_roots`` entry when the caller holds one:
     its branch list is returned as it is, shared by every caller of the
     entry, or its error raised.  Otherwise both stages run on this one
-    point as a stack of one, ``_branch_sets([p], inversion_roots([_cubic(p)]))``.
+    point as a stack of one, ``_branch_sets([p], inversion_roots([_cubic(p)]))``,
+    its rows from the per-root formulas a grid's array pass is pinned to.
 
     Complex cubic roots are discarded; real roots that are pole-cancellation
     artifacts of denominator clearing (possible only at degenerate corners

@@ -84,20 +84,30 @@ def phonon_pole_jacobian(gamma):
 
 
 def faulty_jacobian(monkeypatch, fault, at):
-    """Patch ``steady._jacobian_entries``, the per-root kernel behind every
-    Jacobian, to overflow (``fault`` is "overflow") or to go non-finite at
-    the points whose ep0 is ``at``; returns the type and message the point
-    should raise."""
-    entries = steady._jacobian_entries
+    """Patch both Jacobian kernels, the per-root ``steady._jacobian_entries``
+    of a lone point and the array pass ``steady._root_rows`` of a stack, to
+    overflow (``fault`` is "overflow": ``omega_k0 ** 3`` overflows) or to go
+    non-finite at the points whose ep0 is ``at``; returns the type and
+    message the point should raise."""
+    entries, rows = steady._jacobian_entries, steady._root_rows
 
-    def faulty(p, w0, *fields):
+    def faulty_entries(p, w0, *fields):
         if p.ep0 != at:
             return entries(p, w0, *fields)
-        if fault == "overflow":  # omega_k0 ** 3 overflows
+        if fault == "overflow":
             return entries(p.replace(omega_k0=1e110), w0, *fields)
         return (np.nan,) * 49
 
-    monkeypatch.setattr(steady, "_jacobian_entries", faulty)
+    def faulty_rows(ps, point, w0):
+        if fault == "overflow":
+            ps = [p.replace(omega_k0=1e110) if p.ep0 == at else p for p in ps]
+        out = rows(ps, point, w0)
+        if fault != "overflow":
+            out[3][[ps[i].ep0 == at for i in point]] = np.nan
+        return out
+
+    monkeypatch.setattr(steady, "_jacobian_entries", faulty_entries)
+    monkeypatch.setattr(steady, "_root_rows", faulty_rows)
     if fault == "overflow":
         return NonFinite, "a steady branch overflows at these parameters"
     return np.linalg.LinAlgError, "Array must not contain infs or NaNs"

@@ -152,14 +152,19 @@ def test_csv_json_fails_on_a_missing_file(tmp_path):
 
 @pytest.fixture(scope="module")
 def digest():
-    """A small digest: 30 wide_box points a seed (3 sweeps each) and 60
-    extreme points."""
+    """A small digest: 30 wide_box points a seed (3 sweeps each), the 10
+    preset member grids, one seeded grid per steady axis and 60 extreme
+    points."""
     lines = [json.dumps(line) for line in seeded_points.digest(
-        str(SCRIPTS.parent / "perfbench"), points=30, extremes=60)]
+        str(SCRIPTS.parent / "perfbench"), points=30, extremes=60, grids=1)]
     kinds = {(d["set"], isinstance(d.get("steady", d.get("records")), str))
              for d in map(json.loads, lines)}
-    assert kinds == {("wide_box", False), ("sweep", False), ("extreme", False),
-                     ("extreme", True)}
+    assert kinds == {("wide_box", False), ("sweep", False), ("grid", False),
+                     ("extreme", False), ("extreme", True)}
+    grids = [d for d in map(json.loads, lines) if d["set"] == "grid"]
+    assert [d.get("figure", d.get("axis")) for d in grids] == \
+        ["2a"] * 3 + ["2b"] + ["3a"] * 3 + ["3b"] * 3 + ["ep0", "delta_p0", "g0"]
+    assert all(len(d["steady"]) == 41 for d in grids[10:])
     return lines
 
 
@@ -238,12 +243,23 @@ def _drop_branch(obj):
     obj["steady"].pop()
 
 
+def _scale_grid_jacobian(obj):
+    """Scale by 1 + 1e-8 one Jacobian entry of the last branch of the grid's
+    first point that has branches."""
+    for _, branches in obj["steady"]:
+        if isinstance(branches, list) and branches:
+            branches[-1]["jacobian"][14] *= 1.0 + 1e-8
+            return None
+    return False
+
+
 @pytest.mark.parametrize("set_name, edit", [
     ("wide_box", _flip_label),
     ("wide_box", lambda obj: _scale_w0(obj, -1.0)),
     ("wide_box", _drop_branch),
     ("sweep", _set_nan),
     ("sweep", _edit_flag),
+    ("grid", _scale_grid_jacobian),
 ])
 def test_seeded_points_fail_on_a_hand_edit(digest, set_name, edit):
     head = _edited(digest, set_name, edit)

@@ -34,6 +34,7 @@ from conftest import (
     lone_roots,
     phonon_pole_jacobian,
     rootless_grid_row,
+    script,
 )
 
 
@@ -587,13 +588,13 @@ def test_point_without_roots_is_skipped_in_both_traces(monkeypatch):
 def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
     # both traces share one cubic and one branch list per grid point, the
     # grid's cubics come from its two end builds (ep0 axis), and each stage
-    # runs once on the whole grid; each trace still asks for its branches at
-    # every point
+    # runs once on the whole grid, the branch rows in one array pass with no
+    # per-root Jacobian; each trace still asks for its branches at every point
     preset = presets.get_preset("2b")
     kept = sum(len(found[3]) for _, _, found in
                steady.grid_roots(preset.params, preset.axis, preset.grid))
     calls = {"build_inversion_polynomial": 0, "_jacobian_entries": 0,
-             "solve_steady_branches": 0, "inversion_roots": 0,
+             "_root_rows": 0, "solve_steady_branches": 0, "inversion_roots": 0,
              "classify_stability": 0}
     for name in calls:
         original = getattr(steady, name)
@@ -607,14 +608,15 @@ def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
     n = len(preset.grid)
     assert len(result.up) == len(result.down) == n
     assert kept > n
-    assert calls == {"build_inversion_polynomial": 2, "_jacobian_entries": kept,
-                     "solve_steady_branches": 2 * n, "inversion_roots": 1,
-                     "classify_stability": 1}
-    # a lone point runs each stage once, as a stack of one
+    assert calls == {"build_inversion_polynomial": 2, "_jacobian_entries": 0,
+                     "_root_rows": 1, "solve_steady_branches": 2 * n,
+                     "inversion_roots": 1, "classify_stability": 1}
+    # a lone point runs each stage once, as a stack of one, and the per-root
+    # Jacobian once per branch
     calls.update(dict.fromkeys(calls, 0))
     branches = steady.solve_steady_branches(bistable_point(ep0=8.0))
     assert calls == {"build_inversion_polynomial": 1,
-                     "_jacobian_entries": len(branches),
+                     "_jacobian_entries": len(branches), "_root_rows": 0,
                      "solve_steady_branches": 1, "inversion_roots": 1,
                      "classify_stability": 1}
 
@@ -760,6 +762,70 @@ def test_grid_kernels_give_the_bits_of_the_public_formulas():
     assert len(grids) > 5000 and jacobians > len(grids)
 
 
+def _entry_bits(entry):
+    """A ``_branch_sets`` entry as compared bit for bit: the type and message
+    of its error, or its repr and each branch's Jacobian bytes."""
+    if isinstance(entry, Exception):
+        return type(entry), str(entry)
+    return repr(entry), [b.jacobian.tobytes() for b in entry[3]]
+
+
+def test_array_rows_match_the_per_root_loop_bit_for_bit(monkeypatch):
+    """A stack's one array pass (``_root_rows``) gives every point what its
+    per-root loop gives it as a stack of one, on a seeded wide-box stack,
+    on the 2,500 extreme points and on a built case for each path those
+    points do not reach; test_grid_branches_match_per_point_branches pins
+    the preset grids the same way."""
+    calls = []  # (point, _root_rows' outputs) of each array pass
+    rows = steady._root_rows
+    monkeypatch.setattr(steady, "_root_rows", lambda ps, point, w0: calls.append(
+        (point, rows(ps, point, w0))) or calls[-1][1])
+
+    def pinned(ps, root_sets):
+        stack = steady._branch_sets(ps, root_sets)
+        for p, found, entry in zip(ps, root_sets, stack):
+            assert _entry_bits(entry) == _entry_bits(steady._branch_sets([p], [found])[0])
+        return stack
+
+    wide = list(_wide_box_points(np.random.default_rng(29), 2000))
+    pinned(wide, inversion_roots(map(steady._cubic, wide)))
+    extreme = list(script("seeded_points").extreme_points())
+    pinned(extreme, inversion_roots(map(steady._cubic, extreme)))
+    ((_, (*_, wide_passes)), (point, (*_, on_pole, overflow, fits))) = calls
+    assert len(wide_passes) > len(wide)
+    failing = np.zeros(len(extreme), bool)
+    failing[point[overflow]] = True
+    assert on_pole.sum() == 2
+    assert (~on_pole & ~fits & ~failing[point]).sum() == 518
+    # each overflow is omega_k0 ** 3's, raised at a root not on a pole
+    assert overflow.sum() == 197 and failing.sum() == 88
+    for i in np.flatnonzero(failing).tolist():
+        with pytest.raises(OverflowError):
+            extreme[i].omega_k0 ** 3
+    # at roots set by hand (the assembly takes any root set): abs() that
+    # overflows on finite parts (|td| near 1.5e308), and abs() infinite on
+    # one infinite part of td, its imaginary then its real part, which does
+    # not raise; a root on a pole where omega_k0 ** 3 overflows, dropped
+    # before the overflow; and real roots failing on r_q alone, where
+    # 2 eta omega_k0 ** 3 overflows but omega_k0 ** 3 does not
+    far = bistable_point().replace(g0=0.01, eta=1.0, omega_k0=1.0, kappa_c0=0.01,
+                                   delta_c0=0.01, ep0=1e4)
+    pole = Params(delta_p0=2.0, delta_c0=0.0, g0=1.0, eta=2.0 ** -400,
+                  omega_k0=2.0 ** 400, kappa_c0=2.0, gamma_q0=0.1, ep0=1.0)
+    built = [(bistable_point(), None), (far, 1.5e304), (far, 1.785e304),
+             (far.replace(delta_c0=0.012), 2e304), (pole, 1.0),
+             (bistable_point().replace(omega_k0=5e102, eta=1.0), None)]
+    stack = pinned([p for p, _ in built], [
+        lone_roots(p) if w0 is None else ([w0], [0.0], []) for p, w0 in built])
+    assert [type(entry) for entry in stack] == [tuple, NonFinite, *[NoRealRoot] * 4]
+    # a non-finite kept Jacobian sends the stack to the matrix-by-matrix labels
+    error, message = faulty_jacobian(monkeypatch, "non_finite", at=6.0)
+    ps = [bistable_point(ep0) for ep0 in (4.0, 6.0, 8.0)]
+    stack = pinned(ps, [lone_roots(p) for p in ps])
+    assert (type(stack[1]), str(stack[1])) == (error, message)
+    assert all(isinstance(entry, tuple) for entry in (stack[0], stack[2]))
+
+
 @pytest.mark.parametrize("fault", ["overflow", "non_finite"])
 def test_failing_branch_raises_at_its_turn_in_a_hysteresis_grid(monkeypatch, fault):
     grid = [2.0, 4.0, 6.0, 8.0]
@@ -783,26 +849,26 @@ def test_a_point_that_overflows_at_a_later_root_keeps_no_earlier_row(monkeypatch
     # the first root's Jacobian is non-finite and the second one overflows:
     # the point is the overflow's NonFinite, and its non-finite first row
     # does not send the stack to the matrix-by-matrix labels
-    entries = steady._jacobian_entries
+    rows = steady._root_rows
     seen = []
 
-    def faulty(p, w0, *fields):
-        if p.ep0 != 6.0:
-            return entries(p, w0, *fields)
-        seen.append(w0)
-        if len(seen) == 1:
-            return (np.nan,) * 49
-        return entries(p.replace(omega_k0=1e110), w0, *fields)
+    def faulty(ps, point, w0):
+        out = rows(ps, point, w0)
+        at = [k for k, i in enumerate(point) if ps[i].ep0 == 6.0]
+        seen.extend(w0[k] for k in at)
+        out[3][at[0]] = np.nan  # the first root's Jacobian entries
+        out[5][at[1]] = True  # the second root's overflow
+        return out
 
     grid = [2.0, 4.0, 6.0, 8.0]
     clean = steady.grid_roots(bistable_point(), SweepAxis.EP0, grid)
-    monkeypatch.setattr(steady, "_jacobian_entries", faulty)
+    monkeypatch.setattr(steady, "_root_rows", faulty)
     labels = steady.classify_stability
     stacks = []
     monkeypatch.setattr(steady, "classify_stability",
                         lambda stack: stacks.append(len(stack)) or labels(stack))
     faulty_grid = steady.grid_roots(bistable_point(), SweepAxis.EP0, grid)
-    assert len(seen) == 2
+    assert seen == clean[2][2][0]  # the point's three real roots, in one pass
     error = faulty_grid[2][2]
     assert type(error) is NonFinite
     assert str(error) == "a steady branch overflows at these parameters"
