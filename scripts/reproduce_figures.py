@@ -4,22 +4,26 @@
 Usage: python scripts/reproduce_figures.py [outdir] [--format csv|json]
 
 Writes one file per preset (one per family member where a preset is a
-family), identical to running ``qdr figure <id>`` for every id.
+family), identical to running ``qdr figure <id>`` for every id, and prints
+the time the writing took, from the first preset to the last file, on
+stderr (``written in 1.9 s``).
 """
 import argparse
 import pathlib
 import sys
+import time
 
 from qdresponse.cli import main as qdr_main
 from qdresponse.presets import figure_ids
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("outdir", nargs="?", default="figures")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
+    start = time.perf_counter()
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     failures = []
@@ -32,6 +36,7 @@ def main() -> int:
         print(f"failed: {', '.join(failures)}", file=sys.stderr)
         return 2
     print(f"all {len(figure_ids())} presets written to {outdir}/")
+    print(f"written in {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 0
 
 

@@ -8,6 +8,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -340,10 +341,16 @@ def _joined_grid(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first call and reused: a parse keeps
+    no state in the parser."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_joined_grid(sys.argv[1:] if argv is None else argv))
+        args = _parser().parse_args(_joined_grid(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; remap to 1
         return 0 if exc.code in (0, None) else 1

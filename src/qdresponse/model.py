@@ -124,8 +124,10 @@ def apply_axis(p: Params, axis: SweepAxis, value: float) -> Params:
     The copy is one C-level merge of ``p``'s instance dict with the value
     (``_filled``), once per grid point; on CPython 3.11 it materializes the
     dict of an ``__init__``-built ``p``, which ``Params.replace`` avoids."""
-    field = axis._value_  # a plain read: ``axis.value`` and ``hash(axis)`` run Python code
-    if axis is SweepAxis.DELTA_S0:
+    # plain reads: ``axis.value``, ``hash(axis)`` and, on CPython 3.11, a
+    # member read through ``SweepAxis`` run Python code
+    field = axis._value_
+    if field == "delta_s0":
         field, value = "delta0", delta_from_signal_detuning(value, p.delta_p0)
     return _filled(Params, {**p.__dict__, field: value})
 

@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 _POLE_TOL = 1e-14
+#: The smallest positive normal float: a chi3 normalization below it is
+#: not normal.
+_MIN_NORMAL = sys.float_info.min
 _EYE = np.eye(7)
 #: Real state (w, Re s, Im s, Re a, Im a, q, dq/dt) to complex amplitudes
 #: (a, conj a, s, conj s, w, q, dq/dt).
@@ -70,6 +73,11 @@ _CERTIFIED_RCOND = 100.0 * SINGULAR_RCOND
 class Backend(Enum):
     LINEAR_SOLVE = "linear_solve"
     CLOSED_FORM = "closed_form"
+
+
+#: ``Backend.LINEAR_SOLVE`` as a plain global, read once per row: on CPython
+#: 3.11 a member read through its class runs ``EnumType.__getattr__``'s hook.
+_LINEAR_SOLVE = Backend.LINEAR_SOLVE
 
 
 @dataclass(frozen=True)
@@ -218,7 +226,7 @@ def _chi3_norm(p: Params) -> float:
         norm = 3.0 * p.ep0 ** 2
     except OverflowError:
         return 0.0
-    return norm if sys.float_info.min <= norm < math.inf else 0.0
+    return norm if _MIN_NORMAL <= norm < math.inf else 0.0
 
 
 def _overflow_is_non_finite(form):
@@ -344,7 +352,7 @@ def transmission_point(p: Params, branch: SteadyBranch,
     error is raised here; only the ``LINEAR_SOLVE`` backend takes it.
     """
     norm = _chi3_norm(p)
-    if backend is Backend.LINEAR_SOLVE:
+    if backend is _LINEAR_SOLVE:
         x = _solve_unit(sideband_generator(branch), p.delta0) if unit is None \
             else _or_raise(unit)
         chi1, a_plus = x[2], x[0]
@@ -359,7 +367,8 @@ def transmission_point(p: Params, branch: SteadyBranch,
     root = math.sqrt(2.0 * p.kappa_c0)
     a_out_plus = root * a_plus
     T = abs(1.0 - root * a_out_plus)
-    return ResponsePoint(chi1, chi3, a_out_plus, T, T * T)
+    # the NamedTuple's own __new__, without its Python frame
+    return tuple.__new__(ResponsePoint, (chi1, chi3, a_out_plus, T, T * T))
 
 
 def load_formula_ledger() -> list[dict]:

@@ -475,7 +475,9 @@ def steady_fields(p: Params, w0: float) -> tuple[complex, complex, float]:
 def _steady_rhs_scaled(p: Params, w0: float, sigma0: complex, a0: complex,
                        q0: float) -> float:
     """Largest per-equation residual of the mean-field fixed-point equations,
-    each scaled by the magnitude of its additive terms."""
+    each scaled by the magnitude of its additive terms; ``inf`` where a term
+    is NaN, as at a pole-cancellation root.  A NaN term from finite fields
+    and parameters is an overflow and raises ``OverflowError``."""
     g0, g1 = p.g0, p.gamma1_ratio
     t1 = -g1 * (w0 + 1.0)
     t2 = 2.0 * g0 * (a0 * sigma0.conjugate()).imag
@@ -489,8 +491,13 @@ def _steady_rhs_scaled(p: Params, w0: float, sigma0: complex, a0: complex,
     tq = p.omega_k0 ** 2 * q0
     tw = 2.0 * p.eta * p.omega_k0 ** 3 * w0
     r_q = abs(tq + tw) / (abs(tq) + abs(tw) + 1.0)
-    total = r_w + r_s + r_a + r_q  # NaN, from a pole-cancellation root, iff a term is
-    return max(r_w, r_s, r_a, r_q) if total == total else float("inf")
+    total = r_w + r_s + r_a + r_q  # NaN iff a term is
+    if total == total:
+        return max(r_w, r_s, r_a, r_q)
+    if cmath.isfinite(sigma0) and cmath.isfinite(a0) and all(map(math.isfinite, (
+            w0, q0, g0, g1, p.delta_p0, p.delta_c0, p.kappa_c0, p.ep0, p.eta, p.omega_k0))):
+        raise OverflowError("a residual term overflows")
+    return float("inf")
 
 
 def mean_field_jacobian(p: Params, w0: float) -> np.ndarray:
@@ -567,8 +574,9 @@ def _root_rows(ps, point, w):
     one array pass: (sigma0, a0, q0, entries, on_pole, overflow, passes).
 
     ``on_pole`` marks a root whose fields raise ``ZeroDivisionError``,
-    ``overflow`` another where ``abs`` or ``pow`` raises ``OverflowError``,
-    and ``passes`` one whose scaled residual is at most 1e-6 (not NaN).
+    ``overflow`` another where ``abs`` or ``pow`` raises ``OverflowError``
+    or whose residual is NaN from finite inputs, and ``passes`` one whose
+    scaled residual is at most 1e-6 (not NaN).
     The powers of ``omega_k0`` are Python's, computed per point.
     """
     cols = np.array([(p.delta_p0, p.delta_c0, p.kappa_c0, p.g0, p.eta, p.ep0,
@@ -603,6 +611,10 @@ def _root_rows(ps, point, w):
         tq, tw = wk2 * q0, 2.0 * eta * wk3 * w
         r_q = abs(tq + tw) / (abs(tq) + abs(tw) + 1.0)
         passes = (r_w <= 1e-6) & (r_s <= 1e-6) & (r_a <= 1e-6) & (r_q <= 1e-6)
+        nan = np.isnan(r_w + r_s + r_a + r_q)
+        if nan.any():  # a NaN term from finite fields and parameters is an overflow
+            inputs = (w, q0, *s, *a, dp, dc, kc, g0, eta, ep0, g1, wk)
+            overflow |= nan & np.isfinite(np.stack(inputs)).all(axis=0)
         # _jacobian_entries
         entries, dpq = np.zeros((len(w), 49)), dp + q0
         for k, column in ((0, -g1), (1, 2 * g0 * a[1]), (2, -2 * g0 * a[0]),

@@ -102,7 +102,8 @@ def _point_rows(rows: list, cfg: SweepConfig, x: float, p: Params, emitting,
                 else transmission_point(p, b, unit=units[k]))
         except (PoleHit, SingularSystem, ZeroPump):
             re, im, flags = float("nan"), float("nan"), flags | {Flag.POLE_SKIPPED}
-        rows.append(SpectrumRecord(x, branch_id, b.w0, re, im, flags))
+        # the NamedTuple's own __new__, without its Python frame
+        rows.append(tuple.__new__(SpectrumRecord, (x, branch_id, b.w0, re, im, flags)))
 
 
 def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
@@ -204,13 +205,29 @@ def _flag_names(records) -> dict:
 def records_to_csv(records, fh, meta: dict) -> None:
     """Emit a sequence of records as CSV, the metadata in leading # lines:
     floats as ``repr(float(v))``, flags as their sorted names joined by
-    ``|`` (made once per distinct flag set), in one ``fh.write``."""
+    ``|`` (made once per distinct flag set), in one ``fh.write``.
+
+    Each float object is formatted once: a column that holds the same
+    object as the row before, and a ``value_re`` that is its row's ``w0``,
+    reuse its text.  Identity, not equality, decides, so ``-0.0`` beside
+    ``0.0`` and each NaN object get their own text.
+    """
     text = {flags: "|".join(names) for flags, names in _flag_names(records).items()}
     lines = [f"# {key}={value}\n" for key, value in meta.items()]
     lines.append("x,branch_id,w0,value_re,value_im,flags\n")
-    lines += [f"{float(x)!r},{branch_id},{float(w0)!r},{float(re)!r},"
-              f"{float(im)!r},{text[flags]}\n"
-              for x, branch_id, w0, re, im, flags in records]
+    x = w0 = re = im = object()  # the row before's float objects; none at first
+    for row_x, branch_id, row_w0, row_re, row_im, flags in records:
+        if row_x is not x:
+            x, x_text = row_x, repr(float(row_x))
+        if row_w0 is not w0:
+            w0, w0_text = row_w0, repr(float(row_w0))
+        if row_re is w0:
+            re, re_text = row_re, w0_text
+        elif row_re is not re:
+            re, re_text = row_re, repr(float(row_re))
+        if row_im is not im:
+            im, im_text = row_im, repr(float(row_im))
+        lines.append(f"{x_text},{branch_id},{w0_text},{re_text},{im_text},{text[flags]}\n")
     fh.write("".join(lines))
 
 

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from qdresponse import cli
 from qdresponse.cli import main
 from qdresponse.model import PARAM_FIELDS
 
@@ -218,12 +219,16 @@ def test_param_override_applies_to_figure(tmp_path):
     assert meta["ep0"] == "2.5"
 
 
-def test_threads_env_does_not_change_output(tmp_path, monkeypatch):
-    assert run(["figure", "4b", "--out", "serial"], tmp_path) == 0
-    monkeypatch.setenv("QDR_THREADS", "4")
-    assert run(["figure", "4b", "--out", "threaded"], tmp_path) == 0
-    assert (tmp_path / "serial.csv").read_bytes() == \
-        (tmp_path / "threaded.csv").read_bytes()
+def test_the_reused_parser_keeps_no_option_from_an_earlier_call(tmp_path):
+    # main builds its parser once per process: a --param of one call must
+    # not reach the next, whose --param default is still an empty list
+    assert run(["figure", "4b", "--out", "first"], tmp_path) == 0
+    assert run(["figure", "4a", "--param", "ep0=2.5", "--out", "ov"], tmp_path) == 0
+    assert run(["figure", "4b", "--out", "third"], tmp_path) == 0
+    assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "third.csv").read_bytes()
+    assert read_csv(tmp_path / "ov.csv")[0]["ep0"] == "2.5"
+    assert cli._parser() is cli._parser()
+    assert cli._parser().parse_args(["figure", "4b"]).param == []
 
 
 def test_oracle_check_failing_tolerance_is_numerical_error(tmp_path, capsys):
@@ -267,10 +272,14 @@ def test_oracle_check_of_a_decoupled_dot_judges_the_cavity_sideband(tmp_path, ca
     # answers at these points
     ["spectrum", "--preset", "5a", "--backend", "closed_form", "--axis", "delta0",
      "--grid", "1e155:2e155:2"],
+    # omega_k0 ** 3 is finite but 2 eta omega_k0 ** 3 overflows in the check
+    ["steady", "--preset", "2b", "--param", "omega_k0=5e102", "--param", "eta=1"],
+    ["bistability", "--preset", "2b", "--param", "omega_k0=5e102", "--param", "eta=1",
+     "--grid", "1:2:3"],
 ])
 def test_overflowing_parameters_are_numerical_errors(tmp_path, capsys, argv):
     assert run(argv, tmp_path) == 2
-    cause = "a steady branch" if "omega_k0=1e110" in argv else \
+    cause = "a steady branch" if any(a.startswith("omega_k0=") for a in argv) else \
         "chi1_closed_form" if "closed_form" in argv else "the inversion cubic"
     assert capsys.readouterr().err \
         == f"numerical error: {cause} overflows at these parameters\n"

@@ -1,7 +1,9 @@
 """The repository scripts that compare two commits' outputs: each passes on
-identical inputs and fails on a hand-edited value, flag, NaN or message; and
-the script that runs the README's examples."""
+identical inputs and fails on a hand-edited value, flag, NaN or message; the
+script that runs the README's examples; and the one that writes every
+preset."""
 import json
+import re
 
 import pytest
 
@@ -11,6 +13,7 @@ from conftest import SCRIPTS, script
 
 compare_figures = script("compare_figures")
 readme_examples = script("readme_examples")
+reproduce_figures = script("reproduce_figures")
 seeded_points = script("seeded_points")
 
 _CSV = """# figure=t
@@ -337,3 +340,14 @@ def test_readme_examples_fail_on_a_failing_command(readme_dir, capsys):
     out, err = capsys.readouterr()
     assert out == "$ qdr figure 4z --format csv\n"
     assert "error: 'qdr figure 4z --format csv' exited 1" in err
+
+
+def test_reproduce_figures_prints_its_elapsed_time_on_stderr(tmp_path, monkeypatch,
+                                                            capsys):
+    monkeypatch.setattr(reproduce_figures, "figure_ids", lambda: ["4b", "9b"])
+    assert reproduce_figures.main([str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    files = ["fig4b.csv"] + [f"fig9b_omega_k0-{wk}.csv" for wk in (10, 8, 5)]
+    assert out == "".join(f"wrote {tmp_path / name}\n" for name in files) \
+        + f"all 2 presets written to {tmp_path}/\n"
+    assert re.fullmatch(r"written in \d+\.\d s\n", err)

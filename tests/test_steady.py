@@ -805,19 +805,29 @@ def test_array_rows_match_the_per_root_loop_bit_for_bit(monkeypatch):
     # at roots set by hand (the assembly takes any root set): abs() that
     # overflows on finite parts (|td| near 1.5e308), and abs() infinite on
     # one infinite part of td, its imaginary then its real part, which does
-    # not raise; a root on a pole where omega_k0 ** 3 overflows, dropped
-    # before the overflow; and real roots failing on r_q alone, where
-    # 2 eta omega_k0 ** 3 overflows but omega_k0 ** 3 does not
+    # not raise but leaves r_s NaN from finite fields; a root on a pole where
+    # omega_k0 ** 3 overflows, dropped before the overflow; and real roots
+    # whose r_q alone is NaN, where 2 eta omega_k0 ** 3 overflows but
+    # omega_k0 ** 3 does not.  Each overflow, raised or not, is NonFinite.
     far = bistable_point().replace(g0=0.01, eta=1.0, omega_k0=1.0, kappa_c0=0.01,
                                    delta_c0=0.01, ep0=1e4)
     pole = Params(delta_p0=2.0, delta_c0=0.0, g0=1.0, eta=2.0 ** -400,
                   omega_k0=2.0 ** 400, kappa_c0=2.0, gamma_q0=0.1, ep0=1.0)
+    tw_overflows = bistable_point().replace(omega_k0=5e102, eta=1.0)
     built = [(bistable_point(), None), (far, 1.5e304), (far, 1.785e304),
-             (far.replace(delta_c0=0.012), 2e304), (pole, 1.0),
-             (bistable_point().replace(omega_k0=5e102, eta=1.0), None)]
+             (far.replace(delta_c0=0.012), 2e304), (pole, 1.0), (tw_overflows, None)]
     stack = pinned([p for p, _ in built], [
         lone_roots(p) if w0 is None else ([w0], [0.0], []) for p, w0 in built])
-    assert [type(entry) for entry in stack] == [tuple, NonFinite, *[NoRealRoot] * 4]
+    assert [type(entry) for entry in stack] == \
+        [tuple, NonFinite, NonFinite, NonFinite, NoRealRoot, NonFinite]
+    overflows = "a steady branch overflows at these parameters"
+    assert str(stack[-1]) == overflows
+    with pytest.raises(NonFinite, match=overflows):
+        solve_steady_branches(tw_overflows)
+    # the same overflow on a grid: every point of an ep0 grid through it
+    grid = steady.grid_roots(tw_overflows, SweepAxis.EP0, [2.0, 4.0, 6.0, 8.0])
+    assert [(type(e), str(e)) for *_, e in grid] == [(NonFinite, overflows)] * 4
+    pinned([p for _, p, _ in grid], [lone_roots(p) for _, p, _ in grid])
     # a non-finite kept Jacobian sends the stack to the matrix-by-matrix labels
     error, message = faulty_jacobian(monkeypatch, "non_finite", at=6.0)
     ps = [bistable_point(ep0) for ep0 in (4.0, 6.0, 8.0)]

@@ -500,8 +500,30 @@ def _random_records(seed, n=300):
                            rng.choice(flag_sets)) for _ in range(n)]
 
 
-@pytest.mark.parametrize("records", [_edge_records(), _random_records(3), []],
-                         ids=["edge", "random", "empty"])
+def _shared_records():
+    """Rows that share float objects, as a sweep's rows and a hysteresis
+    trace's do, where a writer that reused text by equality would differ."""
+    x, w0, nan, other_nan = 0.25, -0.5, float("nan"), float("nan")
+    zero, neg_zero, half = 0.0, -0.0, np.float64(0.5)
+    skipped = frozenset({Flag.POLE_SKIPPED})
+    return [
+        SpectrumRecord(x, 0, w0, 1.5, zero),  # one x over three branch rows
+        SpectrumRecord(x, 1, w0, w0, neg_zero),  # value_re is w0
+        SpectrumRecord(x, 2, w0, neg_zero, zero, frozenset({Flag.UNSTABLE})),
+        SpectrumRecord(neg_zero, 0, zero, zero, neg_zero),  # -0.0 beside 0.0
+        SpectrumRecord(neg_zero, 1, zero, neg_zero, zero),  # value_re == w0
+        SpectrumRecord(zero, 0, neg_zero, neg_zero, zero),
+        SpectrumRecord(zero, -1, nan, nan, nan, skipped),  # one NaN object
+        SpectrumRecord(half, -1, other_nan, nan, other_nan, skipped),  # another
+        SpectrumRecord(half, 0, half, half, np.float64(-0.0)),  # np.float64
+        SpectrumRecord(np.float64(1e-300), 0, -0.25, -0.25, half),
+        SpectrumRecord(np.float64(1e-300), 1, w0, 0.5, 0.5),
+    ]
+
+
+@pytest.mark.parametrize("records", [_edge_records(), _random_records(3), [],
+                                     _shared_records()],
+                         ids=["edge", "random", "empty", "shared"])
 def test_writers_match_the_per_row_reference_bytes(records):
     meta = {"observable": "chi1", "P1": ""}
     writes = []
