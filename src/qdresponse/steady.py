@@ -76,6 +76,11 @@ class Stability(Enum):
     MARGINAL = "Marginal"
 
 
+#: The members as plain globals, read per branch: on CPython 3.11 a member
+#: read through its class runs ``EnumType.__getattr__``'s hook.
+_STABLE, _UNSTABLE, _MARGINAL = Stability.STABLE, Stability.UNSTABLE, Stability.MARGINAL
+
+
 @dataclass(frozen=True)
 class SteadyBranch:
     """One steady-state solution of the pump-driven system.
@@ -103,7 +108,7 @@ _NO_FLAGS = frozenset()
 
 def row_flags(branch: SteadyBranch) -> frozenset:
     """The flags of a sweep or hysteresis row that reports ``branch``, shared."""
-    return (_UNSTABLE_FLAGS if branch.stability is not Stability.STABLE
+    return (_UNSTABLE_FLAGS if branch.stability is not _STABLE
             else _NO_FLAGS if branch.physical else _NON_PHYSICAL_FLAGS)
 
 
@@ -637,9 +642,9 @@ def classify_stability(jacobians) -> list[Stability]:
     stack of one.
     """
     tops = np.linalg.eigvals(jacobians).real.max(axis=-1)
-    return [Stability.STABLE if top < -STABILITY_TOL
-            else Stability.UNSTABLE if top > STABILITY_TOL
-            else Stability.MARGINAL for top in tops.tolist()]
+    return [_STABLE if top < -STABILITY_TOL
+            else _UNSTABLE if top > STABILITY_TOL
+            else _MARGINAL for top in tops.tolist()]
 
 
 def _loop_rows(ps, out) -> tuple[list, np.ndarray]:
@@ -767,7 +772,7 @@ def _continuation(points, start_high: bool):
             branches = solve_steady_branches(px, roots=found)
         except NoRealRoot:
             branches = []
-        stable = [b for b in branches if b.stability is Stability.STABLE]
+        stable = [b for b in branches if b.stability is _STABLE]
         if not stable:
             rows.append(SpectrumRecord(x, -1, float("nan"), float("nan"),
                                        0.0, frozenset({Flag.POLE_SKIPPED})))

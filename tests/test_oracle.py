@@ -3,9 +3,11 @@ import io
 import math
 import random
 import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from qdresponse.errors import (
     BoundViolation,
@@ -309,6 +311,36 @@ def test_step_is_bit_identical_to_rhs_calls_without_signal():
         init = steady_state_vector(branch)
         kicked = (init[0] + 1e-6,) + init[1:]
         assert_same_bits(p, kicked, 2.0, max_step(p), 0.0)
+
+
+@pytest.mark.parametrize("delta_p0", [0.0, 1.0])
+def test_step_keeps_the_sign_of_each_zero_as_the_rhs_calls_do(delta_p0):
+    """An undriven dot at rest with Im sigma = -0.0: its first Im sigma
+    stage is ``(-a - b) + c`` with ``a == -b`` and ``c`` = -0.0, where
+    ``c - (a + b)`` would give -0.0 for the rhs form's 0.0."""
+    p = get_preset("4b").params.replace(ep0=0.0, es0=0.0, delta_p0=delta_p0)
+    assert_same_bits(p, (-1.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0), 1.0, 0.01, 0.0)
+
+
+#: Every double but NaN: the finite ones, both zeros and both infinities.
+DOUBLES = st.floats(allow_nan=False)
+
+
+@example(sx=0.0, s=1.0, sy=-0.0, g2=1.0, av=-0.0, w=1.0)
+@example(sx=-0.0, s=-1.0, sy=0.0, g2=1.0, av=0.0, w=-1.0)
+@example(sx=3.0, s=1.5, sy=2.0, g2=2.0, av=-0.0, w=1.0)
+@example(sx=math.inf, s=1.0, sy=math.inf, g2=0.0, av=1.0, w=1.0)
+@given(sx=DOUBLES, s=DOUBLES, sy=DOUBLES, g2=DOUBLES, av=DOUBLES, w=DOUBLES)
+def test_the_re_sigma_stage_is_the_rhs_form_bit_for_bit(sx, s, sy, g2, av, w):
+    """The RK4 step writes ``mean_field_rhs``'s Re sigma term
+    ``-sx + s * sy - g2 * av * w`` as ``s * sy - sx - g2 * av * w``: in
+    IEEE-754 ``-a + b`` is ``b - a``, signed zeros and infinities too."""
+    want = -sx + s * sy - g2 * av * w
+    got = s * sy - sx - g2 * av * w
+    if want != want:
+        assert got != got
+    else:
+        assert struct.pack("d", got) == struct.pack("d", want)
 
 
 @pytest.mark.parametrize("init, error, message", [

@@ -539,3 +539,13 @@ def test_writers_match_the_per_row_reference_bytes(records):
     records_to_json(records, buf, meta)
     assert buf.getvalue() == _reference_json(records, meta)
 
+
+@pytest.mark.parametrize("meta", [{}, {"note": "Δ0 sweep at κ/2, \"wide\"\tbox",
+                                      "P1": "ep0=2.5", "points": 3, "tol": 1e-3}],
+                         ids=["empty", "non-ascii"])
+def test_json_writer_writes_the_meta_as_json_dumps_does(meta):
+    for records in (_edge_records(), []):
+        buf = io.StringIO()
+        records_to_json(records, buf, meta)
+        assert buf.getvalue() == _reference_json(records, meta)
+
