@@ -12,8 +12,10 @@ branches of every grid point of ``steady.grid_roots``, whose cubics and
 branch rows are assembled a grid at a time, on each member grid of the
 inversion presets 2a-3b (whose figure rows carry only w0 and the labels)
 and on 5 seeded 41-point ``wide_box_params`` grids along each of ep0,
-delta_p0 and g0; and the 2,500 extreme points of test_response on both
-backends.  Each line is one JSON object.  A point's branches carry every
+delta_p0 and g0; every grid point's branch labels on 2,001-point ep0
+windows of 2b around its folds and Hopf points (``LABEL_WINDOWS``), where
+a root nears the stability margin; and the 2,500 extreme points of
+test_response on both backends.  Each line is one JSON object.  A point's branches carry every
 field, the Jacobian's 49 entries and each response; a failure is its
 ``Type: message``, so the errors are compared too.  Run it once with each
 commit's ``src`` on PYTHONPATH, then compare the two digests.
@@ -44,6 +46,11 @@ def _complex(z) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
+#: 2b's ep0 windows around its folds (2.680, 14.381) and Hopf points
+#: (2.700, 20.875, 129.66).
+LABEL_WINDOWS = ((2.60, 2.75), (14.3, 14.45), (20.7, 21.0), (129.5, 129.8))
+
+
 def extreme_points(count: int = 2500):
     """The extreme points of the digest and of test_response: ``count``
     seeded points that set one to three fields of a preset far outside the
@@ -65,10 +72,12 @@ def extreme_points(count: int = 2500):
         yield rng.choice(bases).replace(**changes)
 
 
-def digest(perfbench_dir: str, points: int = 5000, extremes: int = 2500, grids: int = 5):
+def digest(perfbench_dir: str, points: int = 5000, extremes: int = 2500, grids: int = 5,
+           window_points: int = 2001):
     """The digest's lines, as objects: ``points`` seeded ``wide_box`` points
-    per seed with a sweep on every tenth, the preset member grids and
-    ``grids`` seeded grids per steady axis, then ``extremes`` extreme
+    per seed with a sweep on every tenth, the preset member grids,
+    ``grids`` seeded grids per steady axis and the labels of
+    ``window_points`` points of each 2b window, then ``extremes`` extreme
     points."""
     sys.path.insert(0, perfbench_dir)
     from workloads import wide_box_params
@@ -132,6 +141,13 @@ def digest(perfbench_dir: str, points: int = 5000, extremes: int = 2500, grids: 
         for k in range(grids):
             yield {"set": "grid", "axis": axis.value, "k": k,
                    "steady": grid_steady(wide_box_params(rng), axis, xs)}
+    preset = get_preset("2b")
+    for lo, hi in LABEL_WINDOWS:
+        xs = np.linspace(lo, hi, window_points).tolist()
+        yield {"set": "labels", "figure": "2b", "window": [lo, hi], "labels": [
+            [x, _error(found) if isinstance(found, Exception)
+             else [b.stability.value for b in found[3]]]
+            for x, _, found in grid_roots(preset.params, preset.axis, xs)]}
     for k, p in enumerate(extreme_points(extremes)):  # each on both backends
         yield {"set": "extreme", "k": k, "steady": steady(p, list(Backend))}
 
@@ -178,6 +194,9 @@ def _extreme_changes(a, b, where: str) -> list:
             for x, y in zip(a, b) for key in ("stability", "physical") if x[key] != y[key]]
 
 
+_DATA = ("steady", "records", "labels")
+
+
 def compare(base_lines, head_lines, rel_tol: float = 0.0) -> list:
     """The printed changes between two digests, given as lists of lines;
     raises AssertionError at the first difference beyond the rules above."""
@@ -188,8 +207,8 @@ def compare(base_lines, head_lines, rel_tol: float = 0.0) -> list:
             continue
         assert rel_tol > 0.0, (f"line {n}", "differs")
         base, head = json.loads(line), json.loads(head_line)
-        ids = {k: v for k, v in base.items() if k not in ("steady", "records")}
-        assert ids == {k: v for k, v in head.items() if k not in ("steady", "records")}, \
+        ids = {k: v for k, v in base.items() if k not in _DATA}
+        assert ids == {k: v for k, v in head.items() if k not in _DATA}, \
             (f"line {n}", "ids")
         where = " ".join(f"{k}={v}" for k, v in ids.items())
         if base["set"] == "extreme":

@@ -48,6 +48,10 @@ class RootResidual(QdResponseError):
     """A polished root violates the residual bound; coefficients are corrupt."""
 
 
+class NoConvergence(QdResponseError):
+    """The eigenvalues of a steady branch's Jacobian did not converge."""
+
+
 class InvalidGrid(QdResponseError):
     """Sweep grid is empty, too short, or not strictly monotone."""
 

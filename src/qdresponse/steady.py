@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     DegenerateDenominator,
     InvalidGrid,
+    NoConvergence,
     NonFinite,
     NonRealCoefficients,
     NoRealRoot,
@@ -633,18 +634,181 @@ def _root_rows(ps, point, w):
     return sigma0, a0, q0, entries, on_pole, overflow & ~on_pole, passes
 
 
-def classify_stability(jacobians) -> list[Stability]:
-    """The label of each Jacobian of a stack from the real parts of its
-    eigenvalues, in one ``eigvals``; a non-finite one raises ``LinAlgError``.
+#: A stack of fewer Jacobians than this keeps ``eigvals`` whole: below it the
+#: characteristic polynomial's fixed cost, about 0.2 ms, is more than
+#: ``eigvals`` takes at about 9 us a matrix (measured on 2a-3b Jacobians:
+#: at 24 matrices the polynomial takes 0.98 of eigvals' time, at 20 1.1).
+_POLY_STACK = 24
+#: A Routh first-column entry, or a coefficient, within this fraction of the
+#: magnitudes it is made from does not certify its label.
+_ROUTH_BAND = 1e-6
+#: ``eigvals``' rounding of a real part relative to ``||J||_F``: where it
+#: reaches ``STABILITY_TOL``, eigvals' own label is rounding.
+_EIGVALS_EPS = 1.1e-15
+#: Flat indices (7 row + column) of the entries ``_char_poly`` reads, in its
+#: order; the twin entries its factorization assumes, (J22, J44, J12, J14,
+#: J34, J32) = (J11, J33, -J21, -J23, -J43, -J41); and every other entry,
+#: which it assumes zero.
+_POLY_READ = [0, 1, 2, 3, 4, 7, 8, 12, 14, 15, 17, 19, 24, 29, 31, 40, 41, 42, 47, 48]
+_POLY_TWIN = [16, 32, 9, 11, 25, 23]
+_TWIN_OF = [_POLY_READ.index(k) for k in (8, 24, 15, 17, 31, 29)]
+_TWIN_SIGN = np.array([[1.0], [1.0], [-1.0], [-1.0], [-1.0], [-1.0]])
+_POLY_ZERO = sorted(set(range(49)) - set(_POLY_READ) - set(_POLY_TWIN))
+#: The ascending coefficients of P(mu - tol) and P(mu + tol) from P's, and
+#: the moduli of either map, which carry P's bound to theirs.
+_SHIFTS = np.array([[[math.comb(j, k) * (sign * STABILITY_TOL) ** (j - k) if j >= k else 0.0
+                      for j in range(8)] for k in range(8)] for sign in (-1.0, 1.0)])
+_SHIFTS_ABS = abs(_SHIFTS[0])
+_LABELS = (_STABLE, _UNSTABLE, _MARGINAL)
 
-    ``eigvals`` of a stack gives each matrix the real parts it gets alone,
-    so a label does not depend on the rest of the stack; a lone matrix is a
-    stack of one.
+
+def _padd(a, b):
+    """The sum of two polynomials, (degree + 1, ...) arrays of ascending
+    coefficients."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = a.copy()
+    out[:len(b)] += b
+    return out
+
+
+def _pmul(a, b):
+    """The product of two polynomials, as ``_padd`` takes them."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = np.zeros((len(a) + len(b) - 1, *b.shape[1:]))
+    for k, ak in enumerate(a):
+        out[k:k + len(b)] += ak * b
+    return out
+
+
+def _char_poly(e, s):
+    """The ascending coefficients of det(lambda I - J) for columns ``e`` of
+    the ``_POLY_READ`` entries, with ``s`` = -1; with s = +1 and ``|e|``, the
+    same expression on absolute values, which bounds its rounding.
+
+    The (sigma, a) block is the real form of the complex 2x2 matrix
+    K = [[J11 + i J21, i J23], [i J41, J33 + i J43]], so its determinant is
+    |p|^2, p = det(lambda - K) = A - i B; the w row r and column c border it
+    through T = conj(rho1) (lambda - K22) + conj(rho2) K21, rho the complex
+    pairs of r, and the phonon pair (q, dq/dt) couples only through J60 and
+    column 5, b.  With U + i V = conj(p) T:
+    det5 = (lambda - J00) |p|^2 - Re((J10 + i J20) (U + i V)),
+    R = Re((J15 + i J25) (U + i V)),
+    P = ((lambda - J55) (lambda - J66) - J56 J65) det5 - J60 J56 R.
     """
-    tops = np.linalg.eigvals(jacobians).real.max(axis=-1)
+    e00, e01, e02, e03, e04, e10, e11, e15, e20, e21, e23, e25, e33, e41, e43, \
+        e55, e56, e60, e65, e66 = e
+    one = np.ones_like(e00)
+    alpha, gamma = np.stack((s * e11, one)), np.stack((s * e33, one))
+    a = _pmul(alpha, gamma)
+    a[0] += s * (e21 * e43) + e23 * e41
+    b = np.stack((s * (e43 * e11 + e21 * e33), e43 + e21))
+    tr = e01 * gamma
+    tr[0] += s * (e02 * e43) + e04 * e41
+    ti = (s * e02) * gamma
+    ti[0] += e03 * e41 + s * (e01 * e43)
+    u = _padd(_pmul(a, tr), s * _pmul(b, ti))
+    v = _padd(_pmul(a, ti), _pmul(b, tr))
+    det5 = _pmul(np.stack((s * e00, one)), _padd(_pmul(a, a), _pmul(b, b)))
+    det5[:4] += s * (e10 * u) + e20 * v
+    phi = _pmul(np.stack((s * e55, one)), np.stack((s * e66, one)))
+    phi[0] += s * (e56 * e65)
+    p = _pmul(phi, det5)
+    p[:4] += s * (e60 * e56) * (e15 * u + s * (e25 * v))
+    return p
+
+
+def _routh_labels(stack) -> tuple[np.ndarray, np.ndarray]:
+    """(code, unsure) of each matrix of a stack: its label's index in
+    ``_LABELS`` by Routh's first column of P(lambda -+ STABILITY_TOL), and
+    whether that label is not certified (see ``classify_stability``)."""
+    n = len(stack)
+    flat = stack.reshape(n, 49)
+    with np.errstate(all="ignore"):
+        e = flat.T[_POLY_READ]
+        unsure = flat.T[_POLY_ZERO].any(axis=0)
+        unsure |= (flat.T[_POLY_TWIN] != _TWIN_SIGN * e[_TWIN_OF]).any(axis=0)
+        unsure |= np.einsum("ij,ij->i", flat, flat) * _EIGVALS_EPS ** 2 >= STABILITY_TOL ** 2
+        c = _char_poly(np.concatenate((e, abs(e)), axis=1), np.repeat([-1.0, 1.0], n))
+        q = _SHIFTS @ c[:, :n]
+        unsure |= (abs(q) <= _ROUTH_BAND * (_SHIFTS_ABS @ c[:, n:])).any(axis=(0, 1))
+        d = q.transpose(1, 0, 2)[::-1]  # descending, (8, shift, n)
+        rows = np.zeros((8, 4, 2, n))  # the Routh array, each row zero-padded
+        rows[0], rows[1] = d[0::2], d[1::2]
+        products = []
+        for k in range(2, 7):
+            left, cross = rows[k - 1, 0] * rows[k - 2, 1:], rows[k - 2, 0] * rows[k - 1, 1:]
+            products.append((left[0], cross[0]))
+            rows[k, :3] = (left - cross) / rows[k - 1, 0]
+        rows[7, 0] = d[7]  # the array's last entry is q0
+        column = rows[:, 0]
+        left, cross = np.array(products).swapaxes(0, 1)
+        unsure |= (abs(left - cross) <= _ROUTH_BAND * (abs(left) + abs(cross))).any(axis=(0, 1))
+        unsure |= ~np.isfinite(column).all(axis=(0, 1))
+    stable = (column[:, 0] > 0.0).all(axis=0)
+    unstable = (column[:, 1] < 0.0).any(axis=0)
+    return np.where(stable, 0, np.where(unstable, 1, 2)), unsure
+
+
+
+def _eigvals_labels(stack) -> list:
+    """Each matrix's label from its own ``eigvals``, or its typed error."""
+    try:
+        tops = np.linalg.eigvals(stack).real.max(axis=-1).tolist()
+    except np.linalg.LinAlgError:
+        if len(stack) > 1:  # find the failing matrices
+            return [label for jacobian in stack for label in _eigvals_labels(jacobian[None])]
+        if np.isfinite(stack).all():
+            return [NoConvergence("the eigenvalues of a steady branch's Jacobian "
+                                  "did not converge: no stability label")]
+        return [NonFinite("a steady branch's Jacobian is not finite: no stability label")]
     return [_STABLE if top < -STABILITY_TOL
             else _UNSTABLE if top > STABILITY_TOL
-            else _MARGINAL for top in tops.tolist()]
+            else _MARGINAL for top in tops]
+
+
+def classify_stability(jacobians) -> list:
+    """The label of each Jacobian of a stack, by the largest real part of its
+    eigenvalues against ``STABILITY_TOL``, or its typed error: ``NonFinite``
+    for a non-finite matrix, ``NoConvergence`` where ``eigvals`` fails.
+
+    A stack of ``_POLY_STACK`` or more labels each matrix from its
+    characteristic polynomial P = det(lambda I - J), written for the
+    mean-field Jacobian's sparsity in a hand-factored closed form
+    (``_char_poly``): the (sigma, a) block is the real form of a complex 2x2
+    matrix, the w row and column border it, and the phonon pair enters only
+    through J60 and column 5, so P = (lambda^2 + gamma_q lambda +
+    omega_k^2) det5 + 2 eta omega_k^3 R, with det5 the 5x5 dot-cavity
+    block's and R a cubic.  P(lambda - tol) is Hurwitz, by Routh's first
+    column all positive (Gantmacher, The Theory of Matrices, vol. 2,
+    ch. XV), exactly where every real part is below -tol: the label is
+    Stable.  Else a sign change in the column of P(lambda + tol) puts a real
+    part above tol: Unstable; else Marginal.  The polynomial cannot certify
+    eigvals' own label, and the matrix takes ``eigvals``, where
+    - it lacks the sparsity or the twin entries the factorization assumes;
+    - a coefficient or a first-column entry is not finite;
+    - a coefficient of either P is within ``_ROUTH_BAND`` of its running
+      error bound, the same expression on absolute values (Higham, ch. 5);
+    - a first-column entry is within ``_ROUTH_BAND`` of the two products it
+      is made from: a root within rounding of the margin;
+    - ``||J||_F * _EIGVALS_EPS`` reaches ``STABILITY_TOL``, where eigvals'
+      rounding alone can move a real part across the margin.
+
+    A smaller stack, and so every lone point, keeps ``eigvals`` whole: there
+    the polynomial's fixed cost is more than ``eigvals``' cost per matrix
+    saves.  ``eigvals`` of a stack gives each matrix the real parts it gets
+    alone, so no label depends on the rest of the stack.
+    """
+    stack = np.asarray(jacobians, dtype=float)
+    if len(stack) < _POLY_STACK:
+        return _eigvals_labels(stack)
+    codes, unsure = _routh_labels(stack)
+    labels = [_LABELS[code] for code in codes.tolist()]
+    rows = np.flatnonzero(unsure).tolist()
+    for k, label in zip(rows, _eigvals_labels(stack[rows]) if rows else ()):
+        labels[k] = label
+    return labels
 
 
 def _loop_rows(ps, out) -> tuple[list, np.ndarray]:
@@ -700,25 +864,18 @@ def _branch_sets(ps, root_sets) -> list:
     ``classify_stability``; each branch's ``jacobian`` is its row.  A root
     whose fields divide by zero sits on a coefficient pole and is dropped.
     Errors stay with their point, to be raised at its turn: an overflow in
-    any other root's check or Jacobian is its ``NonFinite``, and a stack
-    that holds a non-finite Jacobian is labelled matrix by matrix, each
-    failing point keeping its own ``LinAlgError``.  Branches are made here,
-    by ``_filled``.
+    any other root's check or Jacobian is its ``NonFinite``, and a root
+    whose Jacobian has no label gives the point that label's typed error.
+    Branches are made here, by ``_filled``.
     """
     out = list(root_sets)
     kept, stack = (_loop_rows if len(ps) < 2 else _array_rows)(ps, out)
-    try:
-        labels = classify_stability(stack) if kept else []
-    except np.linalg.LinAlgError:
-        labels = []
-        for k, (i, *_) in enumerate(kept):
-            try:
-                labels += classify_stability(stack[k:k + 1])
-            except np.linalg.LinAlgError as exc:
-                labels.append(None)
-                out[i] = exc
+    labels = classify_stability(stack)
     branches = [[] for _ in ps]
     for (i, w0, res, sigma0, a0, q0), label, jacobian in zip(kept, labels, stack):
+        if isinstance(label, Exception):
+            out[i] = label
+            continue
         branches[i].append(_filled(SteadyBranch, {
             "w0": w0, "a0": a0, "sigma0": sigma0, "q0": q0, "residual": res,
             "stability": label, "physical": _PHYSICAL_LO <= w0 <= _PHYSICAL_HI,

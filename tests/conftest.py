@@ -110,4 +110,4 @@ def faulty_jacobian(monkeypatch, fault, at):
     monkeypatch.setattr(steady, "_root_rows", faulty_rows)
     if fault == "overflow":
         return NonFinite, "a steady branch overflows at these parameters"
-    return np.linalg.LinAlgError, "Array must not contain infs or NaNs"
+    return NonFinite, "a steady branch's Jacobian is not finite: no stability label"

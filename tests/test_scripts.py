@@ -156,18 +156,23 @@ def test_csv_json_fails_on_a_missing_file(tmp_path):
 @pytest.fixture(scope="module")
 def digest():
     """A small digest: 30 wide_box points a seed (3 sweeps each), the 10
-    preset member grids, one seeded grid per steady axis and 60 extreme
-    points."""
+    preset member grids, one seeded grid per steady axis, 21 labelled
+    points in each 2b window and 60 extreme points."""
     lines = [json.dumps(line) for line in seeded_points.digest(
-        str(SCRIPTS.parent / "perfbench"), points=30, extremes=60, grids=1)]
+        str(SCRIPTS.parent / "perfbench"), points=30, extremes=60, grids=1, window_points=21)]
     kinds = {(d["set"], isinstance(d.get("steady", d.get("records")), str))
              for d in map(json.loads, lines)}
     assert kinds == {("wide_box", False), ("sweep", False), ("grid", False),
-                     ("extreme", False), ("extreme", True)}
+                     ("labels", False), ("extreme", False), ("extreme", True)}
     grids = [d for d in map(json.loads, lines) if d["set"] == "grid"]
     assert [d.get("figure", d.get("axis")) for d in grids] == \
         ["2a"] * 3 + ["2b"] + ["3a"] * 3 + ["3b"] * 3 + ["ep0", "delta_p0", "g0"]
     assert all(len(d["steady"]) == 41 for d in grids[10:])
+    windows = [d for d in map(json.loads, lines) if d["set"] == "labels"]
+    assert [d["window"] for d in windows] == [list(w) for w in seeded_points.LABEL_WINDOWS]
+    assert all(len(d["labels"]) == 21 for d in windows)
+    assert {label for d in windows for _, labels in d["labels"] for label in labels} \
+        == {"Stable", "Unstable"}
     return lines
 
 
@@ -256,6 +261,14 @@ def _scale_grid_jacobian(obj):
     return False
 
 
+def _flip_window_label(obj):
+    for _, labels in obj["labels"]:
+        if labels:
+            labels[0] = "Unstable" if labels[0] == "Stable" else "Stable"
+            return None
+    return False
+
+
 @pytest.mark.parametrize("set_name, edit", [
     ("wide_box", _flip_label),
     ("wide_box", lambda obj: _scale_w0(obj, -1.0)),
@@ -263,6 +276,7 @@ def _scale_grid_jacobian(obj):
     ("sweep", _set_nan),
     ("sweep", _edit_flag),
     ("grid", _scale_grid_jacobian),
+    ("labels", _flip_window_label),
 ])
 def test_seeded_points_fail_on_a_hand_edit(digest, set_name, edit):
     head = _edited(digest, set_name, edit)

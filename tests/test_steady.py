@@ -1,14 +1,15 @@
 import dataclasses
 import pathlib
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdresponse import presets, steady
-from qdresponse.errors import (InvalidGrid, NonFinite, NonRealCoefficients, NoRealRoot,
-                               QdResponseError, RootResidual, _or_raise)
+from qdresponse.errors import (InvalidGrid, NoConvergence, NonFinite, NonRealCoefficients,
+                               NoRealRoot, QdResponseError, RootResidual, _or_raise)
 from qdresponse.model import Params, SweepAxis, apply_axis
 from qdresponse.oracle import mean_field_rhs, steady_state_vector
 from qdresponse.records import Flag
@@ -656,6 +657,150 @@ def test_stacked_labels_match_each_matrix_bit_for_bit():
     assert labels == [_label_alone(j) for j in jacobians]
     assert labels == [classify_stability([j])[0] for j in jacobians]
     assert set(labels) == set(Stability)
+
+
+def _exact_char_poly(jacobian):
+    """The ascending coefficients of det(lambda I - J), exactly, by
+    Faddeev-LeVerrier in rationals."""
+    a = [[Fraction(x) for x in row] for row in jacobian.tolist()]
+    n = len(a)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    coeffs = [Fraction(1)]
+    for k in range(1, n + 1):
+        m = [[sum(a[i][t] * m[t][j] for t in range(n)) + (coeffs[-1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        coeffs.append(-sum(sum(a[i][t] * m[t][i] for t in range(n)) for i in range(n)) / k)
+    return coeffs[::-1]
+
+
+def _random_sparse_jacobian(rng):
+    """A random matrix with the mean-field Jacobian's sparsity and twins."""
+    jac = np.zeros((7, 7))
+    jac.flat[steady._POLY_READ] = rng.normal(size=len(steady._POLY_READ)) * 10.0 ** rng.integers(-3, 4)
+    jac.flat[steady._POLY_TWIN] = steady._TWIN_SIGN[:, 0] * jac.flat[[8, 24, 15, 17, 31, 29]]
+    return jac
+
+
+def test_the_closed_form_is_the_characteristic_polynomial_within_its_bound():
+    """``_char_poly`` differs from the exact det(lambda I - J) by less than
+    32 eps times its bound, the same expression on absolute values."""
+    rng = np.random.default_rng(41)
+    preset_jacobians = [b.jacobian for preset, params in _preset_grid_points()
+                        for *_, found in steady.grid_roots(params, preset.axis, preset.grid)
+                        for b in found[3]]
+    jacobians = [preset_jacobians[k] for k in rng.choice(len(preset_jacobians), 12)]
+    jacobians += [_random_sparse_jacobian(rng) for _ in range(12)]
+    jacobians += [phonon_pole_jacobian(0.0), _fold_jacobian()]
+    e = np.array(jacobians).reshape(-1, 49).T[steady._POLY_READ]
+    n = len(jacobians)
+    c = steady._char_poly(np.concatenate((e, abs(e)), axis=1), np.repeat([-1.0, 1.0], n))
+    for k, jacobian in enumerate(jacobians):
+        exact = _exact_char_poly(jacobian)
+        assert exact[7] == c[7, k] == 1.0
+        for value, bound, ref in zip(c[:, k].tolist(), c[:, n + k].tolist(), exact):
+            assert abs(Fraction(value) - ref) <= 32 * steady._EPS * Fraction(bound)
+
+
+def _fold_jacobian():
+    """A Jacobian whose eigenvalue 0 comes from a cancellation, as at a fold:
+    its (w, Re sigma) block [[-c^2, c], [c, -1]] is singular."""
+    c = 0.1
+    jacobian = phonon_pole_jacobian(1.0)
+    jacobian[0, 0] = -c * c
+    jacobian[0, 1] = jacobian[1, 0] = c
+    return jacobian
+
+
+def _eigvals_spy(monkeypatch):
+    """The matrix count of each ``np.linalg.eigvals`` call from here on."""
+    calls, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(len(a)) or eigvals(a))
+    return calls
+
+
+@pytest.mark.parametrize("window", [(2.60, 2.75), (14.3, 14.45), (20.7, 21.0), (129.5, 129.8)])
+def test_grid_labels_are_eigvals_labels_around_2b_folds_and_hopf_points(window):
+    # 2,001 points of ep0 around 2b's folds (2.680, 14.381) and Hopf points
+    # (2.700, 20.875, 129.66), labelled from the characteristic polynomial
+    preset = presets.get_preset("2b")
+    grid = steady.grid_roots(preset.params, preset.axis, np.linspace(*window, 2001).tolist())
+    branches = [b for *_, found in grid for b in found[3]]
+    assert len(branches) >= 2001
+    assert [b.stability for b in branches] == [_label_alone(b.jacobian) for b in branches]
+    assert {b.stability for b in branches} == {Stability.STABLE, Stability.UNSTABLE}
+
+
+def test_labels_take_eigvals_only_where_the_polynomial_cannot_certify_them(monkeypatch):
+    grids = [(params, preset.axis, preset.grid) for preset, params in _preset_grid_points()]
+    clean = [[b.stability for *_, found in steady.grid_roots(*grid) for b in found[3]]
+             for grid in grids]
+    base = np.array([b.jacobian for *_, found in steady.grid_roots(*grids[3])
+                     for b in found[3]])
+    # built near-margin cases: a phonon pole on and next to the imaginary
+    # axis (the Routh column's band), a zero eigenvalue by cancellation (the
+    # coefficient bound), and extreme point 92, whose scale eigvals cannot
+    # resolve the margin at (||J||_F above 9e14)
+    extreme = list(script("seeded_points").extreme_points(93))[92]
+    built = [phonon_pole_jacobian(0.0), phonon_pole_jacobian(1e-13), _fold_jacobian(),
+             *(b.jacobian for b in solve_steady_branches(extreme))]
+    undamped = [bistable_point(ep0).replace(gamma_q0=0.0) for ep0 in np.linspace(0.0, 20.0, 41)]
+    undamped = [b.jacobian for found in steady._branch_sets(
+        undamped, inversion_roots(map(steady._cubic, undamped))) for b in found[3]]
+    dense = np.random.default_rng(43).normal(size=(40, 7, 7))  # not the sparsity
+    expected = {name: [_label_alone(j) for j in stack] for name, stack in
+                (("base", base), ("built", built), ("undamped", undamped), ("dense", dense))}
+    assert expected["built"][:3] == [Stability.MARGINAL] * 3
+    calls = _eigvals_spy(monkeypatch)
+    # no matrix of the 2a-3b grids takes eigvals
+    assert [[b.stability for *_, found in steady.grid_roots(*grid) for b in found[3]]
+            for grid in grids] == clean
+    assert calls == []
+    # each built case does, alone; every label is eigvals' own
+    assert classify_stability(np.array([*base, *built])) == expected["base"] + expected["built"]
+    assert calls == [len(built)]
+    assert classify_stability(np.array(undamped)) == expected["undamped"]
+    assert len(undamped) >= steady._POLY_STACK and calls == [len(built)]
+    assert classify_stability(dense) == expected["dense"]
+    assert calls == [len(built), len(dense)]
+    # a non-finite row among finite ones is NonFinite, alone or in a stack
+    message = "a steady branch's Jacobian is not finite: no stability label"
+    for size in (steady._POLY_STACK - 1, len(base)):
+        stack = base[:size].copy()
+        stack[5, 0, 0] = np.nan
+        labels = classify_stability(stack)
+        assert (type(labels[5]), str(labels[5])) == (NonFinite, message)
+        assert labels[:5] + labels[6:] == expected["base"][:5] + expected["base"][6:size]
+
+
+def test_a_jacobian_whose_eigenvalues_do_not_converge_is_typed(monkeypatch):
+    grid = [2.0, 4.0, 6.0, 8.0]
+    clean = steady.grid_roots(bistable_point(), SweepAxis.EP0, grid)
+    base = np.array([b.jacobian for *_, found in clean for b in found[3]])
+    failing = {b.jacobian.tobytes() for x, _, found in clean if x == 6.0 for b in found[3]}
+    failing |= {b.jacobian.tobytes() for b in solve_steady_branches(bistable_point(6.0))}
+    failing.add(phonon_pole_jacobian(0.0).tobytes())
+    eigvals = np.linalg.eigvals
+
+    def fails_to_converge(a):
+        if any(j.tobytes() in failing for j in a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", fails_to_converge)
+    message = "the eigenvalues of a steady branch's Jacobian did not converge: no stability label"
+    with pytest.raises(NoConvergence, match=message):
+        solve_steady_branches(bistable_point(6.0))
+    faulty = steady.grid_roots(bistable_point(), SweepAxis.EP0, grid)
+    assert (type(faulty[2][2]), str(faulty[2][2])) == (NoConvergence, message)
+    assert [repr(e) for x, _, e in faulty if x != 6.0] \
+        == [repr(e) for x, _, e in clean if x != 6.0]
+    with pytest.raises(NoConvergence, match=message):
+        hysteresis_sweep(bistable_point(), SweepAxis.EP0, grid)
+    # a matrix that takes eigvals from a stack labelled by the polynomial
+    stack = np.array([*np.tile(base[:1], (steady._POLY_STACK, 1, 1)), phonon_pole_jacobian(0.0)])
+    labels = classify_stability(stack)
+    assert labels[:-1] == [_label_alone(base[0])] * steady._POLY_STACK
+    assert (type(labels[-1]), str(labels[-1])) == (NoConvergence, message)
 
 
 def _preset_grids():
