@@ -14,11 +14,12 @@ inversion presets 2a-3b (whose figure rows carry only w0 and the labels)
 and on 5 seeded 41-point ``wide_box_params`` grids along each of ep0,
 delta_p0 and g0; every grid point's branch labels on 2,001-point ep0
 windows of 2b around its folds and Hopf points (``LABEL_WINDOWS``), where
-a root nears the stability margin; and the 2,500 extreme points of
-test_response on both backends.  Each line is one JSON object.  A point's branches carry every
-field, the Jacobian's 49 entries and each response; a failure is its
-``Type: message``, so the errors are compared too.  Run it once with each
-commit's ``src`` on PYTHONPATH, then compare the two digests.
+an eigenvalue nears the stability margin; and the 2,500 extreme points of
+test_response on both backends.  Each line is one JSON object.  A point's
+branches carry every field, the Jacobian's 49 entries and each response; a
+failure is its ``Type: message``, so the errors are compared too.  Run it
+once with each commit's ``src`` on PYTHONPATH, then compare the two
+digests.
 
 ``--compare`` with T = 0 (the default) requires identical lines.  With
 T > 0 a ``wide_box`` point or sweep must keep every string (labels, flags,

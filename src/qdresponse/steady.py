@@ -751,7 +751,6 @@ def _routh_labels(stack) -> tuple[np.ndarray, np.ndarray]:
     return np.where(stable, 0, np.where(unstable, 1, 2)), unsure
 
 
-
 def _eigvals_labels(stack) -> list:
     """Each matrix's label from its own ``eigvals``, or its typed error."""
     try:

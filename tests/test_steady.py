@@ -676,8 +676,9 @@ def _exact_char_poly(jacobian):
 def _random_sparse_jacobian(rng):
     """A random matrix with the mean-field Jacobian's sparsity and twins."""
     jac = np.zeros((7, 7))
-    jac.flat[steady._POLY_READ] = rng.normal(size=len(steady._POLY_READ)) * 10.0 ** rng.integers(-3, 4)
-    jac.flat[steady._POLY_TWIN] = steady._TWIN_SIGN[:, 0] * jac.flat[[8, 24, 15, 17, 31, 29]]
+    read = steady._POLY_READ
+    jac.flat[read] = rng.normal(size=len(read)) * 10.0 ** rng.integers(-3, 4)
+    jac.flat[steady._POLY_TWIN] = steady._TWIN_SIGN[:, 0] * jac.flat[np.take(read, steady._TWIN_OF)]
     return jac
 
 
@@ -738,8 +739,8 @@ def test_labels_take_eigvals_only_where_the_polynomial_cannot_certify_them(monke
                      for b in found[3]])
     # built near-margin cases: a phonon pole on and next to the imaginary
     # axis (the Routh column's band), a zero eigenvalue by cancellation (the
-    # coefficient bound), and extreme point 92, whose scale eigvals cannot
-    # resolve the margin at (||J||_F above 9e14)
+    # coefficient bound), and extreme point 92, whose ||J||_F of 1.6e53 is
+    # past the 9.1e5 up to which eigvals resolves the margin (the scale rule)
     extreme = list(script("seeded_points").extreme_points(93))[92]
     built = [phonon_pole_jacobian(0.0), phonon_pole_jacobian(1e-13), _fold_jacobian(),
              *(b.jacobian for b in solve_steady_branches(extreme))]
