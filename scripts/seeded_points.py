@@ -2,7 +2,7 @@
 """Write, or compare, a digest of seeded steady solves, responses and sweeps.
 
 Usage: PYTHONPATH=src python scripts/seeded_points.py PERFBENCH_DIR > digest.jsonl
-       python scripts/seeded_points.py --compare BASE HEAD [--rel-tol T]
+       PYTHONPATH=src python scripts/seeded_points.py --compare BASE HEAD [--rel-tol T]
 
 The digest covers the paths the figures do not reach: a lone cubic, root
 polish and branch assembly, and an uncertified sideband row per point, on
@@ -24,17 +24,21 @@ digests.
 ``--compare`` with T = 0 (the default) requires identical lines.  With
 T > 0 a ``wide_box`` point or sweep must keep every string (labels, flags,
 error types and messages), boolean, integer and NaN position, and every
-other float within T relative (a complex value against its modulus; a
-branch's ``residual`` is not compared); an extreme point must keep its
-outcome (branches or error), its error type and its branch count, and
-every label, ``physical`` or error-message change there is printed.
-Exits 1 at the first difference beyond these rules.
+other float within T relative (a complex value against its modulus, a
+branch's ``jacobian`` as one matrix against its largest entry; a branch's
+``residual`` is not compared).  An extreme point may change its outcome
+(branches or error), its error type or its branch count only where its
+exact cubic, rebuilt in rationals from ``extreme_points()``, finds the new
+result no worse (``_exact_verdict``); each such change, and every label,
+``physical`` or error-message change there, is printed.  Exits 1 at the
+first difference beyond these rules.
 """
 import argparse
 import json
 import pathlib
 import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -178,19 +182,97 @@ def _close(a, b, rel_tol: float, where: str) -> None:
                 assert x == y or abs(x - y) <= rel_tol * max(abs(x), abs(y)), (where, x, y)
                 return
         for key in a.keys() - {"residual"}:
-            _close(a[key], b[key], rel_tol, f"{where}.{key}")
+            if key == "jacobian":
+                _close_matrix(a[key], b[key], rel_tol, f"{where}.{key}")
+            else:
+                _close(a[key], b[key], rel_tol, f"{where}.{key}")
     else:
         assert a == b, (where, a, b)
 
 
-def _extreme_changes(a, b, where: str) -> list:
-    """The printed changes of one extreme point; AssertionError if its
-    outcome, error type or branch count differs."""
-    assert isinstance(a, str) == isinstance(b, str), (where, "outcome", a, b)
+def _close_matrix(a, b, rel_tol: float, where: str) -> None:
+    """AssertionError unless two matrices' entries (flat lists) keep their
+    NaN positions and infinities and every other entry is within
+    ``rel_tol`` of the largest finite entry: an entry that cancels, such as
+    delta_p0 + q0, moves by far more than T relative to itself."""
+    assert len(a) == len(b), (where, "length", len(a), len(b))
+    finite = [abs(x) for x in a + b if abs(x) < float("inf")]
+    scale = max(finite, default=0.0)
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            assert x != x and y != y or abs(x - y) <= rel_tol * scale, (f"{where}[{i}]", x, y)
+
+
+#: The relative half-width of the interval on which a branch's exact cubic
+#: must change sign for the branch to be exact.
+EXACT_REL = Fraction(1, 10 ** 12)
+
+
+def _exact_cubic(p) -> list:
+    """The exact coefficients, in rationals, of p's inversion cubic
+    C(w) = -gamma1 (w + 1) |d1(w)|^2 - 4 g0^2 ep0^2 w, with
+    d1(w) = (kappa + i delta_c)(s - i) + 2 i g0^2 w and
+    s = delta_p - 2 omega_k eta w."""
+    dp, dc, kc, g0, eta, wk, ep0, g1 = map(Fraction, (
+        p.delta_p0, p.delta_c0, p.kappa_c0, p.g0, p.eta, p.omega_k0, p.ep0, p.gamma1_ratio))
+    m = 2 * wk * eta
+    re0, re1 = kc * dp + dc, -kc * m
+    im0, im1 = dc * dp - kc, 2 * g0 * g0 - dc * m
+    e2, e1, e0 = re1 ** 2 + im1 ** 2, 2 * (re0 * re1 + im0 * im1), re0 ** 2 + im0 ** 2
+    return [-g1 * e2, -g1 * (e1 + e2), -g1 * (e0 + e1) - 4 * g0 ** 2 * ep0 ** 2, -g1 * e0]
+
+
+def _exact_branches(cubic, steady) -> int:
+    """The number of distinct ``w0`` among the branches of ``steady`` (a
+    branch list or an error) whose exact cubic changes sign on
+    [w0 (1 - EXACT_REL), w0 (1 + EXACT_REL)]."""
+    def value(w):
+        return ((cubic[0] * w + cubic[1]) * w + cubic[2]) * w + cubic[3]
+
+    exact = set()
+    for branch in [] if isinstance(steady, str) else steady:
+        w0 = Fraction(branch["w0"])
+        lo, hi = value(w0 - abs(w0) * EXACT_REL), value(w0 + abs(w0) * EXACT_REL)
+        if lo * hi <= 0:
+            exact.add(w0)
+    return len(exact)
+
+
+_EXTREMES = []
+
+
+def _exact_verdict(a, b, k: int, where: str) -> str:
+    """The exact check of an extreme point whose outcome, error type or
+    branch count changed from ``a`` to ``b``; AssertionError unless the new
+    result is no worse: every new branch exact and at least as many
+    distinct exact branches kept, or a typed error where no old branch was
+    exact."""
+    if not _EXTREMES:
+        _EXTREMES.extend(extreme_points())
+    cubic = _exact_cubic(_EXTREMES[k])
+    old, new = _exact_branches(cubic, a), _exact_branches(cubic, b)
+    if isinstance(b, str):
+        assert old == 0, (where, "an exact branch became an error", a, b)
+    else:
+        assert new == len({x["w0"] for x in b}) and new >= old, \
+            (where, "exact branches", old, new, a, b)
+    return f"{old} -> {new} exact"
+
+
+def _summary(steady) -> str:
+    return steady.split(":")[0] if isinstance(steady, str) else f"{len(steady)} branches"
+
+
+def _extreme_changes(a, b, where: str, k: int) -> list:
+    """The printed changes of one extreme point, ``k`` of
+    ``extreme_points()``; AssertionError if its outcome, error type or
+    branch count changes to a worse result (``_exact_verdict``)."""
+    if isinstance(a, str) != isinstance(b, str) or (
+            a.split(":")[0] != b.split(":")[0] if isinstance(a, str) else len(a) != len(b)):
+        return [f"{where}: {_summary(a)} -> {_summary(b)}, "
+                f"{_exact_verdict(a, b, k, where)}"]
     if isinstance(a, str):
-        assert a.split(":")[0] == b.split(":")[0], (where, "error type", a, b)
         return [] if a == b else [f"{where}: message {a!r} -> {b!r}"]
-    assert len(a) == len(b), (where, "branch count", len(a), len(b))
     return [f"{where}: w0 {x['w0']!r} {key} {x[key]!r} -> w0 {y['w0']!r} {key} {y[key]!r}"
             for x, y in zip(a, b) for key in ("stability", "physical") if x[key] != y[key]]
 
@@ -213,7 +295,7 @@ def compare(base_lines, head_lines, rel_tol: float = 0.0) -> list:
             (f"line {n}", "ids")
         where = " ".join(f"{k}={v}" for k, v in ids.items())
         if base["set"] == "extreme":
-            changes += _extreme_changes(base["steady"], head["steady"], where)
+            changes += _extreme_changes(base["steady"], head["steady"], where, base["k"])
         else:
             _close(base, head, rel_tol, where)
     return changes

@@ -32,16 +32,9 @@ class BadConfig(QdResponseError):
 
 # -- steady-state solver ---------------------------------------------------
 
-class DegenerateDenominator(QdResponseError):
-    """A polynomial sample point landed on a coefficient pole and resampling failed."""
-
-
-class NonRealCoefficients(QdResponseError):
-    """Interpolated inversion polynomial has a non-negligible imaginary residue."""
-
-
 class NoRealRoot(QdResponseError):
-    """No physical real root of the inversion polynomial was found."""
+    """The inversion polynomial is zero, has no roots, or keeps no real root
+    that is a fixed point."""
 
 
 class RootResidual(QdResponseError):

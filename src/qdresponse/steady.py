@@ -1,14 +1,16 @@
 """Pump-only steady state: inversion cubic, branch fields, stability, hysteresis.
 
-The population inversion of the driven dot obeys a real cubic equation.  The
-cubic is never expanded symbolically: the cleared rational expression is
-evaluated at four sample points and interpolated, which makes the construction
-immune to algebra slips and lets a test compare the polynomial against direct
-pointwise evaluation.  Along a steady grid each coefficient is a polynomial of
-degree 1 or 2 in the swept value or its square, so a grid's cubics are
-interpolated from two or three such builds (``_grid_cubics``).  Their branches
-come from one array pass over all their real roots (``_root_rows``) that follows
-CPython's complex arithmetic, so each root gets the bits it gets alone.
+The population inversion of the driven dot obeys a real cubic equation, the
+inversion equation with its coefficient denominators cleared.  Its
+coefficients come from the exact expansion C(w) = -gamma1 (w + 1) |d1(w)|^2
+- 4 g0^2 ep0^2 w (``_closed_form``), right to rounding; a test compares them
+against exact rationals and against pointwise evaluation of the cleared
+expression (``cleared_inversion_expression``).  A grid evaluates the same
+float operations over its points' parameter columns in one array pass
+(``_cubics``), so each grid cubic has the bits of its lone build.  Its
+branches come from one array pass over all its real roots (``_root_rows``)
+that follows CPython's complex arithmetic, so each root gets the bits it gets
+alone.
 
 Two transcriptions of the coefficient set exist (see ``data/formula_ledger.json``).
 The default one is self-consistent with the mean-field dynamics: its roots are
@@ -20,19 +22,17 @@ and is kept only as a documented reference; its roots are not fixed points.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import (
-    DegenerateDenominator,
     InvalidGrid,
     NoConvergence,
     NonFinite,
-    NonRealCoefficients,
     NoRealRoot,
     QdResponseError,
     RootResidual,
@@ -130,12 +130,7 @@ def coherence_amplitudes(p: Params, w: complex, legacy_field_amplitude: bool = F
     field equation; the legacy transcription replaces the pump amplitude in
     its numerator by ``w``.
     """
-    return _amplitudes(p, w, *_denominators(p, w), legacy_field_amplitude)
-
-
-def _amplitudes(p: Params, w: complex, d1: complex, d2: complex,
-                legacy_field_amplitude: bool):
-    """``coherence_amplitudes`` given ``_denominators(p, w)``."""
+    d1, d2 = _denominators(p, w)
     c1 = 2.0 * p.g0 * w * p.ep0 / d1
     c2 = 2.0 * p.g0 * w * p.ep0 / d2
     drive = w if legacy_field_amplitude else p.ep0
@@ -150,77 +145,65 @@ def cleared_inversion_expression(p: Params, w: complex) -> complex:
     This is a polynomial of degree <= 3 in ``w``; for real ``w`` its value is
     real up to rounding.
     """
-    return _cleared(p, w, *_denominators(p, w), legacy_field_amplitude=False)
-
-
-def _cleared(p: Params, w: complex, d1: complex, d2: complex,
-             legacy_field_amplitude: bool) -> complex:
-    """``cleared_inversion_expression`` given ``_denominators(p, w)``."""
-    c1, c2, a1, a2 = _amplitudes(p, w, d1, d2, legacy_field_amplitude)
+    d1, d2 = _denominators(p, w)
+    c1, c2, a1, a2 = coherence_amplitudes(p, w)
     expr = -p.gamma1_ratio * (w + 1.0) - 1j * p.g0 * (a1 * c2 - a2 * c1)
     return expr * d1 * d2
 
 
-_SAMPLES = (-2.0, -1.0, 0.0, 1.0)
-_VANDER_INV = np.linalg.inv(np.vander(np.array(_SAMPLES), 4))
+#: A point's parameters in ``_closed_form``'s order.
+_CUBIC_FIELDS = attrgetter("delta_p0", "delta_c0", "kappa_c0", "g0", "eta", "omega_k0",
+                           "ep0", "gamma1_ratio")
+
+
+def _closed_form(dp, dc, kc, g0, eta, wk, ep0, g1, legacy_field_amplitude=False):
+    """((c3, c2, c1, c0), factored): the cleared inversion expression's
+    coefficients, from Python floats or from numpy columns of a stack's
+    parameters (the legacy terms from floats only), the same float
+    operations either way; and whether they are the float expansion of
+    (w + 1) q, the pump term lost in the rounding of c1.
+
+    For real w, d1(w) = (kappa + i delta_c)(s - i) + 2 i g0^2 w with
+    s = delta_p - 2 omega_k eta w, and d2 = conj(d1).  The field
+    amplitudes collapse to D1 d1 = ep0 (s - i), so the cleared expression
+    is C(w) = (w + 1) q(w) - pump w, with q = -gamma1 |d1|^2 and
+    pump = 4 g0^2 ep0^2; q's w^2, w and 1 coefficients are -gamma1 times
+    those of (re0 + re1 w)^2 + (im0 + im1 w)^2, d1's real and imaginary
+    parts.  gamma1 multiplies a factor before it is squared, so no
+    intermediate product overflows where the coefficient does not.  The
+    legacy field amplitude adds 8 g0^4 kappa ep0 / (kappa^2 + delta_c^2)
+    (w - ep0) w^2 - 4 g0^2 ep0 w^2 in place of the pump term.
+    """
+    m = 2.0 * wk * eta
+    re0, re1 = kc * dp + dc, -kc * m
+    im0, im1 = dc * dp - kc, 2.0 * g0 * g0 - dc * m
+    q2 = -(g1 * re1 * re1 + g1 * im1 * im1)
+    q1 = -2.0 * (g1 * re0 * re1 + g1 * im0 * im1)
+    q0 = -(g1 * re0 * re0 + g1 * im0 * im0)
+    t = 2.0 * g0 * ep0
+    if legacy_field_amplitude:
+        drive = 2.0 * g0 * t
+        lead = 2.0 * g0 * g0 * drive * (1.0 / complex(kc, dc)).real
+        return (q2 + lead, q1 + q2 - drive - lead * ep0, q0 + q1, q0), False
+    unpumped = q0 + q1
+    c1 = unpumped - t * t
+    return (q2, q1 + q2, c1, q0), c1 == unpumped
+
+
+_OVERFLOW = "the inversion cubic overflows at these parameters"
 
 
 def build_inversion_polynomial(p: Params,
                                legacy_field_amplitude: bool = False) -> np.ndarray:
-    """Interpolate the cleared inversion expression into a real cubic, the
-    float array (c3, c2, c1, c0) of c3 w^3 + c2 w^2 + c1 w + c0.
-
-    Four distinct real sample points are evaluated and fitted exactly; sample
-    points that land on a coefficient pole are shifted and retried.  Each
-    sample's two denominators are computed once, for the pole check and the
-    cleared expression.  A
-    non-negligible imaginary residue in the fitted coefficients signals a sign
-    convention bug and raises ``NonRealCoefficients``; a sample value or
-    coefficient that overflows raises ``NonFinite``.
+    """The inversion cubic, the float array (c3, c2, c1, c0) of
+    c3 w^3 + c2 w^2 + c1 w + c0, from its closed form (``_closed_form``):
+    each coefficient is right to rounding.  A coefficient that overflows
+    raises ``NonFinite``.
     """
-    samples = list(_SAMPLES)
-    vinv = _VANDER_INV
-    try:
-        lead = 1.0 + abs(p.delta_c0) + p.kappa_c0
-        base = 1.0 + abs(p.delta_p0)
-        slope = 2.0 * p.omega_k0 * p.eta
-        coupling = 2.0 * p.g0 * p.g0
-        for attempt in range(8):
-            dens = []
-            for x in samples:
-                d1, d2 = _denominators(p, x)
-                scale = lead * (base + slope * abs(x)) + coupling * abs(x)
-                if abs(d1) < 1e-13 * scale or abs(d2) < 1e-13 * scale:
-                    break
-                dens.append((d1, d2))
-            if len(dens) == len(samples):
-                break
-            samples = [x + 0.37 * (attempt + 1) for x in samples]
-            vinv = np.linalg.inv(np.vander(np.array(samples), 4))
-        else:
-            raise DegenerateDenominator(
-                "could not place sample points away from coefficient poles")
-
-        values = [_cleared(p, x, d1, d2, legacy_field_amplitude)
-                  for x, (d1, d2) in zip(samples, dens)]
-    except ArithmeticError:  # abs() of an overflowing complex value
-        values = [cmath.inf]
-    scale = math.inf
-    if all(map(cmath.isfinite, values)):
-        coeffs = vinv @ np.array(values)
-        cs = coeffs.tolist()
-        with contextlib.suppress(OverflowError):  # |c| beyond the float range
-            scale = max(map(abs, cs)) if all(map(cmath.isfinite, cs)) else math.inf
-    if not math.isfinite(scale):
-        raise NonFinite("the inversion cubic overflows at these parameters")
-    if scale == 0.0:
-        raise NonRealCoefficients("inversion expression is identically zero")
-    residue = max(abs(c.imag) for c in cs)
-    if residue > 1e-12 * scale:
-        raise NonRealCoefficients(
-            f"imaginary residue {residue / scale:.3e} "
-            "exceeds 1e-12 of the coefficient scale")
-    return coeffs.real
+    coeffs, _ = _closed_form(*_CUBIC_FIELDS(p), legacy_field_amplitude)
+    if not all(map(math.isfinite, coeffs)):
+        raise NonFinite(_OVERFLOW)
+    return np.array(coeffs)
 
 
 # -- root extraction ---------------------------------------------------------
@@ -317,21 +300,27 @@ def _cubic_roots(monic: list) -> list:
 
 def _polished_roots(c: np.ndarray) -> tuple[list, list]:
     """(roots, monic) of a cubic: its trimmed monic form and all its roots
-    (``_cubic_roots``, ``_pair``); or ``NoRealRoot``."""
+    (``_cubic_roots``, ``_pair``); or ``NoRealRoot``.  Three coefficients
+    are the cofactor q of a cubic (w + 1) q (``_cubic``): its roots are -1,
+    exactly, and q's, and its monic form is w + 1 times q's."""
     c = c.tolist()
     top = max(map(abs, c))
     if top == 0.0:
         raise NoRealRoot("zero polynomial")
     cn = [v / top for v in c]
     k = 0
-    while k < 3 and abs(cn[k]) < 1e-12:
+    while abs(cn[k]) < 1e-12:  # the top's own entry is 1
         k += 1
-    if k == 3:
-        raise NoRealRoot("inversion polynomial has no roots")
     lead = cn[k]
     monic = [v / lead for v in cn[k:]]
-    return (_cubic_roots(monic) if k == 0 else _pair(monic, monic[1], monic[2], 1.0)
-            if k == 1 else [-monic[1]]), monic
+    roots = (_cubic_roots(monic) if len(monic) == 4 else
+             _pair(monic, monic[1], monic[2], 1.0) if len(monic) == 3 else
+             [-monic[1]] if len(monic) == 2 else [])
+    if len(c) == 3:
+        return [-1.0, *roots], [a + b for a, b in zip([*monic, 0.0], [0.0, *monic])]
+    if not roots:
+        raise NoRealRoot("inversion polynomial has no roots")
+    return roots, monic
 
 
 def _horner(coeffs, x: float) -> float:
@@ -365,11 +354,29 @@ def _split_roots(roots: list, monic: list):
 
 
 def _cubic(p: Params):
-    """``build_inversion_polynomial(p)``, or the error it raises."""
-    try:
-        return build_inversion_polynomial(p)
-    except QdResponseError as exc:  # raised at its turn
-        return exc
+    """``inversion_roots``' item for ``p``: its cubic, or the error its build
+    raises.  Where the pump term vanishes in the rounding (``_closed_form``)
+    the cubic is (w + 1) q, and the item is the cofactor q, (c3, c2 - c3,
+    c0), so that the root -1 stays -1 rather than one rounding off it."""
+    coeffs, factored = _closed_form(*_CUBIC_FIELDS(p))
+    if not all(map(math.isfinite, coeffs)):
+        return NonFinite(_OVERFLOW)
+    c3, c2, c1, c0 = coeffs
+    return np.array((c3, c2 - c3, c0) if factored else coeffs)
+
+
+def _cubics(ps) -> list:
+    """``_cubic`` of each point of a stack, in one array pass of the same
+    float operations over the stack's parameter columns: elementwise
+    ``*``, ``+`` and ``-`` round as Python's do, so each item has the bits
+    of its lone build."""
+    with np.errstate(all="ignore"):  # an overflowing row is its NonFinite
+        (c3, c2, c1, c0), factored = _closed_form(*np.array(list(map(_CUBIC_FIELDS, ps))).T)
+        cubics = np.stack((c3, c2, c1, c0), axis=1)
+        cofactors = np.stack((c3, c2 - c3, c0), axis=1)
+    finite = np.isfinite(cubics).all(axis=1).tolist()
+    return [(cofactor if exact else cubic) if ok else NonFinite(_OVERFLOW)
+            for cubic, cofactor, exact, ok in zip(cubics, cofactors, factored.tolist(), finite)]
 
 
 def inversion_roots(cubics) -> list:
@@ -377,8 +384,9 @@ def inversion_roots(cubics) -> list:
     roots, their monic residuals and the complex rest.  An item that is the
     error its point's build raised (``_cubic``) is answered with it, and a
     cubic whose roots fail with their error, for the caller to raise at the
-    point's turn.  The roots come from one closed form (``_polished_roots``),
-    for a lone point and along a grid alike.
+    point's turn.  An item of three coefficients is the cofactor of an exact
+    factor w + 1.  The roots come from one closed form
+    (``_polished_roots``), for a lone point and along a grid alike.
 
     A point is ``RootResidual`` when a real root's monic residual reaches
     ``RESIDUAL_BOUND`` and also the rounding noise of evaluating the monic
@@ -395,64 +403,19 @@ def inversion_roots(cubics) -> list:
     return out
 
 
-#: Each steady axis's (power, degree): along the axis every coefficient of
-#: the cubic is a polynomial of that degree in u = x**power.  The cleared
-#: expression is -gamma1_ratio (w + 1) d1 d2 plus ep0**2 g0**2 times a sum
-#: of terms linear in d1, d2 or g0**2, and the denominators d1 and d2 are
-#: affine in delta_p0 and in g0**2.
-_AXIS_BASIS = {SweepAxis.EP0: (2, 1), SweepAxis.DELTA_P0: (1, 2), SweepAxis.G0: (2, 2)}
-
-
-def _grid_cubics(ps, axis: SweepAxis, xs) -> list:
-    """Each point's cubic along ``axis``, or the error its build raises,
-    from ``degree + 1`` node builds: the first and the last point, and for
-    degree 2 the point nearest the middle of the grid in u, which keeps
-    every Lagrange weight within [-2, 2] on any monotone grid.
-
-    A point's coefficients are the Lagrange interpolation in u of the node
-    cubics, in one array expression: its own build up to rounding, and a
-    node's row is its build.  A grid of at most ``degree + 1`` points, or
-    one where a node's build raises, builds every point alone, and so does
-    a row whose interpolated coefficients are not all finite: each error is
-    the one its own point's build raises.
-    """
-    power, degree = _AXIS_BASIS[axis]
-    n = len(ps)
-    if n <= degree + 1:
-        return [_cubic(p) for p in ps]
-    with np.errstate(all="ignore"):  # an overflowing u leaves its rows non-finite
-        u = np.array(xs) ** power
-        middle = 1 + int(np.argmin(abs(u[1:-1] - (u[0] + u[-1]) / 2)))
-    nodes = [0, middle, n - 1] if degree == 2 else [0, n - 1]
-    basis = [_cubic(ps[k]) for k in nodes]
-    if any(isinstance(c, Exception) for c in basis):
-        return [_cubic(p) for p in ps]
-    with np.errstate(all="ignore"):
-        cubics = 0.0
-        for j, c in zip(nodes, basis):
-            weight = 1.0
-            for k in nodes:
-                if k != j:
-                    weight = weight * (u - u[k]) / (u[j] - u[k])
-            cubics = cubics + weight[:, None] * c
-    finite = np.isfinite(cubics).all(axis=1).tolist()
-    return [c if ok else _cubic(p) for p, c, ok in zip(ps, cubics, finite)]
-
-
 def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
     """(x, params, entry) for each point of ``xs`` (a checked grid) along
     ``axis`` from ``p``: the entry is the point's (real, resid, cplx,
     branches), its roots as ``inversion_roots`` gives them and its branches
     as ``solve_steady_branches`` gives them, or the error the point raises.
 
-    The grid's cubics come from a few node builds (``_grid_cubics``), so a
-    point's roots may differ from a lone solve's by rounding.  Each point's
-    roots and branches are computed once, in one step per stage over the
-    whole grid (``inversion_roots``, ``_branch_sets``), the branch rows in
-    one array pass that gives each root the bits of the per-root formulas
-    (``_root_rows``); callers share the entries.  The grid's two ends must pass ``validate_params``; every
-    parameter rule is a bound, so the points between them do too.  A point
-    that does not raises ``InvalidGrid`` naming the axis.
+    Each point's cubic, roots and branches are computed once, in one step
+    per stage over the whole grid (``_cubics``, ``inversion_roots``,
+    ``_branch_sets``), the cubics and the branch rows in array passes that
+    give each point the bits of its lone solve (``_root_rows``); callers
+    share the entries.  The grid's two ends must pass ``validate_params``;
+    every parameter rule is a bound, so the points between them do too.  A
+    point that does not raises ``InvalidGrid`` naming the axis.
     """
     ps = [apply_axis(p, axis, x) for x in xs]
     for end in (ps[0], ps[-1]):
@@ -461,7 +424,7 @@ def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
         except QdResponseError as exc:
             raise InvalidGrid(f"{axis.value} grid reaches an invalid point: "
                               f"{exc}") from None
-    root_sets = inversion_roots(_grid_cubics(ps, axis, xs))
+    root_sets = inversion_roots(_cubics(ps))
     return list(zip(xs, ps, _branch_sets(ps, root_sets)))
 
 

@@ -64,15 +64,15 @@ def lone_roots(p: Params):
 
 
 def rootless_grid_row(monkeypatch, at):
-    """Patch ``steady._grid_cubics`` so that the grid row whose ep0 is ``at``
-    gets the constant cubic 1, which has no roots."""
-    cubics = steady._grid_cubics
+    """Patch the grid build ``steady._cubics`` so that the grid row whose ep0
+    is ``at`` gets the constant cubic 1, which has no roots."""
+    cubics = steady._cubics
 
-    def faulty(ps, *args):
+    def faulty(ps):
         return [np.array([0.0, 0.0, 0.0, 1.0]) if p.ep0 == at else c
-                for p, c in zip(ps, cubics(ps, *args))]
+                for p, c in zip(ps, cubics(ps))]
 
-    monkeypatch.setattr(steady, "_grid_cubics", faulty)
+    monkeypatch.setattr(steady, "_cubics", faulty)
 
 
 def phonon_pole_jacobian(gamma):

@@ -311,8 +311,9 @@ def test_extreme_parameter_values_give_an_answer_or_a_typed_error(tmp_path, caps
     (["oracle-check", "--preset", "2b", "--param", "ep0=25", "--param", "es0=0.01"],
      "no stable branch at this point"),
     # 3 ep0^2 overflows: chi3 is undefined, as at zero pump.  The T2 rows
-    # never read chi3; the only branch sits 1 ulp below w = -1, NonPhysical
-    (["spectrum", "--preset", "5a", "--param", "ep0=1e160", "--param", "g0=0"],
+    # never read chi3; the sideband system is singular (rcond 3e-145) at
+    # every detuning
+    (["spectrum", "--preset", "5a", "--param", "ep0=1e155", "--param", "g0=1e-10"],
      "every grid point failed (pole or no steady branch)"),
     (["kerr", "--preset", "9b", "--param", "ep0=2e154", "--param", "g0=1e-150",
       "--grid", "0:1:2"], "every grid point failed (pole or no steady branch)"),
@@ -321,6 +322,21 @@ def test_commands_without_a_result_exit_2(tmp_path, capsys, argv, message):
     assert run(argv, tmp_path) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not any(tmp_path.iterdir())
+
+
+def test_an_uncoupled_dot_keeps_its_ground_state_at_an_overflowing_pump(tmp_path):
+    # with g0 = 0 the pump term vanishes and the cubic is (w + 1) q exactly:
+    # the branch is w0 = -1.0, physical, and T2, which never reads chi3,
+    # does not depend on ep0
+    spectra = []
+    for ep0 in ("1e160", "5"):
+        out = f"t2-{ep0}.csv"
+        assert run(["spectrum", "--preset", "5a", "--param", f"ep0={ep0}", "--param", "g0=0",
+                    "--out", out], tmp_path) == 0
+        spectra.append(read_csv(tmp_path / out)[1])
+    assert spectra[0] == spectra[1] and len(spectra[0]) > 100
+    assert all((row["branch_id"], row["w0"], row["flags"]) == ("0", "-1.0", "")
+               for row in spectra[0])
 
 
 @pytest.mark.parametrize("preset, message", [

@@ -252,11 +252,12 @@ def _drop_branch(obj):
 
 
 def _scale_grid_jacobian(obj):
-    """Scale by 1 + 1e-8 one Jacobian entry of the last branch of the grid's
-    first point that has branches."""
+    """Scale by 1 + 1e-8 the largest Jacobian entry of the last branch of
+    the grid's first point that has branches."""
     for _, branches in obj["steady"]:
         if isinstance(branches, list) and branches:
-            branches[-1]["jacobian"][14] *= 1.0 + 1e-8
+            jacobian = branches[-1]["jacobian"]
+            jacobian[max(range(49), key=lambda k: abs(jacobian[k]))] *= 1.0 + 1e-8
             return None
     return False
 
@@ -284,21 +285,73 @@ def test_seeded_points_fail_on_a_hand_edit(digest, set_name, edit):
         seeded_points.compare(digest, head, 1e-10)
 
 
+def _exact_extreme(digest):
+    """The line number and object of the first extreme point of ``digest``
+    whose every branch is exact, and the count of its distinct branches."""
+    for n, line in enumerate(digest):
+        obj = json.loads(line)
+        if obj["set"] == "extreme" and isinstance(obj["steady"], list) and obj["steady"]:
+            cubic = seeded_points._exact_cubic(list(seeded_points.extreme_points(obj["k"] + 1))[-1])
+            count = seeded_points._exact_branches(cubic, obj["steady"])
+            if count == len({b["w0"] for b in obj["steady"]}):
+                return n, obj, count
+    raise AssertionError("no extreme point with exact branches")
+
+
 def test_seeded_points_keep_each_extreme_outcome_and_print_its_changes(digest):
     head = _edited(digest, "extreme", lambda obj: _error_line(obj, lambda e: e + "!"))
     changes = seeded_points.compare(digest, head, 1e-10)
     assert len(changes) == 1 and changes[0].startswith("set=extreme k=")
     assert "message" in changes[0]
-    head = _edited(digest, "extreme", lambda obj: _error_line(
-        obj, lambda e: "RootResidual:" + e.split(":", 1)[1]))
-    with pytest.raises(AssertionError, match="error type"):
-        seeded_points.compare(digest, head, 1e-10)
     head = _edited(digest, "extreme", _flip_label)
     changes = seeded_points.compare(digest, head, 1e-10)
     assert len(changes) == 1 and "stability" in changes[0]
-    head = _edited(digest, "extreme", _drop_branch)
-    with pytest.raises(AssertionError, match="branch count"):
-        seeded_points.compare(digest, head, 1e-10)
+    # an outcome may change only where the exact cubic finds it no worse
+    n, obj, count = _exact_extreme(digest)
+    branches = obj["steady"]
+
+    def compared(base_steady, head_steady):
+        base, head = list(digest), list(digest)
+        base[n] = json.dumps({**obj, "steady": base_steady})
+        head[n] = json.dumps({**obj, "steady": head_steady})
+        return seeded_points.compare(base, head, 1e-10)
+
+    wrong = [{**b, "w0": 7.5} for b in branches]  # no exact root there
+    for head_steady, message in ((branches[:-1], "exact branches"),
+                                 (branches + wrong[:1], "exact branches"),
+                                 ("NoRealRoot: zero polynomial",
+                                  "an exact branch became an error")):
+        with pytest.raises(AssertionError, match=message):
+            compared(branches, head_steady)
+    # an error to exact branches, an error type change, and branches with no
+    # exact root to an error are no worse; each is printed with its counts
+    where = f"set=extreme k={obj['k']}"
+    assert compared("NoRealRoot: zero polynomial", branches) == [
+        f"{where}: NoRealRoot -> {len(branches)} branches, 0 -> {count} exact"]
+    assert compared("NoRealRoot: zero polynomial", "NonFinite: overflows") == [
+        f"{where}: NoRealRoot -> NonFinite, 0 -> 0 exact"]
+    assert compared(wrong, "NonFinite: overflows") == [
+        f"{where}: {len(wrong)} branches -> NonFinite, 0 -> 0 exact"]
+
+
+def test_seeded_points_compare_a_jacobian_against_its_largest_entry():
+    jacobian = [100.0, 1e-3, float("nan"), float("inf")] + [0.0] * 45
+    line = {"set": "wide_box", "seed": 1, "k": 0,
+            "steady": [{"w0": -0.5, "jacobian": jacobian}]}
+    base = [json.dumps(line)]
+
+    def compared(k, value):
+        edited = json.loads(base[0])
+        edited["steady"][0]["jacobian"][k] = value
+        return seeded_points.compare(base, [json.dumps(edited)], 1e-10)
+
+    # an entry that cancels moves by 1e-8 of itself, 1e-13 of the largest
+    assert compared(1, 1e-3 * (1.0 + 1e-8)) == []
+    assert compared(4, 5e-9) == []
+    for k, value in ((0, 100.0 * (1.0 + 1e-9)), (1, 1.1e-3), (2, 0.0), (3, 1e300),
+                     (4, float("nan")), (4, 2e-8)):
+        with pytest.raises(AssertionError, match="jacobian"):
+            compared(k, value)
 
 
 def test_seeded_points_compare_an_error_message_of_a_wide_box_point(digest):

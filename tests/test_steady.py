@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdresponse import presets, steady
-from qdresponse.errors import (InvalidGrid, NoConvergence, NonFinite, NonRealCoefficients,
+from qdresponse.errors import (InvalidGrid, NoConvergence, NonFinite,
                                NoRealRoot, QdResponseError, RootResidual, _or_raise)
 from qdresponse.model import Params, SweepAxis, apply_axis
 from qdresponse.oracle import mean_field_rhs, steady_state_vector
@@ -70,6 +70,97 @@ def test_interpolated_cubic_matches_direct_evaluation():
                 < 1e-12 * scale * max(1.0, abs(w)) ** 3
 
 
+class _Gaussian:
+    """An exact complex rational, for the cleared expression in exact
+    arithmetic."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, other):
+        return _Gaussian(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return _Gaussian(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return _Gaussian(self.re * other.re - self.im * other.im,
+                         self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other):
+        norm = other.re * other.re + other.im * other.im
+        return self * _Gaussian(other.re / norm, -other.im / norm)
+
+
+def _exact_cleared_cubic(p, legacy_field_amplitude=False):
+    """The coefficients of ``cleared_inversion_expression`` (with the legacy
+    field amplitude if asked), exactly: the expression's definition in exact
+    complex rationals at four sample points off its poles, interpolated
+    exactly.  Each coefficient must come out real."""
+    g = {k: _Gaussian(Fraction(getattr(p, k))) for k in (
+        "delta_p0", "delta_c0", "kappa_c0", "g0", "eta", "omega_k0", "ep0", "gamma1_ratio")}
+    i, one, two = _Gaussian(0, 1), _Gaussian(1), _Gaussian(2)
+    ka = i * g["delta_c0"] + g["kappa_c0"]
+    kb = g["kappa_c0"] - i * g["delta_c0"]
+    coupling = two * i * g["g0"] * g["g0"]
+    samples = []
+    for x in range(-3, 4):
+        if len(samples) == 4:
+            break
+        w = _Gaussian(x)
+        shift = g["delta_p0"] - two * g["omega_k0"] * g["eta"] * w
+        d1 = ka * (shift - i) + coupling * w
+        d2 = kb * (shift + i) - coupling * w
+        if not (d1.re or d1.im) or not (d2.re or d2.im):
+            continue  # a pole
+        c1 = two * g["g0"] * w * g["ep0"] / d1
+        c2 = two * g["g0"] * w * g["ep0"] / d2
+        drive = w if legacy_field_amplitude else g["ep0"]
+        a1 = (drive - i * g["g0"] * c1) / ka
+        a2 = (drive + i * g["g0"] * c2) / kb
+        expr = _Gaussian(0) - g["gamma1_ratio"] * (w + one) - i * g["g0"] * (a1 * c2 - a2 * c1)
+        samples.append((Fraction(x), expr * d1 * d2))
+    coeffs = [_Gaussian(0)] * 4  # descending
+    for j, (xj, yj) in enumerate(samples):
+        basis = [Fraction(1)]  # descending coefficients of prod (w - xk) / (xj - xk)
+        for k, (xk, _) in enumerate(samples):
+            if k != j:
+                basis = [a - xk * b for a, b in zip(basis + [0], [0] + basis)]
+                basis = [b / (xj - xk) for b in basis]
+        coeffs = [c + yj * _Gaussian(b) for c, b in zip(coeffs, basis)]
+    assert all(c.im == 0 for c in coeffs)
+    return [c.re for c in coeffs]
+
+
+def test_closed_form_coefficients_are_right_to_rounding(monkeypatch):
+    """Both transcriptions' float coefficients are within 1e-15 of the
+    largest exact coefficient on the 19 presets and on seeded ``wide_box``
+    points; the sampled fit reached 7.2e-13 on such points."""
+    points = [presets.get_preset(fid).params for fid in presets.figure_ids()]
+    assert len(points) == 19
+    points += _wide_box_params(monkeypatch, 1, 150)
+    worst = 0.0
+    for p in points:
+        for legacy in (False, True):
+            exact = _exact_cleared_cubic(p, legacy)
+            top = max(map(abs, exact))
+            built = build_inversion_polynomial(p, legacy_field_amplitude=legacy).tolist()
+            worst = max(worst, max(abs(Fraction(c) - e) for c, e in zip(built, exact)) / top)
+    assert 0.0 < worst <= 1e-15
+
+
+@pytest.mark.parametrize("k", [315, 1122, 1342, 1558])
+def test_gamma1_scales_a_factor_before_it_is_squared(k):
+    # at these extreme points |d1|^2's coefficients overflow where gamma1
+    # times them does not: each keeps its one exact branch
+    points = script("seeded_points")
+    p = list(points.extreme_points(k + 1))[k]
+    assert all(np.isfinite(build_inversion_polynomial(p)))
+    branches = [{"w0": b.w0} for b in solve_steady_branches(p)]
+    assert len(branches) == 1
+    assert points._exact_branches(points._exact_cubic(p), branches) == 1
+
+
 def test_undriven_state_is_unique_ground_branch():
     p = bistable_point(ep0=0.0)
     branches = solve_steady_branches(p)
@@ -128,36 +219,44 @@ def test_pole_cancellation_roots_are_filtered():
 
 
 def test_a_root_pair_on_a_coefficient_pole_is_dropped():
-    # a dominant population decay leaves the cubic -gamma1 (w + 1) d1 d2,
-    # whose near-double pair from the zero of d1 at w = 0.3 is complex by
-    # 4e-9, so it counts as real and its real part sits on the pole
-    p = Params(delta_p0=0.0, delta_c0=0.0, g0=1.5, eta=0.0, omega_k0=10.0,
-               kappa_c0=1.35, gamma_q0=0.1, ep0=3.15,
-               gamma1_ratio=2.4799669547016535e147)
-    real, _, _ = lone_roots(p)
-    assert len(real) == 3 and real[1] == real[2] == pytest.approx(0.3, rel=1e-15)
+    # at zero pump the cubic is -gamma1 (w + 1) |d1|^2 = [-8, 8, 8, -8], and
+    # d1(w) = 2 - 2w vanishes at w = 1: a real double root on the pole, in
+    # the per-root loop of a lone point and in the array pass of a stack
+    p = Params(delta_p0=1.0, delta_c0=1.0, g0=1.0, eta=0.1, omega_k0=10.0,
+               kappa_c0=1.0, gamma_q0=0.1, ep0=0.0)
+    assert build_inversion_polynomial(p).tolist() == [-8.0, 8.0, 8.0, -8.0]
+    assert lone_roots(p)[0] == [-1.0, 1.0, 1.0]
     with pytest.raises(ZeroDivisionError):
-        steady_fields(p, real[1])
+        steady_fields(p, 1.0)
     assert [b.w0 for b in solve_steady_branches(p)] == [-1.0]
+    grid = steady.grid_roots(p, SweepAxis.EP0, [0.0, 0.5])
+    assert grid[0][2][0] == [-1.0, 1.0, 1.0] and [b.w0 for b in grid[0][2][3]] == [-1.0]
 
 
-@pytest.mark.parametrize("p", [
-    # the monic cubic is w^3 + w^2 + 5.9e-144: its small pair
-    # 2.9e-144 +- 7.7e-73 i counts as a real double root, whose fixed point
-    # is near -5e-299; at w = 2.9e-144 the drive term is 1e48 off it
-    Params(delta_p0=-8.0, delta_c0=0.8, g0=1.0, eta=1.6604956758209003e70,
-           omega_k0=100.0, kappa_c0=1.35, gamma_q0=0.1, ep0=1.8175440813595347e96,
-           delta0=4.3, gamma1_ratio=1.6632078271963144e-107),
+@pytest.mark.parametrize("p, pair", [
+    # extreme point 1009: the sampled build gave w^3 + w^2 + 5.9e-144, whose
+    # small pair 2.9e-144 +- 7.7e-73 i counted as a real double root off any
+    # fixed point; the exact cubic's c1 = -1.3e193 dominates, and its one
+    # real root, near -2e-298, is the one branch
+    (Params(delta_p0=-8.0, delta_c0=0.8, g0=1.0, eta=1.6604956758209003e70,
+            omega_k0=100.0, kappa_c0=1.35, gamma_q0=0.1, ep0=1.8175440813595347e96,
+            delta0=4.3, gamma1_ratio=1.6632078271963144e-107), False),
     # w^3 + w^2 + 6.7e-203: a pair at 3.4e-203 would be non-physical
-    Params(delta_p0=-10.0, delta_c0=-10.0, g0=1.5, eta=6.120607102925072e100,
-           omega_k0=10.0, kappa_c0=1.35, gamma_q0=0.1, ep0=5.0, delta0=6.3,
-           gamma1_ratio=3.397889724423161e-74),
-])
-def test_a_noise_level_pair_has_real_part_zero(p):
+    (Params(delta_p0=-10.0, delta_c0=-10.0, g0=1.5, eta=6.120607102925072e100,
+            omega_k0=10.0, kappa_c0=1.35, gamma_q0=0.1, ep0=5.0, delta0=6.3,
+            gamma1_ratio=3.397889724423161e-74), True),
+], ids=["p0", "p1"])
+def test_a_noise_level_pair_has_real_part_zero(p, pair):
     # a real part below eps times the pair's imaginary part is rounding
-    assert lone_roots(p)[0][1:] == [0.0, 0.0]
     branches = solve_steady_branches(p)
-    assert [b.w0 for b in branches][1:] == [0.0, 0.0] and len(branches) == 3
+    if pair:
+        assert lone_roots(p)[0][1:] == [0.0, 0.0]
+        assert [b.w0 for b in branches][1:] == [0.0, 0.0] and len(branches) == 3
+    else:
+        assert lone_roots(p)[1:] == ([0.0], [])
+        assert len(branches) == 1 and -3e-298 < branches[0].w0 < -1e-298
+        points = script("seeded_points")
+        assert points._exact_branches(points._exact_cubic(p), [{"w0": branches[0].w0}]) == 1
     for b in branches:
         fields = steady_fields(p, b.w0)
         assert b.physical and steady._steady_rhs_scaled(p, b.w0, *fields) <= 1e-9
@@ -235,57 +334,6 @@ def test_random_points_residual_and_count(dp, dc, g0, eta, wk, kc, ep0):
         assert r < max(1e-10, floor)
 
 
-def test_sample_point_on_coefficient_pole_is_resampled(monkeypatch):
-    # d1 vanishes at the default sample point w = 1 for these points: exactly
-    # for the first, and to the rounding of sqrt(0.5)^2 for the second
-    # (delta_p0 = 2 omega_k0 eta, g0^2 = 1/2); construction must shift the
-    # samples once (one new fit matrix), reproduce the cleared expression and
-    # give fixed points
-    fits = []
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: fits.append(a) or inv(a))
-    for p in (Params(delta_p0=1.0, delta_c0=1.0, g0=1.0, eta=0.1, omega_k0=10.0,
-                     kappa_c0=1.0, gamma_q0=0.1, ep0=2.0),
-              Params(delta_p0=2.0, delta_c0=0.0, g0=0.5 ** 0.5, eta=0.1,
-                     omega_k0=10.0, kappa_c0=1.0, gamma_q0=0.1, ep0=2.0)):
-        d1, _ = steady._denominators(p, 1.0)
-        assert abs(d1) < 1e-15
-        fits.clear()
-        poly = build_inversion_polynomial(p)
-        assert len(fits) == 1
-        scale = max(abs(c) for c in poly)
-        for w in (-1.7, -0.4, 0.3, 1.9):
-            assert abs(np.polyval(poly, w) - cleared_inversion_expression(p, w)) \
-                < 1e-11 * scale
-        branches = solve_steady_branches(p)
-        assert branches
-        for b in branches:
-            assert _scaled_fixed_point_residual(p, b) <= 1e-12
-
-
-@pytest.mark.parametrize("gap, shifted", [(1.5e-11, True), (3e-11, False)])
-def test_pole_check_scale_counts_the_coupling(monkeypatch, gap, shifted):
-    # at w = 1 both denominators are +-i (2 g0^2 - kappa_c0), |d1| = gap; the
-    # pole check's scale there is (1 + kappa_c0) + 2 g0^2 = 101 + 100, of
-    # which the coupling term 2 g0^2 |w| is nearly half (at a pole it is
-    # never more).  A gap of 1.5e-11 is 7.5e-14 of that scale, a pole, but
-    # 1.5e-13 of the scale without the coupling term; 3e-11 is 1.5e-13 of
-    # it, no pole
-    fits = []
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: fits.append(a) or inv(a))
-    p = Params(delta_p0=0.0, delta_c0=0.0, g0=((100.0 + gap) / 2.0) ** 0.5,
-               eta=0.0, omega_k0=10.0, kappa_c0=100.0, gamma_q0=0.1, ep0=2.0)
-    d1, d2 = steady._denominators(p, 1.0)
-    assert abs(d1) == abs(d2) and abs(abs(d1) / gap - 1.0) < 1e-3
-    poly = build_inversion_polynomial(p)
-    assert len(fits) == (1 if shifted else 0)
-    scale = max(abs(c) for c in poly)
-    for w in (-1.7, -0.4, 0.3, 1.9):
-        assert abs(np.polyval(poly, w) - cleared_inversion_expression(p, w)) \
-            < 1e-11 * scale
-
-
 def test_jacobian_matches_numerical_differentiation():
     from qdresponse.oracle import mean_field_rhs, steady_state_vector
 
@@ -347,40 +395,33 @@ def test_overflowing_cubic_raises_non_finite(change):
         build_inversion_polynomial(bistable_point().replace(**change))
 
 
-def test_a_coefficient_whose_modulus_overflows_is_non_finite(monkeypatch):
-    # four equal samples fit the constant cubic c0 = 1.5e308 (1 + i): both
-    # parts are finite, |c0| is not, and no RuntimeWarning is raised
-    monkeypatch.setattr(steady, "_cleared", lambda *args: 1.5e308 * (1 + 1j))
-    with pytest.raises(NonFinite, match="overflows"):
-        build_inversion_polynomial(bistable_point())
-
-
 def test_an_undriven_dot_without_decay_or_coupling_has_no_cubic():
-    # gamma1_ratio underflows the (w + 1) d1 d2 term: every sample is 0
+    # gamma1_ratio underflows the (w + 1) |d1|^2 term: every coefficient is 0
     p = Params(delta_p0=0, delta_c0=0, g0=0, eta=0, omega_k0=1, kappa_c0=0.1,
                gamma_q0=0.1, ep0=0, gamma1_ratio=5e-324)
-    with pytest.raises(NonRealCoefficients) as err:
-        build_inversion_polynomial(p)
-    assert str(err.value) == "inversion expression is identically zero"
-
-
-def test_an_imaginary_residue_in_the_fit_is_non_real(monkeypatch):
-    cleared = steady._cleared
-    monkeypatch.setattr(steady, "_cleared", lambda *args: cleared(*args) + 1j)
-    with pytest.raises(NonRealCoefficients,
-                       match=r"^imaginary residue \S+ exceeds 1e-12 of the coefficient scale$"):
-        build_inversion_polynomial(bistable_point())
+    assert build_inversion_polynomial(p).tolist() == [-0.0, -0.0, -0.0, -0.0]
+    with pytest.raises(NoRealRoot) as err:
+        solve_steady_branches(p)
+    assert str(err.value) == "zero polynomial"
 
 
 @pytest.mark.parametrize("row", range(4))
 def test_a_nan_coefficient_is_non_finite_wherever_it_sits(monkeypatch, row):
-    # a fit whose sums overflow can give NaN (inf - inf) next to finite
-    # coefficients; a NaN fit row gives one without a RuntimeWarning
-    vinv = steady._VANDER_INV.copy()
-    vinv[row] = np.nan
-    monkeypatch.setattr(steady, "_VANDER_INV", vinv)
+    # inf - inf can leave NaN next to finite coefficients: the lone build,
+    # a lone solve and a grid's array pass each find it in any position
+    closed = steady._closed_form
+
+    def nan_at_row(*args):
+        coeffs, factored = closed(*args)
+        return tuple(c * np.nan if k == row else c for k, c in enumerate(coeffs)), factored
+
+    monkeypatch.setattr(steady, "_closed_form", nan_at_row)
     with pytest.raises(NonFinite, match="overflows"):
         build_inversion_polynomial(bistable_point())
+    with pytest.raises(NonFinite, match="overflows"):
+        solve_steady_branches(bistable_point())
+    grid = steady.grid_roots(bistable_point(), SweepAxis.EP0, [2.0, 4.0, 6.0])
+    assert [str(e) for *_, e in grid] == ["the inversion cubic overflows at these parameters"] * 3
 
 
 @pytest.mark.parametrize("ep0, p1, p2", [(81.0, -17.4, -33.3), (36.0, -31.8, -36.2),
@@ -587,14 +628,15 @@ def test_point_without_roots_is_skipped_in_both_traces(monkeypatch):
 
 
 def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
-    # both traces share one cubic and one branch list per grid point, the
-    # grid's cubics come from its two end builds (ep0 axis), and each stage
-    # runs once on the whole grid, the branch rows in one array pass with no
-    # per-root Jacobian; each trace still asks for its branches at every point
+    # both traces share one cubic and one branch list per grid point, and
+    # each stage runs once on the whole grid: the cubics in one array pass of
+    # the closed form, not the public build, and the branch rows in one with
+    # no per-root Jacobian; each trace still asks for its branches at every
+    # point
     preset = presets.get_preset("2b")
     kept = sum(len(found[3]) for _, _, found in
                steady.grid_roots(preset.params, preset.axis, preset.grid))
-    calls = {"build_inversion_polynomial": 0, "_jacobian_entries": 0,
+    calls = {"build_inversion_polynomial": 0, "_closed_form": 0, "_jacobian_entries": 0,
              "_root_rows": 0, "solve_steady_branches": 0, "inversion_roots": 0,
              "classify_stability": 0}
     for name in calls:
@@ -609,14 +651,16 @@ def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
     n = len(preset.grid)
     assert len(result.up) == len(result.down) == n
     assert kept > n
-    assert calls == {"build_inversion_polynomial": 2, "_jacobian_entries": 0,
-                     "_root_rows": 1, "solve_steady_branches": 2 * n,
-                     "inversion_roots": 1, "classify_stability": 1}
-    # a lone point runs each stage once, as a stack of one, and the per-root
-    # Jacobian once per branch
+    assert calls == {"build_inversion_polynomial": 0, "_closed_form": 1,
+                     "_jacobian_entries": 0, "_root_rows": 1,
+                     "solve_steady_branches": 2 * n, "inversion_roots": 1,
+                     "classify_stability": 1}
+    # a lone point runs each stage once, as a stack of one, its cubic from
+    # the closed form in Python floats, and the per-root Jacobian once per
+    # branch
     calls.update(dict.fromkeys(calls, 0))
     branches = steady.solve_steady_branches(bistable_point(ep0=8.0))
-    assert calls == {"build_inversion_polynomial": 1,
+    assert calls == {"build_inversion_polynomial": 0, "_closed_form": 1,
                      "_jacobian_entries": len(branches), "_root_rows": 0,
                      "solve_steady_branches": 1, "inversion_roots": 1,
                      "classify_stability": 1}
@@ -809,21 +853,23 @@ def _preset_grids():
     inversion preset member."""
     for preset, params in _preset_grid_points():
         ps = [apply_axis(params, preset.axis, x) for x in preset.grid]
-        yield (params, preset.axis, preset.grid, ps,
-               steady._grid_cubics(ps, preset.axis, preset.grid))
+        yield params, preset.axis, preset.grid, ps, steady._cubics(ps)
 
 
-#: Bound on a grid cubic's departure from its point's own build, relative to
-#: the build's largest coefficient.  The departure is the build's own
-#: rounding (interpolating the node builds in long double moves the grid
-#: cubics by at most 8.1e-15): it reached 1.6e-15 on the preset grids and
-#: 7.9e-13 (ep0), 1.3e-12 (delta_p0) and 1.9e-12 (g0) on 1,500 seeded
-#: random bases per axis.  A wrong entry in ``_AXIS_BASIS`` departs by 30 or
-#: more.
-_GRID_CUBIC_TOL = 1e-11
+def _item_bits(item):
+    """A ``steady._cubic`` item as compared bit for bit."""
+    if isinstance(item, Exception):
+        return type(item), str(item)
+    return item.tobytes()
 
 
-def test_grid_cubics_match_per_point_builds():
+def test_grid_cubics_have_the_bits_of_lone_builds():
+    """Each grid point's cubic from the array pass (``steady._cubics``) has
+    the bytes of its lone build in Python floats (``steady._cubic``): on
+    every 2a-3b member grid, on 150 seeded random bases per steady axis in
+    either order, on grids through an overflow (the error's type and
+    message) and through a vanishing pump (the cofactor of w + 1); and a
+    pumped cubic is ``build_inversion_polynomial``'s."""
     grids = [grid[:3] for grid in _preset_grids()]
     axes = {SweepAxis.EP0: np.linspace(0.0, 300.0, 41),
             SweepAxis.DELTA_P0: np.linspace(-50.0, 50.0, 41),
@@ -831,39 +877,19 @@ def test_grid_cubics_match_per_point_builds():
     for axis, xs in axes.items():
         for k, p in enumerate(_wide_box_points(np.random.default_rng(23), 150)):
             grids.append((p, axis, tuple(xs[::-1] if k % 2 else xs)))  # either order
-    worst = 0.0
+    grids += [(bistable_point(), SweepAxis.EP0, [2.0, 4.0, 1e200, 2e200]),
+              (bistable_point().replace(g0=1e-200), SweepAxis.EP0,
+               [1e153, 1.2e154, 1e155, 2e155]),
+              (bistable_point(), SweepAxis.EP0, [0.0, 1e-200, 1e-160, 0.5])]
+    kinds = set()
     for params, axis, xs in grids:
         ps = [apply_axis(params, axis, x) for x in xs]
-        cubics = steady._grid_cubics(ps, axis, xs)
-        for p, cubic in zip(ps, cubics):
-            ref = build_inversion_polynomial(p)
-            worst = max(worst, float(np.abs(cubic - ref).max() / np.abs(ref).max()))
-        # each node's row is its own build
-        for k in (0, len(xs) - 1):
-            assert cubics[k].tobytes() == build_inversion_polynomial(ps[k]).tobytes()
-    assert 0.0 < worst <= _GRID_CUBIC_TOL
-
-
-def test_short_or_overflowing_grids_build_each_cubic_alone():
-    # at most degree + 1 points; a node whose build raises; ep0**2 overflows
-    # where the builds do not (g0 = 1e-200): every row is its own build, or
-    # the type and message of the error the build raises
-    grids = [(bistable_point(), SweepAxis.EP0, [2.0, 4.0]),
-             (bistable_point(), SweepAxis.G0, [0.5, 1.0, 2.0]),
-             (bistable_point(), SweepAxis.EP0, [2.0, 4.0, 1e200, 2e200]),
-             (bistable_point().replace(g0=1e-200), SweepAxis.EP0,
-              [1e153, 1.2e154, 1e155, 2e155])]
-    errors = 0
-    for params, axis, xs in grids:
-        ps = [apply_axis(params, axis, x) for x in xs]
-        for cubic, p in zip(steady._grid_cubics(ps, axis, xs), ps):
-            alone = _outcome(build_inversion_polynomial, p)
-            if isinstance(cubic, Exception):
-                assert (type(cubic), str(cubic)) == alone
-                errors += 1
-            else:
-                assert cubic.tobytes() == alone.tobytes()
-    assert errors == 2
+        for p, item in zip(ps, steady._cubics(ps)):
+            assert _item_bits(item) == _item_bits(steady._cubic(p))
+            kinds.add(type(item) if isinstance(item, Exception) else len(item))
+            if not isinstance(item, Exception) and len(item) == 4:
+                assert item.tobytes() == build_inversion_polynomial(p).tobytes()
+    assert kinds == {NonFinite, 3, 4}
 
 
 def test_grid_branches_match_per_point_branches():
@@ -886,22 +912,18 @@ def test_grid_branches_match_per_point_branches():
 
 
 def test_grid_kernels_give_the_bits_of_the_public_formulas():
-    """Each cubic, built from its samples' denominators computed once, is
-    the interpolation of ``cleared_inversion_expression``; each grid
-    Jacobian, written into the stack from its root's fields, is
-    ``mean_field_jacobian``."""
-    def interpolated(p):
-        return (steady._VANDER_INV @ [cleared_inversion_expression(p, x)
-                                      for x in steady._SAMPLES]).real
-
+    """Each cubic of a grid or a stack, from the array pass of the closed
+    form, is ``build_inversion_polynomial``'s; each grid Jacobian, written
+    into the stack from its root's fields, is ``mean_field_jacobian``."""
     grids = [(p, found) for preset, params in _preset_grid_points()
              for _, p, found in steady.grid_roots(params, preset.axis, preset.grid)]
     wide = list(_wide_box_points(np.random.default_rng(17), 1000))
     grids += zip(wide, steady._branch_sets(
-        wide, inversion_roots(map(steady._cubic, wide))))
+        wide, inversion_roots(steady._cubics(wide))))
+    cubics = steady._cubics([p for p, _ in grids])
     jacobians = 0
-    for p, found in grids:
-        assert build_inversion_polynomial(p).tobytes() == interpolated(p).tobytes()
+    for (p, found), cubic in zip(grids, cubics):
+        assert cubic.tobytes() == build_inversion_polynomial(p).tobytes()
         for b in found[3]:
             assert b.jacobian.tobytes() == mean_field_jacobian(p, b.w0).tobytes()
             jacobians += 1
@@ -941,10 +963,12 @@ def test_array_rows_match_the_per_root_loop_bit_for_bit(monkeypatch):
     assert len(wide_passes) > len(wide)
     failing = np.zeros(len(extreme), bool)
     failing[point[overflow]] = True
-    assert on_pole.sum() == 2
-    assert (~on_pole & ~fits & ~failing[point]).sum() == 518
-    # each overflow is omega_k0 ** 3's, raised at a root not on a pole
-    assert overflow.sum() == 197 and failing.sum() == 88
+    # with kappa_c0 > 0 and a pump, no real root of the exact cubic sits on
+    # a pole (there C = -4 g0^2 ep0^2 w), and none of the closed form's does
+    assert on_pole.sum() == 0
+    assert (~on_pole & ~fits & ~failing[point]).sum() == 468
+    # each overflow is omega_k0 ** 3's
+    assert overflow.sum() == 210 and failing.sum() == 93
     for i in np.flatnonzero(failing).tolist():
         with pytest.raises(OverflowError):
             extreme[i].omega_k0 ** 3
@@ -952,22 +976,30 @@ def test_array_rows_match_the_per_root_loop_bit_for_bit(monkeypatch):
     # overflows on finite parts (|td| near 1.5e308), and abs() infinite on
     # one infinite part of td, its imaginary then its real part, which does
     # not raise but leaves r_s NaN from finite fields; a root on a pole where
-    # omega_k0 ** 3 overflows, dropped before the overflow; and real roots
-    # whose r_q alone is NaN, where 2 eta omega_k0 ** 3 overflows but
-    # omega_k0 ** 3 does not.  Each overflow, raised or not, is NonFinite.
+    # omega_k0 ** 3 overflows, dropped before the overflow; real roots whose
+    # r_q alone is NaN, where 2 eta omega_k0 ** 3 overflows but omega_k0 ** 3
+    # does not; and the double root on the pole of an undriven point, whose
+    # ground state stays.  Each overflow, raised or not, is NonFinite.
     far = bistable_point().replace(g0=0.01, eta=1.0, omega_k0=1.0, kappa_c0=0.01,
                                    delta_c0=0.01, ep0=1e4)
     pole = Params(delta_p0=2.0, delta_c0=0.0, g0=1.0, eta=2.0 ** -400,
                   omega_k0=2.0 ** 400, kappa_c0=2.0, gamma_q0=0.1, ep0=1.0)
     tw_overflows = bistable_point().replace(omega_k0=5e102, eta=1.0)
+    undriven = Params(delta_p0=1.0, delta_c0=1.0, g0=1.0, eta=0.1, omega_k0=10.0,
+                      kappa_c0=1.0, gamma_q0=0.1, ep0=0.0)
     built = [(bistable_point(), None), (far, 1.5e304), (far, 1.785e304),
-             (far.replace(delta_c0=0.012), 2e304), (pole, 1.0), (tw_overflows, None)]
+             (far.replace(delta_c0=0.012), 2e304), (pole, 1.0), (tw_overflows, None),
+             (undriven, None)]
     stack = pinned([p for p, _ in built], [
         lone_roots(p) if w0 is None else ([w0], [0.0], []) for p, w0 in built])
     assert [type(entry) for entry in stack] == \
-        [tuple, NonFinite, NonFinite, NonFinite, NoRealRoot, NonFinite]
+        [tuple, NonFinite, NonFinite, NonFinite, NoRealRoot, NonFinite, tuple]
     overflows = "a steady branch overflows at these parameters"
-    assert str(stack[-1]) == overflows
+    assert str(stack[5]) == overflows
+    assert stack[6][0] == [-1.0, 1.0, 1.0] and [b.w0 for b in stack[6][3]] == [-1.0]
+    point, (*_, on_pole, _, _) = calls[-1]  # the built stack's array pass
+    assert on_pole[point == 4].tolist() == [True]
+    assert on_pole[point == 6].tolist() == [False, True, True]
     with pytest.raises(NonFinite, match=overflows):
         solve_steady_branches(tw_overflows)
     # the same overflow on a grid: every point of an ep0 grid through it
