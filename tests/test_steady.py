@@ -863,13 +863,11 @@ def _item_bits(item):
     return item.tobytes()
 
 
-def test_grid_cubics_have_the_bits_of_lone_builds():
+def test_grid_cubics_match_per_point_builds():
     """Each grid point's cubic from the array pass (``steady._cubics``) has
-    the bytes of its lone build in Python floats (``steady._cubic``): on
-    every 2a-3b member grid, on 150 seeded random bases per steady axis in
-    either order, on grids through an overflow (the error's type and
-    message) and through a vanishing pump (the cofactor of w + 1); and a
-    pumped cubic is ``build_inversion_polynomial``'s."""
+    the bytes of its lone build in Python floats (``steady._cubic``), on
+    every 2a-3b member grid and on 150 seeded random bases per steady axis
+    in either order; a pumped cubic is ``build_inversion_polynomial``'s."""
     grids = [grid[:3] for grid in _preset_grids()]
     axes = {SweepAxis.EP0: np.linspace(0.0, 300.0, 41),
             SweepAxis.DELTA_P0: np.linspace(-50.0, 50.0, 41),
@@ -877,19 +875,39 @@ def test_grid_cubics_have_the_bits_of_lone_builds():
     for axis, xs in axes.items():
         for k, p in enumerate(_wide_box_points(np.random.default_rng(23), 150)):
             grids.append((p, axis, tuple(xs[::-1] if k % 2 else xs)))  # either order
-    grids += [(bistable_point(), SweepAxis.EP0, [2.0, 4.0, 1e200, 2e200]),
-              (bistable_point().replace(g0=1e-200), SweepAxis.EP0,
-               [1e153, 1.2e154, 1e155, 2e155]),
-              (bistable_point(), SweepAxis.EP0, [0.0, 1e-200, 1e-160, 0.5])]
-    kinds = set()
+    checked = 0
     for params, axis, xs in grids:
         ps = [apply_axis(params, axis, x) for x in xs]
         for p, item in zip(ps, steady._cubics(ps)):
             assert _item_bits(item) == _item_bits(steady._cubic(p))
-            kinds.add(type(item) if isinstance(item, Exception) else len(item))
             if not isinstance(item, Exception) and len(item) == 4:
                 assert item.tobytes() == build_inversion_polynomial(p).tobytes()
-    assert kinds == {NonFinite, 3, 4}
+                checked += 1
+    assert checked > 20000
+
+
+def test_short_or_overflowing_grids_build_each_cubic_alone():
+    # at most degree + 1 points; a node whose build raises; ep0**2 overflows
+    # where the builds do not (g0 = 1e-200); a vanishing pump, where the
+    # cubic is the cofactor of w + 1: every row is its lone build, or the
+    # type and message of the error that build raises
+    grids = [(bistable_point(), SweepAxis.EP0, [2.0, 4.0]),
+             (bistable_point(), SweepAxis.G0, [0.5, 1.0, 2.0]),
+             (bistable_point(), SweepAxis.EP0, [2.0, 4.0, 1e200, 2e200]),
+             (bistable_point().replace(g0=1e-200), SweepAxis.EP0,
+              [1e153, 1.2e154, 1e155, 2e155]),
+             (bistable_point(), SweepAxis.EP0, [0.0, 1e-200, 1e-160, 0.5])]
+    kinds = []
+    for params, axis, xs in grids:
+        ps = [apply_axis(params, axis, x) for x in xs]
+        for p, item in zip(ps, steady._cubics(ps)):
+            assert _item_bits(item) == _item_bits(steady._cubic(p))
+            if isinstance(item, Exception):
+                assert _item_bits(item) == _outcome(build_inversion_polynomial, p)
+                kinds.append(type(item))
+            else:
+                kinds.append(len(item))
+    assert kinds.count(NonFinite) == 2 and kinds.count(3) >= 1 and set(kinds) == {NonFinite, 3, 4}
 
 
 def test_grid_branches_match_per_point_branches():
