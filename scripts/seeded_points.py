@@ -8,8 +8,8 @@ The digest covers the paths the figures do not reach: a lone cubic, root
 polish and branch assembly, and an uncertified sideband row per point, on
 10,000 ``wide_box_params`` points (seeds 1 and 2); on every tenth point, a
 certified stacked delta0 sweep of branches far outside the preset box; the
-branches of every grid point of ``steady.grid_roots``, whose cubics and
-branch rows are assembled a grid at a time, on each member grid of the
+branches of every grid point of ``steady.grid_roots``, whose branch rows
+are assembled a grid at a time, on each member grid of the
 inversion presets 2a-3b (whose figure rows carry only w0 and the labels)
 and on 5 seeded 41-point ``wide_box_params`` grids along each of ep0,
 delta_p0 and g0; every grid point's branch labels on 2,001-point ep0

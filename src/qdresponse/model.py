@@ -6,6 +6,7 @@ dephasing rates, frequencies and decay rates as plain ratios.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -56,17 +57,9 @@ class Params:
     gamma1_ratio: float = 2.0
 
     def replace(self, **changes) -> "Params":
-        """``dataclasses.replace(self, **changes)``, unchecked: as frozen, equal
-        and of equal hash.  An unknown key raises ``TypeError``.
-
-        The copy's fields go into its instance dict in one update, not through
-        the frozen ``__init__``'s ``object.__setattr__`` per field.  ``self`` is
-        read through one ``attrgetter``: on CPython 3.11+ ``vars(self)`` would
-        materialize its dict and double the cost of every later read on it."""
-        values = dict(zip(PARAM_FIELDS, _field_values(self)), **changes)
-        if len(values) != len(PARAM_FIELDS):
-            raise TypeError(f"unknown Params fields among {sorted(changes)}")
-        return _filled(Params, values)
+        """``dataclasses.replace(self, **changes)``, unchecked.  An unknown key
+        raises ``TypeError``."""
+        return dataclasses.replace(self, **changes)
 
 
 def _filled(cls, values: dict):
@@ -77,7 +70,6 @@ def _filled(cls, values: dict):
 
 
 PARAM_FIELDS = tuple(f.name for f in fields(Params))
-_field_values = operator.attrgetter(*PARAM_FIELDS)
 _REQUIRED = tuple(f.name for f in fields(Params) if f.name not in
                   ("delta0", "es0", "gamma1_ratio"))
 
@@ -122,8 +114,8 @@ def apply_axis(p: Params, axis: SweepAxis, value: float) -> Params:
     """Return a copy of ``p`` with the swept coordinate set to ``value``.
 
     The copy is one C-level merge of ``p``'s instance dict with the value
-    (``_filled``), once per grid point; on CPython 3.11 it materializes the
-    dict of an ``__init__``-built ``p``, which ``Params.replace`` avoids."""
+    (``_filled``), once per grid point, without ``Params.replace``'s
+    keyword round trip through the frozen ``__init__``."""
     # plain reads: ``axis.value``, ``hash(axis)`` and, on CPython 3.11, a
     # member read through ``SweepAxis`` run Python code
     field = axis._value_

@@ -5,11 +5,10 @@ inversion equation with its coefficient denominators cleared.  Its
 coefficients come from the exact expansion C(w) = -gamma1 (w + 1) |d1(w)|^2
 - 4 g0^2 ep0^2 w (``_closed_form``), right to rounding; a test compares them
 against exact rationals and against pointwise evaluation of the cleared
-expression (``cleared_inversion_expression``).  A grid evaluates the same
-float operations over its points' parameter columns in one array pass
-(``_cubics``), so each grid cubic has the bits of its lone build.  Its
-branches come from one array pass over all its real roots (``_root_rows``)
-that follows CPython's complex arithmetic, so each root gets the bits it gets
+expression (``cleared_inversion_expression``).  Each point builds its own
+cubic in Python floats (``_cubic``), on a grid as alone.  A grid's branches
+come from one array pass over all its real roots (``_root_rows``) that
+follows CPython's complex arithmetic, so each root gets the bits it gets
 alone.
 
 Two transcriptions of the coefficient set exist (see ``data/formula_ledger.json``).
@@ -69,6 +68,9 @@ _EPS = np.finfo(float).eps
 
 _PHYSICAL_LO = -1.0
 _PHYSICAL_HI = 0.0
+#: A real root whose scaled fixed-point residual (``_steady_rhs_scaled``)
+#: exceeds this is a pole-cancellation artifact, not a branch.
+_FIXED_POINT_BOUND = 1e-6
 
 
 class Stability(Enum):
@@ -158,10 +160,9 @@ _CUBIC_FIELDS = attrgetter("delta_p0", "delta_c0", "kappa_c0", "g0", "eta", "ome
 
 def _closed_form(dp, dc, kc, g0, eta, wk, ep0, g1, legacy_field_amplitude=False):
     """((c3, c2, c1, c0), factored): the cleared inversion expression's
-    coefficients, from Python floats or from numpy columns of a stack's
-    parameters (the legacy terms from floats only), the same float
-    operations either way; and whether they are the float expansion of
-    (w + 1) q, the pump term lost in the rounding of c1.
+    coefficients, Python floats from a point's Python floats; and whether
+    they are the float expansion of (w + 1) q, the pump term lost in the
+    rounding of c1.
 
     For real w, d1(w) = (kappa + i delta_c)(s - i) + 2 i g0^2 w with
     s = delta_p - 2 omega_k eta w, and d2 = conj(d1).  The field
@@ -191,6 +192,7 @@ def _closed_form(dp, dc, kc, g0, eta, wk, ep0, g1, legacy_field_amplitude=False)
 
 
 _OVERFLOW = "the inversion cubic overflows at these parameters"
+_BRANCH_OVERFLOW = "a steady branch overflows at these parameters"
 
 
 def build_inversion_polynomial(p: Params,
@@ -298,12 +300,12 @@ def _cubic_roots(monic: list) -> list:
     return [w0, *_pair(monic, b1, c2, -0.5 * b1 - w0)]
 
 
-def _polished_roots(c: np.ndarray) -> tuple[list, list]:
-    """(roots, monic) of a cubic: its trimmed monic form and all its roots
-    (``_cubic_roots``, ``_pair``); or ``NoRealRoot``.  Three coefficients
-    are the cofactor q of a cubic (w + 1) q (``_cubic``): its roots are -1,
-    exactly, and q's, and its monic form is w + 1 times q's."""
-    c = c.tolist()
+def _polished_roots(c) -> tuple[list, list]:
+    """(roots, monic) of a cubic, a sequence of Python floats: its trimmed
+    monic form and all its roots (``_cubic_roots``, ``_pair``); or
+    ``NoRealRoot``.  Three coefficients are the cofactor q of a cubic
+    (w + 1) q (``_cubic``): its roots are -1, exactly, and q's, and its
+    monic form is w + 1 times q's."""
     top = max(map(abs, c))
     if top == 0.0:
         raise NoRealRoot("zero polynomial")
@@ -354,39 +356,28 @@ def _split_roots(roots: list, monic: list):
 
 
 def _cubic(p: Params):
-    """``inversion_roots``' item for ``p``: its cubic, or the error its build
-    raises.  Where the pump term vanishes in the rounding (``_closed_form``)
-    the cubic is (w + 1) q, and the item is the cofactor q, (c3, c2 - c3,
-    c0), so that the root -1 stays -1 rather than one rounding off it."""
+    """``inversion_roots``' item for ``p``, a tuple of Python floats: its
+    cubic (c3, c2, c1, c0), or the error its build raises.  Where the pump
+    term vanishes in the rounding (``_closed_form``) the cubic is
+    (w + 1) q, and the item is the cofactor q, (c3, c2 - c3, c0), so that
+    the root -1 stays -1 rather than one rounding off it."""
     coeffs, factored = _closed_form(*_CUBIC_FIELDS(p))
     if not all(map(math.isfinite, coeffs)):
         return NonFinite(_OVERFLOW)
-    c3, c2, c1, c0 = coeffs
-    return np.array((c3, c2 - c3, c0) if factored else coeffs)
-
-
-def _cubics(ps) -> list:
-    """``_cubic`` of each point of a stack, in one array pass of the same
-    float operations over the stack's parameter columns: elementwise
-    ``*``, ``+`` and ``-`` round as Python's do, so each item has the bits
-    of its lone build."""
-    with np.errstate(all="ignore"):  # an overflowing row is its NonFinite
-        (c3, c2, c1, c0), factored = _closed_form(*np.array(list(map(_CUBIC_FIELDS, ps))).T)
-        cubics = np.stack((c3, c2, c1, c0), axis=1)
-        cofactors = np.stack((c3, c2 - c3, c0), axis=1)
-    finite = np.isfinite(cubics).all(axis=1).tolist()
-    return [(cofactor if exact else cubic) if ok else NonFinite(_OVERFLOW)
-            for cubic, cofactor, exact, ok in zip(cubics, cofactors, factored.tolist(), finite)]
+    if factored:
+        c3, c2, _, c0 = coeffs
+        return c3, c2 - c3, c0
+    return coeffs
 
 
 def inversion_roots(cubics) -> list:
-    """Each point's (real, resid, cplx) given its inversion cubic: the real
-    roots, their monic residuals and the complex rest.  An item that is the
-    error its point's build raised (``_cubic``) is answered with it, and a
-    cubic whose roots fail with their error, for the caller to raise at the
-    point's turn.  An item of three coefficients is the cofactor of an exact
-    factor w + 1.  The roots come from one closed form
-    (``_polished_roots``), for a lone point and along a grid alike.
+    """Each point's (real, resid, cplx) given its inversion cubic, a tuple
+    of Python floats (``_cubic``): the real roots, their monic residuals and
+    the complex rest.  An item that is the error its point's build raised is
+    answered with it, and a cubic whose roots fail with their error, for the
+    caller to raise at the point's turn.  An item of three coefficients is
+    the cofactor of an exact factor w + 1.  The roots come from one closed
+    form (``_polished_roots``), for a lone point and along a grid alike.
 
     A point is ``RootResidual`` when a real root's monic residual reaches
     ``RESIDUAL_BOUND`` and also the rounding noise of evaluating the monic
@@ -409,13 +400,14 @@ def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
     branches), its roots as ``inversion_roots`` gives them and its branches
     as ``solve_steady_branches`` gives them, or the error the point raises.
 
-    Each point's cubic, roots and branches are computed once, in one step
-    per stage over the whole grid (``_cubics``, ``inversion_roots``,
-    ``_branch_sets``), the cubics and the branch rows in array passes that
-    give each point the bits of its lone solve (``_root_rows``); callers
-    share the entries.  The grid's two ends must pass ``validate_params``;
-    every parameter rule is a bound, so the points between them do too.  A
-    point that does not raises ``InvalidGrid`` naming the axis.
+    Each point's cubic, roots and branches are computed once: each cubic by
+    its lone build (``_cubic``), then one step per stage over the whole grid
+    (``inversion_roots``, ``_branch_sets``), the branch rows in an array
+    pass that gives each point the bits of its lone solve (``_root_rows``);
+    callers share the entries.  The grid's two ends must pass
+    ``validate_params``; every parameter rule is a bound, so the points
+    between them do too.  A point that does not raises ``InvalidGrid``
+    naming the axis.
     """
     ps = [apply_axis(p, axis, x) for x in xs]
     for end in (ps[0], ps[-1]):
@@ -424,7 +416,7 @@ def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
         except QdResponseError as exc:
             raise InvalidGrid(f"{axis.value} grid reaches an invalid point: "
                               f"{exc}") from None
-    root_sets = inversion_roots(_cubics(ps))
+    root_sets = inversion_roots(map(_cubic, ps))
     return list(zip(xs, ps, _branch_sets(ps, root_sets)))
 
 
@@ -545,7 +537,7 @@ def _root_rows(ps, point, w):
     ``on_pole`` marks a root whose fields raise ``ZeroDivisionError``,
     ``overflow`` another where ``abs`` or ``pow`` raises ``OverflowError``
     or whose residual is NaN from finite inputs, and ``passes`` one whose
-    scaled residual is at most 1e-6 (not NaN).
+    scaled residual is at most ``_FIXED_POINT_BOUND`` (not NaN).
     The powers of ``omega_k0`` are Python's, computed per point.
     """
     cols = np.array([(p.delta_p0, p.delta_c0, p.kappa_c0, p.g0, p.eta, p.ep0,
@@ -579,7 +571,8 @@ def _root_rows(ps, point, w):
             _abs(ta, overflow) + _abs(tg, overflow) + ep0 + 1.0)
         tq, tw = wk2 * q0, 2.0 * eta * wk3 * w
         r_q = abs(tq + tw) / (abs(tq) + abs(tw) + 1.0)
-        passes = (r_w <= 1e-6) & (r_s <= 1e-6) & (r_a <= 1e-6) & (r_q <= 1e-6)
+        bound = _FIXED_POINT_BOUND
+        passes = (r_w <= bound) & (r_s <= bound) & (r_a <= bound) & (r_q <= bound)
         nan = np.isnan(r_w + r_s + r_a + r_q)
         if nan.any():  # a NaN term from finite fields and parameters is an overflow
             inputs = (w, q0, *s, *a, dp, dc, kc, g0, eta, ep0, g1, wk)
@@ -789,13 +782,13 @@ def _loop_rows(ps, out) -> tuple[list, np.ndarray]:
                     sigma0, a0, q0 = steady_fields(p, w0)
                 except ZeroDivisionError:  # a root on a coefficient pole
                     continue
-                if _steady_rhs_scaled(p, w0, sigma0, a0, q0) > 1e-6:
+                if _steady_rhs_scaled(p, w0, sigma0, a0, q0) > _FIXED_POINT_BOUND:
                     continue
                 entries[len(kept)] = _jacobian_entries(p, w0, sigma0, a0, q0)
                 kept.append((i, w0, res, sigma0, a0, q0))
         except ArithmeticError:
             del kept[start:]
-            out[i] = NonFinite("a steady branch overflows at these parameters")
+            out[i] = NonFinite(_BRANCH_OVERFLOW)
     return kept, stack[:len(kept)]
 
 
@@ -807,7 +800,7 @@ def _array_rows(ps, out) -> tuple[list, np.ndarray]:
     sigma0, a0, q0, entries, on_pole, overflow, passes = _root_rows(ps, point, w0)
     failing = np.isin(point, point[overflow])
     for i in set(point[failing].tolist()):
-        out[i] = NonFinite("a steady branch overflows at these parameters")
+        out[i] = NonFinite(_BRANCH_OVERFLOW)
     rows = np.flatnonzero(passes & ~on_pole & ~failing)
     kept = zip(*(column[rows].tolist()
                  for column in (point, w0, res, sigma0, a0, q0)))
@@ -854,7 +847,8 @@ def solve_steady_branches(p: Params, *, roots=None) -> list[SteadyBranch]:
 
     ``roots`` is the point's ``grid_roots`` entry when the caller holds one:
     its branch list is returned as it is, shared by every caller of the
-    entry, or its error raised.  Otherwise both stages run on this one
+    entry, or its error raised.  Otherwise the point's cubic is
+    ``_cubic(p)``, as on a grid, and both later stages run on this one
     point as a stack of one, ``_branch_sets([p], inversion_roots([_cubic(p)]))``,
     its rows from the per-root formulas a grid's array pass is pinned to.
 

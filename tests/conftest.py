@@ -64,15 +64,15 @@ def lone_roots(p: Params):
 
 
 def rootless_grid_row(monkeypatch, at):
-    """Patch the grid build ``steady._cubics`` so that the grid row whose ep0
-    is ``at`` gets the constant cubic 1, which has no roots."""
-    cubics = steady._cubics
+    """Patch the cubic build ``steady._cubic``, which a grid calls per point,
+    so that the point whose ep0 is ``at`` gets the constant cubic 1, which
+    has no roots."""
+    cubic = steady._cubic
 
-    def faulty(ps):
-        return [np.array([0.0, 0.0, 0.0, 1.0]) if p.ep0 == at else c
-                for p, c in zip(ps, cubics(ps))]
+    def faulty(p):
+        return (0.0, 0.0, 0.0, 1.0) if p.ep0 == at else cubic(p)
 
-    monkeypatch.setattr(steady, "_cubics", faulty)
+    monkeypatch.setattr(steady, "_cubic", faulty)
 
 
 def phonon_pole_jacobian(gamma):

@@ -551,7 +551,7 @@ def test_closed_form_roots_are_no_less_accurate_than_the_companion_roots():
     folds = _near_fold_cubics()
     assert len(polys) == 2500 and len(folds) == 36
     for poly in polys + folds:
-        roots, monic = steady._polished_roots(poly)
+        roots, monic = steady._polished_roots(poly.tolist())
         ref, ref_monic = _companion_roots(poly)
         assert monic == ref_monic
         (real, cplx), (ref_real, ref_cplx) = _real_and_complex(roots), _real_and_complex(ref)
@@ -573,7 +573,7 @@ def test_closed_form_roots_are_no_less_accurate_than_the_companion_roots():
     ([1.0, 2.0, 3.0], 3),
 ])
 def test_roots_of_widely_scaled_cubics_are_within_two_ulps(roots, real):
-    found, monic = steady._polished_roots(np.poly(roots).real)
+    found, monic = steady._polished_roots(np.poly(roots).real.tolist())
     assert len(_real_and_complex(found)[0]) == real
     assert max(_ulps_off(r, monic) for r in found) <= 2.0
 
@@ -585,7 +585,7 @@ def test_roots_of_widely_scaled_cubics_are_within_two_ulps(roots, real):
     ((0.0, 0.0, 2.0, 1.0), [-0.5]),
 ])
 def test_trimmed_cubics_take_the_quadratic_or_linear_form(coeffs, roots):
-    assert steady._polished_roots(np.array(coeffs))[0] == roots
+    assert steady._polished_roots(coeffs)[0] == roots
 
 
 @pytest.mark.parametrize("coeffs, message", [
@@ -594,8 +594,8 @@ def test_trimmed_cubics_take_the_quadratic_or_linear_form(coeffs, roots):
     ((1e-13, 1e-14, 0.0, 2.0), "inversion polynomial has no roots"),
 ])
 def test_a_cubic_without_roots_is_no_real_root(coeffs, message):
-    assert _outcome(steady._polished_roots, np.array(coeffs)) == (NoRealRoot, message)
-    assert repr(inversion_roots([np.array(coeffs)])[0]) == repr(NoRealRoot(message))
+    assert _outcome(steady._polished_roots, coeffs) == (NoRealRoot, message)
+    assert repr(inversion_roots([coeffs])[0]) == repr(NoRealRoot(message))
 
 
 def test_grid_roots_match_per_point_roots():
@@ -628,9 +628,9 @@ def test_point_without_roots_is_skipped_in_both_traces(monkeypatch):
 
 
 def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
-    # both traces share one cubic and one branch list per grid point, and
-    # each stage runs once on the whole grid: the cubics in one array pass of
-    # the closed form, not the public build, and the branch rows in one with
+    # both traces share one cubic and one branch list per grid point: each
+    # cubic from its own closed form, not the public build, then each later
+    # stage once on the whole grid, the branch rows in one array pass with
     # no per-root Jacobian; each trace still asks for its branches at every
     # point
     preset = presets.get_preset("2b")
@@ -651,7 +651,7 @@ def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
     n = len(preset.grid)
     assert len(result.up) == len(result.down) == n
     assert kept > n
-    assert calls == {"build_inversion_polynomial": 0, "_closed_form": 1,
+    assert calls == {"build_inversion_polynomial": 0, "_closed_form": n,
                      "_jacobian_entries": 0, "_root_rows": 1,
                      "solve_steady_branches": 2 * n, "inversion_roots": 1,
                      "classify_stability": 1}
@@ -853,44 +853,33 @@ def _preset_grids():
     inversion preset member."""
     for preset, params in _preset_grid_points():
         ps = [apply_axis(params, preset.axis, x) for x in preset.grid]
-        yield params, preset.axis, preset.grid, ps, steady._cubics(ps)
+        yield params, preset.axis, preset.grid, ps, list(map(steady._cubic, ps))
 
 
 def _item_bits(item):
     """A ``steady._cubic`` item as compared bit for bit."""
     if isinstance(item, Exception):
         return type(item), str(item)
-    return item.tobytes()
+    return np.array(item).tobytes()
 
 
-def test_grid_cubics_match_per_point_builds():
-    """Each grid point's cubic from the array pass (``steady._cubics``) has
-    the bytes of its lone build in Python floats (``steady._cubic``), on
-    every 2a-3b member grid and on 150 seeded random bases per steady axis
-    in either order; a pumped cubic is ``build_inversion_polynomial``'s."""
-    grids = [grid[:3] for grid in _preset_grids()]
-    axes = {SweepAxis.EP0: np.linspace(0.0, 300.0, 41),
-            SweepAxis.DELTA_P0: np.linspace(-50.0, 50.0, 41),
-            SweepAxis.G0: np.linspace(0.0, 20.0, 41)}
-    for axis, xs in axes.items():
-        for k, p in enumerate(_wide_box_points(np.random.default_rng(23), 150)):
-            grids.append((p, axis, tuple(xs[::-1] if k % 2 else xs)))  # either order
-    checked = 0
-    for params, axis, xs in grids:
-        ps = [apply_axis(params, axis, x) for x in xs]
-        for p, item in zip(ps, steady._cubics(ps)):
-            assert _item_bits(item) == _item_bits(steady._cubic(p))
-            if not isinstance(item, Exception) and len(item) == 4:
-                assert item.tobytes() == build_inversion_polynomial(p).tobytes()
-                checked += 1
-    assert checked > 20000
+def _solve_bits(p, roots=None):
+    """``solve_steady_branches(p, roots=roots)`` as compared bit for bit: the
+    type and message of its error, or its repr and each branch's Jacobian
+    bytes."""
+    try:
+        branches = solve_steady_branches(p, roots=roots)
+    except QdResponseError as exc:
+        return type(exc), str(exc)
+    return repr(branches), [b.jacobian.tobytes() for b in branches]
 
 
 def test_short_or_overflowing_grids_build_each_cubic_alone():
     # at most degree + 1 points; a node whose build raises; ep0**2 overflows
     # where the builds do not (g0 = 1e-200); a vanishing pump, where the
-    # cubic is the cofactor of w + 1: every row is its lone build, or the
-    # type and message of the error that build raises
+    # cubic is the cofactor of w + 1: every grid entry is its point's lone
+    # solve, and an item that is an error is the type and message of the
+    # error the public build raises
     grids = [(bistable_point(), SweepAxis.EP0, [2.0, 4.0]),
              (bistable_point(), SweepAxis.G0, [0.5, 1.0, 2.0]),
              (bistable_point(), SweepAxis.EP0, [2.0, 4.0, 1e200, 2e200]),
@@ -899,9 +888,9 @@ def test_short_or_overflowing_grids_build_each_cubic_alone():
              (bistable_point(), SweepAxis.EP0, [0.0, 1e-200, 1e-160, 0.5])]
     kinds = []
     for params, axis, xs in grids:
-        ps = [apply_axis(params, axis, x) for x in xs]
-        for p, item in zip(ps, steady._cubics(ps)):
-            assert _item_bits(item) == _item_bits(steady._cubic(p))
+        for _, p, entry in steady.grid_roots(params, axis, xs):
+            assert _solve_bits(p, roots=entry) == _solve_bits(p)
+            item = steady._cubic(p)
             if isinstance(item, Exception):
                 assert _item_bits(item) == _outcome(build_inversion_polynomial, p)
                 kinds.append(type(item))
@@ -930,18 +919,18 @@ def test_grid_branches_match_per_point_branches():
 
 
 def test_grid_kernels_give_the_bits_of_the_public_formulas():
-    """Each cubic of a grid or a stack, from the array pass of the closed
-    form, is ``build_inversion_polynomial``'s; each grid Jacobian, written
-    into the stack from its root's fields, is ``mean_field_jacobian``."""
+    """Each cubic of a grid or a stack, the closed form in Python floats
+    (``steady._cubic``), is ``build_inversion_polynomial``'s; each grid
+    Jacobian, written into the stack from its root's fields, is
+    ``mean_field_jacobian``."""
     grids = [(p, found) for preset, params in _preset_grid_points()
              for _, p, found in steady.grid_roots(params, preset.axis, preset.grid)]
     wide = list(_wide_box_points(np.random.default_rng(17), 1000))
     grids += zip(wide, steady._branch_sets(
-        wide, inversion_roots(steady._cubics(wide))))
-    cubics = steady._cubics([p for p, _ in grids])
+        wide, inversion_roots(map(steady._cubic, wide))))
     jacobians = 0
-    for (p, found), cubic in zip(grids, cubics):
-        assert cubic.tobytes() == build_inversion_polynomial(p).tobytes()
+    for p, found in grids:
+        assert _item_bits(steady._cubic(p)) == build_inversion_polynomial(p).tobytes()
         for b in found[3]:
             assert b.jacobian.tobytes() == mean_field_jacobian(p, b.w0).tobytes()
             jacobians += 1
