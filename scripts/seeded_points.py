@@ -14,8 +14,10 @@ inversion presets 2a-3b (whose figure rows carry only w0 and the labels)
 and on 5 seeded 41-point ``wide_box_params`` grids along each of ep0,
 delta_p0 and g0; every grid point's branch labels on 2,001-point ep0
 windows of 2b around its folds and Hopf points (``LABEL_WINDOWS``), where
-an eigenvalue nears the stability margin; and the 2,500 extreme points of
-test_response on both backends.  Each line is one JSON object.  A point's
+an eigenvalue nears the stability margin; the corner points of the branch
+assembly that no seeded point reaches (``corner_points``), each solved
+alone and on a 4-point ep0 grid (``CORNER_GRID``); and the 2,500 extreme
+points of test_response on both backends.  Each line is one JSON object.  A point's
 branches carry every field, the Jacobian's 49 entries and each response; a
 failure is its ``Type: message``, so the errors are compared too.  Run it
 once with each commit's ``src`` on PYTHONPATH, then compare the two
@@ -56,6 +58,24 @@ def _complex(z) -> dict:
 LABEL_WINDOWS = ((2.60, 2.75), (14.3, 14.45), (20.7, 21.0), (129.5, 129.8))
 
 
+#: The ep0 grid of each corner point; ep0 = 0 is undriven.
+CORNER_GRID = (0.0, 2.0, 4.0, 6.0)
+
+
+def corner_points():
+    """(name, params) of the branch assembly's corners that the public solve
+    reaches and no seeded point does: ``tw_overflows``, ``NonFinite`` where
+    2 eta omega_k0 ** 3 overflows though omega_k0 ** 3 does not, and
+    ``undriven``, whose real double root w = 1 sits on a coefficient pole
+    beside its ground state w = -1."""
+    from qdresponse.model import Params
+
+    yield "tw_overflows", Params(delta_p0=-8.0, delta_c0=0.8, g0=1.0, eta=1.0, omega_k0=5e102,
+                                 kappa_c0=1.35, gamma_q0=0.1, ep0=8.0)
+    yield "undriven", Params(delta_p0=1.0, delta_c0=1.0, g0=1.0, eta=0.1, omega_k0=10.0,
+                             kappa_c0=1.0, gamma_q0=0.1, ep0=0.0)
+
+
 def extreme_points(count: int = 2500):
     """The extreme points of the digest and of test_response: ``count``
     seeded points that set one to three fields of a preset far outside the
@@ -81,9 +101,9 @@ def digest(perfbench_dir: str, points: int = 5000, extremes: int = 2500, grids: 
            window_points: int = 2001):
     """The digest's lines, as objects: ``points`` seeded ``wide_box`` points
     per seed with a sweep on every tenth, the preset member grids,
-    ``grids`` seeded grids per steady axis and the labels of
-    ``window_points`` points of each 2b window, then ``extremes`` extreme
-    points."""
+    ``grids`` seeded grids per steady axis, the labels of
+    ``window_points`` points of each 2b window and the corner points, then
+    ``extremes`` extreme points."""
     sys.path.insert(0, perfbench_dir)
     from workloads import wide_box_params
     from qdresponse.model import SweepAxis
@@ -153,6 +173,10 @@ def digest(perfbench_dir: str, points: int = 5000, extremes: int = 2500, grids: 
             [x, _error(found) if isinstance(found, Exception)
              else [b.stability.value for b in found[3]]]
             for x, _, found in grid_roots(preset.params, preset.axis, xs)]}
+    for name, p in corner_points():
+        yield {"set": "corner", "point": name, "steady": steady(p, [Backend.LINEAR_SOLVE])}
+        yield {"set": "corner", "point": name, "axis": "ep0",
+               "steady": grid_steady(p, SweepAxis.EP0, CORNER_GRID)}
     for k, p in enumerate(extreme_points(extremes)):  # each on both backends
         yield {"set": "extreme", "k": k, "steady": steady(p, list(Backend))}
 

@@ -196,8 +196,8 @@ def solve_unit_grid(K: np.ndarray, deltas, safe_detuning: float) -> list:
 
 
 def _solve_unit(K: np.ndarray, delta) -> list:
-    """``solve_unit_grid`` at ``delta`` alone, uncertified, its error raised."""
-    return _or_raise(solve_unit_grid(K, [delta], -math.inf)[0])
+    """``solve_unit_grid``'s uncertified row at ``delta``, its error raised."""
+    return _or_raise(_solve_alone(K, delta))
 
 
 def solve_sidebands(p: Params, branch: SteadyBranch) -> SidebandAmplitudes:

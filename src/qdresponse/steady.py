@@ -6,10 +6,10 @@ coefficients come from the exact expansion C(w) = -gamma1 (w + 1) |d1(w)|^2
 - 4 g0^2 ep0^2 w (``_closed_form``), right to rounding; a test compares them
 against exact rationals and against pointwise evaluation of the cleared
 expression (``cleared_inversion_expression``).  Each point builds its own
-cubic in Python floats (``_cubic``), on a grid as alone.  A grid's branches
-come from one array pass over all its real roots (``_root_rows``) that
-follows CPython's complex arithmetic, so each root gets the bits it gets
-alone.
+cubic in Python floats (``_cubic``), on a grid as alone.  A real root's
+fields, fixed-point check and Jacobian are written once (``_branch_row``),
+on Python floats for a lone point and on a grid's columns in one array
+pass, so each root gets the bits it gets alone.
 
 Two transcriptions of the coefficient set exist (see ``data/formula_ledger.json``).
 The default one is self-consistent with the mean-field dynamics: its roots are
@@ -20,7 +20,6 @@ and is kept only as a documented reference; its roots are not fixed points.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -68,7 +67,7 @@ _EPS = np.finfo(float).eps
 
 _PHYSICAL_LO = -1.0
 _PHYSICAL_HI = 0.0
-#: A real root whose scaled fixed-point residual (``_steady_rhs_scaled``)
+#: A real root one of whose scaled fixed-point residuals (``_branch_row``)
 #: exceeds this is a pole-cancellation artifact, not a branch.
 _FIXED_POINT_BOUND = 1e-6
 
@@ -403,7 +402,7 @@ def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
     Each point's cubic, roots and branches are computed once: each cubic by
     its lone build (``_cubic``), then one step per stage over the whole grid
     (``inversion_roots``, ``_branch_sets``), the branch rows in an array
-    pass that gives each point the bits of its lone solve (``_root_rows``);
+    pass that gives each point the bits of its lone solve (``_array_rows``);
     callers share the entries.  The grid's two ends must pass
     ``validate_params``; every parameter rule is a bound, so the points
     between them do too.  A point that does not raises ``InvalidGrid``
@@ -423,77 +422,29 @@ def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
 # -- branch assembly ---------------------------------------------------------
 
 def steady_fields(p: Params, w0: float) -> tuple[complex, complex, float]:
-    """(sigma0, a0, q0) reconstructed from the coefficient set at ``w0``.
+    """(sigma0, a0, q0) reconstructed from the coefficient set at ``w0`` by
+    ``_branch_row`` on Python floats, which raises where ``_div_floats`` or
+    ``_abs_floats`` does: on a coefficient pole, or where a modulus overflows.
 
     q0 = -2 eta omega_k0 w0: the displacement sign convention is pinned to the
     coefficient set (ledger entry ``phonon-displacement-sign``).
     """
-    c1, _, a1, _ = coherence_amplitudes(p, w0)
-    q0 = -2.0 * p.eta * p.omega_k0 * w0
-    return c1, a1, q0
-
-
-def _steady_rhs_scaled(p: Params, w0: float, sigma0: complex, a0: complex,
-                       q0: float) -> float:
-    """Largest per-equation residual of the mean-field fixed-point equations,
-    each scaled by the magnitude of its additive terms; ``inf`` where a term
-    is NaN, as at a pole-cancellation root.  A NaN term from finite fields
-    and parameters is an overflow and raises ``OverflowError``."""
-    g0, g1 = p.g0, p.gamma1_ratio
-    t1 = -g1 * (w0 + 1.0)
-    t2 = 2.0 * g0 * (a0 * sigma0.conjugate()).imag
-    r_w = abs(t1 + t2) / (g1 * (abs(w0) + 1.0) + abs(t2) + 1.0)
-    ts = -(1.0 + 1j * (p.delta_p0 + q0)) * sigma0
-    td = 2j * g0 * a0 * w0
-    r_s = abs(ts + td) / ((1.0 + abs(p.delta_p0) + abs(q0)) * abs(sigma0) + abs(td) + 1.0)
-    ta = -(1j * p.delta_c0 + p.kappa_c0) * a0
-    tg = -1j * g0 * sigma0
-    r_a = abs(ta + tg + p.ep0) / (abs(ta) + abs(tg) + p.ep0 + 1.0)
-    tq = p.omega_k0 ** 2 * q0
-    tw = 2.0 * p.eta * p.omega_k0 ** 3 * w0
-    r_q = abs(tq + tw) / (abs(tq) + abs(tw) + 1.0)
-    total = r_w + r_s + r_a + r_q  # NaN iff a term is
-    if total == total:
-        return max(r_w, r_s, r_a, r_q)
-    if cmath.isfinite(sigma0) and cmath.isfinite(a0) and all(map(math.isfinite, (
-            w0, q0, g0, g1, p.delta_p0, p.delta_c0, p.kappa_c0, p.ep0, p.eta, p.omega_k0))):
-        raise OverflowError("a residual term overflows")
-    return float("inf")
+    s, a, q0, *_ = _branch_row(w0, *_row_columns(p), _div_floats, _abs_floats)
+    return complex(*s), complex(*a), q0
 
 
 def mean_field_jacobian(p: Params, w0: float) -> np.ndarray:
-    """Jacobian of the 7-dim real mean-field system about the branch at ``w0``.
+    """Jacobian of the 7-dim real mean-field system about the branch at
+    ``w0``: ``_branch_row``'s entries, raising as ``steady_fields`` does.
 
     State ordering: (w, Re sigma, Im sigma, Re a, Im a, q, dq/dt).
     """
-    jacobian = np.empty((7, 7))
-    jacobian.reshape(49)[:] = _jacobian_entries(p, w0, *steady_fields(p, w0))
-    return jacobian
+    return np.reshape(_branch_row(w0, *_row_columns(p), _div_floats, _abs_floats)[5], (7, 7))
 
 
-def _jacobian_entries(p: Params, w0: float, sigma0: complex, a0: complex,
-                      q0: float) -> tuple:
-    """The 49 entries, row by row, of ``mean_field_jacobian`` given the
-    branch's ``steady_fields``."""
-    x0, y0 = sigma0.real, sigma0.imag
-    u0, v0 = a0.real, a0.imag
-    g0 = p.g0
-    dpq = p.delta_p0 + q0
-    wk2 = p.omega_k0 ** 2
-    return (
-        -p.gamma1_ratio, 2*g0*v0, -2*g0*u0, -2*g0*y0, 2*g0*x0, 0.0, 0.0,
-        -2*g0*v0, -1.0, dpq, 0.0, -2*g0*w0, y0, 0.0,
-        2*g0*u0, -dpq, -1.0, 2*g0*w0, 0.0, -x0, 0.0,
-        0.0, 0.0, g0, -p.kappa_c0, p.delta_c0, 0.0, 0.0,
-        0.0, -g0, 0.0, -p.delta_c0, -p.kappa_c0, 0.0, 0.0,
-        0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
-        -2.0*p.eta*p.omega_k0**3, 0.0, 0.0, 0.0, 0.0, -wk2, -p.gamma_q0,
-    )
-
-
-# CPython's complex arithmetic (_Py_c_prod, _Py_c_sum, ...) on (real, imag)
-# pairs of float arrays, float operation by float operation; a float operand
-# is (x, 0.0), as CPython promotes it.
+# CPython's complex arithmetic (_Py_c_prod, _Py_c_sum, _Py_c_quot, _Py_c_abs)
+# on (real, imag) pairs of Python floats or of float arrays, float operation
+# by float operation; a real operand is (x, 0.0).
 
 def _mul(a, b):
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
@@ -503,9 +454,25 @@ def _add(a, b):
     return a[0] + b[0], a[1] + b[1]
 
 
+def _div_floats(a, b):
+    """``a / b`` as ``_Py_c_quot`` computes it, Smith's branch picked by an
+    ``if``: ``ZeroDivisionError`` where b = 0, NaN where b has a NaN part."""
+    if abs(b[0]) >= abs(b[1]):
+        if b[0] == 0.0:
+            raise ZeroDivisionError("complex division by zero")
+        ratio = b[1] / b[0]
+        denom = b[0] + b[1] * ratio
+        return (a[0] + a[1] * ratio) / denom, (a[1] - a[0] * ratio) / denom
+    if abs(b[1]) >= abs(b[0]):
+        ratio = b[0] / b[1]
+        denom = b[0] * ratio + b[1]
+        return (a[0] * ratio + a[1]) / denom, (a[1] * ratio - a[0]) / denom
+    return math.nan, math.nan
+
+
 def _div(a, b, on_pole):
-    """``a / b`` as ``_Py_c_quot`` computes it, Smith's branch picked per
-    element; sets ``on_pole`` where CPython raises ``ZeroDivisionError``."""
+    """``_div_floats`` on arrays, the branch picked per element; sets
+    ``on_pole`` where it raises."""
     on_pole |= (b[0] == 0.0) & (b[1] == 0.0)
     first = abs(b[0]) >= abs(b[1])
     ratio = np.where(first, b[1] / b[0], b[0] / b[1])
@@ -514,80 +481,72 @@ def _div(a, b, on_pole):
             np.where(first, a[1] - a[0] * ratio, a[1] * ratio - a[0]) / denom)
 
 
+def _abs_floats(z):
+    """``abs(z)`` by CPython's hypot: ``OverflowError`` where it overflows."""
+    return abs(complex(*z))
+
+
 def _abs(z, overflow):
-    """``abs(z)`` as ``_Py_c_abs`` computes it; sets ``overflow`` where
-    CPython raises ``OverflowError``: finite parts, infinite modulus."""
+    """``_abs_floats`` on arrays; sets ``overflow`` where it raises."""
     modulus = np.hypot(*z)
     overflow |= np.isinf(modulus) & np.isfinite(z[0]) & np.isfinite(z[1])
     return modulus
 
 
-def _powers(x) -> tuple[float, float]:
-    try:
-        return float(x ** 2), float(x ** 3)
-    except OverflowError:  # x ** 2 raises only where x ** 3 does
-        return math.inf, math.inf
-
-
-def _root_rows(ps, point, w):
-    """``steady_fields``, the fixed-point check and ``_jacobian_entries`` of
-    each real root ``w[k]`` of ``ps[point[k]]`` with the per-root bits, in
-    one array pass: (sigma0, a0, q0, entries, on_pole, overflow, passes).
-
-    ``on_pole`` marks a root whose fields raise ``ZeroDivisionError``,
-    ``overflow`` another where ``abs`` or ``pow`` raises ``OverflowError``
-    or whose residual is NaN from finite inputs, and ``passes`` one whose
-    scaled residual is at most ``_FIXED_POINT_BOUND`` (not NaN).
-    The powers of ``omega_k0`` are Python's, computed per point.
-    """
-    cols = np.array([(p.delta_p0, p.delta_c0, p.kappa_c0, p.g0, p.eta, p.ep0,
-                      p.gamma1_ratio, p.gamma_q0, p.omega_k0, *_powers(p.omega_k0))
-                     for p in ps]).T[:, point]
-    dp, dc, kc, g0, eta, ep0, g1, gq, wk, wk2, wk3 = cols
+def _branch_row(w, dp, dc, kc, g0, eta, ep0, g1, wk, gq, wk2, wk3, div, mag):
+    """The one transcription of a real root ``w``'s fields, fixed-point check
+    and Jacobian, after its point's ``_row_columns``: (sigma0, a0, q0, total,
+    passes, entries), sigma0 and a0 (re, im) pairs and entries the Jacobian's
+    49, row by row.  ``passes`` where each fixed-point equation, scaled by
+    its terms before they cancel, is at most ``_FIXED_POINT_BOUND``;
+    ``total`` sums the four, NaN iff one is.  Python floats (``_loop_rows``)
+    and a stack's columns (``_array_rows``) run it alike; only the complex
+    quotient ``div`` and modulus ``mag`` differ."""
     j, neg_j, two_j = (0.0, 1.0), (-0.0, -1.0), (0.0, 2.0)
-    on_pole, overflow = np.zeros(len(w), bool), np.isinf(wk3)
-    with np.errstate(all="ignore"):
-        # steady_fields' c1 and a1 (c2 and a2 divide by d1's and ka's
-        # conjugates but for the signs of zeros, so raise where these do)
-        shift = dp - 2.0 * wk * eta * w
-        ka = _add(_mul(j, (dc, 0.0)), (kc, 0.0))
-        gw = _mul(_mul(_mul(two_j, (g0, 0.0)), (g0, 0.0)), (w, 0.0))
-        d1 = _add(_mul(ka, (shift - 0.0, 0.0 - 1.0)), gw)
-        s = _div((2.0 * g0 * w * ep0, 0.0), d1, on_pole)
-        i_c = _mul(_mul(j, (g0, 0.0)), s)
-        a = _div((ep0 - i_c[0], 0.0 - i_c[1]), ka, on_pole)
-        q0 = -2.0 * eta * wk * w
-        # _steady_rhs_scaled
-        t2 = 2.0 * g0 * (a[0] * -s[1] + a[1] * s[0])
-        r_w = abs(-g1 * (w + 1.0) + t2) / (g1 * (abs(w) + 1.0) + abs(t2) + 1.0)
-        lead = _mul(j, (dp + q0, 0.0))
-        ts = _mul((-(1.0 + lead[0]), -(0.0 + lead[1])), s)
-        td = _mul(_mul(_mul(two_j, (g0, 0.0)), a), (w, 0.0))
-        r_s = _abs(_add(ts, td), overflow) / (
-            (1.0 + abs(dp) + abs(q0)) * _abs(s, overflow) + _abs(td, overflow) + 1.0)
-        ta = _mul((-ka[0], -ka[1]), a)
-        tg = _mul(_mul(neg_j, (g0, 0.0)), s)
-        r_a = _abs(_add(_add(ta, tg), (ep0, 0.0)), overflow) / (
-            _abs(ta, overflow) + _abs(tg, overflow) + ep0 + 1.0)
-        tq, tw = wk2 * q0, 2.0 * eta * wk3 * w
-        r_q = abs(tq + tw) / (abs(tq) + abs(tw) + 1.0)
-        bound = _FIXED_POINT_BOUND
-        passes = (r_w <= bound) & (r_s <= bound) & (r_a <= bound) & (r_q <= bound)
-        nan = np.isnan(r_w + r_s + r_a + r_q)
-        if nan.any():  # a NaN term from finite fields and parameters is an overflow
-            inputs = (w, q0, *s, *a, dp, dc, kc, g0, eta, ep0, g1, wk)
-            overflow |= nan & np.isfinite(np.stack(inputs)).all(axis=0)
-        # _jacobian_entries
-        entries, dpq = np.zeros((len(w), 49)), dp + q0
-        for k, column in ((0, -g1), (1, 2 * g0 * a[1]), (2, -2 * g0 * a[0]),
-                          (3, -2 * g0 * s[1]), (4, 2 * g0 * s[0]), (7, -2 * g0 * a[1]),
-                          (8, -1.0), (9, dpq), (11, -2 * g0 * w), (12, s[1]),
-                          (14, 2 * g0 * a[0]), (15, -dpq), (16, -1.0), (17, 2 * g0 * w),
-                          (19, -s[0]), (23, g0), (24, -kc), (25, dc), (29, -g0), (31, -dc),
-                          (32, -kc), (41, 1.0), (42, -2.0 * eta * wk3), (47, -wk2), (48, -gq)):
-            entries[:, k] = column
-    sigma0, a0 = (np.stack(z, axis=-1).view(complex).ravel() for z in (s, a))
-    return sigma0, a0, q0, entries, on_pole, overflow & ~on_pole, passes
+    # coherence_amplitudes' c1 and a1 (c2 and a2 divide by d1's and ka's
+    # conjugates but for the signs of zeros, so raise where these do)
+    shift = dp - 2.0 * wk * eta * w
+    ka = _add(_mul(j, (dc, 0.0)), (kc, 0.0))
+    gw = _mul(_mul(_mul(two_j, (g0, 0.0)), (g0, 0.0)), (w, 0.0))
+    d1 = _add(_mul(ka, (shift - 0.0, 0.0 - 1.0)), gw)
+    s = div((2.0 * g0 * w * ep0, 0.0), d1)
+    i_c = _mul(_mul(j, (g0, 0.0)), s)
+    a = div((ep0 - i_c[0], 0.0 - i_c[1]), ka)
+    q0 = -2.0 * eta * wk * w
+    t2 = 2.0 * g0 * (a[0] * -s[1] + a[1] * s[0])
+    r_w = abs(-g1 * (w + 1.0) + t2) / (g1 * (abs(w) + 1.0) + abs(t2) + 1.0)
+    lead = _mul(j, (dp + q0, 0.0))
+    ts = _mul((-(1.0 + lead[0]), -(0.0 + lead[1])), s)
+    td = _mul(_mul(_mul(two_j, (g0, 0.0)), a), (w, 0.0))
+    r_s = mag(_add(ts, td)) / ((1.0 + abs(dp) + abs(q0)) * mag(s) + mag(td) + 1.0)
+    ta = _mul((-ka[0], -ka[1]), a)
+    tg = _mul(_mul(neg_j, (g0, 0.0)), s)
+    r_a = mag(_add(_add(ta, tg), (ep0, 0.0))) / (mag(ta) + mag(tg) + ep0 + 1.0)
+    tq, tw = wk2 * q0, 2.0 * eta * wk3 * w
+    r_q = abs(tq + tw) / (abs(tq) + abs(tw) + 1.0)
+    bound = _FIXED_POINT_BOUND
+    passes = (r_w <= bound) & (r_s <= bound) & (r_a <= bound) & (r_q <= bound)
+    (x0, y0), (u0, v0) = s, a
+    up, down, dpq = 2 * g0, -2 * g0, dp + q0
+    return s, a, q0, r_w + r_s + r_a + r_q, passes, (
+        -g1, up * v0, down * u0, down * y0, up * x0, 0.0, 0.0,
+        down * v0, -1.0, dpq, 0.0, down * w, y0, 0.0,
+        up * u0, -dpq, -1.0, up * w, 0.0, -x0, 0.0,
+        0.0, 0.0, g0, -kc, dc, 0.0, 0.0,
+        0.0, -g0, 0.0, -dc, -kc, 0.0, 0.0,
+        0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
+        -2.0 * eta * wk3, 0.0, 0.0, 0.0, 0.0, -wk2, -gq)
+
+
+def _row_columns(p: Params) -> tuple:
+    """``p``'s parameters in ``_branch_row``'s order, then Python's
+    omega_k0 ** 2 and ** 3, infinite where they overflow."""
+    try:
+        powers = float(p.omega_k0 ** 2), float(p.omega_k0 ** 3)
+    except OverflowError:  # ** 2 raises only where ** 3 does
+        powers = math.inf, math.inf
+    return (p.delta_p0, p.delta_c0, p.kappa_c0, p.g0, p.eta, p.ep0, p.gamma1_ratio,
+            p.omega_k0, p.gamma_q0, *powers)
 
 
 #: A stack of fewer Jacobians than this keeps ``eigvals`` whole: below it the
@@ -620,9 +579,7 @@ _LABELS = (_STABLE, _UNSTABLE, _MARGINAL)
 
 def _padd(a, b):
     """The sum of two polynomials, (degree + 1, ...) arrays of ascending
-    coefficients."""
-    if len(a) < len(b):
-        a, b = b, a
+    coefficients, ``a`` at least as long as ``b``."""
     out = a.copy()
     out[:len(b)] += b
     return out
@@ -767,61 +724,68 @@ def classify_stability(jacobians) -> list:
 
 
 def _loop_rows(ps, out) -> tuple[list, np.ndarray]:
-    """``_branch_sets``' kept roots and Jacobian stack, root by root."""
-    size = sum(len(found[0]) for found in out if not isinstance(found, Exception))
-    stack = np.empty((size, 7, 7))
-    entries = stack.reshape(size, 49)
-    kept = []  # (point index, w0, residual, sigma0, a0, q0) per stack row
-    for i, (p, found) in enumerate(zip(ps, out)):
-        if isinstance(found, Exception):
-            continue
-        start = len(kept)
-        try:
-            for w0, res in zip(found[0], found[1]):
-                try:
-                    sigma0, a0, q0 = steady_fields(p, w0)
-                except ZeroDivisionError:  # a root on a coefficient pole
-                    continue
-                if _steady_rhs_scaled(p, w0, sigma0, a0, q0) > _FIXED_POINT_BOUND:
-                    continue
-                entries[len(kept)] = _jacobian_entries(p, w0, sigma0, a0, q0)
-                kept.append((i, w0, res, sigma0, a0, q0))
-        except ArithmeticError:
-            del kept[start:]
-            out[i] = NonFinite(_BRANCH_OVERFLOW)
-    return kept, stack[:len(kept)]
+    """``_branch_sets``' kept roots and Jacobian stack for one point, root by
+    root on Python floats: a root on a coefficient pole is dropped; after its
+    fields an overflow, or a NaN residual from finite inputs, fails the point."""
+    kept, rows = [], []  # (0, w0, residual, sigma0, a0, q0) and entries per kept root
+    found, columns = out[0], _row_columns(ps[0])
+    try:
+        for w0, res in [] if isinstance(found, Exception) else zip(found[0], found[1]):
+            try:
+                s, a, q0, total, passes, row = _branch_row(w0, *columns, _div_floats, _abs_floats)
+            except ZeroDivisionError:  # a root on a coefficient pole
+                continue
+            if math.isinf(columns[-1]) or total != total and all(
+                    map(math.isfinite, (w0, q0, *s, *a, *columns[:8]))):
+                raise OverflowError  # a power, or a NaN residual from finite inputs
+            if passes:
+                kept.append((0, w0, res, complex(*s), complex(*a), q0))
+                rows.append(row)
+    except OverflowError:
+        kept, rows, out[0] = [], [], NonFinite(_BRANCH_OVERFLOW)
+    return kept, np.array(rows).reshape(-1, 7, 7)
 
 
 def _array_rows(ps, out) -> tuple[list, np.ndarray]:
-    """``_branch_sets``' kept roots and Jacobian stack, in one ``_root_rows``."""
+    """``_loop_rows`` in one ``_branch_row`` on the stack's columns: ``_div``
+    and ``_abs`` mark where it raises, a pole's mark before an overflow's."""
     found = [(i, f) for i, f in enumerate(out) if not isinstance(f, Exception)]
     point = np.array([i for i, f in found for _ in f[0]], int)
     w0, res = (np.array([x for _, f in found for x in f[k]], float) for k in (0, 1))
-    sigma0, a0, q0, entries, on_pole, overflow, passes = _root_rows(ps, point, w0)
-    failing = np.isin(point, point[overflow])
+    cols = np.array([_row_columns(p) for p in ps]).T[:, point]
+    on_pole, overflow = np.zeros(len(w0), bool), np.isinf(cols[-1])
+    with np.errstate(all="ignore"):
+        s, a, q0, total, passes, row = _branch_row(
+            w0, *cols, lambda x, y: _div(x, y, on_pole), lambda z: _abs(z, overflow))
+        nan = np.isnan(total)
+        if nan.any():  # a NaN residual from finite fields and parameters
+            overflow |= nan & np.isfinite(np.stack((w0, q0, *s, *a, *cols[:8]))).all(axis=0)
+    entries = np.empty((49, len(w0)))
+    for k, column in enumerate(row):
+        entries[k] = column
+    failing = np.isin(point, point[overflow & ~on_pole])
     for i in set(point[failing].tolist()):
         out[i] = NonFinite(_BRANCH_OVERFLOW)
     rows = np.flatnonzero(passes & ~on_pole & ~failing)
-    kept = zip(*(column[rows].tolist()
-                 for column in (point, w0, res, sigma0, a0, q0)))
-    return list(kept), entries[rows].reshape(-1, 7, 7)
+    sigma0, a0 = (np.stack(z, axis=-1).view(complex).ravel() for z in (s, a))
+    kept = zip(*(column[rows].tolist() for column in (point, w0, res, sigma0, a0, q0)))
+    return list(kept), entries[:, rows].T.reshape(-1, 7, 7)
 
 
 def _branch_sets(ps, root_sets) -> list:
     """Each ``inversion_roots`` entry of ``ps`` with the point's branches
     appended, (real, resid, cplx, branches), or the error the point raises.
 
-    A lone point runs the per-root formulas (``_loop_rows``); a stack of
-    more points checks every real root and writes its Jacobian in one array
-    pass (``_root_rows``) that follows CPython's complex arithmetic float
-    operation by float operation, so each root gets the bits it gets alone.
-    The kept roots' Jacobians form one (n, 7, 7) stack, labelled in one
-    ``classify_stability``; each branch's ``jacobian`` is its row.  A root
-    whose fields divide by zero sits on a coefficient pole and is dropped.
-    Errors stay with their point, to be raised at its turn: an overflow in
-    any other root's check or Jacobian is its ``NonFinite``, and a root
-    whose Jacobian has no label gives the point that label's typed error.
-    Branches are made here, by ``_filled``.
+    Each real root's fields, check and Jacobian come from ``_branch_row``,
+    root by root on a lone point's Python floats (``_loop_rows``) and in one
+    array pass on a larger stack's columns (``_array_rows``), so each root
+    gets the bits it gets alone.  The kept roots' Jacobians form one
+    (n, 7, 7) stack, labelled in one ``classify_stability``; each branch's
+    ``jacobian`` is its row.  A root whose fields divide by zero sits on a
+    coefficient pole and is dropped.  Errors stay with their point, to be
+    raised at its turn: an overflow in any other root's check or Jacobian is
+    its ``NonFinite``, and a root whose Jacobian has no label gives the point
+    that label's typed error.  Branches are made here, by ``_filled``.
     """
     out = list(root_sets)
     kept, stack = (_loop_rows if len(ps) < 2 else _array_rows)(ps, out)
@@ -850,7 +814,7 @@ def solve_steady_branches(p: Params, *, roots=None) -> list[SteadyBranch]:
     entry, or its error raised.  Otherwise the point's cubic is
     ``_cubic(p)``, as on a grid, and both later stages run on this one
     point as a stack of one, ``_branch_sets([p], inversion_roots([_cubic(p)]))``,
-    its rows from the per-root formulas a grid's array pass is pinned to.
+    its rows from ``_branch_row`` on Python floats.
 
     Complex cubic roots are discarded; real roots that are pole-cancellation
     artifacts of denominator clearing (possible only at degenerate corners

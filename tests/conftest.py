@@ -84,30 +84,23 @@ def phonon_pole_jacobian(gamma):
 
 
 def faulty_jacobian(monkeypatch, fault, at):
-    """Patch both Jacobian kernels, the per-root ``steady._jacobian_entries``
-    of a lone point and the array pass ``steady._root_rows`` of a stack, to
-    overflow (``fault`` is "overflow": ``omega_k0 ** 3`` overflows) or to go
-    non-finite at the points whose ep0 is ``at``; returns the type and
-    message the point should raise."""
-    entries, rows = steady._jacobian_entries, steady._root_rows
+    """Patch the one branch-row body ``steady._branch_row``, which a lone
+    point evaluates on Python floats and a stack on its columns, so that the
+    roots of the points whose ep0 is ``at`` overflow (``fault`` is
+    "overflow": a modulus of their check overflows) or have a non-finite
+    Jacobian; returns the type and message the point should raise."""
+    body = steady._branch_row
 
-    def faulty_entries(p, w0, *fields):
-        if p.ep0 != at:
-            return entries(p, w0, *fields)
+    def faulty(w, dp, dc, kc, g0, eta, ep0, *rest):
+        *row, entries = body(w, dp, dc, kc, g0, eta, ep0, *rest)
+        hit = ep0 == at
         if fault == "overflow":
-            return entries(p.replace(omega_k0=1e110), w0, *fields)
-        return (np.nan,) * 49
+            rest[-1]((1.5e308 * hit, 1.5e308 * hit))  # mag: raises, or marks the hit roots
+        else:
+            entries = [np.where(hit, np.nan, e) for e in entries]
+        return (*row, entries)
 
-    def faulty_rows(ps, point, w0):
-        if fault == "overflow":
-            ps = [p.replace(omega_k0=1e110) if p.ep0 == at else p for p in ps]
-        out = rows(ps, point, w0)
-        if fault != "overflow":
-            out[3][[ps[i].ep0 == at for i in point]] = np.nan
-        return out
-
-    monkeypatch.setattr(steady, "_jacobian_entries", faulty_entries)
-    monkeypatch.setattr(steady, "_root_rows", faulty_rows)
+    monkeypatch.setattr(steady, "_branch_row", faulty)
     if fault == "overflow":
         return NonFinite, "a steady branch overflows at these parameters"
     return NonFinite, "a steady branch's Jacobian is not finite: no stability label"

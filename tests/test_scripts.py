@@ -157,13 +157,21 @@ def test_csv_json_fails_on_a_missing_file(tmp_path):
 def digest():
     """A small digest: 30 wide_box points a seed (3 sweeps each), the 10
     preset member grids, one seeded grid per steady axis, 21 labelled
-    points in each 2b window and 60 extreme points."""
+    points in each 2b window, the corner points and 60 extreme points."""
     lines = [json.dumps(line) for line in seeded_points.digest(
         str(SCRIPTS.parent / "perfbench"), points=30, extremes=60, grids=1, window_points=21)]
     kinds = {(d["set"], isinstance(d.get("steady", d.get("records")), str))
              for d in map(json.loads, lines)}
     assert kinds == {("wide_box", False), ("sweep", False), ("grid", False),
-                     ("labels", False), ("extreme", False), ("extreme", True)}
+                     ("labels", False), ("corner", False), ("corner", True),
+                     ("extreme", False), ("extreme", True)}
+    corners = [d for d in map(json.loads, lines) if d["set"] == "corner"]
+    assert [(d["point"], d["steady"] if isinstance(d["steady"], str) else len(d["steady"]))
+            for d in corners] == [
+        ("tw_overflows", "NonFinite: a steady branch overflows at these parameters"),
+        ("tw_overflows", 4), ("undriven", 1), ("undriven", 4)]
+    assert [x for x, _ in corners[3]["steady"]] == list(seeded_points.CORNER_GRID)
+    assert corners[3]["steady"][0][1][0]["w0"] == -1.0
     grids = [d for d in map(json.loads, lines) if d["set"] == "grid"]
     assert [d.get("figure", d.get("axis")) for d in grids] == \
         ["2a"] * 3 + ["2b"] + ["3a"] * 3 + ["3b"] * 3 + ["ep0", "delta_p0", "g0"]

@@ -258,8 +258,8 @@ def test_a_noise_level_pair_has_real_part_zero(p, pair):
         points = script("seeded_points")
         assert points._exact_branches(points._exact_cubic(p), [{"w0": branches[0].w0}]) == 1
     for b in branches:
-        fields = steady_fields(p, b.w0)
-        assert b.physical and steady._steady_rhs_scaled(p, b.w0, *fields) <= 1e-9
+        total, passes = _fixed_point_check(p, b.w0)
+        assert b.physical and passes and total <= 1e-9
 
 
 @pytest.mark.parametrize("gamma1_ratio", [1e10, 1e12, 1e14])
@@ -630,15 +630,16 @@ def test_point_without_roots_is_skipped_in_both_traces(monkeypatch):
 def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
     # both traces share one cubic and one branch list per grid point: each
     # cubic from its own closed form, not the public build, then each later
-    # stage once on the whole grid, the branch rows in one array pass with
-    # no per-root Jacobian; each trace still asks for its branches at every
-    # point
+    # stage once on the whole grid, the branch rows in one evaluation of the
+    # branch-row body on the grid's columns; each trace still asks for its
+    # branches at every point
     preset = presets.get_preset("2b")
     kept = sum(len(found[3]) for _, _, found in
                steady.grid_roots(preset.params, preset.axis, preset.grid))
-    calls = {"build_inversion_polynomial": 0, "_closed_form": 0, "_jacobian_entries": 0,
-             "_root_rows": 0, "solve_steady_branches": 0, "inversion_roots": 0,
-             "classify_stability": 0}
+    lone = bistable_point(ep0=8.0)
+    real = lone_roots(lone)[0]
+    calls = {"build_inversion_polynomial": 0, "_closed_form": 0, "_branch_row": 0,
+             "solve_steady_branches": 0, "inversion_roots": 0, "classify_stability": 0}
     for name in calls:
         original = getattr(steady, name)
 
@@ -651,17 +652,16 @@ def test_hysteresis_extracts_the_roots_once_per_point(monkeypatch):
     n = len(preset.grid)
     assert len(result.up) == len(result.down) == n
     assert kept > n
-    assert calls == {"build_inversion_polynomial": 0, "_closed_form": n,
-                     "_jacobian_entries": 0, "_root_rows": 1,
+    assert calls == {"build_inversion_polynomial": 0, "_closed_form": n, "_branch_row": 1,
                      "solve_steady_branches": 2 * n, "inversion_roots": 1,
                      "classify_stability": 1}
     # a lone point runs each stage once, as a stack of one, its cubic from
-    # the closed form in Python floats, and the per-root Jacobian once per
-    # branch
+    # the closed form in Python floats, and the body once per real root, on
+    # Python floats
     calls.update(dict.fromkeys(calls, 0))
-    branches = steady.solve_steady_branches(bistable_point(ep0=8.0))
-    assert calls == {"build_inversion_polynomial": 0, "_closed_form": 1,
-                     "_jacobian_entries": len(branches), "_root_rows": 0,
+    branches = steady.solve_steady_branches(lone)
+    assert len(branches) == len(real) == 3
+    assert calls == {"build_inversion_polynomial": 0, "_closed_form": 1, "_branch_row": 3,
                      "solve_steady_branches": 1, "inversion_roots": 1,
                      "classify_stability": 1}
 
@@ -945,16 +945,36 @@ def _entry_bits(entry):
     return repr(entry), [b.jacobian.tobytes() for b in entry[3]]
 
 
+def _root_outcome(p, w0):
+    """What a lone solve does with the real root ``w0`` of ``p``: "pole" (its
+    fields divide by zero), "overflow" (its point is ``NonFinite``), "fails"
+    (the fixed-point check drops it) or "kept"."""
+    out = [([w0], [0.0], [])]
+    kept, _ = steady._loop_rows([p], out)
+    if isinstance(out[0], NonFinite):
+        return "overflow"
+    if kept:
+        return "kept"
+    try:
+        steady_fields(p, w0)
+    except ZeroDivisionError:
+        return "pole"
+    return "fails"
+
+
 def test_array_rows_match_the_per_root_loop_bit_for_bit(monkeypatch):
-    """A stack's one array pass (``_root_rows``) gives every point what its
+    """A stack's one array pass (``_array_rows``) gives every point what its
     per-root loop gives it as a stack of one, on a seeded wide-box stack,
     on the 2,500 extreme points and on a built case for each path those
     points do not reach; test_grid_branches_match_per_point_branches pins
-    the preset grids the same way."""
-    calls = []  # (point, _root_rows' outputs) of each array pass
-    rows = steady._root_rows
-    monkeypatch.setattr(steady, "_root_rows", lambda ps, point, w0: calls.append(
-        (point, rows(ps, point, w0))) or calls[-1][1])
+    the preset grids the same way.  Both evaluate one body,
+    ``_branch_row``: this pins its complex quotient and modulus on Python
+    floats against those on arrays, the arrays' masks against the lone
+    errors, and the pole's precedence over an overflow."""
+    calls = []  # the roots of each evaluation of the body on a stack's columns
+    body = steady._branch_row
+    monkeypatch.setattr(steady, "_branch_row", lambda w, *args: (
+        calls.append(len(w)) if isinstance(w, np.ndarray) else None) or body(w, *args))
 
     def pinned(ps, root_sets):
         stack = steady._branch_sets(ps, root_sets)
@@ -965,18 +985,21 @@ def test_array_rows_match_the_per_root_loop_bit_for_bit(monkeypatch):
     wide = list(_wide_box_points(np.random.default_rng(29), 2000))
     pinned(wide, inversion_roots(map(steady._cubic, wide)))
     extreme = list(script("seeded_points").extreme_points())
-    pinned(extreme, inversion_roots(map(steady._cubic, extreme)))
-    ((_, (*_, wide_passes)), (point, (*_, on_pole, overflow, fits))) = calls
-    assert len(wide_passes) > len(wide)
-    failing = np.zeros(len(extreme), bool)
-    failing[point[overflow]] = True
+    extreme_roots = inversion_roots(map(steady._cubic, extreme))
+    pinned(extreme, extreme_roots)
+    assert len(calls) == 2 and calls[0] > len(wide)
+    outcomes = [(i, _root_outcome(p, w0))
+                for i, (p, found) in enumerate(zip(extreme, extreme_roots))
+                if not isinstance(found, Exception) for w0 in found[0]]
+    assert len(outcomes) == calls[1]
+    failing = {i for i, outcome in outcomes if outcome == "overflow"}
     # with kappa_c0 > 0 and a pump, no real root of the exact cubic sits on
     # a pole (there C = -4 g0^2 ep0^2 w), and none of the closed form's does
-    assert on_pole.sum() == 0
-    assert (~on_pole & ~fits & ~failing[point]).sum() == 468
+    assert not any(outcome == "pole" for _, outcome in outcomes)
+    assert sum(outcome == "fails" and i not in failing for i, outcome in outcomes) == 468
     # each overflow is omega_k0 ** 3's
-    assert overflow.sum() == 210 and failing.sum() == 93
-    for i in np.flatnonzero(failing).tolist():
+    assert sum(outcome == "overflow" for _, outcome in outcomes) == 210 and len(failing) == 93
+    for i in failing:
         with pytest.raises(OverflowError):
             extreme[i].omega_k0 ** 3
     # at roots set by hand (the assembly takes any root set): abs() that
@@ -1004,9 +1027,8 @@ def test_array_rows_match_the_per_root_loop_bit_for_bit(monkeypatch):
     overflows = "a steady branch overflows at these parameters"
     assert str(stack[5]) == overflows
     assert stack[6][0] == [-1.0, 1.0, 1.0] and [b.w0 for b in stack[6][3]] == [-1.0]
-    point, (*_, on_pole, _, _) = calls[-1]  # the built stack's array pass
-    assert on_pole[point == 4].tolist() == [True]
-    assert on_pole[point == 6].tolist() == [False, True, True]
+    assert _root_outcome(pole, 1.0) == "pole"
+    assert [_root_outcome(undriven, w0) for w0 in stack[6][0]] == ["kept", "pole", "pole"]
     with pytest.raises(NonFinite, match=overflows):
         solve_steady_branches(tw_overflows)
     # the same overflow on a grid: every point of an ep0 grid through it
@@ -1044,20 +1066,20 @@ def test_a_point_that_overflows_at_a_later_root_keeps_no_earlier_row(monkeypatch
     # the first root's Jacobian is non-finite and the second one overflows:
     # the point is the overflow's NonFinite, and its non-finite first row
     # does not send the stack to the matrix-by-matrix labels
-    rows = steady._root_rows
+    body = steady._branch_row
     seen = []
 
-    def faulty(ps, point, w0):
-        out = rows(ps, point, w0)
-        at = [k for k, i in enumerate(point) if ps[i].ep0 == 6.0]
-        seen.extend(w0[k] for k in at)
-        out[3][at[0]] = np.nan  # the first root's Jacobian entries
-        out[5][at[1]] = True  # the second root's overflow
-        return out
+    def faulty(w, dp, dc, kc, g0, eta, ep0, *rest):
+        *row, entries = body(w, dp, dc, kc, g0, eta, ep0, *rest)
+        at = np.flatnonzero(ep0 == 6.0)
+        seen.extend(w[at].tolist())
+        first, second = (np.arange(len(w)) == k for k in at[:2])
+        rest[-1]((1.5e308 * second, 1.5e308 * second))  # the second root's modulus overflows
+        return (*row, [np.where(first, np.nan, e) for e in entries])
 
     grid = [2.0, 4.0, 6.0, 8.0]
     clean = steady.grid_roots(bistable_point(), SweepAxis.EP0, grid)
-    monkeypatch.setattr(steady, "_root_rows", faulty)
+    monkeypatch.setattr(steady, "_branch_row", faulty)
     labels = steady.classify_stability
     stacks = []
     monkeypatch.setattr(steady, "classify_stability",
@@ -1070,6 +1092,14 @@ def test_a_point_that_overflows_at_a_later_root_keeps_no_earlier_row(monkeypatch
     assert [repr(e) for x, _, e in faulty_grid if x != 6.0] \
         == [repr(e) for x, _, e in clean if x != 6.0]
     assert stacks == [7]
+
+
+def _fixed_point_check(p, w0):
+    """(total, passes) of the fixed-point check of ``steady._branch_row`` at
+    the root ``w0`` of ``p``, on Python floats: the sum of the four scaled
+    residuals, and whether each is within the filter's bound."""
+    return steady._branch_row(w0, *steady._row_columns(p), steady._div_floats,
+                              steady._abs_floats)[3:5]
 
 
 def _scaled_fixed_point_residual(p, branch):
@@ -1214,7 +1244,11 @@ def test_a_nan_in_any_one_equation_fails_the_fixed_point_check(field):
     # is a failed check wherever max() would have skipped it
     p = bistable_point(ep0=8.0)
     b = solve_steady_branches(p)[0]
-    fields = (b.w0, b.sigma0, b.a0, b.q0)
-    assert steady._steady_rhs_scaled(p, *fields) < 1e-9
+    total, passes = _fixed_point_check(p, b.w0)
+    assert total < 1e-9 and passes
     nan = p.replace(**{field: float("nan")})
-    assert steady._steady_rhs_scaled(nan, *fields) == float("inf")
+    total, passes = _fixed_point_check(nan, b.w0)
+    assert total != total and not passes
+    # a NaN from a NaN parameter is no overflow: the root is dropped
+    (entry,) = steady._branch_sets([nan], [lone_roots(p)])
+    assert type(entry) is NoRealRoot
