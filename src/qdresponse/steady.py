@@ -423,8 +423,7 @@ def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
 
 def steady_fields(p: Params, w0: float) -> tuple[complex, complex, float]:
     """(sigma0, a0, q0) reconstructed from the coefficient set at ``w0`` by
-    ``_branch_row`` on Python floats, which raises where ``_div_floats`` or
-    ``_abs_floats`` does: on a coefficient pole, or where a modulus overflows.
+    ``_branch_row`` on Python floats, raising as ``_div_floats`` and ``_abs_floats`` do.
 
     q0 = -2 eta omega_k0 w0: the displacement sign convention is pinned to the
     coefficient set (ledger entry ``phonon-displacement-sign``).
@@ -442,9 +441,8 @@ def mean_field_jacobian(p: Params, w0: float) -> np.ndarray:
     return np.reshape(_branch_row(w0, *_row_columns(p), _div_floats, _abs_floats)[5], (7, 7))
 
 
-# CPython's complex arithmetic (_Py_c_prod, _Py_c_sum, _Py_c_quot, _Py_c_abs)
-# on (real, imag) pairs of Python floats or of float arrays, float operation
-# by float operation; a real operand is (x, 0.0).
+# CPython's complex arithmetic (_Py_c_prod, _Py_c_sum, _Py_c_quot, _Py_c_abs) on (re, im)
+# pairs of Python floats or float arrays, float operation by float operation; x is (x, 0.0).
 
 def _mul(a, b):
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
@@ -482,8 +480,10 @@ def _div(a, b, on_pole):
 
 
 def _abs_floats(z):
-    """``abs(z)`` by CPython's hypot: ``OverflowError`` where it overflows."""
-    return abs(complex(*z))
+    """``abs(z)`` by CPython's hypot, ``OverflowError`` where it overflows;
+    ``math.hypot`` (NaN, or inf beside an infinite part) where a part is NaN,
+    since CPython's abs there raises if errno holds a stale ERANGE."""
+    return abs(complex(*z)) if z[0] == z[0] and z[1] == z[1] else math.hypot(*z)
 
 
 def _abs(z, overflow):
@@ -725,8 +725,7 @@ def classify_stability(jacobians) -> list:
 
 def _loop_rows(ps, out) -> tuple[list, np.ndarray]:
     """``_branch_sets``' kept roots and Jacobian stack for one point, root by
-    root on Python floats: a root on a coefficient pole is dropped; after its
-    fields an overflow, or a NaN residual from finite inputs, fails the point."""
+    root on Python floats: a pole drops a root, an overflow fails the point."""
     kept, rows = [], []  # (0, w0, residual, sigma0, a0, q0) and entries per kept root
     found, columns = out[0], _row_columns(ps[0])
     try:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -1008,8 +1009,10 @@ def test_array_rows_match_the_per_root_loop_bit_for_bit(monkeypatch):
     # not raise but leaves r_s NaN from finite fields; a root on a pole where
     # omega_k0 ** 3 overflows, dropped before the overflow; real roots whose
     # r_q alone is NaN, where 2 eta omega_k0 ** 3 overflows but omega_k0 ** 3
-    # does not; and the double root on the pole of an undriven point, whose
-    # ground state stays.  Each overflow, raised or not, is NonFinite.
+    # does not; the double root on the pole of an undriven point, whose
+    # ground state stays; and a root whose fields are NaN, not from finite
+    # inputs, where omega_k0 ** 3 overflows.  Each overflow, raised or not,
+    # is NonFinite.
     far = bistable_point().replace(g0=0.01, eta=1.0, omega_k0=1.0, kappa_c0=0.01,
                                    delta_c0=0.01, ep0=1e4)
     pole = Params(delta_p0=2.0, delta_c0=0.0, g0=1.0, eta=2.0 ** -400,
@@ -1019,11 +1022,11 @@ def test_array_rows_match_the_per_root_loop_bit_for_bit(monkeypatch):
                       kappa_c0=1.0, gamma_q0=0.1, ep0=0.0)
     built = [(bistable_point(), None), (far, 1.5e304), (far, 1.785e304),
              (far.replace(delta_c0=0.012), 2e304), (pole, 1.0), (tw_overflows, None),
-             (undriven, None)]
+             (undriven, None), (bistable_point().replace(omega_k0=1e110), 1e300)]
     stack = pinned([p for p, _ in built], [
         lone_roots(p) if w0 is None else ([w0], [0.0], []) for p, w0 in built])
     assert [type(entry) for entry in stack] == \
-        [tuple, NonFinite, NonFinite, NonFinite, NoRealRoot, NonFinite, tuple]
+        [tuple, NonFinite, NonFinite, NonFinite, NoRealRoot, NonFinite, tuple, NonFinite]
     overflows = "a steady branch overflows at these parameters"
     assert str(stack[5]) == overflows
     assert stack[6][0] == [-1.0, 1.0, 1.0] and [b.w0 for b in stack[6][3]] == [-1.0]
@@ -1041,6 +1044,40 @@ def test_array_rows_match_the_per_root_loop_bit_for_bit(monkeypatch):
     stack = pinned(ps, [lone_roots(p) for p in ps])
     assert (type(stack[1]), str(stack[1])) == (error, message)
     assert all(isinstance(entry, tuple) for entry in (stack[0], stack[2]))
+
+
+def test_float_and_array_quotient_and_modulus_are_cpythons():
+    """The branch-row body's complex quotient and modulus, on Python floats
+    and on arrays, give CPython's bits on every pair of special parts, and
+    the arrays' masks mark where the floats raise; only a NaN part's modulus
+    is ``math.hypot``'s, since CPython's reads a stale errno there."""
+    special = [0.0, -0.0, 1.5, -2.0, 1e-310, 1e308, -1e308, math.inf, -math.inf, math.nan]
+    parts = [(x, y) for x in special for y in special]
+
+    def outcome(f, *args):
+        try:
+            return repr(f(*args))
+        except ArithmeticError as exc:
+            return type(exc).__name__
+
+    pairs = [(a, b) for a in parts for b in parts]
+    quotients = [outcome(lambda a, b: complex(*steady._div_floats(a, b)), a, b) for a, b in pairs]
+    assert quotients == [outcome(lambda a, b: complex(*a) / complex(*b), a, b) for a, b in pairs]
+    on_pole = np.zeros(len(pairs), bool)
+    with np.errstate(all="ignore"):
+        re, im = steady._div(*(np.array(column).T for column in zip(*pairs)), on_pole)
+    assert [q == "ZeroDivisionError" for q in quotients] == on_pole.tolist()
+    assert [repr(complex(x, y)) for x, y, pole in zip(re, im, on_pole) if not pole] == \
+        [q for q in quotients if q != "ZeroDivisionError"]
+    moduli = [outcome(steady._abs_floats, z) for z in parts]
+    assert [m for m, z in zip(moduli, parts) if z[0] == z[0] and z[1] == z[1]] == \
+        [outcome(abs, complex(*z)) for z in parts if z[0] == z[0] and z[1] == z[1]]
+    overflow = np.zeros(len(parts), bool)
+    with np.errstate(all="ignore"):
+        modulus = steady._abs(np.array(parts).T, overflow)
+    assert [m == "OverflowError" for m in moduli] == overflow.tolist()
+    assert [repr(m) for m, o in zip(modulus.tolist(), overflow) if not o] == \
+        [m for m in moduli if m != "OverflowError"]
 
 
 @pytest.mark.parametrize("fault", ["overflow", "non_finite"])
@@ -1252,3 +1289,18 @@ def test_a_nan_in_any_one_equation_fails_the_fixed_point_check(field):
     # a NaN from a NaN parameter is no overflow: the root is dropped
     (entry,) = steady._branch_sets([nan], [lone_roots(p)])
     assert type(entry) is NoRealRoot
+
+
+def test_a_nan_modulus_is_no_overflow_whatever_errno_holds():
+    # shift = delta_p0 - 2 omega_k0 eta w overflows at this hand-set root, so
+    # its fields are NaN, a failed check on a lone point and on a stack.
+    # CPython's abs of a complex with a NaN part raises OverflowError when
+    # errno still holds ERANGE from an earlier call (here a caught **
+    # overflow; omega_k0 = 1.0, whose powers leave errno as it is)
+    p = bistable_point().replace(omega_k0=1.0, eta=1e308)
+    roots = ([3.0], [0.0], [])
+    with pytest.raises(OverflowError):
+        10.0 ** 400
+    (entry,) = steady._branch_sets([p], [roots])
+    assert type(entry) is NoRealRoot
+    assert [type(e) for e in steady._branch_sets([p, p], [roots, roots])] == [NoRealRoot] * 2
