@@ -6,10 +6,13 @@ coefficients come from the exact expansion C(w) = -gamma1 (w + 1) |d1(w)|^2
 - 4 g0^2 ep0^2 w (``_closed_form``), right to rounding; a test compares them
 against exact rationals and against pointwise evaluation of the cleared
 expression (``cleared_inversion_expression``).  Each point builds its own
-cubic in Python floats (``_cubic``), on a grid as alone.  A real root's
-fields, fixed-point check and Jacobian are written once (``_branch_row``),
-on Python floats for a lone point and on a grid's columns in one array
-pass, so each root gets the bits it gets alone.
+cubic in Python floats (``_cubic``), on a grid as alone.  A lone point's
+roots come from the closed form on Python floats (``_polished_roots``), a
+grid's from one array pass over its cubics beside it (``_roots_pass``),
+which does each point's float operations in their lone order.  A real
+root's fields, fixed-point check and Jacobian are written once
+(``_branch_row``), on Python floats for a lone point and on a grid's
+columns in one array pass.  So each point gets the bits it gets alone.
 
 Two transcriptions of the coefficient set exist (see ``data/formula_ledger.json``).
 The default one is self-consistent with the mean-field dynamics: its roots are
@@ -202,9 +205,13 @@ def build_inversion_polynomial(p: Params,
     raises ``NonFinite``.
     """
     coeffs, _ = _closed_form(*_CUBIC_FIELDS(p), legacy_field_amplitude)
-    if not all(map(math.isfinite, coeffs)):
-        raise NonFinite(_OVERFLOW)
-    return np.array(coeffs)
+    return np.array(_or_raise(_checked(coeffs)))
+
+
+def _checked(c):
+    """The cubic ``c``, or ``NonFinite`` where a coefficient is not finite:
+    the one finiteness rule of a cubic, its build's and its roots'."""
+    return c if all(map(math.isfinite, c)) else NonFinite(_OVERFLOW)
 
 
 # -- root extraction ---------------------------------------------------------
@@ -214,7 +221,8 @@ def _compensated_horner(monic: list, x: float) -> tuple[float, float]:
     as accurate as Horner's rule in twice the working precision: each
     product's rounding error (Dekker's split product) and each sum's
     (Knuth's two-sum) is carried in a second Horner pass (Graillat,
-    Langlois and Louvet's compensated Horner scheme)."""
+    Langlois and Louvet's compensated Horner scheme).  The body has no
+    branch, so it serves a lone root's floats and a stack's arrays alike."""
     s = 134217729.0 * x  # Dekker's splitter, 2**27 + 1
     xh = s - (s - x)
     xl = x - xh
@@ -299,12 +307,116 @@ def _cubic_roots(monic: list) -> list:
     return [w0, *_pair(monic, b1, c2, -0.5 * b1 - w0)]
 
 
+# ``_pair``, ``_depressed_root`` and ``_cubic_roots`` on a stack's columns, each
+# ``if`` a ``where`` over both sides: every lane does its lone solve's float
+# operations in their order.  numpy serves only where its rounding is IEEE's
+# (+ - * /, sqrt, abs, copysign, comparisons); atan2, cos, sin and the cube
+# root are ``math``'s and ``**`` on each lane's Python floats (``_per_lane``),
+# since numpy's need not round as these do.
+
+def _per_lane(f, lanes, *columns):
+    """``f`` on the Python floats of each of ``lanes``, NaN elsewhere."""
+    out = np.full(len(lanes), math.nan)
+    at = np.flatnonzero(lanes)
+    out[at] = list(map(f, *(column[at].tolist() for column in columns)))
+    return out
+
+
+def _pair_arrays(monic, b1, c2, scale):
+    """``_pair`` on arrays: (cplx, x, y), the roots x + iy and x - iy where
+    ``cplx``, else x and y."""
+    m = -0.5 * b1
+    disc = np.where(scale != 0.0, -4.0 * _compensated_horner(monic, m)[0] / scale,
+                    b1 * b1 - 4.0 * c2)
+    cplx = disc < 0.0
+    im = 0.5 * np.sqrt(-disc)
+    q = m - np.copysign(0.5 * np.sqrt(disc), b1)
+    real = q != 0.0
+    return (cplx, np.where(cplx, np.where(abs(m) > _EPS * im, m, 0.0), np.where(real, q, 0.0)),
+            np.where(cplx, im, np.where(real, c2 / q, 0.0)))
+
+
+def _depressed_root_arrays(cbar, dbar, scale, disc, lanes):
+    """``_depressed_root`` on arrays, the cube root taken on ``lanes``; and
+    the lanes where its division by zero raises."""
+    t0 = -np.copysign(scale * np.sqrt(-disc), dbar)
+    t1 = t0 - dbar
+    u = np.copysign(_per_lane(lambda x: x ** (1.0 / 3.0), lanes, abs(0.5 * t1)), t1)
+    same = t0 == t1
+    v = np.where(same, -u, -cbar / u)
+    root = np.where(cbar <= 0.0, u + v, -dbar / (u * u + v * v + cbar))
+    return root, lanes & ~same & (u == 0.0)
+
+
+def _cubic_roots_arrays(monic):
+    """``_cubic_roots`` on the columns of a stack of monic cubics: (w0,
+    cplx, x, y, raises), the pair as ``_pair_arrays`` gives it, and the
+    lanes where the lone solve raises."""
+    _, a, b, c = monic
+    big, mid = a / 3.0, b / 3.0
+    d1 = mid - big * big
+    d2 = c - big * mid
+    d3 = big * c - mid * mid
+    disc = 4.0 * d1 * d3 - d2 * d2
+    trig = disc >= 0.0
+    r = 2.0 * np.sqrt(np.where(0.0 > -d1, 0.0, -d1))  # max(-d1, 0.0), -0.0 on a tie
+    theta = abs(_per_lane(math.atan2, trig, np.sqrt(disc), 2.0 * big * d1 - d2)) / 3.0
+    cos, sin = _per_lane(math.cos, trig, theta), _per_lane(math.sin, trig, theta)
+    x1 = r * cos
+    x3 = r * (-0.5 * cos - math.sqrt(0.75) * sin)
+    d_side = ~trig & (big * big * big * c < mid * mid * mid)
+    w, d_raises = _depressed_root_arrays(d3, 2.0 * mid * d3 - c * d2, abs(c), disc, d_side)
+    w = np.where(d_side, w + mid, 0.0)
+    a_side = ~trig & (w == 0.0)
+    w0, a_raises = _depressed_root_arrays(d1, d2 - 2.0 * big * d1, 1.0, disc, a_side)
+    w0 = np.where(trig, np.where(x1 + x3 > 2.0 * big, x1, x3) - big,
+                  np.where(a_side, w0 - big, -c / w))
+    value, slope = _compensated_horner(monic, w0)
+    w0 = np.where(abs(slope) > 1e-9, w0 - value / slope, w0)
+    b1 = w0 + a
+    c2 = b1 * w0 + b
+    flip = (w0 != 0.0) & (w0 * w0 * abs(w0) > abs(c))
+    c2 = np.where(flip, -c / w0, c2)
+    b1 = np.where(flip, (c2 - b) / w0, b1)
+    return (w0, *_pair_arrays(monic, b1, c2, -0.5 * b1 - w0), d_raises | a_raises)
+
+
+def _roots_pass(out) -> list:
+    """Answer the cubics of the stack ``out`` in one array pass, in place,
+    and return the indices of the items left to the lone loop: an error, a
+    cofactor, a cubic whose leading coefficient is below 1e-12 of its
+    largest, which is not finite or is zero, and one whose lone solve
+    raises.  Each answer is its lone solve's, bit for bit: the pass
+    transcribes ``_polished_roots``' normalization and ``_cubic_roots``,
+    and each lane's roots, Python floats, go through ``_split_roots``."""
+    four = [i for i, c in enumerate(out) if not isinstance(c, Exception) and len(c) == 4]
+    stack = np.array([out[i] for i in four], float).reshape(-1, 4)
+    with np.errstate(all="ignore"):
+        top = abs(stack).max(axis=1)
+        cn = stack / top[:, None]
+        lanes = (top > 0.0) & (top < math.inf) & (abs(cn[:, 0]) >= 1e-12)
+        monic = (cn[lanes] / cn[lanes, :1]).T
+        w0, cplx, x, y, raises = _cubic_roots_arrays(monic)
+    alone = [True] * len(out)
+    keep = ~raises
+    for k, m, w, z, re, im in zip(np.flatnonzero(lanes)[keep].tolist(), monic.T[keep].tolist(),
+                                  *(column[keep].tolist() for column in (w0, cplx, x, y))):
+        i = four[k]
+        alone[i] = False
+        try:
+            out[i] = _split_roots([w, complex(re, im), complex(re, -im)] if z else [w, re, im], m)
+        except RootResidual as exc:
+            out[i] = exc
+    return [i for i, lone in enumerate(alone) if lone]
+
+
 def _polished_roots(c) -> tuple[list, list]:
-    """(roots, monic) of a cubic, a sequence of Python floats: its trimmed
-    monic form and all its roots (``_cubic_roots``, ``_pair``); or
+    """(roots, monic) of a cubic, a sequence of floats: its trimmed monic
+    form and all its roots (``_cubic_roots``, ``_pair``), Python floats; or
     ``NoRealRoot``.  Three coefficients are the cofactor q of a cubic
     (w + 1) q (``_cubic``): its roots are -1, exactly, and q's, and its
     monic form is w + 1 times q's."""
+    c = [*map(float, c)]
     top = max(map(abs, c))
     if top == 0.0:
         raise NoRealRoot("zero polynomial")
@@ -361,22 +473,30 @@ def _cubic(p: Params):
     (w + 1) q, and the item is the cofactor q, (c3, c2 - c3, c0), so that
     the root -1 stays -1 rather than one rounding off it."""
     coeffs, factored = _closed_form(*_CUBIC_FIELDS(p))
-    if not all(map(math.isfinite, coeffs)):
-        return NonFinite(_OVERFLOW)
-    if factored:
+    item = _checked(coeffs)
+    if factored and item is coeffs:
         c3, c2, _, c0 = coeffs
         return c3, c2 - c3, c0
-    return coeffs
+    return item
 
 
 def inversion_roots(cubics) -> list:
-    """Each point's (real, resid, cplx) given its inversion cubic, a tuple
-    of Python floats (``_cubic``): the real roots, their monic residuals and
-    the complex rest.  An item that is the error its point's build raised is
-    answered with it, and a cubic whose roots fail with their error, for the
+    """Each point's (real, resid, cplx) given its inversion cubic, a
+    sequence of floats: the real roots, their monic residuals and the
+    complex rest, as Python floats and complexes whatever the item's type.
+    The solver's item is ``_cubic(p)``, a tuple, which deflates the factor
+    w + 1 where the pump term rounds away; ``build_inversion_polynomial``
+    is the whole cubic.  An item that is the error its point's build raised
+    is answered with it, one with a coefficient that is not finite with
+    ``NonFinite``, and a cubic whose roots fail with their error, for the
     caller to raise at the point's turn.  An item of three coefficients is
-    the cofactor of an exact factor w + 1.  The roots come from one closed
-    form (``_polished_roots``), for a lone point and along a grid alike.
+    the cofactor of an exact factor w + 1.
+
+    The roots come from one closed form (``_polished_roots``).  A lone
+    point, a stack of one, takes it on Python floats.  A larger stack takes
+    its cubics in one array pass (``_roots_pass``) that does each lane's
+    float operations in their lone order, so each point gets the bits of
+    its lone solve; the items the pass does not take go the lone way.
 
     A point is ``RootResidual`` when a real root's monic residual reaches
     ``RESIDUAL_BOUND`` and also the rounding noise of evaluating the monic
@@ -384,11 +504,12 @@ def inversion_roots(cubics) -> list:
     to 1e13 an absolute bound alone rejects roots accurate to the last bit.
     """
     out = list(cubics)
-    for i, c in enumerate(out):
+    for i in _roots_pass(out) if len(out) > 1 else range(len(out)):
+        c = out[i]
         if not isinstance(c, Exception):
             try:
-                out[i] = _split_roots(*_polished_roots(c))
-            except (NoRealRoot, RootResidual) as exc:
+                out[i] = _split_roots(*_polished_roots(_or_raise(_checked(c))))
+            except (NonFinite, NoRealRoot, RootResidual) as exc:
                 out[i] = exc
     return out
 
@@ -401,12 +522,12 @@ def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
 
     Each point's cubic, roots and branches are computed once: each cubic by
     its lone build (``_cubic``), then one step per stage over the whole grid
-    (``inversion_roots``, ``_branch_sets``), the branch rows in an array
-    pass that gives each point the bits of its lone solve (``_array_rows``);
-    callers share the entries.  The grid's two ends must pass
-    ``validate_params``; every parameter rule is a bound, so the points
-    between them do too.  A point that does not raises ``InvalidGrid``
-    naming the axis.
+    (``inversion_roots``, ``_branch_sets``), the roots and the branch rows
+    each in an array pass that gives each point the bits of its lone solve
+    (``_roots_pass``, ``_array_rows``); callers share the entries.  The
+    grid's two ends must pass ``validate_params``; every parameter rule is
+    a bound, so the points between them do too.  A point that does not
+    raises ``InvalidGrid`` naming the axis.
     """
     ps = [apply_axis(p, axis, x) for x in xs]
     for end in (ps[0], ps[-1]):
@@ -423,12 +544,14 @@ def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
 
 def steady_fields(p: Params, w0: float) -> tuple[complex, complex, float]:
     """(sigma0, a0, q0) reconstructed from the coefficient set at ``w0`` by
-    ``_branch_row`` on Python floats, raising as ``_div_floats`` and ``_abs_floats`` do.
+    ``_branch_row`` on Python floats: ``NonFinite`` where the branch
+    assembly finds the root overflowing (``_float_row``), and
+    ``ZeroDivisionError`` on a coefficient pole.
 
     q0 = -2 eta omega_k0 w0: the displacement sign convention is pinned to the
     coefficient set (ledger entry ``phonon-displacement-sign``).
     """
-    s, a, q0, *_ = _branch_row(w0, *_row_columns(p), _div_floats, _abs_floats)
+    s, a, q0, *_ = _float_row(w0, _row_columns(p))
     return complex(*s), complex(*a), q0
 
 
@@ -438,7 +561,7 @@ def mean_field_jacobian(p: Params, w0: float) -> np.ndarray:
 
     State ordering: (w, Re sigma, Im sigma, Re a, Im a, q, dq/dt).
     """
-    return np.reshape(_branch_row(w0, *_row_columns(p), _div_floats, _abs_floats)[5], (7, 7))
+    return np.reshape(_float_row(w0, _row_columns(p))[5], (7, 7))
 
 
 # CPython's complex arithmetic (_Py_c_prod, _Py_c_sum, _Py_c_quot, _Py_c_abs) on (re, im)
@@ -536,6 +659,23 @@ def _branch_row(w, dp, dc, kc, g0, eta, ep0, g1, wk, gq, wk2, wk3, div, mag):
         0.0, -g0, 0.0, -dc, -kc, 0.0, 0.0,
         0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
         -2.0 * eta * wk3, 0.0, 0.0, 0.0, 0.0, -wk2, -gq)
+
+
+def _float_row(w0: float, columns: tuple):
+    """``_branch_row`` at the root ``w0`` on a point's Python floats
+    (``_row_columns``), or ``NonFinite`` raised where the root overflows: a
+    modulus overflows, omega_k0 ** 3 does, or the check is NaN from finite
+    fields and parameters.  A root on a coefficient pole raises
+    ``ZeroDivisionError``."""
+    try:
+        row = _branch_row(w0, *columns, _div_floats, _abs_floats)
+    except OverflowError:
+        raise NonFinite(_BRANCH_OVERFLOW) from None
+    s, a, q0, total = row[:4]
+    if math.isinf(columns[-1]) or total != total and all(
+            map(math.isfinite, (w0, q0, *s, *a, *columns[:8]))):
+        raise NonFinite(_BRANCH_OVERFLOW)
+    return row
 
 
 def _row_columns(p: Params) -> tuple:
@@ -731,17 +871,14 @@ def _loop_rows(ps, out) -> tuple[list, np.ndarray]:
     try:
         for w0, res in [] if isinstance(found, Exception) else zip(found[0], found[1]):
             try:
-                s, a, q0, total, passes, row = _branch_row(w0, *columns, _div_floats, _abs_floats)
+                s, a, q0, _, passes, row = _float_row(w0, columns)
             except ZeroDivisionError:  # a root on a coefficient pole
                 continue
-            if math.isinf(columns[-1]) or total != total and all(
-                    map(math.isfinite, (w0, q0, *s, *a, *columns[:8]))):
-                raise OverflowError  # a power, or a NaN residual from finite inputs
             if passes:
                 kept.append((0, w0, res, complex(*s), complex(*a), q0))
                 rows.append(row)
-    except OverflowError:
-        kept, rows, out[0] = [], [], NonFinite(_BRANCH_OVERFLOW)
+    except NonFinite as exc:
+        kept, rows, out[0] = [], [], exc
     return kept, np.array(rows).reshape(-1, 7, 7)
 
 

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import math
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -234,6 +236,23 @@ def test_a_root_pair_on_a_coefficient_pole_is_dropped():
     assert grid[0][2][0] == [-1.0, 1.0, 1.0] and [b.w0 for b in grid[0][2][3]] == [-1.0]
 
 
+def test_fields_and_jacobian_raise_the_overflow_that_fails_a_branch():
+    # where the branch assembly fails a point for an overflow, the public
+    # fields and Jacobian raise its NonFinite (one rule, steady._float_row):
+    # a modulus that overflows on finite parts (|td| near 1.5e308), and
+    # omega_k0 ** 3 overflowing, which left entry (6, 0) at -inf
+    far = bistable_point().replace(g0=0.01, eta=1.0, omega_k0=1.0, kappa_c0=0.01,
+                                   delta_c0=0.01, ep0=1e4)
+    message = "a steady branch overflows at these parameters"
+    for p, w0 in ((far, 1.5e304), (bistable_point().replace(omega_k0=1e110), -0.5)):
+        (entry,) = steady._branch_sets([p], [([w0], [0.0], [])])
+        assert (type(entry), str(entry)) == (NonFinite, message)
+        for fn in (steady_fields, mean_field_jacobian):
+            with pytest.raises(NonFinite) as err:
+                fn(p, w0)
+            assert str(err.value) == message
+
+
 @pytest.mark.parametrize("p, pair", [
     # extreme point 1009: the sampled build gave w^3 + w^2 + 5.9e-144, whose
     # small pair 2.9e-144 +- 7.7e-73 i counted as a real double root off any
@@ -423,6 +442,14 @@ def test_a_nan_coefficient_is_non_finite_wherever_it_sits(monkeypatch, row):
         solve_steady_branches(bistable_point())
     grid = steady.grid_roots(bistable_point(), SweepAxis.EP0, [2.0, 4.0, 6.0])
     assert [str(e) for *_, e in grid] == ["the inversion cubic overflows at these parameters"] * 3
+    # and so is any item of inversion_roots with a NaN or an infinity there,
+    # alone and in a stack
+    monkeypatch.undo()
+    items = [tuple(v if k != row else bad for k, v in enumerate((1.0, 2.0, 3.0, 4.0)))
+             for bad in (math.nan, math.inf, -math.inf)]
+    want = repr(NonFinite("the inversion cubic overflows at these parameters"))
+    assert [repr(inversion_roots([c])[0]) for c in items] == [want] * 3
+    assert list(map(repr, inversion_roots(items))) == [want] * 3
 
 
 @pytest.mark.parametrize("ep0, p1, p2", [(81.0, -17.4, -33.3), (36.0, -31.8, -36.2),
@@ -605,6 +632,221 @@ def test_grid_roots_match_per_point_roots():
     found_all = inversion_roots(map(steady._cubic, ps))
     for p, found in zip(ps, found_all):
         assert repr(found) == repr(lone_roots(p))
+
+
+def _cubic_families(rng, n):
+    """``n`` random cubics of each family the root pass must match its lone
+    solves on, as tuples: ``_random_cubics``' five, clustered, near-double
+    and triple roots, near-real and imaginary complex pairs, magnitudes up
+    to 1e+-150, signed zeros and bare cube roots."""
+    for c in _random_cubics(rng, n):
+        yield tuple(c.tolist())
+    for _ in range(n):
+        r, s = rng.uniform(-2.0, 1.0, size=2)
+        z = complex(r, 10.0 ** rng.uniform(-12.0, -4.0))
+        for roots in ([r, r * (1.0 + 1e-9), r * (1.0 - 1e-9)], [r, r, s], [r, r, r],
+                      [r, r * (1.0 + 10.0 ** rng.uniform(-16.0, -8.0)), s],
+                      [z, z.conjugate(), s], [s, 1j * r, -1j * r]):
+            yield tuple(np.poly(roots).real.tolist())
+        yield tuple((rng.normal(size=4) * 10.0 ** rng.uniform(-150.0, 150.0)).tolist())
+        yield tuple(float(v) for v in rng.choice([0.0, -0.0, 1.0, -2.5], size=4))
+        # w^3 + c with |c| below 1e-15: the Newton step is skipped, so the
+        # root is Cardano's cube root as it stands
+        yield 1.0, 0.0, 0.0, float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, -15.0))
+
+
+def _traced_lone_answers(monkeypatch, items):
+    """Each item's lone answer, ``inversion_roots([item])[0]``, or the type
+    and message of what it raises; and the branches of ``_cubic_roots``,
+    ``_depressed_root`` and ``_pair`` that the lone solves of the items'
+    cubics reach."""
+    originals = {name: getattr(steady, name) for name in
+                 ("_cubic_roots", "_depressed_root", "_pair", "_compensated_horner")}
+    calls, seen = [], set()
+
+    def spy(name):
+        def traced(*args):
+            out = originals[name](*args)
+            calls.append((name, args, out))
+            return out
+        return traced
+
+    def cubic_roots(monic):
+        calls.clear()
+        roots = originals["_cubic_roots"](monic)
+        _, a, b, c = monic
+        depressed = [args for name, args, _ in calls if name == "_depressed_root"]
+        big, mid = a / 3.0, b / 3.0
+        d_side = big * big * big * c < mid * mid * mid
+        if not depressed:
+            seen.add("trigonometric form")
+        if depressed and d_side:
+            seen.add("Cardano's D side")
+        if len(depressed) == 2 or depressed and not d_side:
+            seen.add("Cardano's A side")
+        value, slope = next(out for name, _, out in calls if name == "_compensated_horner")
+        if abs(slope) <= 1e-9:
+            seen.add("skipped Newton step")
+        w0 = roots[0]
+        if w0 and w0 * w0 * abs(w0) > abs(c):
+            seen.add("Kahan's flip")
+        b1, pair = next((args[1], out) for name, args, out in calls if name == "_pair")
+        if isinstance(pair[0], complex):
+            seen.add("complex pair")
+            if pair[0].real == 0.0 and -0.5 * b1 != 0.0:
+                seen.add("complex pair with real part 0")
+            if abs(pair[0].imag) <= steady.REAL_ROOT_TOL * max(1.0, abs(pair[0].real)):
+                seen.add("near-real pair")
+        elif pair == [0.0, 0.0]:
+            seen.add("q == 0")
+        return roots
+
+    for name in originals:
+        monkeypatch.setattr(steady, name, cubic_roots if name == "_cubic_roots" else spy(name))
+    try:
+        answers = [_answer(inversion_roots, [item]) for item in items]
+    finally:
+        for name, original in originals.items():
+            monkeypatch.setattr(steady, name, original)
+    return [answer[0] if isinstance(answer, list) else answer for answer in answers], seen
+
+
+def _answer(fn, *args):
+    """``fn(*args)``, or the type and message of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _root_bits(answer):
+    """An ``inversion_roots`` answer as compared bit for bit: the type and
+    message of its error, or its repr and the type of each number."""
+    if isinstance(answer, Exception):
+        return type(answer), str(answer)
+    if isinstance(answer[0], type):
+        return answer
+    return repr(answer), [type(v) for part in answer for v in part]
+
+
+def _alone_kind(item):
+    """Why the root pass leaves ``item`` to the lone loop."""
+    if isinstance(item, Exception):
+        return "error"
+    if len(item) == 3:
+        return "cofactor"
+    if not all(map(math.isfinite, item)):
+        return "not finite"
+    if max(map(abs, item)) == 0.0:
+        return "zero"
+    return "lead below 1e-12"
+
+
+def test_stacked_roots_match_the_lone_loop_bit_for_bit(monkeypatch):
+    """A stack of two or more items takes one array pass over its cubics
+    (``steady._roots_pass``), and every item's answer has the repr, the
+    number types and the error of its lone solve: on every preset grid,
+    three seeded ``wide_box`` stacks, the 2,500 extreme points, the corner
+    points, the random-cubic families and a stack of two.  The lanes reach
+    every branch of ``_cubic_roots``, ``_depressed_root`` and ``_pair`` and
+    the ``RootResidual`` rule, and each kind of item that the pass leaves to
+    the lone loop is answered there."""
+    points = script("seeded_points")
+    rng = np.random.default_rng(35)
+    overflow = NonFinite("the inversion cubic overflows at these parameters")
+    stacks = [cubics for *_, cubics in _preset_grids()]
+    stacks += [list(map(steady._cubic, _wide_box_params(monkeypatch, seed, 1500)))
+               for seed in (1, 2, 3)]
+    stacks.append(list(map(steady._cubic, points.extreme_points())))
+    stacks.append([steady._cubic(p) for _, p in points.corner_points()])
+    stacks += [list(_cubic_families(rng, 100)) for _ in range(3)]
+    stacks.append([steady._cubic(bistable_point()), steady._cubic(detuning_scan_point())])
+    stacks.append([overflow, (1.0, 0.0, -1.0), (1e-13, 1.0, 2.0, 3.0), (0.0, -0.0, 0.0, 0.0),
+                   (math.nan, 1.0, 1.0, 1.0), (1.0, math.inf, 1.0, 1.0), (1.0, 2.0, 3.0, 4.0)])
+    left = []
+    roots_pass = steady._roots_pass
+    monkeypatch.setattr(steady, "_roots_pass", lambda out: left.append(roots_pass(out)) or left[-1])
+    reached, residual, kinds = set(), 0, set()
+    for stack in stacks:
+        stacked = inversion_roots(stack)
+        alone = left[-1]
+        lone, seen = _traced_lone_answers(monkeypatch, stack)
+        assert list(map(_root_bits, stacked)) == list(map(_root_bits, lone))
+        reached |= seen
+        residual += sum(isinstance(a, RootResidual)
+                        for k, a in enumerate(stacked) if k not in alone)
+        kinds |= {_alone_kind(stack[k]) for k in alone}
+    assert len(left) == len(stacks) and residual > 0
+    assert reached == {"trigonometric form", "Cardano's A side", "Cardano's D side",
+                       "skipped Newton step", "Kahan's flip", "q == 0", "complex pair",
+                       "complex pair with real part 0", "near-real pair"}
+    assert kinds == {"error", "cofactor", "not finite", "zero", "lead below 1e-12"}
+    # a cubic whose lone solve divides by zero in Cardano's D side raises
+    # as it does alone
+    raising = (1.0, 0.0, 4.35e-108, 1e-170)
+    assert _answer(inversion_roots, [raising]) == _answer(inversion_roots, [raising, raising]) \
+        == (ZeroDivisionError, "float division by zero")
+    assert left[-1] == [0, 1]
+
+
+def test_roots_are_python_floats_for_any_item_of_floats():
+    # an ndarray or a list of floats, numpy's or Python's, answers with the
+    # bits and types of the same cubic as a tuple of Python floats, alone
+    # and in a stack.  The solver's item is _cubic(p), which at 2b's base
+    # (ep0 = 0, where the pump term vanishes) is the cofactor of w + 1; the
+    # public build is the whole cubic
+    p = presets.get_preset("2b").params
+    built = build_inversion_polynomial(p)
+    item = tuple(built.tolist())
+    assert len(steady._cubic(p)) == 3
+    want = _root_bits(inversion_roots([item])[0])
+    assert set(want[1]) == {float, complex}
+    for c in (built, list(built), built.tolist(), np.array(item)):
+        assert _root_bits(inversion_roots([c])[0]) == want
+        assert list(map(_root_bits, inversion_roots([c, item, c]))) == [want] * 3
+
+
+def test_the_root_pass_takes_no_transcendental_from_numpy():
+    """The root pass gives each lane the bits of its lone solve only where
+    numpy rounds as CPython does.  On an AVX-512 host with numpy 2.4.6,
+    ``np.power(x, 1/3)`` differs from CPython's ``x ** (1/3)`` on 15,919 of
+    300,000 values and ``np.arctan2`` from ``math.atan2`` on 153, so the
+    pass's functions call numpy only for arithmetic, sqrt, abs, copysign,
+    ``where``, array construction and ``errstate``; and this numpy's
+    elementwise arithmetic is checked against CPython's, with subnormals,
+    signed zeros and infinities."""
+    tree = ast.parse(pathlib.Path(steady.__file__).read_text(encoding="utf-8"))
+    names = {"_compensated_horner", "_per_lane", "_pair_arrays", "_depressed_root_arrays",
+             "_cubic_roots_arrays", "_roots_pass"}
+    calls = {fn.name: {ast.unparse(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)
+                       and re.fullmatch(r"np(\.\w+)+", ast.unparse(node.func))}
+             for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in names}
+    assert set(calls) == names
+    assert set().union(*calls.values()) <= {
+        "np.sqrt", "np.abs", "np.copysign", "np.where", "np.array", "np.full",
+        "np.flatnonzero", "np.errstate"}
+    rng = np.random.default_rng(35)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308, math.inf, -math.inf]
+    x, y = (np.ldexp(rng.uniform(-1.0, 1.0, 20000), rng.integers(-1074, 1024, 20000))
+            for _ in range(2))
+    x = np.concatenate((x, np.repeat(special, len(special))))  # every pair of special values
+    y = np.concatenate((y, np.tile(special, len(special))))
+    xs, ys = x.tolist(), y.tolist()
+
+    def same(got, want):
+        want = np.array(want)
+        assert (np.isnan(got) == np.isnan(want)).all()
+        assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+
+    with np.errstate(all="ignore"):
+        same(x + y, [a + b for a, b in zip(xs, ys)])
+        same(x - y, [a - b for a, b in zip(xs, ys)])
+        same(x * y, [a * b for a, b in zip(xs, ys)])
+        nonzero = y != 0.0
+        same(x[nonzero] / y[nonzero], [a / b for a, b in zip(xs, ys) if b != 0.0])
+        same(np.sqrt(abs(x)), [math.sqrt(abs(a)) for a in xs])
+        same(np.copysign(x, y), [math.copysign(a, b) for a, b in zip(xs, ys)])
+        same(-x, [-a for a in xs])
 
 
 def test_overflowing_point_raises_at_its_turn_in_a_hysteresis_grid(monkeypatch):
