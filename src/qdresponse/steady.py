@@ -505,12 +505,11 @@ def inversion_roots(cubics) -> list:
     """
     out = list(cubics)
     for i in _roots_pass(out) if len(out) > 1 else range(len(out)):
-        c = out[i]
-        if not isinstance(c, Exception):
-            try:
-                out[i] = _split_roots(*_polished_roots(_or_raise(_checked(c))))
-            except (NonFinite, NoRealRoot, RootResidual) as exc:
-                out[i] = exc
+        c = out[i] if isinstance(out[i], Exception) else _checked(out[i])
+        try:
+            out[i] = c if isinstance(c, Exception) else _split_roots(*_polished_roots(c))
+        except (NoRealRoot, RootResidual) as exc:
+            out[i] = exc
     return out
 
 
@@ -671,7 +670,7 @@ def _float_row(w0: float, columns: tuple):
         row = _branch_row(w0, *columns, _div_floats, _abs_floats)
     except OverflowError:
         raise NonFinite(_BRANCH_OVERFLOW) from None
-    s, a, q0, total = row[:4]
+    s, a, q0, total, _, _ = row
     if math.isinf(columns[-1]) or total != total and all(
             map(math.isfinite, (w0, q0, *s, *a, *columns[:8]))):
         raise NonFinite(_BRANCH_OVERFLOW)

@@ -559,7 +559,7 @@ def _outcome(fn, *args):
     """``fn(*args)``, or the type and message of what it raises."""
     try:
         return fn(*args)
-    except QdResponseError as exc:
+    except (QdResponseError, ZeroDivisionError) as exc:
         return type(exc), str(exc)
 
 
@@ -684,7 +684,9 @@ def _traced_lone_answers(monkeypatch, items):
             seen.add("Cardano's D side")
         if len(depressed) == 2 or depressed and not d_side:
             seen.add("Cardano's A side")
-        value, slope = next(out for name, _, out in calls if name == "_compensated_horner")
+        for cbar, *_ in depressed:
+            seen.add("Cardano's sum" if cbar <= 0.0 else "Cardano's quotient")
+        _, slope = next(out for name, _, out in calls if name == "_compensated_horner")
         if abs(slope) <= 1e-9:
             seen.add("skipped Newton step")
         w0 = roots[0]
@@ -701,22 +703,11 @@ def _traced_lone_answers(monkeypatch, items):
             seen.add("q == 0")
         return roots
 
-    for name in originals:
-        monkeypatch.setattr(steady, name, cubic_roots if name == "_cubic_roots" else spy(name))
-    try:
-        answers = [_answer(inversion_roots, [item]) for item in items]
-    finally:
-        for name, original in originals.items():
-            monkeypatch.setattr(steady, name, original)
+    with monkeypatch.context() as patched:
+        for name in originals:
+            patched.setattr(steady, name, cubic_roots if name == "_cubic_roots" else spy(name))
+        answers = [_outcome(inversion_roots, [item]) for item in items]
     return [answer[0] if isinstance(answer, list) else answer for answer in answers], seen
-
-
-def _answer(fn, *args):
-    """``fn(*args)``, or the type and message of the exception it raises."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return type(exc), str(exc)
 
 
 def _root_bits(answer):
@@ -778,13 +769,14 @@ def test_stacked_roots_match_the_lone_loop_bit_for_bit(monkeypatch):
         kinds |= {_alone_kind(stack[k]) for k in alone}
     assert len(left) == len(stacks) and residual > 0
     assert reached == {"trigonometric form", "Cardano's A side", "Cardano's D side",
-                       "skipped Newton step", "Kahan's flip", "q == 0", "complex pair",
+                       "Cardano's sum", "Cardano's quotient", "skipped Newton step",
+                       "Kahan's flip", "q == 0", "complex pair",
                        "complex pair with real part 0", "near-real pair"}
     assert kinds == {"error", "cofactor", "not finite", "zero", "lead below 1e-12"}
     # a cubic whose lone solve divides by zero in Cardano's D side raises
     # as it does alone
     raising = (1.0, 0.0, 4.35e-108, 1e-170)
-    assert _answer(inversion_roots, [raising]) == _answer(inversion_roots, [raising, raising]) \
+    assert _outcome(inversion_roots, [raising]) == _outcome(inversion_roots, [raising, raising]) \
         == (ZeroDivisionError, "float division by zero")
     assert left[-1] == [0, 1]
 
