@@ -468,16 +468,16 @@ def _split_roots(roots: list, monic: list):
 
 def _cubic(p: Params):
     """``inversion_roots``' item for ``p``, a tuple of Python floats: its
-    cubic (c3, c2, c1, c0), or the error its build raises.  Where the pump
-    term vanishes in the rounding (``_closed_form``) the cubic is
-    (w + 1) q, and the item is the cofactor q, (c3, c2 - c3, c0), so that
-    the root -1 stays -1 rather than one rounding off it."""
+    cubic (c3, c2, c1, c0).  Where the pump term vanishes in the rounding
+    (``_closed_form``) the cubic is (w + 1) q, and the item is the cofactor
+    q, (c3, c2 - c3, c0), so that the root -1 stays -1 rather than one
+    rounding off it.  A cubic that is not finite is never deflated: its one
+    finiteness check is ``inversion_roots``'."""
     coeffs, factored = _closed_form(*_CUBIC_FIELDS(p))
-    item = _checked(coeffs)
-    if factored and item is coeffs:
+    if factored and _checked(coeffs) is coeffs:
         c3, c2, _, c0 = coeffs
         return c3, c2 - c3, c0
-    return item
+    return coeffs
 
 
 def inversion_roots(cubics) -> list:
@@ -486,11 +486,11 @@ def inversion_roots(cubics) -> list:
     complex rest, as Python floats and complexes whatever the item's type.
     The solver's item is ``_cubic(p)``, a tuple, which deflates the factor
     w + 1 where the pump term rounds away; ``build_inversion_polynomial``
-    is the whole cubic.  An item that is the error its point's build raised
-    is answered with it, one with a coefficient that is not finite with
-    ``NonFinite``, and a cubic whose roots fail with their error, for the
-    caller to raise at the point's turn.  An item of three coefficients is
-    the cofactor of an exact factor w + 1.
+    is the whole cubic.  An item that is an error is answered with it, one
+    with a coefficient that is not finite with ``NonFinite``, and a cubic
+    whose roots fail with their error, for the caller to raise at the
+    point's turn.  An item of three coefficients is the cofactor of an
+    exact factor w + 1.
 
     The roots come from one closed form (``_polished_roots``).  A lone
     point, a stack of one, takes it on Python floats.  A larger stack takes

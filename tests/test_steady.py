@@ -721,7 +721,8 @@ def _root_bits(answer):
 
 
 def _alone_kind(item):
-    """Why the root pass leaves ``item`` to the lone loop."""
+    """Why the root pass leaves ``item`` to the lone loop; fails on an item
+    that it should have taken."""
     if isinstance(item, Exception):
         return "error"
     if len(item) == 3:
@@ -730,6 +731,7 @@ def _alone_kind(item):
         return "not finite"
     if max(map(abs, item)) == 0.0:
         return "zero"
+    assert abs(item[0]) < 1e-12 * max(map(abs, item)), item
     return "lead below 1e-12"
 
 
@@ -753,7 +755,8 @@ def test_stacked_roots_match_the_lone_loop_bit_for_bit(monkeypatch):
     stacks += [list(_cubic_families(rng, 100)) for _ in range(3)]
     stacks.append([steady._cubic(bistable_point()), steady._cubic(detuning_scan_point())])
     stacks.append([overflow, (1.0, 0.0, -1.0), (1e-13, 1.0, 2.0, 3.0), (0.0, -0.0, 0.0, 0.0),
-                   (math.nan, 1.0, 1.0, 1.0), (1.0, math.inf, 1.0, 1.0), (1.0, 2.0, 3.0, 4.0)])
+                   (math.nan, 1.0, 1.0, 1.0), (1.0, math.inf, 1.0, 1.0), (1.0, 2.0, 3.0, 4.0),
+                   (5e-12, 1.0, 2.0, 3.0)])  # a lead just above the pass's 1e-12 gate
     left = []
     roots_pass = steady._roots_pass
     monkeypatch.setattr(steady, "_roots_pass", lambda out: left.append(roots_pass(out)) or left[-1])
@@ -779,6 +782,29 @@ def test_stacked_roots_match_the_lone_loop_bit_for_bit(monkeypatch):
     assert _outcome(inversion_roots, [raising]) == _outcome(inversion_roots, [raising, raising]) \
         == (ZeroDivisionError, "float division by zero")
     assert left[-1] == [0, 1]
+
+
+def _scaled(exponents):
+    return st.builds(math.ldexp, st.floats(-1.0, 1.0), exponents)
+
+
+#: Finite floats: magnitudes near 1, any magnitude from the subnormals up to
+#: 1e308, and signed zeros.
+_COEFFICIENTS = st.one_of(_scaled(st.integers(-60, 60)), _scaled(st.integers(-1074, 1023)))
+
+
+@settings(deadline=None, derandomize=True, max_examples=250)
+@given(st.lists(st.tuples(*[_COEFFICIENTS] * 4), min_size=2, max_size=6))
+def test_a_stack_answers_as_its_items_do_alone(stack):
+    # the root pass gives each item of a stack its lone answer, bit for bit,
+    # and a stack with an item whose lone solve raises raises as the first
+    # such item does
+    lone = [_outcome(inversion_roots, [item]) for item in stack]
+    raised = [answer for answer in lone if isinstance(answer, tuple)]
+    if raised:
+        assert _outcome(inversion_roots, stack) == raised[0]
+    else:
+        assert list(map(_root_bits, inversion_roots(stack))) == [_root_bits(a[0]) for a in lone]
 
 
 def test_roots_are_python_floats_for_any_item_of_floats():
@@ -1113,8 +1139,8 @@ def test_short_or_overflowing_grids_build_each_cubic_alone():
     # at most degree + 1 points; a node whose build raises; ep0**2 overflows
     # where the builds do not (g0 = 1e-200); a vanishing pump, where the
     # cubic is the cofactor of w + 1: every grid entry is its point's lone
-    # solve, and an item that is an error is the type and message of the
-    # error the public build raises
+    # solve, and an item that is not finite is answered with the type and
+    # message of the error the public build raises
     grids = [(bistable_point(), SweepAxis.EP0, [2.0, 4.0]),
              (bistable_point(), SweepAxis.G0, [0.5, 1.0, 2.0]),
              (bistable_point(), SweepAxis.EP0, [2.0, 4.0, 1e200, 2e200]),
@@ -1126,9 +1152,10 @@ def test_short_or_overflowing_grids_build_each_cubic_alone():
         for _, p, entry in steady.grid_roots(params, axis, xs):
             assert _solve_bits(p, roots=entry) == _solve_bits(p)
             item = steady._cubic(p)
-            if isinstance(item, Exception):
-                assert _item_bits(item) == _outcome(build_inversion_polynomial, p)
-                kinds.append(type(item))
+            found = inversion_roots([item])[0]
+            if isinstance(found, NonFinite):
+                assert _item_bits(found) == _outcome(build_inversion_polynomial, p)
+                kinds.append(NonFinite)
             else:
                 kinds.append(len(item))
     assert kinds.count(NonFinite) == 2 and kinds.count(3) >= 1 and set(kinds) == {NonFinite, 3, 4}
