@@ -261,10 +261,13 @@ def _pair(monic: list, b1: float, c2: float, scale: float) -> list:
 def _depressed_root(cbar: float, dbar: float, scale: float, disc: float) -> float:
     """The one real root of t^3 + 3 cbar t + dbar, where 4 cbar^3 + dbar^2
     = -disc * scale^2 is positive: Cardano's form with Blinn's choices,
-    each cube root and their sum free of cancellation."""
+    each cube root and their sum free of cancellation; ``NonFinite`` where
+    -cbar / u divides by a cube root u that underflows."""
     t0 = -math.copysign(scale * math.sqrt(-disc), dbar)
     t1 = t0 - dbar
     u = math.copysign(abs(0.5 * t1) ** (1.0 / 3.0), t1)
+    if u == 0.0 and t0 != t1:
+        raise NonFinite("the inversion cubic's closed-form root underflows at these parameters")
     v = -u if t0 == t1 else -cbar / u
     return u + v if cbar <= 0.0 else -dbar / (u * u + v * v + cbar)
 
@@ -337,21 +340,20 @@ def _pair_arrays(monic, b1, c2, scale):
 
 
 def _depressed_root_arrays(cbar, dbar, scale, disc, lanes):
-    """``_depressed_root`` on arrays, the cube root taken on ``lanes``; and
-    the lanes where its division by zero raises."""
+    """``_depressed_root`` on arrays, its cube root on ``lanes``; and the lanes it refuses."""
     t0 = -np.copysign(scale * np.sqrt(-disc), dbar)
     t1 = t0 - dbar
     u = np.copysign(_per_lane(lambda x: x ** (1.0 / 3.0), lanes, abs(0.5 * t1)), t1)
     same = t0 == t1
     v = np.where(same, -u, -cbar / u)
     root = np.where(cbar <= 0.0, u + v, -dbar / (u * u + v * v + cbar))
-    return root, lanes & ~same & (u == 0.0)
+    return root, ~same & (u == 0.0)
 
 
 def _cubic_roots_arrays(monic):
     """``_cubic_roots`` on the columns of a stack of monic cubics: (w0,
-    cplx, x, y, raises), the pair as ``_pair_arrays`` gives it, and the
-    lanes where the lone solve raises."""
+    cplx, x, y, refused), the pair as ``_pair_arrays`` gives it, and the
+    lanes the lone solve refuses."""
     _, a, b, c = monic
     big, mid = a / 3.0, b / 3.0
     d1 = mid - big * big
@@ -365,10 +367,12 @@ def _cubic_roots_arrays(monic):
     x1 = r * cos
     x3 = r * (-0.5 * cos - math.sqrt(0.75) * sin)
     d_side = ~trig & (big * big * big * c < mid * mid * mid)
-    w, d_raises = _depressed_root_arrays(d3, 2.0 * mid * d3 - c * d2, abs(c), disc, d_side)
+    w, refused = _depressed_root_arrays(d3, 2.0 * mid * d3 - c * d2, abs(c), disc, d_side)
     w = np.where(d_side, w + mid, 0.0)
     a_side = ~trig & (w == 0.0)
-    w0, a_raises = _depressed_root_arrays(d1, d2 - 2.0 * big * d1, 1.0, disc, a_side)
+    # no A-side lane refuses: monic coefficients up to 1e12 keep disc finite, so disc < 0
+    # gives |t1| >= |t0| = sqrt(-disc) >= 2.2e-162, whose cube root is at least 1e-54
+    w0, _ = _depressed_root_arrays(d1, d2 - 2.0 * big * d1, 1.0, disc, a_side)
     w0 = np.where(trig, np.where(x1 + x3 > 2.0 * big, x1, x3) - big,
                   np.where(a_side, w0 - big, -c / w))
     value, slope = _compensated_horner(monic, w0)
@@ -378,27 +382,27 @@ def _cubic_roots_arrays(monic):
     flip = (w0 != 0.0) & (w0 * w0 * abs(w0) > abs(c))
     c2 = np.where(flip, -c / w0, c2)
     b1 = np.where(flip, (c2 - b) / w0, b1)
-    return (w0, *_pair_arrays(monic, b1, c2, -0.5 * b1 - w0), d_raises | a_raises)
+    return (w0, *_pair_arrays(monic, b1, c2, -0.5 * b1 - w0), refused)
 
 
 def _roots_pass(out) -> list:
     """Answer the cubics of the stack ``out`` in one array pass, in place,
-    and return the indices of the items left to the lone loop: an error, a
-    cofactor, a cubic whose leading coefficient is below 1e-12 of its
-    largest, which is not finite or is zero, and one whose lone solve
-    raises.  Each answer is its lone solve's, bit for bit: the pass
-    transcribes ``_polished_roots``' normalization and ``_cubic_roots``,
-    and each lane's roots, Python floats, go through ``_split_roots``."""
-    four = [i for i, c in enumerate(out) if not isinstance(c, Exception) and len(c) == 4]
+    and return the indices of the items left to the lone loop: a cofactor,
+    a cubic whose leading coefficient is below 1e-12 of its largest, which
+    is not finite or is zero, and one that its lone solve refuses.  Each
+    answer is its lone solve's, bit for bit: the pass transcribes
+    ``_polished_roots``' normalization and ``_cubic_roots``, and each
+    lane's roots, Python floats, go through ``_split_roots``."""
+    four = [i for i, c in enumerate(out) if len(c) == 4]
     stack = np.array([out[i] for i in four], float).reshape(-1, 4)
     with np.errstate(all="ignore"):
         top = abs(stack).max(axis=1)
         cn = stack / top[:, None]
         lanes = (top > 0.0) & (top < math.inf) & (abs(cn[:, 0]) >= 1e-12)
         monic = (cn[lanes] / cn[lanes, :1]).T
-        w0, cplx, x, y, raises = _cubic_roots_arrays(monic)
+        w0, cplx, x, y, refused = _cubic_roots_arrays(monic)
     alone = [True] * len(out)
-    keep = ~raises
+    keep = ~refused
     for k, m, w, z, re, im in zip(np.flatnonzero(lanes)[keep].tolist(), monic.T[keep].tolist(),
                                   *(column[keep].tolist() for column in (w0, cplx, x, y))):
         i = four[k]
@@ -483,14 +487,14 @@ def _cubic(p: Params):
 def inversion_roots(cubics) -> list:
     """Each point's (real, resid, cplx) given its inversion cubic, a
     sequence of floats: the real roots, their monic residuals and the
-    complex rest, as Python floats and complexes whatever the item's type.
-    The solver's item is ``_cubic(p)``, a tuple, which deflates the factor
-    w + 1 where the pump term rounds away; ``build_inversion_polynomial``
-    is the whole cubic.  An item that is an error is answered with it, one
-    with a coefficient that is not finite with ``NonFinite``, and a cubic
-    whose roots fail with their error, for the caller to raise at the
-    point's turn.  An item of three coefficients is the cofactor of an
-    exact factor w + 1.
+    complex rest, as Python floats and complexes whatever the item's type;
+    or, alone or in a stack, its typed error, for the caller to raise at
+    the point's turn: ``NonFinite`` where a coefficient is not finite or
+    the closed-form root underflows (``_depressed_root``), else the error
+    its roots fail with.  The solver's item is ``_cubic(p)``, a tuple,
+    which deflates the factor w + 1 where the pump term rounds away, to
+    its cofactor of three coefficients; ``build_inversion_polynomial`` is
+    the whole cubic.
 
     The roots come from one closed form (``_polished_roots``).  A lone
     point, a stack of one, takes it on Python floats.  A larger stack takes
@@ -505,10 +509,9 @@ def inversion_roots(cubics) -> list:
     """
     out = list(cubics)
     for i in _roots_pass(out) if len(out) > 1 else range(len(out)):
-        c = out[i] if isinstance(out[i], Exception) else _checked(out[i])
         try:
-            out[i] = c if isinstance(c, Exception) else _split_roots(*_polished_roots(c))
-        except (NoRealRoot, RootResidual) as exc:
+            out[i] = _split_roots(*_polished_roots(_or_raise(_checked(out[i]))))
+        except (NonFinite, NoRealRoot, RootResidual) as exc:
             out[i] = exc
     return out
 
@@ -541,16 +544,29 @@ def grid_roots(p: Params, axis: SweepAxis, xs) -> list:
 
 # -- branch assembly ---------------------------------------------------------
 
+def _public_row(p: Params, w0: float):
+    """``_float_row`` at the root ``w0`` of ``p``, each failure typed for the
+    public per-root functions: ``NonFinite`` on a coefficient pole, and
+    where a field or a Jacobian entry is not finite."""
+    try:
+        row = _float_row(w0, _row_columns(p))
+    except ZeroDivisionError:
+        raise NonFinite("the root is on a coefficient pole: its fields divide by zero") from None
+    s, a, q0, _, _, entries = row
+    if not all(map(math.isfinite, (*s, *a, q0, *entries))):
+        raise NonFinite(_BRANCH_OVERFLOW)
+    return row
+
+
 def steady_fields(p: Params, w0: float) -> tuple[complex, complex, float]:
     """(sigma0, a0, q0) reconstructed from the coefficient set at ``w0`` by
-    ``_branch_row`` on Python floats: ``NonFinite`` where the branch
-    assembly finds the root overflowing (``_float_row``), and
-    ``ZeroDivisionError`` on a coefficient pole.
+    ``_branch_row`` on Python floats, or ``NonFinite`` (``_public_row``):
+    on a coefficient pole, or where a field or a Jacobian entry is not finite.
 
     q0 = -2 eta omega_k0 w0: the displacement sign convention is pinned to the
     coefficient set (ledger entry ``phonon-displacement-sign``).
     """
-    s, a, q0, *_ = _float_row(w0, _row_columns(p))
+    s, a, q0, *_ = _public_row(p, w0)
     return complex(*s), complex(*a), q0
 
 
@@ -560,7 +576,7 @@ def mean_field_jacobian(p: Params, w0: float) -> np.ndarray:
 
     State ordering: (w, Re sigma, Im sigma, Re a, Im a, q, dq/dt).
     """
-    return np.reshape(_float_row(w0, _row_columns(p))[5], (7, 7))
+    return np.reshape(_public_row(p, w0)[5], (7, 7))
 
 
 # CPython's complex arithmetic (_Py_c_prod, _Py_c_sum, _Py_c_quot, _Py_c_abs) on (re, im)

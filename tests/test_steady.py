@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qdresponse import presets, steady
 from qdresponse.errors import (InvalidGrid, NoConvergence, NonFinite,
@@ -224,13 +224,16 @@ def test_pole_cancellation_roots_are_filtered():
 def test_a_root_pair_on_a_coefficient_pole_is_dropped():
     # at zero pump the cubic is -gamma1 (w + 1) |d1|^2 = [-8, 8, 8, -8], and
     # d1(w) = 2 - 2w vanishes at w = 1: a real double root on the pole, in
-    # the per-root loop of a lone point and in the array pass of a stack
+    # the per-root loop of a lone point and in the array pass of a stack.
+    # The public fields and Jacobian there are NonFinite, naming the pole
     p = Params(delta_p0=1.0, delta_c0=1.0, g0=1.0, eta=0.1, omega_k0=10.0,
                kappa_c0=1.0, gamma_q0=0.1, ep0=0.0)
     assert build_inversion_polynomial(p).tolist() == [-8.0, 8.0, 8.0, -8.0]
     assert lone_roots(p)[0] == [-1.0, 1.0, 1.0]
-    with pytest.raises(ZeroDivisionError):
-        steady_fields(p, 1.0)
+    for fn in (steady_fields, mean_field_jacobian):
+        with pytest.raises(NonFinite, match="^the root is on a coefficient pole: its fields "
+                                            "divide by zero$"):
+            fn(p, 1.0)
     assert [b.w0 for b in solve_steady_branches(p)] == [-1.0]
     grid = steady.grid_roots(p, SweepAxis.EP0, [0.0, 0.5])
     assert grid[0][2][0] == [-1.0, 1.0, 1.0] and [b.w0 for b in grid[0][2][3]] == [-1.0]
@@ -240,13 +243,18 @@ def test_fields_and_jacobian_raise_the_overflow_that_fails_a_branch():
     # where the branch assembly fails a point for an overflow, the public
     # fields and Jacobian raise its NonFinite (one rule, steady._float_row):
     # a modulus that overflows on finite parts (|td| near 1.5e308), and
-    # omega_k0 ** 3 overflowing, which left entry (6, 0) at -inf
+    # omega_k0 ** 3 overflowing, which left entry (6, 0) at -inf.  They
+    # raise it too where the fields are NaN and q0 is -inf from finite
+    # parameters (w0 = 1e308), a root that the solve drops as a failed check
     far = bistable_point().replace(g0=0.01, eta=1.0, omega_k0=1.0, kappa_c0=0.01,
                                    delta_c0=0.01, ep0=1e4)
     message = "a steady branch overflows at these parameters"
-    for p, w0 in ((far, 1.5e304), (bistable_point().replace(omega_k0=1e110), -0.5)):
+    dropped = "all real roots rejected as pole-cancellation artifacts"
+    for p, w0, solved in ((far, 1.5e304, (NonFinite, message)),
+                          (bistable_point().replace(omega_k0=1e110), -0.5, (NonFinite, message)),
+                          (bistable_point(), 1e308, (NoRealRoot, dropped))):
         (entry,) = steady._branch_sets([p], [([w0], [0.0], [])])
-        assert (type(entry), str(entry)) == (NonFinite, message)
+        assert (type(entry), str(entry)) == solved
         for fn in (steady_fields, mean_field_jacobian):
             with pytest.raises(NonFinite) as err:
                 fn(p, w0)
@@ -559,7 +567,7 @@ def _outcome(fn, *args):
     """``fn(*args)``, or the type and message of what it raises."""
     try:
         return fn(*args)
-    except (QdResponseError, ZeroDivisionError) as exc:
+    except QdResponseError as exc:
         return type(exc), str(exc)
 
 
@@ -638,7 +646,9 @@ def _cubic_families(rng, n):
     """``n`` random cubics of each family the root pass must match its lone
     solves on, as tuples: ``_random_cubics``' five, clustered, near-double
     and triple roots, near-real and imaginary complex pairs, magnitudes up
-    to 1e+-150, signed zeros and bare cube roots."""
+    to 1e+-150, signed zeros, bare cube roots and tiny D-side cubics, about
+    1% of which the lone solve refuses; and one whose zero cube root needs
+    no quotient."""
     for c in _random_cubics(rng, n):
         yield tuple(c.tolist())
     for _ in range(n):
@@ -653,13 +663,17 @@ def _cubic_families(rng, n):
         # w^3 + c with |c| below 1e-15: the Newton step is skipped, so the
         # root is Cardano's cube root as it stands
         yield 1.0, 0.0, 0.0, float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, -15.0))
+        # Cardano's D side with its cube root near or below the underflow
+        yield 1.0, 0.0, 10.0 ** rng.uniform(-112.0, -104.0), \
+            float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-178.0, -162.0))
+    # the D side's t0 == t1 == 5e-324: its cube root is 0, and v = -u
+    yield 1.0, 2e-54, 4.2e-108, 1.7e-162
 
 
 def _traced_lone_answers(monkeypatch, items):
-    """Each item's lone answer, ``inversion_roots([item])[0]``, or the type
-    and message of what it raises; and the branches of ``_cubic_roots``,
-    ``_depressed_root`` and ``_pair`` that the lone solves of the items'
-    cubics reach."""
+    """Each item's lone answer, ``inversion_roots([item])[0]``; and the
+    branches of ``_cubic_roots``, ``_depressed_root`` and ``_pair`` that the
+    lone solves of the items' cubics reach."""
     originals = {name: getattr(steady, name) for name in
                  ("_cubic_roots", "_depressed_root", "_pair", "_compensated_horner")}
     calls, seen = [], set()
@@ -673,19 +687,27 @@ def _traced_lone_answers(monkeypatch, items):
 
     def cubic_roots(monic):
         calls.clear()
-        roots = originals["_cubic_roots"](monic)
         _, a, b, c = monic
-        depressed = [args for name, args, _ in calls if name == "_depressed_root"]
         big, mid = a / 3.0, b / 3.0
         d_side = big * big * big * c < mid * mid * mid
+        try:
+            roots = originals["_cubic_roots"](monic)
+        except NonFinite:  # from the first _depressed_root, before any call returned
+            assert d_side and not calls, monic
+            seen.add("Cardano's D side refused")
+            raise
+        depressed = [args for name, args, _ in calls if name == "_depressed_root"]
         if not depressed:
             seen.add("trigonometric form")
         if depressed and d_side:
             seen.add("Cardano's D side")
         if len(depressed) == 2 or depressed and not d_side:
             seen.add("Cardano's A side")
-        for cbar, *_ in depressed:
+        for cbar, dbar, scale, disc in depressed:
             seen.add("Cardano's sum" if cbar <= 0.0 else "Cardano's quotient")
+            t0 = -math.copysign(scale * math.sqrt(-disc), dbar)
+            if t0 - dbar == t0 and 0.5 * t0 == 0.0:
+                seen.add("a zero cube root with t0 == t1")
         _, slope = next(out for name, _, out in calls if name == "_compensated_horner")
         if abs(slope) <= 1e-9:
             seen.add("skipped Newton step")
@@ -706,8 +728,8 @@ def _traced_lone_answers(monkeypatch, items):
     with monkeypatch.context() as patched:
         for name in originals:
             patched.setattr(steady, name, cubic_roots if name == "_cubic_roots" else spy(name))
-        answers = [_outcome(inversion_roots, [item]) for item in items]
-    return [answer[0] if isinstance(answer, list) else answer for answer in answers], seen
+        answers = [inversion_roots([item])[0] for item in items]
+    return answers, seen
 
 
 def _root_bits(answer):
@@ -715,24 +737,25 @@ def _root_bits(answer):
     message of its error, or its repr and the type of each number."""
     if isinstance(answer, Exception):
         return type(answer), str(answer)
-    if isinstance(answer[0], type):
-        return answer
     return repr(answer), [type(v) for part in answer for v in part]
 
 
-def _alone_kind(item):
-    """Why the root pass leaves ``item`` to the lone loop; fails on an item
-    that it should have taken."""
-    if isinstance(item, Exception):
-        return "error"
+_REFUSED = (NonFinite, "the inversion cubic's closed-form root underflows at these parameters")
+
+
+def _alone_kind(item, answer):
+    """Why the root pass leaves ``item``, whose lone answer is ``answer``, to
+    the lone loop; fails on an item that it should have taken."""
     if len(item) == 3:
         return "cofactor"
     if not all(map(math.isfinite, item)):
         return "not finite"
     if max(map(abs, item)) == 0.0:
         return "zero"
-    assert abs(item[0]) < 1e-12 * max(map(abs, item)), item
-    return "lead below 1e-12"
+    if abs(item[0]) < 1e-12 * max(map(abs, item)):
+        return "lead below 1e-12"
+    assert _root_bits(answer) == _REFUSED, item
+    return "refused"
 
 
 def test_stacked_roots_match_the_lone_loop_bit_for_bit(monkeypatch):
@@ -746,7 +769,6 @@ def test_stacked_roots_match_the_lone_loop_bit_for_bit(monkeypatch):
     the lone loop is answered there."""
     points = script("seeded_points")
     rng = np.random.default_rng(35)
-    overflow = NonFinite("the inversion cubic overflows at these parameters")
     stacks = [cubics for *_, cubics in _preset_grids()]
     stacks += [list(map(steady._cubic, _wide_box_params(monkeypatch, seed, 1500)))
                for seed in (1, 2, 3)]
@@ -754,7 +776,7 @@ def test_stacked_roots_match_the_lone_loop_bit_for_bit(monkeypatch):
     stacks.append([steady._cubic(p) for _, p in points.corner_points()])
     stacks += [list(_cubic_families(rng, 100)) for _ in range(3)]
     stacks.append([steady._cubic(bistable_point()), steady._cubic(detuning_scan_point())])
-    stacks.append([overflow, (1.0, 0.0, -1.0), (1e-13, 1.0, 2.0, 3.0), (0.0, -0.0, 0.0, 0.0),
+    stacks.append([(1.0, 0.0, -1.0), (1e-13, 1.0, 2.0, 3.0), (0.0, -0.0, 0.0, 0.0),
                    (math.nan, 1.0, 1.0, 1.0), (1.0, math.inf, 1.0, 1.0), (1.0, 2.0, 3.0, 4.0),
                    (5e-12, 1.0, 2.0, 3.0)])  # a lead just above the pass's 1e-12 gate
     left = []
@@ -769,18 +791,20 @@ def test_stacked_roots_match_the_lone_loop_bit_for_bit(monkeypatch):
         reached |= seen
         residual += sum(isinstance(a, RootResidual)
                         for k, a in enumerate(stacked) if k not in alone)
-        kinds |= {_alone_kind(stack[k]) for k in alone}
+        kinds |= {_alone_kind(stack[k], lone[k]) for k in alone}
     assert len(left) == len(stacks) and residual > 0
     assert reached == {"trigonometric form", "Cardano's A side", "Cardano's D side",
                        "Cardano's sum", "Cardano's quotient", "skipped Newton step",
                        "Kahan's flip", "q == 0", "complex pair",
-                       "complex pair with real part 0", "near-real pair"}
-    assert kinds == {"error", "cofactor", "not finite", "zero", "lead below 1e-12"}
-    # a cubic whose lone solve divides by zero in Cardano's D side raises
-    # as it does alone
-    raising = (1.0, 0.0, 4.35e-108, 1e-170)
-    assert _outcome(inversion_roots, [raising]) == _outcome(inversion_roots, [raising, raising]) \
-        == (ZeroDivisionError, "float division by zero")
+                       "complex pair with real part 0", "near-real pair",
+                       "Cardano's D side refused", "a zero cube root with t0 == t1"}
+    assert kinds == {"cofactor", "not finite", "zero", "lead below 1e-12", "refused"}
+    # a cubic whose cube root underflows in Cardano's D side, where -cbar / u
+    # would divide by zero, is refused alone and in a stack, whose pass
+    # leaves both items to the loop
+    refused = (1.0, 0.0, 4.35e-108, 1e-170)
+    assert list(map(_root_bits, inversion_roots([refused]))) == [_REFUSED]
+    assert list(map(_root_bits, inversion_roots([refused, refused]))) == [_REFUSED] * 2
     assert left[-1] == [0, 1]
 
 
@@ -795,16 +819,12 @@ _COEFFICIENTS = st.one_of(_scaled(st.integers(-60, 60)), _scaled(st.integers(-10
 
 @settings(deadline=None, derandomize=True, max_examples=250)
 @given(st.lists(st.tuples(*[_COEFFICIENTS] * 4), min_size=2, max_size=6))
+@example([(1.0, 0.0, 4.35e-108, 1e-170), (1.0, 2.0, 3.0, 4.0)])  # a refused item
 def test_a_stack_answers_as_its_items_do_alone(stack):
     # the root pass gives each item of a stack its lone answer, bit for bit,
-    # and a stack with an item whose lone solve raises raises as the first
-    # such item does
-    lone = [_outcome(inversion_roots, [item]) for item in stack]
-    raised = [answer for answer in lone if isinstance(answer, tuple)]
-    if raised:
-        assert _outcome(inversion_roots, stack) == raised[0]
-    else:
-        assert list(map(_root_bits, inversion_roots(stack))) == [_root_bits(a[0]) for a in lone]
+    # its roots or its typed error: no stack raises
+    lone = [inversion_roots([item])[0] for item in stack]
+    assert list(map(_root_bits, inversion_roots(stack))) == list(map(_root_bits, lone))
 
 
 def test_roots_are_python_floats_for_any_item_of_floats():
@@ -1209,8 +1229,9 @@ def _entry_bits(entry):
 
 def _root_outcome(p, w0):
     """What a lone solve does with the real root ``w0`` of ``p``: "pole" (its
-    fields divide by zero), "overflow" (its point is ``NonFinite``), "fails"
-    (the fixed-point check drops it) or "kept"."""
+    fields divide by zero, and ``steady_fields`` names the pole), "overflow"
+    (its point is ``NonFinite``), "fails" (the fixed-point check drops it)
+    or "kept"."""
     out = [([w0], [0.0], [])]
     kept, _ = steady._loop_rows([p], out)
     if isinstance(out[0], NonFinite):
@@ -1219,8 +1240,9 @@ def _root_outcome(p, w0):
         return "kept"
     try:
         steady_fields(p, w0)
-    except ZeroDivisionError:
-        return "pole"
+    except NonFinite as exc:
+        if "coefficient pole" in str(exc):
+            return "pole"
     return "fails"
 
 
