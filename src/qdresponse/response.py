@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _lapack
 from .errors import NonFinite, PoleHit, SingularSystem, ZeroPump, _or_raise
 from .model import Params
 from .steady import SteadyBranch, coherence_amplitudes
@@ -61,7 +62,7 @@ _TO_COMPLEX = np.array([[0, 0, 0, 1, 1j, 0, 0], [0, 0, 0, 1, -1j, 0, 0],
                         [0, 1, 1j, 0, 0, 0, 0], [0, 1, -1j, 0, 0, 0, 0],
                         [1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0],
                         [0, 0, 0, 0, 0, 0, 1]])
-_FROM_COMPLEX = np.linalg.inv(_TO_COMPLEX)
+_FROM_COMPLEX = _lapack.inv(_TO_COMPLEX)
 #: rcond below which the sideband system counts as singular
 #: (``SingularSystem``).
 SINGULAR_RCOND = 1e-14
@@ -128,12 +129,13 @@ def certify_detuning(K: np.ndarray) -> float:
     ``SINGULAR_RCOND``.  The bound is negative where an eigenvalue sits on
     or near the imaginary axis (marginal branches, branches next to a fold
     or Hopf point), and ``-inf`` where V is singular or its condition number
-    is not finite.  It costs about four uncertified rows (``_solve_alone``),
-    so it pays only on a branch that serves many detunings.
+    is not finite.  It costs about four uncertified rows (``_solve_alone``);
+    with its stacked solve it pays from about six rows of one branch on.
+    V is inverted by ``_lapack.inv``, with ``np.linalg.inv``'s bits.
     """
     lam, V = np.linalg.eig(K)
     try:
-        V_inv = np.linalg.inv(V)
+        V_inv = _lapack.inv(V)
     except np.linalg.LinAlgError:
         return -math.inf
     cond = math.sqrt(_frobenius_sq(V) * _frobenius_sq(V_inv))
@@ -154,12 +156,13 @@ def _solve_alone(K: np.ndarray, delta) -> list | NonFinite | SingularSystem:
     """``solve_unit_grid``'s entry at one detuning (``NonFinite`` before any
     matrix is built).  As rcond_2 >= 1 / (||M||_F ||M^-1||_F), a row whose
     inverse bounds it by ``_CERTIFIED_RCOND`` takes the inverse's column 0 (a
-    solve's LU and pivots); the SVD test and a solve decide every other."""
+    solve's LU and pivots, by ``_lapack.inv``: ``np.linalg.inv``'s bits
+    without its wrapper); the SVD test and a solve decide every other."""
     if not math.isfinite(delta):
         return NonFinite(f"sideband detuning delta0={delta!r} is not finite")
     M = _sideband_matrix(K, delta)
     with contextlib.suppress(np.linalg.LinAlgError):  # an exactly singular pivot
-        M_inv = np.linalg.inv(M)
+        M_inv = _lapack.inv(M)
         if _frobenius_sq(M) * _frobenius_sq(M_inv) <= _CERTIFIED_RCOND ** -2:
             return M_inv[:, 0].tolist()
     sv = np.linalg.svd(M, compute_uv=False)

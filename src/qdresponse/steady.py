@@ -30,6 +30,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from . import _lapack
 from .errors import (
     InvalidGrid,
     NoConvergence,
@@ -706,8 +707,9 @@ def _row_columns(p: Params) -> tuple:
 
 #: A stack of fewer Jacobians than this keeps ``eigvals`` whole: below it the
 #: characteristic polynomial's fixed cost, about 0.2 ms, is more than
-#: ``eigvals`` takes at about 9 us a matrix (measured on 2a-3b Jacobians:
-#: at 24 matrices the polynomial takes 0.98 of eigvals' time, at 20 1.1).
+#: ``eigvals`` takes at about 8.5 us a matrix (measured on 2a-3b Jacobians:
+#: at 22 matrices the polynomial takes 1.14 of eigvals' time, at 24
+#: 1.03-1.06, at 28 0.91; a crossover at 25 or 26 is within the noise).
 _POLY_STACK = 24
 #: A Routh first-column entry, or a coefficient, within this fraction of the
 #: magnitudes it is made from does not certify its label.
@@ -820,9 +822,10 @@ def _routh_labels(stack) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eigvals_labels(stack) -> list:
-    """Each matrix's label from its own ``eigvals``, or its typed error."""
+    """Each matrix's label from its own ``eigvals`` (``_lapack.eigvals``), or
+    its typed error; a stack that fails is retried matrix by matrix."""
     try:
-        tops = np.linalg.eigvals(stack).real.max(axis=-1).tolist()
+        tops = _lapack.eigvals(stack).real.max(axis=-1).tolist()
     except np.linalg.LinAlgError:
         if len(stack) > 1:  # find the failing matrices
             return [label for jacobian in stack for label in _eigvals_labels(jacobian[None])]
@@ -865,7 +868,8 @@ def classify_stability(jacobians) -> list:
     A smaller stack, and so every lone point, keeps ``eigvals`` whole: there
     the polynomial's fixed cost is more than ``eigvals``' cost per matrix
     saves.  ``eigvals`` of a stack gives each matrix the real parts it gets
-    alone, so no label depends on the rest of the stack.
+    alone, so no label depends on the rest of the stack; it is
+    ``_lapack.eigvals``, with ``np.linalg.eigvals``' bits and errors.
     """
     stack = np.asarray(jacobians, dtype=float)
     if len(stack) < _POLY_STACK:

@@ -83,6 +83,16 @@ def phonon_pole_jacobian(gamma):
     return jac
 
 
+def fold_jacobian():
+    """A Jacobian whose eigenvalue 0 comes from a cancellation, as at a fold:
+    its (w, Re sigma) block [[-c^2, c], [c, -1]] is singular."""
+    c = 0.1
+    jacobian = phonon_pole_jacobian(1.0)
+    jacobian[0, 0] = -c * c
+    jacobian[0, 1] = jacobian[1, 0] = c
+    return jacobian
+
+
 def faulty_jacobian(monkeypatch, fault, at):
     """Patch the one branch-row body ``steady._branch_row``, which a lone
     point evaluates on Python floats and a stack on its columns, so that the

@@ -18,7 +18,7 @@ from qdresponse.model import (
     apply_axis,
     delta_from_signal_detuning,
 )
-from qdresponse import response
+from qdresponse import _lapack, response
 from qdresponse.presets import figure_ids, get_preset
 from qdresponse.response import (
     SINGULAR_RCOND,
@@ -388,14 +388,29 @@ def test_lattice_coupling_changes_the_dispersion_slope_at_the_phonon_dip():
 
 
 def test_only_the_unit_solvers_call_numpy_linalg():
-    """``solve_unit_grid``, with ``_solve_alone`` for its lone rows, is the one
+    """Across ``src/``, only ``_lapack`` reaches numpy's private gufuncs and
+    every ``eigvals`` and ``inv`` goes through it.  In ``response``,
+    ``solve_unit_grid``, with ``_solve_alone`` for its lone rows, is the one
     code that solves the sideband system, and ``certify_detuning`` the one
-    that bounds its condition: no other function body calls ``np.linalg``
-    (the module-level ``_FROM_COMPLEX`` is not in a function body)."""
+    that bounds its condition: no other function body reaches LAPACK, by
+    ``np.linalg`` or by ``_lapack`` (the module-level ``_FROM_COMPLEX`` is not
+    in a function body)."""
+    package = pathlib.Path(response.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {ast.unparse(node) for node in ast.walk(tree)
+                 if isinstance(node, (ast.Attribute, ast.Name))}
+        imported = {(node.module or "") + "." + alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        uses_gufuncs = any("_umath_linalg" in name for name in names | imported)
+        assert uses_gufuncs == (path.name == "_lapack.py"), path.name
+        if path.name != "_lapack.py":
+            assert not {"np.linalg.eigvals", "np.linalg.inv",
+                        "numpy.linalg.eigvals", "numpy.linalg.inv"} & (names | imported), path.name
     tree = ast.parse(pathlib.Path(response.__file__).read_text(encoding="utf-8"))
     callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                and any(isinstance(node, ast.Call)
-                       and ast.unparse(node.func).startswith("np.linalg.")
+                       and ast.unparse(node.func).startswith(("np.linalg.", "_lapack."))
                        for node in ast.walk(fn))}
     assert callers == {"certify_detuning", "_solve_alone", "solve_unit_grid"}
 
@@ -447,7 +462,7 @@ def test_a_generator_without_a_well_conditioned_eigenbasis_certifies_nothing(mon
     assert certify_detuning(jordan) == -np.inf
     assert certify_detuning(-np.eye(7) + 1e10 * jordan) == -np.inf
     # an inverse past the float range, on any numpy's eigenvectors
-    monkeypatch.setattr(np.linalg, "inv", lambda a: np.full_like(a, np.inf))
+    monkeypatch.setattr(_lapack, "inv", lambda a: np.full_like(a, np.inf))
     assert certify_detuning(-np.eye(7)) == -np.inf
 
 

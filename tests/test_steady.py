@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qdresponse import presets, steady
+from qdresponse import _lapack, presets, steady
 from qdresponse.errors import (InvalidGrid, NoConvergence, NonFinite,
                                NoRealRoot, QdResponseError, RootResidual, _or_raise)
 from qdresponse.model import Params, SweepAxis, apply_axis
@@ -35,6 +35,7 @@ from conftest import (
     bistable_point,
     detuning_scan_point,
     faulty_jacobian,
+    fold_jacobian,
     lone_roots,
     phonon_pole_jacobian,
     rootless_grid_row,
@@ -1016,7 +1017,7 @@ def test_the_closed_form_is_the_characteristic_polynomial_within_its_bound():
                         for b in found[3]]
     jacobians = [preset_jacobians[k] for k in rng.choice(len(preset_jacobians), 12)]
     jacobians += [_random_sparse_jacobian(rng) for _ in range(12)]
-    jacobians += [phonon_pole_jacobian(0.0), _fold_jacobian()]
+    jacobians += [phonon_pole_jacobian(0.0), fold_jacobian()]
     e = np.array(jacobians).reshape(-1, 49).T[steady._POLY_READ]
     n = len(jacobians)
     c = steady._char_poly(np.concatenate((e, abs(e)), axis=1), np.repeat([-1.0, 1.0], n))
@@ -1027,20 +1028,11 @@ def test_the_closed_form_is_the_characteristic_polynomial_within_its_bound():
             assert abs(Fraction(value) - ref) <= 32 * steady._EPS * Fraction(bound)
 
 
-def _fold_jacobian():
-    """A Jacobian whose eigenvalue 0 comes from a cancellation, as at a fold:
-    its (w, Re sigma) block [[-c^2, c], [c, -1]] is singular."""
-    c = 0.1
-    jacobian = phonon_pole_jacobian(1.0)
-    jacobian[0, 0] = -c * c
-    jacobian[0, 1] = jacobian[1, 0] = c
-    return jacobian
-
-
 def _eigvals_spy(monkeypatch):
-    """The matrix count of each ``np.linalg.eigvals`` call from here on."""
-    calls, eigvals = [], np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(len(a)) or eigvals(a))
+    """The matrix count of each ``eigvals`` call (``_lapack.eigvals``, which
+    every label that takes eigvals calls) from here on."""
+    calls, eigvals = [], _lapack.eigvals
+    monkeypatch.setattr(_lapack, "eigvals", lambda a: calls.append(len(a)) or eigvals(a))
     return calls
 
 
@@ -1067,7 +1059,7 @@ def test_labels_take_eigvals_only_where_the_polynomial_cannot_certify_them(monke
     # coefficient bound), and extreme point 92, whose ||J||_F of 1.6e53 is
     # past the 9.1e5 up to which eigvals resolves the margin (the scale rule)
     extreme = list(script("seeded_points").extreme_points(93))[92]
-    built = [phonon_pole_jacobian(0.0), phonon_pole_jacobian(1e-13), _fold_jacobian(),
+    built = [phonon_pole_jacobian(0.0), phonon_pole_jacobian(1e-13), fold_jacobian(),
              *(b.jacobian for b in solve_steady_branches(extreme))]
     undamped = [bistable_point(ep0).replace(gamma_q0=0.0) for ep0 in np.linspace(0.0, 20.0, 41)]
     undamped = [b.jacobian for found in steady._branch_sets(
@@ -1105,14 +1097,14 @@ def test_a_jacobian_whose_eigenvalues_do_not_converge_is_typed(monkeypatch):
     failing = {b.jacobian.tobytes() for x, _, found in clean if x == 6.0 for b in found[3]}
     failing |= {b.jacobian.tobytes() for b in solve_steady_branches(bistable_point(6.0))}
     failing.add(phonon_pole_jacobian(0.0).tobytes())
-    eigvals = np.linalg.eigvals
+    eigvals = _lapack.eigvals
 
     def fails_to_converge(a):
         if any(j.tobytes() in failing for j in a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eigvals(a)
 
-    monkeypatch.setattr(np.linalg, "eigvals", fails_to_converge)
+    monkeypatch.setattr(_lapack, "eigvals", fails_to_converge)
     message = "the eigenvalues of a steady branch's Jacobian did not converge: no stability label"
     with pytest.raises(NoConvergence, match=message):
         solve_steady_branches(bistable_point(6.0))
