@@ -6,7 +6,8 @@ Usage: PYTHONPATH=src python scripts/seeded_points.py PERFBENCH_DIR > digest.jso
 
 The digest covers the paths the figures do not reach: a lone cubic, root
 polish and branch assembly, and an uncertified sideband row per point, on
-10,000 ``wide_box_params`` points (seeds 1 and 2); on every tenth point, a
+10,000 ``wide_box_params`` points (seeds 1 and 2); on every tenth point,
+each branch's closed-form response beside its linear solve, and a
 certified stacked delta0 sweep of branches far outside the preset box; the
 branches of every grid point of ``steady.grid_roots``, whose branch rows
 are assembled a grid at a time, on each member grid of the
@@ -150,7 +151,8 @@ def digest(perfbench_dir: str, points: int = 5000, extremes: int = 2500, grids: 
         for k in range(points):
             p = wide_box_params(rng)
             yield {"set": "wide_box", "seed": seed, "k": k,
-                   "steady": steady(p, [Backend.LINEAR_SOLVE])}
+                   "steady": steady(p, list(Backend) if k % 10 == 0
+                                    else [Backend.LINEAR_SOLVE])}
             if k % 10 == 0:
                 yield {"set": "sweep", "seed": seed, "k": k, "records": sweep(p)}
     for fid in ("2a", "2b", "3a", "3b"):

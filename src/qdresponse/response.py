@@ -11,7 +11,8 @@ Two backends compute the same quantities and cross-check each other:
 * ``CLOSED_FORM`` evaluates the transcribed closed-form susceptibilities.  By
   default the entries of ``data/formula_ledger.json`` are applied, which make
   the closed forms agree with the linear solve to machine precision; with
-  ``corrected=False`` the legacy transcription is evaluated verbatim.
+  ``corrected=False`` the legacy transcription is evaluated verbatim.  chi3's
+  resonance factors are chi1's conjugates; its Phi is its own (``chi3_closed_form``).
 
 The transmitted signal is normalized so that the uncoupled cavity reduces to
 the standard one-port expression |1 - 2 kappa / (kappa + i(delta_c - delta))|
@@ -198,19 +199,14 @@ def solve_unit_grid(K: np.ndarray, deltas, safe_detuning: float) -> list:
             for d, c in zip(deltas, certified)]
 
 
-def _solve_unit(K: np.ndarray, delta) -> list:
-    """``solve_unit_grid``'s uncertified row at ``delta``, its error raised."""
-    return _or_raise(_solve_alone(K, delta))
-
-
 def solve_sidebands(p: Params, branch: SteadyBranch) -> SidebandAmplitudes:
     """Sideband amplitudes for signal amplitude ``p.es0``.
 
     The system is solved once per unit signal and scaled, so the amplitudes
     are exactly linear in the signal amplitude.
     """
-    a, a_m, s, s_m, w, q, _ = (v * p.es0 for v in
-                               _solve_unit(sideband_generator(branch), p.delta0))
+    a, a_m, s, s_m, w, q, _ = (v * p.es0 for v in _or_raise(
+        _solve_alone(sideband_generator(branch), p.delta0)))
     return SidebandAmplitudes(a, a_m.conjugate(), s, s_m.conjugate(), w, q)
 
 
@@ -252,6 +248,21 @@ def _common_scale(p: Params) -> float:
         p.kappa_c0 + p.g0 ** 2 + 2.0 * p.omega_k0 * p.eta
 
 
+def _resonances(p: Params, w0: float, k: int) -> tuple:
+    """The upper sideband's (zeta, A, B, M, N) at ``w0``, each guarded under
+    sideband ``k``'s name ("A1", ...).  With every input real, the lower
+    sideband's are their conjugates, bit for bit, guarded alike (k = 2)."""
+    wk, d0, scale = p.omega_k0, p.delta0, _common_scale(p)
+    t, u = 2.0 * wk * p.eta * w0, 2j * p.g0 * p.g0 * w0
+    zeta = wk * wk / _guard(f"zeta{k} denominator", wk * wk - 1j * d0 * p.gamma_q0 - d0 * d0,
+                            wk * wk + abs(d0) * p.gamma_q0 + d0 * d0)
+    A = _guard(f"A{k}", 1j * p.delta_c0 + p.kappa_c0 - 1j * d0, scale)
+    B = _guard(f"B{k}", -1j * p.delta_c0 + p.kappa_c0 - 1j * d0, scale)
+    M = _guard(f"M{k}", (p.delta_p0 - 1j - d0 - t) + u / A, scale)
+    N = _guard(f"N{k}", (p.delta_p0 + 1j + d0 - t) - u / B, scale)
+    return zeta, A, B, M, N
+
+
 @_overflow_is_non_finite
 def chi1_closed_form(p: Params, branch: SteadyBranch,
                      corrected: bool = True) -> complex:
@@ -267,15 +278,7 @@ def chi1_closed_form(p: Params, branch: SteadyBranch,
     scale = _common_scale(p)
     c1, c2, f1, f2 = coherence_amplitudes(p, w0,
                                           legacy_field_amplitude=not corrected)
-    zeta1 = wk * wk / _guard("zeta1 denominator",
-                             wk * wk - 1j * d0 * p.gamma_q0 - d0 * d0,
-                             wk * wk + abs(d0) * p.gamma_q0 + d0 * d0)
-    A1 = _guard("A1", 1j * p.delta_c0 + p.kappa_c0 - 1j * d0, scale)
-    B1 = _guard("B1", -1j * p.delta_c0 + p.kappa_c0 - 1j * d0, scale)
-    M1 = _guard("M1", (p.delta_p0 - 1j - d0 - 2.0 * wk * eta * w0)
-                + 2j * g0 * g0 * w0 / A1, scale)
-    N1 = _guard("N1", (p.delta_p0 + 1j + d0 - 2.0 * wk * eta * w0)
-                - 2j * g0 * g0 * w0 / B1, scale)
+    zeta1, A1, B1, M1, N1 = _resonances(p, w0, 1)
     phi1 = _guard("Phi1", (p.gamma1_ratio - 1j * d0)
                   + 2.0 * g0**2 * c2 * wk * eta * zeta1 * c1 / (A1 * M1)
                   + 2.0 * g0**3 * c2 * f1 / (A1 * M1)
@@ -300,6 +303,8 @@ def chi3_closed_form(p: Params, branch: SteadyBranch,
                      corrected: bool = True) -> complex:
     """Closed-form nonlinear susceptibility at the branch.
 
+    Its resonance factors are chi1's conjugates (``_resonances``), but Phi2 is
+    its own: conj(Phi1) swaps its products' order (C2 ... C1, D1 D2), by 6e-15.
     ``corrected=False`` keeps the legacy denominator (one extra factor of the
     pulsation resonance) and omits the pump normalization (ledger entry
     ``chi3-normalization``).
@@ -313,15 +318,7 @@ def chi3_closed_form(p: Params, branch: SteadyBranch,
     scale = _common_scale(p)
     c1, c2, f1, f2 = coherence_amplitudes(p, w0,
                                           legacy_field_amplitude=not corrected)
-    zeta2 = wk * wk / _guard("zeta2 denominator",
-                             wk * wk + 1j * d0 * p.gamma_q0 - d0 * d0,
-                             wk * wk + abs(d0) * p.gamma_q0 + d0 * d0)
-    A2 = _guard("A2", -1j * p.delta_c0 + p.kappa_c0 + 1j * d0, scale)
-    B2 = _guard("B2", 1j * p.delta_c0 + p.kappa_c0 + 1j * d0, scale)
-    M2 = _guard("M2", (p.delta_p0 + 1j - d0 - 2.0 * wk * eta * w0)
-                - 2j * g0 * g0 * w0 / A2, scale)
-    N2 = _guard("N2", (p.delta_p0 - 1j + d0 - 2.0 * wk * eta * w0)
-                + 2j * g0 * g0 * w0 / B2, scale)
+    zeta2, A2, B2, M2, N2 = (v.conjugate() for v in _resonances(p, w0, 2))
     phi2 = _guard("Phi2", (p.gamma1_ratio + 1j * d0)
                   + 2.0 * g0**2 * c2 * wk * eta * zeta2 * c1 / (A2 * M2)
                   + 2.0 * g0**3 * c1 * f2 / (A2 * M2)
@@ -356,8 +353,8 @@ def transmission_point(p: Params, branch: SteadyBranch,
     """
     norm = _chi3_norm(p)
     if backend is _LINEAR_SOLVE:
-        x = _solve_unit(sideband_generator(branch), p.delta0) if unit is None \
-            else _or_raise(unit)
+        x = _or_raise(_solve_alone(sideband_generator(branch), p.delta0)
+                      if unit is None else unit)
         chi1, a_plus = x[2], x[0]
         chi3 = x[3].conjugate() / norm if norm else complex("nan")
     elif unit is not None:
@@ -365,7 +362,7 @@ def transmission_point(p: Params, branch: SteadyBranch,
     else:
         chi1 = chi1_closed_form(p, branch)
         chi3 = chi3_closed_form(p, branch) if norm else complex("nan")
-        A1 = 1j * p.delta_c0 + p.kappa_c0 - 1j * p.delta0
+        A1 = _resonances(p, branch.w0, 1)[1]
         a_plus = (1.0 - 1j * p.g0 * chi1) / A1
     root = math.sqrt(2.0 * p.kappa_c0)
     a_out_plus = root * a_plus

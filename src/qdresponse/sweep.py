@@ -137,8 +137,8 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
         emitting = _emitting(cfg, solve_steady_branches(cfg.base))
         stacked = cfg.backend is Backend.LINEAR_SOLVE and value is not None
         # one K and certificate per stacked branch serve every grid point
-        Ks = [sideband_generator(b) for _, b, _ in emitting] if stacked else []
-        systems = [(K, certify_detuning(K)) for K in Ks]
+        systems = [(K, certify_detuning(K)) for _, b, _ in emitting
+                   for K in [sideband_generator(b)]] if stacked else []
         for start in range(0, len(xs), _BLOCK):
             block = xs[start:start + _BLOCK]
             ps = [apply_axis(cfg.base, cfg.axis, x) for x in block]

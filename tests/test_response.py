@@ -1,6 +1,7 @@
 import ast
 import pathlib
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qdresponse.errors import (
     QdResponseError,
     SingularSystem,
     ZeroPump,
+    _or_raise,
 )
 from qdresponse.model import (
     Params,
@@ -32,7 +34,7 @@ from qdresponse.response import (
     solve_sidebands,
     solve_unit_grid,
     transmission_point,
-    _solve_unit,
+    _solve_alone,
 )
 from qdresponse.records import Flag
 from qdresponse.steady import (
@@ -296,6 +298,22 @@ def test_pole_guard_raises():
     assert _guard("test", 1e-3 + 0j, 1.0) == 1e-3 + 0j
 
 
+@pytest.mark.parametrize("corrected", [True, False])
+def test_each_sideband_pole_guard_names_its_own_factor(corrected):
+    """At this point and w0 = 0.5, A1 = 1 and M1 is exactly 0: chi1 names
+    M1, chi3 its conjugate M2, and the closed-form row M1."""
+    p = Params(delta_p0=1.5, delta_c0=1.0, g0=1.0, eta=0.25, omega_k0=2.0,
+               kappa_c0=1.0, gamma_q0=0.1, ep0=1.0, delta0=1.0)
+    b = SimpleNamespace(w0=0.5)
+    for form, name in ((chi1_closed_form, "M1"), (chi3_closed_form, "M2")):
+        with pytest.raises(PoleHit) as hit:
+            form(p, b, corrected=corrected)
+        assert str(hit.value) == f"{name} vanishes at delta0; closed form undefined here"
+    with pytest.raises(PoleHit) as hit:
+        transmission_point(p, b, Backend.CLOSED_FORM)
+    assert str(hit.value) == "M1 vanishes at delta0; closed form undefined here"
+
+
 # -- transmission ------------------------------------------------------------
 
 def test_uncoupled_transmission_matches_one_port_formula():
@@ -418,7 +436,7 @@ def test_only_the_unit_solvers_call_numpy_linalg():
 def test_a_presolved_unit_needs_the_linear_solve_backend():
     p = absorption_point(delta0=1.0)
     b = branch_of(p)
-    unit = list(_solve_unit(sideband_generator(b), p.delta0))
+    unit = list(_or_raise(_solve_alone(sideband_generator(b), p.delta0)))
     assert transmission_point(p, b, unit=unit) == transmission_point(p, b)
     with pytest.raises(ValueError, match="linear-solve"):
         transmission_point(p, b, Backend.CLOSED_FORM, unit=unit)
@@ -578,7 +596,7 @@ def test_a_row_certified_by_its_inverse_takes_no_svd_and_keeps_solves_bits(monke
     for K, d in rows:
         M = -K - 1j * d * np.eye(7)
         assert _inverse_certifies(M), d
-        x = _solve_unit(K, d)
+        x = _or_raise(_solve_alone(K, d))
         assert not calls
         sv = svd(M, compute_uv=False)
         assert sv[-1] >= SINGULAR_RCOND * sv[0]
@@ -636,7 +654,7 @@ def test_each_detuning_gets_its_solution_or_its_singular_system():
                 assert stored.value is entry
                 continue
             assert len(entry) == 7 and all(type(v) is complex for v in entry)
-            assert entry == _solve_unit(K, d)
+            assert entry == _or_raise(_solve_alone(K, d))
             alone = np.linalg.solve(-K - 1j * d * np.eye(7), np.eye(7)[0])
             assert np.array(entry).tobytes() == alone.tobytes()
             assert transmission_point(pd, b, unit=entry) == transmission_point(pd, b)

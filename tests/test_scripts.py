@@ -165,6 +165,9 @@ def digest():
     assert kinds == {("wide_box", False), ("sweep", False), ("grid", False),
                      ("labels", False), ("corner", False), ("corner", True),
                      ("extreme", False), ("extreme", True)}
+    # every tenth wide_box point carries the closed form beside the linear solve
+    assert {(d["k"] % 10 == 0, len(b["response"])) for d in map(json.loads, lines)
+            if d["set"] == "wide_box" for b in d["steady"]} == {(True, 2), (False, 1)}
     corners = [d for d in map(json.loads, lines) if d["set"] == "corner"]
     assert [(d["point"], d["steady"] if isinstance(d["steady"], str) else len(d["steady"]))
             for d in corners] == [
