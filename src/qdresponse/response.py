@@ -158,7 +158,8 @@ def _solve_alone(K: np.ndarray, delta) -> list | NonFinite | SingularSystem:
     matrix is built).  As rcond_2 >= 1 / (||M||_F ||M^-1||_F), a row whose
     inverse bounds it by ``_CERTIFIED_RCOND`` takes the inverse's column 0 (a
     solve's LU and pivots, by ``_lapack.inv``: ``np.linalg.inv``'s bits
-    without its wrapper); the SVD test and a solve decide every other."""
+    without its wrapper); the SVD test and a solve (``_lapack.solve``,
+    ``np.linalg.solve``'s bits) decide every other."""
     if not math.isfinite(delta):
         return NonFinite(f"sideband detuning delta0={delta!r} is not finite")
     M = _sideband_matrix(K, delta)
@@ -170,7 +171,7 @@ def _solve_alone(K: np.ndarray, delta) -> list | NonFinite | SingularSystem:
     if sv[-1] < SINGULAR_RCOND * sv[0]:
         return SingularSystem(f"sideband system is singular at delta0={delta!r} "
                               f"(rcond {sv[-1] / sv[0]:.2e})")
-    return np.linalg.solve(M, _EYE[0]).tolist()
+    return _lapack.solve(M, _EYE[:, :1])[:, 0].tolist()
 
 
 def solve_unit_grid(K: np.ndarray, deltas, safe_detuning: float) -> list:
@@ -181,20 +182,24 @@ def solve_unit_grid(K: np.ndarray, deltas, safe_detuning: float) -> list:
     detuning ``NonFinite``.
 
     Rows within ``safe_detuning`` (``certify_detuning(K)`` proves their
-    rcond) skip the SVD and share one stacked ``np.linalg.solve`` (right-hand
-    side (n, 7, 1), read alike by numpy 1.x and 2.x), whose LAPACK call per
-    system is a single solve's.  Every other row is answered alone by
-    ``_solve_alone``: certified by its own inverse, else by the SVD test.
-    So each row has a lone solve's bits and error; a ``safe_detuning`` of
-    ``-inf`` stacks none.
+    rcond) skip the SVD and share one stacked ``_lapack.solve`` (right-hand
+    side (n, 7, 1)), whose LAPACK call per system is a single solve's.
+    Every other row is answered alone by ``_solve_alone``: certified by its
+    own inverse, else by the SVD test.  So each row has a lone solve's bits
+    and error; a ``safe_detuning`` of ``-inf`` stacks none.  Where every row
+    is certified the stack's list is the answer, and where none is no stack
+    is built.
     """
     certified = [abs(d) <= safe_detuning for d in deltas]  # False for a NaN
-    stacked = iter(())
-    if any(certified):
-        ds = np.array([d for d, c in zip(deltas, certified) if c])[:, None, None]
-        x = np.linalg.solve(_sideband_matrix(K, ds),
-                            np.broadcast_to(_EYE[:, :1], (len(ds), 7, 1)))
-        stacked = iter(x[:, :, 0].tolist())
+    if not any(certified):
+        return [_solve_alone(K, d) for d in deltas]
+    every = all(certified)
+    ds = np.array(deltas if every else [d for d, c in zip(deltas, certified) if c])
+    x = _lapack.solve(_sideband_matrix(K, ds[:, None, None]),
+                      np.broadcast_to(_EYE[:, :1], (len(ds), 7, 1)))[:, :, 0].tolist()
+    if every:
+        return x
+    stacked = iter(x)
     return [next(stacked) if c else _solve_alone(K, d)
             for d, c in zip(deltas, certified)]
 

@@ -94,20 +94,46 @@ def _emitting(cfg: SweepConfig, branches) -> list[tuple]:
             if cfg.branch_policy is not _STABLE_ONLY or b.stability is _STABLE]
 
 
+#: The errors that make a response row a failure row, not a raised error.
+_ROW_ERRORS = (PoleHit, SingularSystem, ZeroPump)
+
+
+def _failure_row(x: float, branch_id: int, b, flags) -> SpectrumRecord:
+    """The row of a branch whose response failed at ``x``: NaN values, the
+    branch's flags with ``PoleSkipped``."""
+    return SpectrumRecord(x, branch_id, b.w0, float("nan"), float("nan"),
+                          flags | {Flag.POLE_SKIPPED})
+
+
 def _point_rows(rows: list, cfg: SweepConfig, x: float, p: Params, emitting,
-                value, units=None) -> None:
-    """Append the rows of one grid point: ``value`` is the observable's
-    ``_VALUE`` entry, ``None`` for ``W0``; ``units`` holds each emitting
-    branch's ``solve_unit_grid`` entry at ``p`` if the caller stacked them."""
-    for k, (branch_id, b, flags) in enumerate(emitting):
+                value) -> None:
+    """Append the rows of one grid point, each response from its own
+    ``transmission_point`` call: ``value`` is the observable's ``_VALUE``
+    entry, ``None`` for ``W0``."""
+    for branch_id, b, flags in emitting:
         try:
             re, im = (b.w0, 0.0) if value is None else value(
-                transmission_point(p, b, cfg.backend) if units is None
-                else transmission_point(p, b, unit=units[k]))
-        except (PoleHit, SingularSystem, ZeroPump):
-            re, im, flags = float("nan"), float("nan"), flags | {Flag.POLE_SKIPPED}
+                transmission_point(p, b, cfg.backend))
+        except _ROW_ERRORS:
+            rows.append(_failure_row(x, branch_id, b, flags))
+            continue
         # the NamedTuple's own __new__, without its Python frame
         rows.append(tuple.__new__(SpectrumRecord, (x, branch_id, b.w0, re, im, flags)))
+
+
+def _branch_rows(block, ps, branch_id: int, b, flags, value, units) -> list:
+    """One branch's rows over a block of grid points ``block`` with their
+    parameters ``ps``: each response from one ``transmission_point`` call,
+    given the branch's ``solve_unit_grid`` entry ``units`` at its point."""
+    rows, w0 = [], b.w0
+    for x, p, unit in zip(block, ps, units):
+        try:
+            re, im = value(transmission_point(p, b, unit=unit))
+        except _ROW_ERRORS:
+            rows.append(_failure_row(x, branch_id, b, flags))
+            continue
+        rows.append(tuple.__new__(SpectrumRecord, (x, branch_id, w0, re, im, flags)))
+    return rows
 
 
 def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
@@ -118,13 +144,17 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
     continuation policy is not a sweep: ``steady.hysteresis_sweep`` runs it.
 
     On a detuning axis the base point's branches, and their flags, serve
-    every grid point.  The grid is walked in fixed blocks of ``_BLOCK``
-    points: each branch that emits response rows certifies its K once and
-    solves the block in one ``response.solve_unit_grid`` call, and every
-    row's observables still come from one ``transmission_point`` call, given
-    the row's entry.  On any other axis each grid point's roots and branches
-    come from one ``steady.grid_roots`` call over the grid; a point that
-    raises a typed error other than ``NoRealRoot`` raises it at its turn.
+    every grid point, and the grid is walked in fixed blocks of ``_BLOCK``
+    points.  With the linear-solve backend and a response observable, each
+    branch that emits rows certifies its K once; per block it solves the
+    block in one ``response.solve_unit_grid`` call and builds its rows in
+    one loop (``_branch_rows``), every row's observables from one
+    ``transmission_point`` call given the row's entry, and the branches'
+    lists are interleaved.  Any other detuning sweep builds each point's
+    rows by ``_point_rows``.  On any other axis each grid point's roots and
+    branches come from one ``steady.grid_roots`` call over the grid; a point
+    that raises a typed error other than ``NoRealRoot`` raises it at its
+    turn.
     """
     validate_params(cfg.base)
     xs = checked_grid(cfg.grid, minimum=1, ascending=False)
@@ -139,14 +169,23 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
         # one K and certificate per stacked branch serve every grid point
         systems = [(K, certify_detuning(K)) for _, b, _ in emitting
                    for K in [sideband_generator(b)]] if stacked else []
+        n = len(emitting)  # rows per grid point
         for start in range(0, len(xs), _BLOCK):
             block = xs[start:start + _BLOCK]
             ps = [apply_axis(cfg.base, cfg.axis, x) for x in block]
+            if not stacked:
+                for x, p in zip(block, ps):
+                    _point_rows(rows, cfg, x, p, emitting, value)
+                continue
             deltas = [p.delta0 for p in ps]
-            units = zip(*[solve_unit_grid(K, deltas, safe) for K, safe in systems]) \
-                if stacked else [None] * len(block)
-            for x, p, point_units in zip(block, ps, units):
-                _point_rows(rows, cfg, x, p, emitting, value, point_units)
+            lists = [_branch_rows(block, ps, branch_id, b, flags, value,
+                                  solve_unit_grid(K, deltas, safe))
+                     for (branch_id, b, flags), (K, safe) in zip(emitting, systems)]
+            # grid index, then branch id: branch k fills every n-th row
+            merged = [None] * (n * len(block))
+            for k, branch_rows in enumerate(lists):
+                merged[k::n] = branch_rows
+            rows += merged
         return rows
     for x, p, found in grid_roots(cfg.base, cfg.axis, xs):
         try:

@@ -1,4 +1,5 @@
-"""``_lapack.eigvals`` and ``_lapack.inv`` against ``np.linalg``'s own.
+"""``_lapack.eigvals``, ``_lapack.inv`` and ``_lapack.solve`` against
+``np.linalg``'s own.
 
 The helpers call numpy's private gufuncs, whose interface numpy does not
 promise; this pins it on every numpy the suite runs on.  Each side's answer
@@ -11,16 +12,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qdresponse import _lapack, presets, response, steady
+from qdresponse import _lapack, presets, response, steady, sweep
 from qdresponse.errors import QdResponseError
+from qdresponse.model import apply_axis
 from qdresponse.steady import solve_steady_branches
 
 from conftest import fold_jacobian, phonon_pole_jacobian, script
 
 
-def _answer(f, a):
+def _answer(f, *args):
     try:
-        return f(a)
+        return f(*args)
     except Exception as exc:  # the type and message are what is compared
         return type(exc), str(exc)
 
@@ -41,6 +43,18 @@ def _same_inv(a):
     if isinstance(theirs, tuple) or isinstance(ours, tuple):
         return ours == theirs
     return (ours.dtype, ours.tobytes()) == (theirs.dtype, theirs.tobytes())
+
+
+def _same_solve(a, b):
+    ours, theirs = _answer(_lapack.solve, a, b), _answer(np.linalg.solve, a, b)
+    if isinstance(theirs, tuple) or isinstance(ours, tuple):
+        return ours == theirs
+    return (ours.dtype, ours.tobytes()) == (theirs.dtype, theirs.tobytes())
+
+
+def _unit_rhs(a):
+    """e0 as the (..., 7, 1) right-hand side of each system of ``a``."""
+    return np.broadcast_to(np.eye(7)[:, :1], a.shape[:-1] + (1,))
 
 
 def _inverted(points_branches):
@@ -109,10 +123,55 @@ def test_helpers_match_numpy_on_built_and_failing_matrices():
     assert _same_inv(response._TO_COMPLEX)
 
 
+def _stacked_blocks(fid):
+    """The stacked sideband systems a sweep of preset ``fid`` solves: per
+    emitting branch and block of ``sweep._BLOCK`` grid points, the systems
+    of the block's certified detunings."""
+    preset = presets.get_preset(fid)
+    for _, base in preset.members():
+        cfg = sweep.SweepConfig(base, preset.axis, preset.grid, preset.observable,
+                                branch_policy=preset.branch_policy)
+        deltas = [apply_axis(base, preset.axis, x).delta0 for x in preset.grid]
+        for _, b, _ in sweep._emitting(cfg, solve_steady_branches(base)):
+            K = response.sideband_generator(b)
+            safe = response.certify_detuning(K)
+            for start in range(0, len(deltas), sweep._BLOCK):
+                ds = np.array([d for d in deltas[start:start + sweep._BLOCK] if abs(d) <= safe])
+                if len(ds):
+                    yield response._sideband_matrix(K, ds[:, None, None])
+
+
+def test_solve_matches_numpy_on_stacked_preset_blocks():
+    blocks = [a for fid in ("4a", "7b", "9b") for a in _stacked_blocks(fid)]
+    # one emitting branch per member, every grid point certified: 4a's 601
+    # points in 3 blocks, 7b's 4,001 in 16 on each of 3 members, 9b's 131
+    # in 1 on each of 3
+    assert len(blocks) == 3 + 3 * 16 + 3
+    assert sum(len(a) for a in blocks) == 601 + 3 * 4001 + 3 * 131
+    assert all(_same_solve(a, _unit_rhs(a)) for a in blocks)
+
+
+def test_solve_matches_numpy_on_one_system_and_a_singular_one():
+    p = presets.get_preset("9b").members()[0][1]
+    (b, *_) = solve_steady_branches(p)
+    M = response._sideband_matrix(response.sideband_generator(b), 0.75)
+    assert M.shape == (7, 7) and _same_solve(M, np.eye(7)[:, :1])
+    assert _answer(_lapack.solve, M, np.eye(7)[:, :1]).shape == (7, 1)
+    # an exactly singular sideband matrix: a zero row of J, so of K
+    jacobian = phonon_pole_jacobian(0.0)
+    jacobian[6] = 0.0
+    S = -(response._TO_COMPLEX @ jacobian @ response._FROM_COMPLEX)
+    assert _answer(_lapack.solve, S, np.eye(7)[:, :1]) == (np.linalg.LinAlgError,
+                                                            "Singular matrix")
+    assert _same_solve(S, np.eye(7)[:, :1])
+    pair = np.array([M, S])
+    assert _same_solve(pair, _unit_rhs(pair))
+
+
 def _flagging_gufunc(invalid):
     """A stand-in gufunc that raises the overflow, division and underflow
     flags, and the invalid flag by which LAPACK's failure is reported."""
-    def gufunc(a, signature):
+    def gufunc(a, *rest, signature):
         one = np.ones(1)
         one * 1e308 * 10.0, one / 0.0, one * 1e-308 * 1e-308
         if invalid:
@@ -125,9 +184,11 @@ def _flagging_gufunc(invalid):
 def test_the_invalid_flag_is_numpys_linalgerror_and_no_other_flag_warns(monkeypatch):
     for invalid in (True, False):
         gufunc = _flagging_gufunc(invalid)
-        monkeypatch.setattr(_lapack, "_umath_linalg", SimpleNamespace(eigvals=gufunc, inv=gufunc))
+        monkeypatch.setattr(_lapack, "_umath_linalg",
+                            SimpleNamespace(eigvals=gufunc, inv=gufunc, solve=gufunc))
         for helper, message in ((_lapack.eigvals, "Eigenvalues did not converge"),
-                                (_lapack.inv, "Singular matrix")):
+                                (_lapack.inv, "Singular matrix"),
+                                (lambda a: _lapack.solve(a, a), "Singular matrix")):
             a = np.eye(2)
             if invalid:
                 assert _answer(helper, a) == (np.linalg.LinAlgError, message)

@@ -407,7 +407,8 @@ def test_lattice_coupling_changes_the_dispersion_slope_at_the_phonon_dip():
 
 def test_only_the_unit_solvers_call_numpy_linalg():
     """Across ``src/``, only ``_lapack`` reaches numpy's private gufuncs and
-    every ``eigvals`` and ``inv`` goes through it.  In ``response``,
+    every ``eigvals`` and ``inv`` goes through it, and every ``solve`` but
+    ``oracle``'s real 3x3 Gram solve.  In ``response``,
     ``solve_unit_grid``, with ``_solve_alone`` for its lone rows, is the one
     code that solves the sideband system, and ``certify_detuning`` the one
     that bounds its condition: no other function body reaches LAPACK, by
@@ -425,6 +426,8 @@ def test_only_the_unit_solvers_call_numpy_linalg():
         if path.name != "_lapack.py":
             assert not {"np.linalg.eigvals", "np.linalg.inv",
                         "numpy.linalg.eigvals", "numpy.linalg.inv"} & (names | imported), path.name
+        if path.name not in ("_lapack.py", "oracle.py"):
+            assert not {"np.linalg.solve", "numpy.linalg.solve"} & (names | imported), path.name
     tree = ast.parse(pathlib.Path(response.__file__).read_text(encoding="utf-8"))
     callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                and any(isinstance(node, ast.Call)

@@ -1,7 +1,7 @@
 """The repository scripts that compare two commits' outputs: each passes on
 identical inputs and fails on a hand-edited value, flag, NaN or message; the
-script that runs the README's examples; and the one that writes every
-preset."""
+script that runs the README's examples; the one that writes every
+preset; and the one that pairs two checkouts' benchmark runs."""
 import json
 import re
 
@@ -12,6 +12,7 @@ from qdresponse import cli
 from conftest import SCRIPTS, script
 
 compare_figures = script("compare_figures")
+pair_stats = script("pair_stats")
 readme_examples = script("readme_examples")
 reproduce_figures = script("reproduce_figures")
 seeded_points = script("seeded_points")
@@ -429,3 +430,78 @@ def test_reproduce_figures_prints_its_elapsed_time_on_stderr(tmp_path, monkeypat
     assert out == "".join(f"wrote {tmp_path / name}\n" for name in files) \
         + f"all 2 presets written to {tmp_path}/\n"
     assert re.fullmatch(r"written in \d+\.\d s\n", err)
+
+
+_METRICS = {"setup_s": 0.1, "wall_s": 0.5, "points_per_s": 170000.0,
+            "point_p50_us": 6.0, "point_p99_us": 9.0, "peak_rss_mb": 42.0}
+
+
+def _bench_runs(checkout, seeds, workload="spectra", scale=None, **fields):
+    """Write one synthetic untraced result file per seed into ``checkout``:
+    each metric of ``_METRICS``, with a seed-dependent spread, times
+    ``scale``'s factor for it."""
+    results = checkout / ".perfbench" / "results"
+    results.mkdir(parents=True, exist_ok=True)
+    for k, seed in enumerate(seeds):
+        spread = 1.0 + 0.002 * (k % 5)
+        metrics = {name: {"value": value * spread * (scale or {}).get(name, 1.0), "unit": "u"}
+                   for name, value in _METRICS.items()}
+        record = {"provenance": {"commit": checkout.name, "source_sha256": "ab" * 32},
+                  "attempted": 100, "failed": 0, "wrong_outputs": 0,
+                  "trace_mismatches": [], "metrics": metrics, **fields}
+        (results / f"BENCH_{workload}_seed{seed}_trace0.json").write_text(
+            json.dumps(record), encoding="utf-8")
+
+
+def _pair_report(tmp_path, capsys):
+    code = pair_stats.main([str(tmp_path / "parent"), str(tmp_path / "change")])
+    lines = capsys.readouterr().out.splitlines()
+    return code, {line.split()[0]: line for line in lines if line.startswith("  ")
+                  and line.split()[0] in _METRICS}, lines
+
+
+def test_pair_stats_meets_the_claim_and_keeps_every_bound(tmp_path, capsys):
+    seeds = range(1001, 1011)
+    _bench_runs(tmp_path / "parent", seeds)
+    _bench_runs(tmp_path / "change", seeds, scale={"wall_s": 0.95, "setup_s": 1.2})
+    _bench_runs(tmp_path / "change", [1011])
+    code, rows, lines = _pair_report(tmp_path, capsys)
+    assert code == 0
+    assert lines[0] == "unpaired: spectra seed 1011 only in the change checkout"
+    assert lines[1] == "spectra: 10 pairs, seeds " + ", ".join(map(str, seeds))
+    assert "  parent: commit parent source_sha256 " + "ab" * 32 in lines
+    assert "  change: failed 0 of 1000 attempted, wrong_outputs 0, trace mismatches 0" in lines
+    assert rows["wall_s"].split()[-6:] == ["-5.00%", "10/10", "claim", "met,", "within", "bound"]
+    # 20% worse, within its 25% bound; equal values win no pair
+    assert rows["setup_s"].endswith("+20.00%   0/10   claim not met, within bound")
+    assert rows["peak_rss_mb"].endswith("+0.00%   0/10   claim not met, within bound")
+
+
+def test_pair_stats_needs_the_gap_to_exceed_the_parents_spread(tmp_path, capsys):
+    seeds = range(1, 11)
+    _bench_runs(tmp_path / "parent", seeds)
+    # better in every pair, but by 0.3%: less than the parent's 0.4% IQR
+    _bench_runs(tmp_path / "change", seeds, scale={"wall_s": 0.997})
+    code, rows, _ = _pair_report(tmp_path, capsys)
+    assert code == 0 and "10/10   claim not met" in rows["wall_s"]
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"scale": {"peak_rss_mb": 1.11}}, None),
+    ({"scale": {"points_per_s": 0.7}}, None),
+    ({"wrong_outputs": 1}, "  FAIL: a change run is incorrect"),
+    ({"trace_mismatches": ["calls:x 1 != 2"]}, "  FAIL: a change run is incorrect"),
+    ({"failed": 1}, "  FAIL: the change failed 0.01 of its operations, the parent 0"),
+])
+def test_pair_stats_fails_beyond_a_bound_or_on_a_wrong_run(tmp_path, capsys, change, message):
+    seeds = range(1, 6)
+    _bench_runs(tmp_path / "parent", seeds)
+    _bench_runs(tmp_path / "change", seeds, **change)
+    code, rows, lines = _pair_report(tmp_path, capsys)
+    assert code == 1
+    if message:
+        assert message in lines
+    else:
+        (name,) = change["scale"]
+        assert "BEYOND its bound" in rows[name]
+        assert all("within bound" in row for key, row in rows.items() if key != name)

@@ -6,8 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from qdresponse import response, steady, sweep
-from qdresponse.errors import InvalidGrid, NonFinite, TooFewPoints
+from qdresponse import _lapack, response, steady, sweep
+from qdresponse.errors import InvalidGrid, NonFinite, SingularSystem, TooFewPoints
 from qdresponse.model import SweepAxis, apply_axis
 from qdresponse.records import Flag, SpectrumRecord
 from qdresponse.response import Backend, transmission_point
@@ -134,8 +134,7 @@ def test_detuning_sweep_certifies_its_branches(monkeypatch):
         return wrapper
 
     monkeypatch.setattr("qdresponse.response.np.linalg.svd", no_svd)
-    monkeypatch.setattr("qdresponse.response.np.linalg.solve",
-                        counted("solve", np.linalg.solve))
+    monkeypatch.setattr(_lapack, "solve", counted("solve", _lapack.solve))
     monkeypatch.setattr(sweep, "transmission_point",
                         counted("transmission_point", sweep.transmission_point))
     cfg = SweepConfig(base=transmission_point_params(),
@@ -253,6 +252,45 @@ def test_rows_outside_the_certificate_equal_the_per_point_path(monkeypatch):
     assert (len(entries) - len(tested), len(tested)) == \
         (3 * inside, 3 * (len(cfg.grid) - inside))
     assert rows == _per_point_text(cfg)
+
+
+def test_a_singular_row_inside_a_stacked_block_is_pole_skipped(monkeypatch):
+    """One ``SingularSystem`` entry of the middle branch, in the second
+    block, gives that row NaN values and the branch's flags with
+    ``PoleSkipped``; every other row keeps its place and its per-point
+    values."""
+    base = bistable_point(ep0=8.0)
+    branches = steady.solve_steady_branches(base)
+    assert len(branches) == 3
+    cfg = SweepConfig(base=base, axis=SweepAxis.DELTA0,
+                      grid=tuple(np.linspace(-12.0, 12.0, 300).tolist()),
+                      observable=Observable.CHI1,
+                      branch_policy=BranchPolicy.ALL_BRANCHES)
+    expected, unspied = _per_point_text(cfg), run_sweep(cfg)
+    middle, target = response.sideband_generator(branches[1]), cfg.grid[270]
+    certify, solve_alone, answered = sweep.certify_detuning, response._solve_alone, []
+
+    def alone_spy(K, delta):
+        if delta == target and np.array_equal(K, middle):
+            answered.append(delta)
+            return SingularSystem(f"sideband system is singular at delta0={delta!r}")
+        return solve_alone(K, delta)
+
+    # the middle branch's rows beyond |delta0| = 5 are answered alone
+    monkeypatch.setattr(sweep, "certify_detuning",
+                        lambda K: 5.0 if np.array_equal(K, middle) else certify(K))
+    monkeypatch.setattr(response, "_solve_alone", alone_spy)
+    rows = run_sweep(cfg)
+    assert answered == [target] and abs(target) > 5.0
+    skipped = 3 * 270 + 1
+    assert len(rows) == len(unspied) == 900
+    row = rows[skipped]
+    assert (row.x, row.branch_id, row.w0) == (target, 1, branches[1].w0)
+    assert np.isnan(row.value_re) and np.isnan(row.value_im)
+    assert row.flags == steady.row_flags(branches[1]) | {Flag.POLE_SKIPPED}
+    others = [k for k in range(len(rows)) if k != skipped]
+    assert [_rows_text(rows)[k] for k in others] == [expected[k] for k in others]
+    assert [rows[k].flags for k in others] == [unspied[k].flags for k in others]
 
 
 def test_records_are_ordered_and_deterministic():
