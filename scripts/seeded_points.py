@@ -8,7 +8,8 @@ The digest covers the paths the figures do not reach: a lone cubic, root
 polish and branch assembly, and an uncertified sideband row per point, on
 10,000 ``wide_box_params`` points (seeds 1 and 2); on every tenth point,
 each branch's closed-form response beside its linear solve, and a
-certified stacked delta0 sweep of branches far outside the preset box; the
+certified stacked delta0 sweep of branches far outside the preset box
+with its closed-form twin that builds the same rows without the solve; the
 branches of every grid point of ``steady.grid_roots``, whose branch rows
 are assembled a grid at a time, on each member grid of the
 inversion presets 2a-3b (whose figure rows carry only w0 and the labels)
@@ -101,8 +102,8 @@ def extreme_points(count: int = 2500):
 def digest(perfbench_dir: str, points: int = 5000, extremes: int = 2500, grids: int = 5,
            window_points: int = 2001):
     """The digest's lines, as objects: ``points`` seeded ``wide_box`` points
-    per seed with a sweep on every tenth, the preset member grids,
-    ``grids`` seeded grids per steady axis, the labels of
+    per seed with a sweep on each backend on every tenth, the preset member
+    grids, ``grids`` seeded grids per steady axis, the labels of
     ``window_points`` points of each 2b window and the corner points, then
     ``extremes`` extreme points."""
     sys.path.insert(0, perfbench_dir)
@@ -132,10 +133,10 @@ def digest(perfbench_dir: str, points: int = 5000, extremes: int = 2500, grids: 
                  "response": [response(p, b, backend) for backend in backends]}
                 for b in branches]
 
-    def sweep(p):
+    def sweep(p, backend=Backend.LINEAR_SOLVE):
         try:
             records = run_sweep(SweepConfig(
-                p, SweepAxis.DELTA0, grid, Observable.A_OUT_PLUS,
+                p, SweepAxis.DELTA0, grid, Observable.A_OUT_PLUS, backend,
                 branch_policy=BranchPolicy.ALL_BRANCHES))
         except Exception as exc:
             return _error(exc)
@@ -155,6 +156,8 @@ def digest(perfbench_dir: str, points: int = 5000, extremes: int = 2500, grids: 
                                     else [Backend.LINEAR_SOLVE])}
             if k % 10 == 0:
                 yield {"set": "sweep", "seed": seed, "k": k, "records": sweep(p)}
+                yield {"set": "sweep", "seed": seed, "k": k, "backend": "closed_form",
+                       "records": sweep(p, Backend.CLOSED_FORM)}
     for fid in ("2a", "2b", "3a", "3b"):
         preset = get_preset(fid)
         for member, p in preset.members():

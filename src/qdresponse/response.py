@@ -130,8 +130,10 @@ def certify_detuning(K: np.ndarray) -> float:
     ``SINGULAR_RCOND``.  The bound is negative where an eigenvalue sits on
     or near the imaginary axis (marginal branches, branches next to a fold
     or Hopf point), and ``-inf`` where V is singular or its condition number
-    is not finite.  It costs about four uncertified rows (``_solve_alone``);
-    with its stacked solve it pays from about six rows of one branch on.
+    is not finite.  It costs about four uncertified rows: 42 us, or 58-61 us
+    with its stacked solve of 1-3 rows, against 10.2 us for a lone
+    ``_solve_alone`` row (2-CPU host, numpy 2.4.6), so with its stacked
+    solve it pays from about seven rows of one branch on.
     V is inverted by ``_lapack.inv``, with ``np.linalg.inv``'s bits.
     """
     lam, V = np.linalg.eig(K)

@@ -5,6 +5,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from operator import attrgetter
 
 from .errors import InvalidGrid, NoRealRoot, PoleHit, SingularSystem, TooFewPoints, ZeroPump
@@ -98,39 +99,26 @@ def _emitting(cfg: SweepConfig, branches) -> list[tuple]:
 _ROW_ERRORS = (PoleHit, SingularSystem, ZeroPump)
 
 
-def _failure_row(x: float, branch_id: int, b, flags) -> SpectrumRecord:
-    """The row of a branch whose response failed at ``x``: NaN values, the
-    branch's flags with ``PoleSkipped``."""
-    return SpectrumRecord(x, branch_id, b.w0, float("nan"), float("nan"),
-                          flags | {Flag.POLE_SKIPPED})
-
-
-def _point_rows(rows: list, cfg: SweepConfig, x: float, p: Params, emitting,
-                value) -> None:
-    """Append the rows of one grid point, each response from its own
-    ``transmission_point`` call: ``value`` is the observable's ``_VALUE``
-    entry, ``None`` for ``W0``."""
-    for branch_id, b, flags in emitting:
+def _branch_rows(xs, ps, branch_id: int, b, flags, value, backend, units) -> list:
+    """One branch's rows over grid points ``xs`` with their parameters
+    ``ps``.  ``W0``'s (``value is None``) come from the branch alone; any
+    other observable's each from one ``transmission_point`` call, given the
+    branch's ``solve_unit_grid`` entry ``units`` at its point (``None``
+    where the sweep is not stacked).  A row whose response fails gets NaN
+    values and the branch's flags with ``PoleSkipped``."""
+    w0, rows = b.w0, []
+    # the NamedTuple's own __new__, without its Python frame; a loop, not a
+    # comprehension, whose frame a steady axis's one-point calls would pay
+    if value is None:
+        for x in xs:
+            rows.append(tuple.__new__(SpectrumRecord, (x, branch_id, w0, w0, 0.0, flags)))
+        return rows
+    for x, p, unit in zip(xs, ps, units):
         try:
-            re, im = (b.w0, 0.0) if value is None else value(
-                transmission_point(p, b, cfg.backend))
+            re, im = value(transmission_point(p, b, backend, unit=unit))
         except _ROW_ERRORS:
-            rows.append(_failure_row(x, branch_id, b, flags))
-            continue
-        # the NamedTuple's own __new__, without its Python frame
-        rows.append(tuple.__new__(SpectrumRecord, (x, branch_id, b.w0, re, im, flags)))
-
-
-def _branch_rows(block, ps, branch_id: int, b, flags, value, units) -> list:
-    """One branch's rows over a block of grid points ``block`` with their
-    parameters ``ps``: each response from one ``transmission_point`` call,
-    given the branch's ``solve_unit_grid`` entry ``units`` at its point."""
-    rows, w0 = [], b.w0
-    for x, p, unit in zip(block, ps, units):
-        try:
-            re, im = value(transmission_point(p, b, unit=unit))
-        except _ROW_ERRORS:
-            rows.append(_failure_row(x, branch_id, b, flags))
+            rows.append(SpectrumRecord(x, branch_id, w0, float("nan"), float("nan"),
+                                       flags | {Flag.POLE_SKIPPED}))
             continue
         rows.append(tuple.__new__(SpectrumRecord, (x, branch_id, w0, re, im, flags)))
     return rows
@@ -143,29 +131,30 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
     failures become flags on the record, never fabricated values.  The
     continuation policy is not a sweep: ``steady.hysteresis_sweep`` runs it.
 
-    On a detuning axis the base point's branches, and their flags, serve
-    every grid point, and the grid is walked in fixed blocks of ``_BLOCK``
-    points.  With the linear-solve backend and a response observable, each
-    branch that emits rows certifies its K once; per block it solves the
-    block in one ``response.solve_unit_grid`` call and builds its rows in
-    one loop (``_branch_rows``), every row's observables from one
-    ``transmission_point`` call given the row's entry, and the branches'
-    lists are interleaved.  Any other detuning sweep builds each point's
-    rows by ``_point_rows``.  On any other axis each grid point's roots and
-    branches come from one ``steady.grid_roots`` call over the grid; a point
-    that raises a typed error other than ``NoRealRoot`` raises it at its
-    turn.
+    Every row comes from ``_branch_rows``, one call per emitting branch over
+    a run of grid points.  On a detuning axis the base point's branches, and
+    their flags, serve every grid point, and the grid is walked in fixed
+    blocks of ``_BLOCK`` points; each branch's rows over a block come from
+    one call, and the branches' lists are interleaved.  With the
+    linear-solve backend and a response observable each emitting branch
+    certifies its K once, and per block solves the block in one
+    ``response.solve_unit_grid`` call whose entries its rows are given;
+    any other detuning sweep builds the same rows without them.  On any
+    other axis each grid point's roots and branches come from one
+    ``steady.grid_roots`` call over the grid, and each emitting branch's
+    row from one call over that point; a point that raises a typed error
+    other than ``NoRealRoot`` raises it at its turn.
     """
     validate_params(cfg.base)
     xs = checked_grid(cfg.grid, minimum=1, ascending=False)
     if cfg.branch_policy is BranchPolicy.CONTINUATION:
         raise InvalidGrid("continuation sweeps run through steady.hysteresis_sweep")
 
-    value = _VALUE.get(cfg.observable)
+    value, backend = _VALUE.get(cfg.observable), cfg.backend
     rows = []
     if cfg.axis in (SweepAxis.DELTA0, SweepAxis.DELTA_S0):
         emitting = _emitting(cfg, solve_steady_branches(cfg.base))
-        stacked = cfg.backend is Backend.LINEAR_SOLVE and value is not None
+        stacked = backend is Backend.LINEAR_SOLVE and value is not None
         # one K and certificate per stacked branch serve every grid point
         systems = [(K, certify_detuning(K)) for _, b, _ in emitting
                    for K in [sideband_generator(b)]] if stacked else []
@@ -173,14 +162,13 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
         for start in range(0, len(xs), _BLOCK):
             block = xs[start:start + _BLOCK]
             ps = [apply_axis(cfg.base, cfg.axis, x) for x in block]
-            if not stacked:
-                for x, p in zip(block, ps):
-                    _point_rows(rows, cfg, x, p, emitting, value)
-                continue
-            deltas = [p.delta0 for p in ps]
-            lists = [_branch_rows(block, ps, branch_id, b, flags, value,
-                                  solve_unit_grid(K, deltas, safe))
-                     for (branch_id, b, flags), (K, safe) in zip(emitting, systems)]
+            if stacked:  # each branch's solve made as its rows are built
+                deltas = [p.delta0 for p in ps]
+                units = (solve_unit_grid(K, deltas, safe) for K, safe in systems)
+            else:
+                units = [repeat(None)] * n
+            lists = [_branch_rows(block, ps, branch_id, b, flags, value, backend, u)
+                     for (branch_id, b, flags), u in zip(emitting, units)]
             # grid index, then branch id: branch k fills every n-th row
             merged = [None] * (n * len(block))
             for k, branch_rows in enumerate(lists):
@@ -194,7 +182,9 @@ def run_sweep(cfg: SweepConfig) -> list[SpectrumRecord]:
             rows.append(SpectrumRecord(x, -1, float("nan"), float("nan"),
                                        float("nan"), frozenset({Flag.POLE_SKIPPED})))
             continue
-        _point_rows(rows, cfg, x, p, _emitting(cfg, branches), value)
+        for branch_id, b, flags in _emitting(cfg, branches):
+            rows += _branch_rows((x,), (p,), branch_id, b, flags, value, backend,
+                                 (None,))
     return rows
 
 

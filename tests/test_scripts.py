@@ -156,9 +156,10 @@ def test_csv_json_fails_on_a_missing_file(tmp_path):
 
 @pytest.fixture(scope="module")
 def digest():
-    """A small digest: 30 wide_box points a seed (3 sweeps each), the 10
-    preset member grids, one seeded grid per steady axis, 21 labelled
-    points in each 2b window, the corner points and 60 extreme points."""
+    """A small digest: 30 wide_box points a seed (3 sweeps on each
+    backend), the 10 preset member grids, one seeded grid per steady axis,
+    21 labelled points in each 2b window, the corner points and 60 extreme
+    points."""
     lines = [json.dumps(line) for line in seeded_points.digest(
         str(SCRIPTS.parent / "perfbench"), points=30, extremes=60, grids=1, window_points=21)]
     kinds = {(d["set"], isinstance(d.get("steady", d.get("records")), str))
@@ -169,6 +170,12 @@ def digest():
     # every tenth wide_box point carries the closed form beside the linear solve
     assert {(d["k"] % 10 == 0, len(b["response"])) for d in map(json.loads, lines)
             if d["set"] == "wide_box" for b in d["steady"]} == {(True, 2), (False, 1)}
+    # each linear-solve sweep is followed by its closed-form twin
+    sweeps = [(d["seed"], d["k"], d.get("backend")) for d in map(json.loads, lines)
+              if d["set"] == "sweep"]
+    assert len(sweeps) == 12
+    assert sweeps[1::2] == [(seed, k, "closed_form") for seed, k, _ in sweeps[::2]]
+    assert {backend for *_, backend in sweeps[::2]} == {None}
     corners = [d for d in map(json.loads, lines) if d["set"] == "corner"]
     assert [(d["point"], d["steady"] if isinstance(d["steady"], str) else len(d["steady"]))
             for d in corners] == [

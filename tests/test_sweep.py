@@ -163,29 +163,50 @@ def _rows_text(rows):
 
 
 def _per_point_text(cfg):
-    """The rows of ``cfg`` from one ``transmission_point`` per row, each
-    solving its own system after the SVD test (no certificate)."""
+    """The rows of ``cfg`` from one ``transmission_point`` per row under
+    ``cfg.backend``, each linear solve made alone after the SVD test (no
+    certificate), over every branch: on a detuning axis the base point's, on
+    any other each grid point's own.  ``W0``'s rows are ``(b.w0, 0.0)``, and
+    a row whose call raises a row error is NaN."""
+    detuning = cfg.axis in (SweepAxis.DELTA0, SweepAxis.DELTA_S0)
     branches = steady.solve_steady_branches(cfg.base)
     rows = []
     for x in cfg.grid:
         p = apply_axis(cfg.base, cfg.axis, x)
-        for branch_id, b in enumerate(branches):
-            re, im = _OBSERVED[cfg.observable](transmission_point(p, b))
+        for branch_id, b in enumerate(branches if detuning
+                                      else steady.solve_steady_branches(p)):
+            try:
+                re, im = (b.w0, 0.0) if cfg.observable is Observable.W0 else \
+                    _OBSERVED[cfg.observable](transmission_point(p, b, cfg.backend))
+            except sweep._ROW_ERRORS:
+                re = im = float("nan")
             rows.append((repr(x), branch_id, repr(b.w0), repr(re), repr(im)))
     return rows
 
 
-@pytest.mark.parametrize("axis", [SweepAxis.DELTA0, SweepAxis.DELTA_S0])
-@pytest.mark.parametrize("observable", list(_OBSERVED))
-def test_stacked_rows_equal_the_per_point_path_bit_for_bit(axis, observable):
-    # 300 points: one full block of 256 and a partial one
+#: (axis, backend) of each row path; the linear-solve paths are named by
+#: their axis alone.
+_ROW_PATHS = [pytest.param(axis, backend, id=str(axis) if backend is Backend.LINEAR_SOLVE
+                           else f"{axis}-{backend}")
+              for backend in Backend
+              for axis in (SweepAxis.DELTA0, SweepAxis.DELTA_S0, SweepAxis.EP0)]
+
+
+@pytest.mark.parametrize("axis, backend", _ROW_PATHS)
+@pytest.mark.parametrize("observable", list(Observable))
+def test_stacked_rows_equal_the_per_point_path_bit_for_bit(axis, backend, observable):
+    # 300 points: one full block of 256 and a partial one; the ep0 grid lies
+    # inside the bistable window, three branches at every point
     base = bistable_point(ep0=8.0)
     assert len(steady.solve_steady_branches(base)) == 3
-    cfg = SweepConfig(base=base, axis=axis,
-                      grid=tuple(np.linspace(-12.0, 12.0, 300).tolist()),
-                      observable=observable,
+    grid = (np.linspace(3.0, 14.0, 300) if axis is SweepAxis.EP0
+            else np.linspace(-12.0, 12.0, 300))
+    cfg = SweepConfig(base=base, axis=axis, grid=tuple(grid.tolist()),
+                      observable=observable, backend=backend,
                       branch_policy=BranchPolicy.ALL_BRANCHES)
-    assert _rows_text(run_sweep(cfg)) == _per_point_text(cfg)
+    rows = _rows_text(run_sweep(cfg))
+    assert len(rows) == 900
+    assert rows == _per_point_text(cfg)
 
 
 @pytest.mark.parametrize("observable, backend, policy, stacked", [
@@ -359,19 +380,31 @@ def test_point_without_roots_is_pole_skipped(monkeypatch):
     assert {r.x for r in rows if r.branch_id >= 0} == {2.0, 6.0}
 
 
-@pytest.mark.parametrize("backend", list(Backend))
+#: (backend, axis, base, grid) of each zero-pump sweep: the first three
+#: ep0 points have 3 ep0^2 at 0 or subnormal, and a detuning sweep over an
+#: unpumped base has it at 0 everywhere; the EP0 sweeps are named by their
+#: backend alone.
+_ZERO_PUMP_SWEEPS = [
+    *[pytest.param(backend, SweepAxis.EP0, kerr_point(), (0.0, 1e-200, 1e-160, 0.5, 1.0),
+                   id=str(backend)) for backend in Backend],
+    *[pytest.param(backend, SweepAxis.DELTA0, kerr_point(ep0=0.0), (-5.0, 0.0, 5.0),
+                   id=f"{backend}-{SweepAxis.DELTA0}") for backend in Backend],
+]
+
+
+@pytest.mark.parametrize("backend, axis, base, grid", _ZERO_PUMP_SWEEPS)
 @pytest.mark.parametrize("observable", [Observable.CHI3, Observable.KERR,
                                         Observable.NONLIN_ABS])
-def test_chi3_rows_at_zero_pump_are_pole_skipped(observable, backend):
-    # 3 ep0^2 is 0 at 1e-200 and subnormal at 1e-160: chi3 is undefined there
-    cfg = SweepConfig(base=kerr_point(), axis=SweepAxis.EP0,
-                      grid=(0.0, 1e-200, 1e-160, 0.5, 1.0),
+def test_chi3_rows_at_zero_pump_are_pole_skipped(observable, backend, axis, base, grid):
+    # chi3 is undefined where 3 ep0^2 is not a normal float
+    cfg = SweepConfig(base=base, axis=axis, grid=grid,
                       observable=observable, backend=backend)
     rows = run_sweep(cfg)
+    assert len(rows) == len(grid)
     skipped, pumped = rows[:3], rows[3:]
-    assert len(pumped) == 2
     for row in skipped:
-        assert row.flags == {Flag.POLE_SKIPPED}
+        b = steady.solve_steady_branches(apply_axis(base, axis, row.x))[row.branch_id]
+        assert row.flags == steady.row_flags(b) | {Flag.POLE_SKIPPED}
         assert np.isnan(row.value_re) and np.isnan(row.value_im)
     assert all(not r.flags and np.isfinite(r.value_re) for r in pumped)
 
